@@ -5,34 +5,40 @@
 //!     [--iters N] [--seed S] [--repro-dir PATH]
 //! ```
 //!
-//! Each iteration draws a seeded `ctxform_synth` program and sweeps the
-//! shared differential matrix ([`ctxform_testutil::incremental_configs`]:
-//! {cstring, tstring} × {1-call, 1-object}) × {1, 4} threads ×
-//! {rounds, summary-scc}, holding every cell to the serial round-based
-//! solve of the same program:
+//! Each iteration draws a seeded `ctxform_synth` program and holds it to
+//! two independent oracles:
 //!
-//! 1. **Digest parity** — `AnalysisDb::fact_digest` (rendered, sorted,
-//!    context-sensitive facts) must be bit-identical.
-//! 2. **Pts-set equality** — the context-insensitive projections must
-//!    match set-for-set.
-//! 3. **Extend-after-fuzz parity** — one seeded additive edit is applied
-//!    through `AnalysisDb::extend` in every cell and the digest is held
-//!    to the serial from-scratch solve of the edited revision.
+//! 1. **Datalog baseline** — the context-insensitive solve must derive
+//!    exactly the relations the generic Datalog engine derives from
+//!    [`ctxform::CI_RULES`].
+//! 2. **Serial solve** — across the shared differential matrix
+//!    ([`ctxform_testutil::incremental_configs`]: {cstring, tstring} ×
+//!    {1-call, 1-object}) × {1, 4} threads, every cell must match the
+//!    serial from-scratch solve of the same revision:
+//!    * **digest parity** — `AnalysisDb::fact_digest` (rendered, sorted,
+//!      context-sensitive facts) is bit-identical;
+//!    * **pts-set equality** — the context-insensitive projections match
+//!      set for set;
+//!    * **extend parity** — one seeded additive edit applied through
+//!      `AnalysisDb::extend` reaches the scratch digest of the edited
+//!      revision;
+//!    * **retract parity** — one seeded deleting edit of that revision,
+//!      applied through `AnalysisDb::extend` (DRed), reaches the scratch
+//!      digest of the shrunken revision.
 //!
 //! On the first violated property the harness writes a reproducer to
-//! `ctxform-fuzz-repro/1` — a JSON object with the seed, iteration,
-//! config, thread count, solve mode, both digests, and the generator
-//! inputs needed to replay (`fuzz_diff --iters 1 --seed <seed>`) — and
-//! exits nonzero. CI uploads that file as an artifact on failure.
+//! `ctxform-fuzz-repro/1` — a JSON object (schema `ctxform-fuzz-repro/2`)
+//! with the seed, iteration, config, thread count, both digests, and the
+//! replay command (`fuzz_diff --iters 1 --seed <seed>`) — and exits
+//! nonzero. CI uploads that file as an artifact on failure.
 
-use ctxform::{AnalysisConfig, AnalysisDb, SolveMode};
+use ctxform::{datalog_baseline, AnalysisConfig, AnalysisDb, CiFacts, ExtendOutcome};
+use ctxform_hash::fx_hash_one;
 use ctxform_minijava::compile;
 use ctxform_obs::logger;
 use ctxform_server::json::{hex16, Json};
-use ctxform_synth::{edit_script, random_program};
+use ctxform_synth::{edit_script, random_program, retract_edit_script};
 use ctxform_testutil::{incremental_configs, PARITY_THREADS};
-
-const MODES: [SolveMode; 2] = [SolveMode::Rounds, SolveMode::SummaryScc];
 
 /// One differential violation, with everything needed to replay it.
 struct Violation {
@@ -40,7 +46,6 @@ struct Violation {
     iter: usize,
     config: AnalysisConfig,
     threads: usize,
-    mode: SolveMode,
     property: &'static str,
     expected: u64,
     actual: u64,
@@ -49,13 +54,12 @@ struct Violation {
 impl Violation {
     fn to_json(&self, iters: usize) -> Json {
         Json::obj([
-            ("schema", Json::str("ctxform-fuzz-repro/1")),
+            ("schema", Json::str("ctxform-fuzz-repro/2")),
             ("seed", Json::uint(self.seed)),
             ("iter", Json::int(self.iter)),
             ("iters", Json::int(iters)),
             ("config", Json::Str(self.config.to_string())),
             ("threads", Json::int(self.threads)),
-            ("solve_mode", Json::Str(self.mode.to_string())),
             ("property", Json::str(self.property)),
             ("expected_digest", Json::Str(hex16(self.expected))),
             ("actual_digest", Json::Str(hex16(self.actual))),
@@ -71,14 +75,29 @@ impl Violation {
     }
 }
 
+/// Order-independent digest of the relations the Datalog baseline
+/// derives (it has no static-field rules, so `spts` is left out).
+fn baseline_digest(ci: &CiFacts) -> u64 {
+    fn sorted<T: Ord + Copy>(set: impl IntoIterator<Item = T>) -> Vec<T> {
+        let mut items: Vec<T> = set.into_iter().collect();
+        items.sort_unstable();
+        items
+    }
+    fx_hash_one(&[
+        fx_hash_one(&sorted(ci.pts.iter().copied())),
+        fx_hash_one(&sorted(ci.hpts.iter().copied())),
+        fx_hash_one(&sorted(ci.call.iter().copied())),
+        fx_hash_one(&sorted(ci.reach.iter().copied())),
+    ])
+}
+
 /// Runs every differential property for one seed; returns the first
 /// violation, if any.
 fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
     let source = random_program(seed, 1);
-    // One edited revision for the extend-after-fuzz property (revision 0
-    // is the base itself).
-    let revisions = edit_script(&source, seed, 1);
-    let programs: Vec<_> = revisions
+    // Revision 0 is the base, revision 1 one additive edit of it, and
+    // revision 2 one deleting edit of revision 1.
+    let mut programs: Vec<_> = edit_script(&source, seed, 1)
         .iter()
         .map(|src| {
             compile(src)
@@ -86,60 +105,79 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
                 .program
         })
         .collect();
+    let retracted = retract_edit_script(&programs[1], seed, 1, 10).swap_remove(1);
+    programs.push(retracted);
+    let violation = |config, threads, property, expected, actual| Violation {
+        seed,
+        iter,
+        config,
+        threads,
+        property,
+        expected,
+        actual,
+    };
+
+    let insensitive = AnalysisConfig::insensitive().with_threads(1);
+    for program in &programs {
+        let solved = AnalysisDb::solve(program.clone(), &insensitive);
+        let (expected, actual) = (
+            baseline_digest(&datalog_baseline(program)),
+            baseline_digest(&solved.result().ci),
+        );
+        if expected != actual {
+            return Some(violation(
+                insensitive,
+                1,
+                "datalog baseline",
+                expected,
+                actual,
+            ));
+        }
+    }
 
     for base in incremental_configs() {
-        // The serial round-based solve is the oracle for every cell;
-        // digests are independent of thread count and engine.
+        // The serial from-scratch solve of each revision is the oracle
+        // for every cell; digests are independent of thread count.
         let oracle = AnalysisDb::solve(programs[0].clone(), &base.with_threads(1));
-        let oracle_edit_digest =
-            AnalysisDb::solve(programs[1].clone(), &base.with_threads(1)).fact_digest();
-        for mode in MODES {
-            for &threads in &PARITY_THREADS {
-                let cfg = base.with_solve_mode(mode).with_threads(threads);
-                let mut db = AnalysisDb::solve(programs[0].clone(), &cfg);
-                if db.fact_digest() != oracle.fact_digest() {
-                    return Some(Violation {
-                        seed,
-                        iter,
-                        config: base,
-                        threads,
-                        mode,
-                        property: "fact_digest parity",
-                        expected: oracle.fact_digest(),
-                        actual: db.fact_digest(),
-                    });
-                }
-                if db.result().ci != oracle.result().ci {
-                    return Some(Violation {
-                        seed,
-                        iter,
-                        config: base,
-                        threads,
-                        mode,
-                        property: "ci pts-set equality",
-                        expected: oracle.fact_digest(),
-                        actual: db.fact_digest(),
-                    });
-                }
-                let outcome = db.extend(programs[1].clone());
-                if !outcome.is_incremental() {
-                    panic!(
-                        "seed {seed} {base} threads={threads} mode={mode}: \
-                         additive fuzz edit did not extend incrementally: {outcome:?}"
-                    );
-                }
-                if db.fact_digest() != oracle_edit_digest {
-                    return Some(Violation {
-                        seed,
-                        iter,
-                        config: base,
-                        threads,
-                        mode,
-                        property: "extend-after-fuzz parity",
-                        expected: oracle_edit_digest,
-                        actual: db.fact_digest(),
-                    });
-                }
+        let scratch: Vec<u64> = programs[1..]
+            .iter()
+            .map(|p| AnalysisDb::solve(p.clone(), &base.with_threads(1)).fact_digest())
+            .collect();
+        for &threads in &PARITY_THREADS {
+            let mut db = AnalysisDb::solve(programs[0].clone(), &base.with_threads(threads));
+            let check = |db: &AnalysisDb, property, expected| {
+                (db.fact_digest() != expected)
+                    .then(|| violation(base, threads, property, expected, db.fact_digest()))
+            };
+            if let Some(v) = check(&db, "fact_digest parity", oracle.fact_digest()) {
+                return Some(v);
+            }
+            if db.result().ci != oracle.result().ci {
+                return Some(violation(
+                    base,
+                    threads,
+                    "ci pts-set equality",
+                    oracle.fact_digest(),
+                    db.fact_digest(),
+                ));
+            }
+            let outcome = db.extend(programs[1].clone());
+            assert!(
+                matches!(outcome, ExtendOutcome::Incremental),
+                "seed {seed} {base} threads={threads}: additive fuzz edit did not \
+                 extend incrementally: {outcome:?}"
+            );
+            if let Some(v) = check(&db, "extend parity", scratch[0]) {
+                return Some(v);
+            }
+            let outcome = db.extend(programs[2].clone());
+            assert!(
+                matches!(outcome, ExtendOutcome::Retracted),
+                "seed {seed} {base} threads={threads}: deleting fuzz edit did not \
+                 retract: {outcome:?}"
+            );
+            if let Some(v) = check(&db, "retract parity", scratch[1]) {
+                return Some(v);
             }
         }
     }
@@ -186,11 +224,10 @@ fn main() {
             logger::error(
                 "fuzz_diff",
                 format!(
-                    "seed {seed} ({}, threads={}, mode={}) violated {}: \
+                    "seed {seed} ({}, threads={}) violated {}: \
                      expected {} got {}; reproducer written to {path}",
                     v.config,
                     v.threads,
-                    v.mode,
                     v.property,
                     hex16(v.expected),
                     hex16(v.actual)
@@ -205,10 +242,9 @@ fn main() {
     logger::info(
         "fuzz_diff",
         format!(
-            "all {iters} seeds clean across {} configs x {:?} threads x {:?}",
+            "all {iters} seeds clean: datalog baseline + {} configs x {:?} threads",
             incremental_configs().len(),
             PARITY_THREADS,
-            MODES.map(|m| m.to_string()),
         ),
     );
 }

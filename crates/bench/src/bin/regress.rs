@@ -18,13 +18,7 @@
 //! (`tstring_subs`, which exercises the solver's subsume-memo counters),
 //! a frontier-parallel transformer-string cell (`tstring_par`, solved
 //! with `--threads` workers — default 4 — whose CI digest is asserted
-//! equal to the serial `tstring` cell before the file is written), a
-//! bottom-up SCC summary cell (`tstring_scc`: the same matrix point
-//! solved with `SolveMode::SummaryScc`, recording the condensation shape
-//! and the summaries-synthesized/applied counters in an extra `scc`
-//! object, after asserting its CI digest and cs-fact counts equal the
-//! serial `tstring` cell — the engine's bit-parity acceptance oracle,
-//! at bench scale), and an
+//! equal to the serial `tstring` cell before the file is written), an
 //! incremental re-analysis cell (`tstring_incr`: a single additive
 //! driver-class edit is applied to the benchmark source and the edited
 //! program is solved twice — once by `AnalysisDb::extend` over the base
@@ -589,11 +583,6 @@ fn main() {
                 &AnalysisConfig::transformer_strings(*s).with_threads(threads),
                 repeat,
             );
-            let t_scc = best_of(
-                &program,
-                &AnalysisConfig::transformer_strings(*s).with_summary_scc(),
-                repeat,
-            );
             // Subsumption prunes redundant context-sensitive tuples but
             // must never change the CI answer.
             assert_eq!(
@@ -614,39 +603,6 @@ fn main() {
                 t.stats.total(),
                 "{s}: parallel engine changed the cs-fact counts"
             );
-            // So must the bottom-up SCC summary engine — the regress
-            // harness re-checks the fuzzed parity oracle at bench scale.
-            assert_eq!(
-                ci_digest(&t_scc),
-                ci_digest(&t),
-                "{s}: summary-scc engine changed the CI facts"
-            );
-            assert_eq!(
-                t_scc.stats.total(),
-                t.stats.total(),
-                "{s}: summary-scc engine changed the cs-fact counts"
-            );
-            // The SCC schedule and summary counters ride along in an
-            // extra `scc` object on the cell.
-            let mut t_scc_json = run_json(&t_scc);
-            if let Json::Obj(pairs) = &mut t_scc_json {
-                pairs.push((
-                    "scc".into(),
-                    Json::obj([
-                        ("components", Json::int(t_scc.stats.scc_count)),
-                        ("max_size", Json::int(t_scc.stats.scc_max_size)),
-                        ("waves", Json::int(t_scc.stats.scc_waves)),
-                        (
-                            "summaries_synthesized",
-                            Json::uint(t_scc.stats.summaries_synthesized),
-                        ),
-                        (
-                            "summaries_applied",
-                            Json::uint(t_scc.stats.summaries_applied),
-                        ),
-                    ]),
-                ));
-            }
             if s.to_string() == "2-object+H" {
                 cstring_2objh_ms += c.stats.duration.as_secs_f64() * 1000.0;
                 tstring_2objh_ms += t.stats.duration.as_secs_f64() * 1000.0;
@@ -671,7 +627,6 @@ fn main() {
                     ("tstring", run_json(&t)),
                     ("tstring_subs", run_json(&t_subs)),
                     ("tstring_par", run_json(&t_par)),
-                    ("tstring_scc", t_scc_json),
                     ("tstring_incr", t_incr),
                     ("tstring_incr_del", t_incr_del),
                     ("tstring_demand", t_demand),
@@ -696,7 +651,7 @@ fn main() {
     let path = out_path.unwrap_or_else(next_bench_path);
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/8")),
+        ("schema", Json::str("ctxform-regress/9")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
         ("par_threads", Json::int(threads)),

@@ -28,41 +28,6 @@ impl fmt::Display for AbstractionKind {
     }
 }
 
-/// How the solver schedules rule evaluation.
-///
-/// Both modes compute the same least model — `fact_digest` is
-/// bit-identical between them at every thread count (the SCC-parity
-/// suite and the differential fuzz harness enforce this) — they differ
-/// only in evaluation order and in the summary join index the
-/// bottom-up mode maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolveMode {
-    /// Global semi-naive rounds over one worklist (the default): every
-    /// delta is processed in arrival order regardless of which method
-    /// derived it.
-    #[default]
-    Rounds,
-    /// Bottom-up compositional scheduling: the call graph is condensed
-    /// into SCCs (Tarjan), deltas are bucketed by owning component, and
-    /// waves are drained callee-components-first (reverse-topological
-    /// level order). Each method's return rows are additionally
-    /// maintained as a composed *summary* index that caller-side `Ret`
-    /// joins apply directly instead of re-scanning the callee's return
-    /// variables. Under parallel solving, ready same-level components
-    /// fan out across scoped threads — far coarser work items than the
-    /// round-based frontier chunks.
-    SummaryScc,
-}
-
-impl fmt::Display for SolveMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SolveMode::Rounds => "rounds",
-            SolveMode::SummaryScc => "summary-scc",
-        })
-    }
-}
-
 /// A complete analysis configuration.
 ///
 /// ```
@@ -110,11 +75,6 @@ pub struct AnalysisConfig {
     /// only timing fields in the stats — so `fact_digest` is bit-identical
     /// with it on or off (covered by the profiling-parity test).
     pub profile: bool,
-    /// Evaluation scheduling: global rounds or bottom-up SCC waves with
-    /// method summaries. See [`SolveMode`] and
-    /// [`AnalysisConfig::effective_solve_mode`] (some feature
-    /// combinations fall back to [`SolveMode::Rounds`]).
-    pub solve_mode: SolveMode,
 }
 
 impl AnalysisConfig {
@@ -156,7 +116,6 @@ impl AnalysisConfig {
             memoize: true,
             threads: 0,
             profile: false,
-            solve_mode: SolveMode::Rounds,
         }
     }
 
@@ -208,40 +167,6 @@ impl AnalysisConfig {
     pub fn with_profiling(mut self) -> Self {
         self.profile = true;
         self
-    }
-
-    /// Returns a copy with an explicit [`SolveMode`].
-    pub fn with_solve_mode(mut self, mode: SolveMode) -> Self {
-        self.solve_mode = mode;
-        self
-    }
-
-    /// Returns a copy using the bottom-up SCC summary scheduler.
-    pub fn with_summary_scc(self) -> Self {
-        self.with_solve_mode(SolveMode::SummaryScc)
-    }
-
-    /// The solve mode this configuration actually runs with, plus the
-    /// reason if the requested mode was overridden.
-    ///
-    /// [`SolveMode::SummaryScc`] falls back to [`SolveMode::Rounds`]
-    /// when subsumption elimination is on: subsumption *retires* facts
-    /// in insertion order, so the summary index (a second join path over
-    /// the same rows) could observe a retired row that the round-based
-    /// scan would not, and vice versa — exactly the order-dependence the
-    /// digest-parity oracle exists to rule out. Every other feature
-    /// (naive joins, recorded facts, profiling, tracing, demand gates,
-    /// incremental extend/retract) composes with summary mode.
-    pub fn effective_solve_mode(&self) -> (SolveMode, Option<&'static str>) {
-        match self.solve_mode {
-            SolveMode::SummaryScc if self.subsumption => (
-                SolveMode::Rounds,
-                Some(
-                    "subsumption retires facts order-dependently; summary-scc falls back to rounds",
-                ),
-            ),
-            mode => (mode, None),
-        }
     }
 }
 
@@ -297,38 +222,6 @@ mod tests {
         assert_eq!(cfg.with_threads(4).threads, 4);
         assert_eq!(cfg.with_threads(4).effective_threads(), 4);
         assert_eq!(cfg.with_threads(1).effective_threads(), 1);
-    }
-
-    #[test]
-    fn solve_mode_defaults_to_rounds_and_toggles() {
-        let s: Sensitivity = "1-call".parse().unwrap();
-        let cfg = AnalysisConfig::transformer_strings(s);
-        assert_eq!(cfg.solve_mode, SolveMode::Rounds);
-        assert_eq!(cfg.effective_solve_mode(), (SolveMode::Rounds, None));
-        let scc = cfg.with_summary_scc();
-        assert_eq!(scc.solve_mode, SolveMode::SummaryScc);
-        assert_eq!(scc.effective_solve_mode(), (SolveMode::SummaryScc, None));
-        assert_eq!(
-            cfg.with_solve_mode(SolveMode::SummaryScc).solve_mode,
-            SolveMode::SummaryScc
-        );
-        assert_eq!(SolveMode::Rounds.to_string(), "rounds");
-        assert_eq!(SolveMode::SummaryScc.to_string(), "summary-scc");
-    }
-
-    #[test]
-    fn summary_scc_falls_back_to_rounds_under_subsumption() {
-        let s: Sensitivity = "1-call".parse().unwrap();
-        let cfg = AnalysisConfig::transformer_strings(s)
-            .with_subsumption()
-            .with_summary_scc();
-        let (mode, reason) = cfg.effective_solve_mode();
-        assert_eq!(mode, SolveMode::Rounds);
-        let reason = reason.expect("fallback must carry a typed reason");
-        assert!(reason.contains("subsumption"), "reason: {reason}");
-        // Subsumption alone (no summary request) reports no fallback.
-        let plain = AnalysisConfig::transformer_strings(s).with_subsumption();
-        assert_eq!(plain.effective_solve_mode(), (SolveMode::Rounds, None));
     }
 
     #[test]

@@ -48,13 +48,12 @@ mod solver;
 pub use baseline::{datalog_baseline, load_facts, CI_RULES};
 pub use bucket::{Bucket, JoinStrategy};
 pub use compact::CompactVec;
-pub use config::{AbstractionKind, AnalysisConfig, SolveMode};
+pub use config::{AbstractionKind, AnalysisConfig};
 pub use db::{AnalysisDb, ExtendOutcome};
 pub use demand::{demand_points_to, demand_slice, DemandAnswer, DemandSlice, SliceCache};
 pub use result::{
     rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, PhaseProfile, RoundProfile,
     RuleCounts, RuleTimes, SolverStats, MAX_ROUND_PROFILES, RULE_NAMES, RULE_TIME_BUCKETS_NS,
-    SCC_SIZE_BOUNDS,
 };
 
 use ctxform_algebra::{CStrings, Insensitive, TStrings};

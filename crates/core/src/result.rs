@@ -319,12 +319,6 @@ impl MemoryFootprint {
     }
 }
 
-/// Upper bounds (inclusive) of the SCC-size histogram recorded in
-/// [`SolverStats::scc_sizes`] and exported as the
-/// `ctxform_solver_scc_sizes_total` Prometheus series; an implicit
-/// overflow (+Inf) bucket follows.
-pub const SCC_SIZE_BOUNDS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-
 /// Solver statistics, mirroring the quantities Figure 6 reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolverStats {
@@ -386,23 +380,6 @@ pub struct SolverStats {
     /// Candidate derivations deferred from workers to the sequential
     /// merge phase because they needed to intern a new context string.
     pub par_deferred: u64,
-    /// Call-graph SCCs in the condensation (summary mode only; 0 under
-    /// [`crate::SolveMode::Rounds`]).
-    pub scc_count: usize,
-    /// Methods in the largest SCC (summary mode only).
-    pub scc_max_size: usize,
-    /// Histogram of SCC sizes over [`SCC_SIZE_BOUNDS`] (non-cumulative;
-    /// the trailing entry counts components larger than the last bound).
-    pub scc_sizes: [u64; SCC_SIZE_BOUNDS.len() + 1],
-    /// Bottom-up waves executed by the SCC scheduler (the summary-mode
-    /// analogue of `par_rounds`).
-    pub scc_waves: usize,
-    /// Method-summary rows synthesized from return-variable `pts` facts
-    /// (summary mode only).
-    pub summaries_synthesized: u64,
-    /// Caller-side `Ret` joins answered from the summary index instead
-    /// of re-scanning the callee's return variables (summary mode only).
-    pub summaries_applied: u64,
     /// Derived facts transitively retracted by the over-delete phase of a
     /// DRed update (0 outside retraction runs).
     pub overdeleted: u64,
@@ -436,15 +413,6 @@ impl SolverStats {
         self.pts + self.hpts + self.call
     }
 
-    /// Records one SCC's method count into the size histogram.
-    pub fn observe_scc_size(&mut self, size: usize) {
-        let slot = SCC_SIZE_BOUNDS
-            .iter()
-            .position(|&bound| size <= bound)
-            .unwrap_or(SCC_SIZE_BOUNDS.len());
-        self.scc_sizes[slot] += 1;
-    }
-
     /// Zeroes every per-run *work* counter while keeping the database
     /// description (fact counts, memo/interner sizes, configuration
     /// histogram). A no-op update reports these stats: the database is
@@ -465,12 +433,6 @@ impl SolverStats {
         self.par_rounds = 0;
         self.par_frontier_peak = 0;
         self.par_deferred = 0;
-        self.scc_count = 0;
-        self.scc_max_size = 0;
-        self.scc_sizes = Default::default();
-        self.scc_waves = 0;
-        self.summaries_synthesized = 0;
-        self.summaries_applied = 0;
         self.overdeleted = 0;
         self.rederived = 0;
         self.duration = Duration::default();
@@ -530,17 +492,6 @@ impl SolverStats {
             out.push_str(&format!(
                 "  parallelism:      {} threads, {} rounds, peak frontier {}, {} deferred\n",
                 self.threads_used, self.par_rounds, self.par_frontier_peak, self.par_deferred
-            ));
-        }
-        if self.scc_waves > 0 {
-            out.push_str(&format!(
-                "  scc schedule:     {} components (max size {}), {} waves, \
-                 {} summaries synthesized / {} applied\n",
-                self.scc_count,
-                self.scc_max_size,
-                self.scc_waves,
-                self.summaries_synthesized,
-                self.summaries_applied
             ));
         }
         if self.profiled && self.rule_time.total_ns() > 0 {

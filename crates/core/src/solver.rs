@@ -13,17 +13,22 @@
 //! implemented, so the evaluation is equivalent to semi-naive iteration to
 //! fixpoint.
 //!
+//! Each rule driver is written once, in [`kernel`], generic over a sink
+//! that decides where consequences go: the [`Solver`] itself inserts them
+//! (the serial loop), the [`frontier`] worker collects them read-only for
+//! a sequential merge, and the DRed mark sink marks them for deletion.
+//!
 //! # Hot-path layout
 //!
 //! The rule drivers are written to stay allocation-free at steady state:
 //!
 //! * The static [`ProgramIndex`] is held *by reference* (`ix: &'p
-//!   ProgramIndex`), so rule drivers copy the reference out of `self` and
-//!   iterate the index vectors directly while calling `&mut self`
-//!   insertion methods — no per-delta `.cloned()` of index vectors.
+//!   ProgramIndex`), so rule drivers copy the reference out of the sink
+//!   and iterate the index vectors directly while calling `&mut self`
+//!   emission methods — no per-delta `.cloned()` of index vectors.
 //! * Join-candidate collection writes into reusable scratch buffers that
-//!   are `mem::take`n out of the solver around each rule loop (the borrow
-//!   checker then sees them as locals disjoint from `self`).
+//!   are `mem::take`n out of the sink around each rule loop (the borrow
+//!   checker then sees them as locals disjoint from the sink).
 //! * `compose` and `subsumes` are memoized over the copyable interned
 //!   handles (sound because the interner is append-only, making both pure
 //!   functions of their arguments). `invert` is *not* memoized: for every
@@ -32,21 +37,24 @@
 //!   small trusted `Copy` tuples, the exact case Fx is built for.
 
 mod frontier;
-mod summary;
+mod kernel;
 
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Levels, Limits, MergeSite};
+use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Levels, Limits, NeedsIntern};
 use ctxform_hash::{fx_map_with_capacity, FxHashMap, FxHashSet};
 use ctxform_ir::{
     Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, ProgramRetraction,
     Var,
 };
 
+use self::kernel::{Candidate, Fact, MarkSink, Queues, RetractSink, Scratch, Sink};
 use crate::bucket::Bucket;
-use crate::config::{AnalysisConfig, SolveMode};
-use crate::result::{rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, SolverStats};
+use crate::config::AnalysisConfig;
+use crate::result::{
+    rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, RuleTimes, SolverStats,
+};
 
 /// Fixed per-slot estimate for hash-container overhead (control bytes
 /// plus load-factor slack) in the [`MemoryFootprint`] byte accounting.
@@ -57,7 +65,7 @@ const HASH_SLOT_OVERHEAD: usize = 8;
 /// Runs the analysis with the given abstraction instance.
 ///
 /// `config.threads` picks the engine: `1` (or an auto resolution of 1)
-/// runs the legacy one-delta-at-a-time loop; more threads run the
+/// runs the serial one-delta-at-a-time loop; more threads run the
 /// round-based frontier-parallel engine in [`frontier`]. Both produce the
 /// identical fact sets, so the choice is purely a wall-clock one.
 pub(crate) fn run<A: Abstraction>(
@@ -110,7 +118,7 @@ pub(crate) fn solve_state<A: Abstraction>(
         span.record("threads", threads);
     }
     let start = Instant::now();
-    solver.stats.profiled = config.profile;
+    solver.st.stats.profiled = config.profile;
     let t = solver.prof_start();
     solver.seed_entry();
     solver.prof_rule(t, rule::ENTRY);
@@ -149,7 +157,7 @@ pub(crate) fn extend_state<A: Abstraction>(
         span.record("delta_facts", delta.len());
     }
     let start = Instant::now();
-    solver.stats.profiled = config.profile;
+    solver.st.stats.profiled = config.profile;
     let t = solver.prof_start();
     solver.reseed_for_delta(&delta.added, &delta.added_entry_points);
     solver.prof_seed(t);
@@ -168,7 +176,7 @@ pub(crate) fn extend_state<A: Abstraction>(
 /// 1. **Over-delete**: every derived fact with a one-step derivation from
 ///    a removed input tuple is marked for deletion (coarsely, over all
 ///    contexts of the affected head), and the marking is closed
-///    transitively by re-running the rule drivers in *retract mode* —
+///    transitively by running the rule drivers through the mark sink —
 ///    consequences of marked facts are marked instead of inserted.
 /// 2. **Delete**: marked facts are physically removed and every join
 ///    index is rebuilt from the sorted survivors.
@@ -200,71 +208,25 @@ pub(crate) fn retract_state<A: Abstraction>(
         span.record("added_facts", retraction.added_len());
     }
     let start = Instant::now();
-    solver.stats.profiled = config.profile;
-    solver.retract = Some(Box::new(RetractSink::new()));
-    solver.seed_overdelete(base, retraction);
-    solver.overdelete_fixpoint();
-    let sink = solver.apply_deletions();
+    solver.st.stats.profiled = config.profile;
+    let marks = solver.seed_overdelete(base, retraction);
+    let marks = MarkSink {
+        solver: &mut solver,
+        marks,
+    }
+    .run();
+    solver.apply_deletions(&marks);
     let t = solver.prof_start();
-    solver.reseed_after_deletion(&sink);
+    solver.reseed_after_deletion(&marks);
     solver.reseed_for_delta(&retraction.added, &retraction.added_entry_points);
     solver.prof_seed(t);
     solver.run_to_fixpoint(threads);
-    solver.stats.rederived = solver.count_rederived(&sink);
+    solver.st.stats.rederived = solver.count_rederived(&marks);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
     span.record("overdeleted", result.stats.overdeleted);
     span.record("rederived", result.stats.rederived);
     (solver.into_state(), result)
-}
-
-/// The over-delete phase's bookkeeping: one mark set plus one worklist
-/// per derived relation. While this sink is installed on the solver, the
-/// `insert_*` methods *mark existing facts* instead of inserting — the
-/// rule drivers then compute one-step consequences of deleted facts
-/// without any dedicated deletion code.
-struct RetractSink<X> {
-    pts: FxHashSet<(Var, Heap, X)>,
-    hpts: FxHashSet<(Heap, Field, Heap, X)>,
-    hload: FxHashSet<(Heap, Field, Var, X)>,
-    call: FxHashSet<(Inv, Method, X)>,
-    spts: FxHashSet<(Field, Heap, X)>,
-    reach: FxHashSet<(Method, CtxtStr)>,
-    q_pts: Vec<(Var, Heap, X)>,
-    q_hpts: Vec<(Heap, Field, Heap, X)>,
-    q_hload: Vec<(Heap, Field, Var, X)>,
-    q_call: Vec<(Inv, Method, X)>,
-    q_spts: Vec<(Field, Heap, X)>,
-    q_reach: Vec<(Method, CtxtStr)>,
-}
-
-impl<X> RetractSink<X> {
-    fn new() -> Self {
-        RetractSink {
-            pts: FxHashSet::default(),
-            hpts: FxHashSet::default(),
-            hload: FxHashSet::default(),
-            call: FxHashSet::default(),
-            spts: FxHashSet::default(),
-            reach: FxHashSet::default(),
-            q_pts: Vec::new(),
-            q_hpts: Vec::new(),
-            q_hload: Vec::new(),
-            q_call: Vec::new(),
-            q_spts: Vec::new(),
-            q_reach: Vec::new(),
-        }
-    }
-
-    /// Total marked facts across all six derived relations.
-    fn len(&self) -> usize {
-        self.pts.len()
-            + self.hpts.len()
-            + self.hload.len()
-            + self.call.len()
-            + self.spts.len()
-            + self.reach.len()
-    }
 }
 
 /// A join index: facts grouped per key, boundary-indexed within each
@@ -292,35 +254,42 @@ pub(crate) struct SolverState<A: Abstraction> {
     levels: Levels,
     mode: ctxform_algebra::BoundaryMode,
     pts: FxHashSet<(Var, Heap, A::X)>,
+    /// `pts` keyed by variable, boundary-indexed on the destination side.
     pts_by_var: BucketMap<Var, (Heap, A::X)>,
     hpts: FxHashSet<(Heap, Field, Heap, A::X)>,
+    /// `hpts` keyed by (base site, field), boundary-indexed on the
+    /// destination side (its transformation maps pointee-alloc context to
+    /// base-alloc context).
     hpts_by_gf: BucketMap<(Heap, Field), (Heap, A::X)>,
     hload: FxHashSet<(Heap, Field, Var, A::X)>,
+    /// `hload` keyed by (base site, field), boundary-indexed on the
+    /// source side.
     hload_by_gf: BucketMap<(Heap, Field), (Var, A::X)>,
+    /// `spts(F, H, B)`: static field `F` may hold an object allocated at
+    /// `H`, `B` constraining only the allocation context (SStore/SLoad —
+    /// the static-field extension the paper's implementation models via
+    /// Doop's rules).
     spts: FxHashSet<(Field, Heap, A::X)>,
     spts_by_field: FxHashMap<Field, Vec<(Heap, A::X)>>,
     call: FxHashSet<(Inv, Method, A::X)>,
+    /// `call` keyed by invocation, boundary-indexed on the source side
+    /// (for Param).
     call_by_inv: BucketMap<Inv, (Method, A::X)>,
+    /// `call` keyed by callee, boundary-indexed on the destination side
+    /// (for Ret).
     call_by_method: BucketMap<Method, (Inv, A::X)>,
     reach: FxHashSet<(Method, CtxtStr)>,
     reach_by_method: FxHashMap<Method, Vec<CtxtStr>>,
-    q_pts: Vec<(Var, Heap, A::X)>,
-    q_hpts: Vec<(Heap, Field, Heap, A::X)>,
-    q_hload: Vec<(Heap, Field, Var, A::X)>,
-    q_call: Vec<(Inv, Method, A::X)>,
-    q_spts: Vec<(Field, Heap, A::X)>,
-    q_reach: Vec<(Method, CtxtStr)>,
+    /// Facts inserted but not yet driven.
+    queue: Queues<A::X>,
+    /// Live (unsubsumed) transformations per (var, heap) key; maintained
+    /// only when subsumption elimination is on.
     live_pts: FxHashMap<(Var, Heap), Vec<A::X>>,
     dead_pts: FxHashSet<(Var, Heap, A::X)>,
-    summary_by_method: BucketMap<Method, (Heap, A::X)>,
-    summary_seen: FxHashSet<(Method, Heap, A::X)>,
     compose_memo: ComposeMemo<A::X>,
+    /// Memo table for `subsumes(a, b)`.
     subsume_memo: FxHashMap<(A::X, A::X), bool>,
-    scratch_heap: Vec<(Heap, A::X)>,
-    scratch_method: Vec<(Method, A::X)>,
-    scratch_inv: Vec<(Inv, A::X)>,
-    scratch_var: Vec<(Var, A::X)>,
-    scratch_ctxts: Vec<CtxtStr>,
+    scratch: Scratch<A::X>,
     stats: SolverStats,
     log: Vec<LoggedFact>,
     /// Optional demand gate: when set, every insertion is dropped unless
@@ -355,23 +324,12 @@ impl<A: Abstraction> SolverState<A> {
             call_by_method: fx_map_with_capacity(program.method_count()),
             reach: FxHashSet::default(),
             reach_by_method: fx_map_with_capacity(program.method_count()),
-            q_pts: Vec::new(),
-            q_hpts: Vec::new(),
-            q_hload: Vec::new(),
-            q_call: Vec::new(),
-            q_spts: Vec::new(),
-            q_reach: Vec::new(),
+            queue: Queues::default(),
             live_pts: FxHashMap::default(),
             dead_pts: FxHashSet::default(),
-            summary_by_method: FxHashMap::default(),
-            summary_seen: FxHashSet::default(),
             compose_memo: FxHashMap::default(),
             subsume_memo: FxHashMap::default(),
-            scratch_heap: Vec::new(),
-            scratch_method: Vec::new(),
-            scratch_inv: Vec::new(),
-            scratch_var: Vec::new(),
-            scratch_ctxts: Vec::new(),
+            scratch: Scratch::default(),
             stats: SolverStats::default(),
             log: Vec::new(),
             gate: None,
@@ -383,6 +341,18 @@ impl<A: Abstraction> SolverState<A> {
     pub(crate) fn with_gate(mut self, gate: std::sync::Arc<crate::DemandSlice>) -> Self {
         self.gate = Some(gate);
         self
+    }
+
+    /// `true` iff `fact` is currently derived.
+    fn contains(&self, fact: Fact<A::X>) -> bool {
+        match fact {
+            Fact::Reach(p, m) => self.reach.contains(&(p, m)),
+            Fact::Pts(y, h, x) => self.pts.contains(&(y, h, x)),
+            Fact::Call(i, q, x) => self.call.contains(&(i, q, x)),
+            Fact::Hpts(g, f, h, x) => self.hpts.contains(&(g, f, h, x)),
+            Fact::Hload(g, f, y, x) => self.hload.contains(&(g, f, y, x)),
+            Fact::Spts(f, h, x) => self.spts.contains(&(f, h, x)),
+        }
     }
 
     /// Zeroes the per-run counters and the fact log so the next
@@ -463,208 +433,45 @@ impl<A: Abstraction> SolverState<A> {
     }
 }
 
+/// A [`SolverState`] bound to the program it solves. The state is
+/// embedded whole, so a field is declared once, on the state.
 struct Solver<'p, A: Abstraction> {
     program: &'p Program,
     /// Static join indices, held by reference so rule drivers can iterate
-    /// them while mutating the rest of the solver (split borrows).
+    /// them while mutating the state (split borrows).
     ix: &'p ProgramIndex,
-    abs: A,
-    config: AnalysisConfig,
-    levels: Levels,
-    mode: ctxform_algebra::BoundaryMode,
-
-    pts: FxHashSet<(Var, Heap, A::X)>,
-    /// `pts` keyed by variable, boundary-indexed on the destination side.
-    pts_by_var: BucketMap<Var, (Heap, A::X)>,
-    hpts: FxHashSet<(Heap, Field, Heap, A::X)>,
-    /// `hpts` keyed by (base site, field), boundary-indexed on the
-    /// destination side (its transformation maps pointee-alloc context to
-    /// base-alloc context).
-    hpts_by_gf: BucketMap<(Heap, Field), (Heap, A::X)>,
-    hload: FxHashSet<(Heap, Field, Var, A::X)>,
-    /// `hload` keyed by (base site, field), boundary-indexed on the
-    /// source side.
-    hload_by_gf: BucketMap<(Heap, Field), (Var, A::X)>,
-    /// `spts(F, H, B)`: static field `F` may hold an object allocated at
-    /// `H`, `B` constraining only the allocation context (SStore/SLoad —
-    /// the static-field extension the paper's implementation models via
-    /// Doop's rules).
-    spts: FxHashSet<(Field, Heap, A::X)>,
-    spts_by_field: FxHashMap<Field, Vec<(Heap, A::X)>>,
-    call: FxHashSet<(Inv, Method, A::X)>,
-    /// `call` keyed by invocation, boundary-indexed on the source side
-    /// (for Param).
-    call_by_inv: BucketMap<Inv, (Method, A::X)>,
-    /// `call` keyed by callee, boundary-indexed on the destination side
-    /// (for Ret).
-    call_by_method: BucketMap<Method, (Inv, A::X)>,
-    reach: FxHashSet<(Method, CtxtStr)>,
-    reach_by_method: FxHashMap<Method, Vec<CtxtStr>>,
-
-    q_pts: Vec<(Var, Heap, A::X)>,
-    q_hpts: Vec<(Heap, Field, Heap, A::X)>,
-    q_hload: Vec<(Heap, Field, Var, A::X)>,
-    q_call: Vec<(Inv, Method, A::X)>,
-    q_spts: Vec<(Field, Heap, A::X)>,
-    q_reach: Vec<(Method, CtxtStr)>,
-
-    /// Live (unsubsumed) transformations per (var, heap) key; maintained
-    /// only when subsumption elimination is on.
-    live_pts: FxHashMap<(Var, Heap), Vec<A::X>>,
-    dead_pts: FxHashSet<(Var, Heap, A::X)>,
-
-    /// Method summaries (summary mode only): every `pts(Z, H, B)` row on
-    /// a return variable `Z` of `P`, merged into one bucket per `P` and
-    /// boundary-indexed on the destination side — exactly the filter the
-    /// caller-side Ret join needs. Synthesized incrementally in
-    /// [`Solver::insert_pts`]; maintained as a second *join index* over
-    /// existing rows, never a source of new facts, so the least model is
-    /// untouched.
-    summary_by_method: BucketMap<Method, (Heap, A::X)>,
-    /// Dedup for `summary_by_method`: a variable can be the return of
-    /// several methods and a method can have several return variables
-    /// carrying the same `(H, B)` row.
-    summary_seen: FxHashSet<(Method, Heap, A::X)>,
-
-    compose_memo: ComposeMemo<A::X>,
-    /// Memo table for `subsumes(a, b)`.
-    subsume_memo: FxHashMap<(A::X, A::X), bool>,
-
-    // Reusable join-candidate buffers, one per tuple shape. They are
-    // `mem::take`n around each rule loop and restored afterwards, so the
-    // solver performs no per-probe allocation at steady state.
-    scratch_heap: Vec<(Heap, A::X)>,
-    scratch_method: Vec<(Method, A::X)>,
-    scratch_inv: Vec<(Inv, A::X)>,
-    scratch_var: Vec<(Var, A::X)>,
-    scratch_ctxts: Vec<CtxtStr>,
-
-    stats: SolverStats,
-    log: Vec<LoggedFact>,
-    /// Optional demand gate (see [`SolverState::with_gate`]).
-    gate: Option<std::sync::Arc<crate::DemandSlice>>,
-    /// When set, the solver is in the over-delete phase of a DRed update:
-    /// `insert_*` calls mark existing facts for deletion instead of
-    /// inserting. Transient — never part of a saved [`SolverState`].
-    retract: Option<Box<RetractSink<A::X>>>,
+    st: SolverState<A>,
 }
 
 impl<'p, A: Abstraction> Solver<'p, A> {
-    /// Rebinds a state to a program and its freshly-built indices. The
-    /// mapping is purely mechanical: `Solver` is `SolverState` plus the
-    /// two borrowed fields.
+    /// Rebinds a state to a program and its freshly-built indices.
     fn from_state(program: &'p Program, ix: &'p ProgramIndex, st: SolverState<A>) -> Self {
-        Solver {
-            program,
-            ix,
-            abs: st.abs,
-            config: st.config,
-            levels: st.levels,
-            mode: st.mode,
-            pts: st.pts,
-            pts_by_var: st.pts_by_var,
-            hpts: st.hpts,
-            hpts_by_gf: st.hpts_by_gf,
-            hload: st.hload,
-            hload_by_gf: st.hload_by_gf,
-            spts: st.spts,
-            spts_by_field: st.spts_by_field,
-            call: st.call,
-            call_by_inv: st.call_by_inv,
-            call_by_method: st.call_by_method,
-            reach: st.reach,
-            reach_by_method: st.reach_by_method,
-            q_pts: st.q_pts,
-            q_hpts: st.q_hpts,
-            q_hload: st.q_hload,
-            q_call: st.q_call,
-            q_spts: st.q_spts,
-            q_reach: st.q_reach,
-            live_pts: st.live_pts,
-            dead_pts: st.dead_pts,
-            summary_by_method: st.summary_by_method,
-            summary_seen: st.summary_seen,
-            compose_memo: st.compose_memo,
-            subsume_memo: st.subsume_memo,
-            scratch_heap: st.scratch_heap,
-            scratch_method: st.scratch_method,
-            scratch_inv: st.scratch_inv,
-            scratch_var: st.scratch_var,
-            scratch_ctxts: st.scratch_ctxts,
-            stats: st.stats,
-            log: st.log,
-            gate: st.gate,
-            retract: None,
-        }
+        Solver { program, ix, st }
     }
 
     /// Releases the program borrow, giving back the owned state.
     fn into_state(self) -> SolverState<A> {
-        SolverState {
-            abs: self.abs,
-            config: self.config,
-            levels: self.levels,
-            mode: self.mode,
-            pts: self.pts,
-            pts_by_var: self.pts_by_var,
-            hpts: self.hpts,
-            hpts_by_gf: self.hpts_by_gf,
-            hload: self.hload,
-            hload_by_gf: self.hload_by_gf,
-            spts: self.spts,
-            spts_by_field: self.spts_by_field,
-            call: self.call,
-            call_by_inv: self.call_by_inv,
-            call_by_method: self.call_by_method,
-            reach: self.reach,
-            reach_by_method: self.reach_by_method,
-            q_pts: self.q_pts,
-            q_hpts: self.q_hpts,
-            q_hload: self.q_hload,
-            q_call: self.q_call,
-            q_spts: self.q_spts,
-            q_reach: self.q_reach,
-            live_pts: self.live_pts,
-            dead_pts: self.dead_pts,
-            summary_by_method: self.summary_by_method,
-            summary_seen: self.summary_seen,
-            compose_memo: self.compose_memo,
-            subsume_memo: self.subsume_memo,
-            scratch_heap: self.scratch_heap,
-            scratch_method: self.scratch_method,
-            scratch_inv: self.scratch_inv,
-            scratch_var: self.scratch_var,
-            scratch_ctxts: self.scratch_ctxts,
-            stats: self.stats,
-            log: self.log,
-            gate: self.gate,
-        }
-    }
-
-    /// `true` iff this run maintains and applies method summaries
-    /// (i.e. the *effective* solve mode is [`SolveMode::SummaryScc`]).
-    fn summary_mode(&self) -> bool {
-        matches!(self.config.effective_solve_mode().0, SolveMode::SummaryScc)
+        self.st
     }
 
     fn limits_store(&self) -> Limits {
         Limits {
-            src: self.levels.heap,
-            dst: self.levels.heap,
+            src: self.st.levels.heap,
+            dst: self.st.levels.heap,
         }
     }
 
     fn limits_flow(&self) -> Limits {
         Limits {
-            src: self.levels.heap,
-            dst: self.levels.method,
+            src: self.st.levels.heap,
+            dst: self.st.levels.method,
         }
     }
 
     /// Entry rule: seed `reach(main, [entry])` for every entry point.
     fn seed_entry(&mut self) {
         let entry_ctx = {
-            let interner = self.abs.interner_mut();
+            let interner = self.st.abs.interner_mut();
             interner.from_slice(&[CtxtElem::entry()])
         };
         let program = self.program;
@@ -686,7 +493,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     /// is deterministic.
     fn reseed_for_delta(&mut self, added: &Facts, added_entry_points: &[Method]) {
         let entry_ctx = {
-            let interner = self.abs.interner_mut();
+            let interner = self.st.abs.interner_mut();
             interner.from_slice(&[CtxtElem::entry()])
         };
         for &main in added_entry_points {
@@ -755,35 +562,16 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .collect();
         let call_invs: FxHashSet<Inv> = added.assign_return.iter().map(|&(i, _)| i).collect();
 
-        let mut reseed_pts: Vec<(Var, Heap, A::X)> = self
-            .pts
-            .iter()
-            .copied()
-            .filter(|&(y, h, x)| {
-                vars.contains(&y)
-                    && !(self.config.subsumption && self.dead_pts.contains(&(y, h, x)))
-            })
-            .collect();
-        reseed_pts.sort_unstable();
-        self.q_pts.extend(reseed_pts);
-
-        let mut reseed_reach: Vec<(Method, CtxtStr)> = self
+        let st = &mut self.st;
+        st.queue.pts.extend(sorted(&st.pts, |&(y, h, x)| {
+            vars.contains(&y) && !(st.config.subsumption && st.dead_pts.contains(&(y, h, x)))
+        }));
+        st.queue
             .reach
-            .iter()
-            .copied()
-            .filter(|(p, _)| methods.contains(p))
-            .collect();
-        reseed_reach.sort_unstable();
-        self.q_reach.extend(reseed_reach);
-
-        let mut reseed_call: Vec<(Inv, Method, A::X)> = self
-            .call
-            .iter()
-            .copied()
-            .filter(|&(i, q, _)| call_methods.contains(&q) || call_invs.contains(&i))
-            .collect();
-        reseed_call.sort_unstable();
-        self.q_call.extend(reseed_call);
+            .extend(sorted(&st.reach, |(p, _)| methods.contains(p)));
+        st.queue.call.extend(sorted(&st.call, |&(i, q, _)| {
+            call_methods.contains(&q) || call_invs.contains(&i)
+        }));
     }
 
     // ------------------------------------------------------------------
@@ -801,9 +589,9 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     /// `base` is the pre-edit program: companion lookups (formals,
     /// `this` variables, return bindings) must resolve against the
     /// relations the retracted derivations actually used.
-    fn seed_overdelete(&mut self, base: &Program, r: &ProgramRetraction) {
+    fn seed_overdelete(&mut self, base: &Program, r: &ProgramRetraction) -> RetractSink<A::X> {
         let entry_ctx = {
-            let interner = self.abs.interner_mut();
+            let interner = self.st.abs.interner_mut();
             interner.from_slice(&[CtxtElem::entry()])
         };
         let removed = &r.removed;
@@ -816,7 +604,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             || !removed.virtual_invoke.is_empty();
         let mut call_targets: FxHashMap<Inv, Vec<Method>> = FxHashMap::default();
         if needs_call_targets {
-            for &(i, q, _) in &self.call {
+            for &(i, q, _) in &self.st.call {
                 let targets = call_targets.entry(i).or_default();
                 if !targets.contains(&q) {
                     targets.push(q);
@@ -890,141 +678,49 @@ impl<'p, A: Abstraction> Solver<'p, A> {
 
         // Mark the seeds, sorted per relation so the over-delete
         // worklists (and everything downstream) are deterministic.
-        let mut seed_pts: Vec<(Var, Heap, A::X)> = self
-            .pts
-            .iter()
-            .copied()
-            .filter(|&(y, h, _)| vars.contains(&y) || pairs.contains(&(y, h)))
-            .collect();
-        seed_pts.sort_unstable();
-        for (y, h, x) in seed_pts {
-            self.mark_retract_pts(y, h, x);
+        let st = &self.st;
+        let mut marks = RetractSink::new();
+        for (y, h, x) in sorted(&st.pts, |&(y, h, _)| {
+            vars.contains(&y) || pairs.contains(&(y, h))
+        }) {
+            marks.mark(st, Fact::Pts(y, h, x));
         }
-        let mut seed_hload: Vec<(Heap, Field, Var, A::X)> = self
-            .hload
-            .iter()
-            .copied()
-            .filter(|&(_, f, z, _)| hload_keys.contains(&(f, z)))
-            .collect();
-        seed_hload.sort_unstable();
-        for (g, f, z, x) in seed_hload {
-            self.mark_retract_hload(g, f, z, x);
+        for (g, f, z, x) in sorted(&st.hload, |&(_, f, z, _)| hload_keys.contains(&(f, z))) {
+            marks.mark(st, Fact::Hload(g, f, z, x));
         }
-        let mut seed_hpts: Vec<(Heap, Field, Heap, A::X)> = self
-            .hpts
-            .iter()
-            .copied()
-            .filter(|&(_, f, _, _)| hpts_fields.contains(&f))
-            .collect();
-        seed_hpts.sort_unstable();
-        for (g, f, h, x) in seed_hpts {
-            self.mark_retract_hpts(g, f, h, x);
+        for (g, f, h, x) in sorted(&st.hpts, |&(_, f, _, _)| hpts_fields.contains(&f)) {
+            marks.mark(st, Fact::Hpts(g, f, h, x));
         }
-        let mut seed_call: Vec<(Inv, Method, A::X)> = self
-            .call
-            .iter()
-            .copied()
-            .filter(|&(i, q, _)| call_invs.contains(&i) || call_pairs.contains(&(i, q)))
-            .collect();
-        seed_call.sort_unstable();
-        for (i, q, x) in seed_call {
-            self.mark_retract_call(i, q, x);
+        for (i, q, x) in sorted(&st.call, |&(i, q, _)| {
+            call_invs.contains(&i) || call_pairs.contains(&(i, q))
+        }) {
+            marks.mark(st, Fact::Call(i, q, x));
         }
-        let mut seed_spts: Vec<(Field, Heap, A::X)> = self
-            .spts
-            .iter()
-            .copied()
-            .filter(|&(f, _, _)| spts_fields.contains(&f))
-            .collect();
-        seed_spts.sort_unstable();
-        for (f, h, x) in seed_spts {
-            self.mark_retract_spts(f, h, x);
+        for (f, h, x) in sorted(&st.spts, |&(f, _, _)| spts_fields.contains(&f)) {
+            marks.mark(st, Fact::Spts(f, h, x));
         }
         // Entry: a removed entry point loses exactly its entry seed.
         for &p in &r.removed_entry_points {
-            self.mark_retract_reach(p, entry_ctx);
+            marks.mark(st, Fact::Reach(p, entry_ctx));
         }
-    }
-
-    /// Closes the deletion marking transitively: pops marked facts and
-    /// runs the ordinary rule drivers over them — with the sink
-    /// installed, every computed consequence is *marked* (if currently
-    /// derived) instead of inserted. Join partners come from the intact
-    /// full indices, so every one-step consequence of a marked fact is
-    /// found, which over-approximates the set of facts whose derivations
-    /// ran through a removed input.
-    fn overdelete_fixpoint(&mut self) {
-        loop {
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((p, m)) = sink.q_reach.pop() {
-                self.stats.events += 1;
-                self.process_reach(p, m);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((y, h, x)) = sink.q_pts.pop() {
-                self.stats.events += 1;
-                self.process_pts(y, h, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((i, q, x)) = sink.q_call.pop() {
-                self.stats.events += 1;
-                self.process_call(i, q, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((g, f, h, x)) = sink.q_hpts.pop() {
-                self.stats.events += 1;
-                self.process_hpts(g, f, h, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((g, f, y, x)) = sink.q_hload.pop() {
-                self.stats.events += 1;
-                self.process_hload(g, f, y, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((f, h, x)) = sink.q_spts.pop() {
-                self.stats.events += 1;
-                self.process_spts(f, h, x);
-                continue;
-            }
-            break;
-        }
+        marks
     }
 
     /// Phase 2: physically removes every marked fact, records the
-    /// over-delete count, rebuilds all join indices from the sorted
-    /// survivors, and uninstalls the sink (returning it for the
-    /// re-derive seeding).
-    fn apply_deletions(&mut self) -> RetractSink<A::X> {
-        let sink = *self.retract.take().expect("retract sink installed");
-        self.stats.overdeleted = sink.len() as u64;
-        if sink.len() == 0 {
-            return sink;
+    /// over-delete count, and rebuilds all join indices from the sorted
+    /// survivors.
+    fn apply_deletions(&mut self, marks: &RetractSink<A::X>) {
+        self.st.stats.overdeleted = marks.len() as u64;
+        if marks.len() == 0 {
+            return;
         }
-        self.pts.retain(|t| !sink.pts.contains(t));
-        self.hpts.retain(|t| !sink.hpts.contains(t));
-        self.hload.retain(|t| !sink.hload.contains(t));
-        self.call.retain(|t| !sink.call.contains(t));
-        self.spts.retain(|t| !sink.spts.contains(t));
-        self.reach.retain(|t| !sink.reach.contains(t));
+        self.st.pts.retain(|t| !marks.pts.contains(t));
+        self.st.hpts.retain(|t| !marks.hpts.contains(t));
+        self.st.hload.retain(|t| !marks.hload.contains(t));
+        self.st.call.retain(|t| !marks.call.contains(t));
+        self.st.spts.retain(|t| !marks.spts.contains(t));
+        self.st.reach.retain(|t| !marks.reach.contains(t));
         self.rebuild_join_indices();
-        sink
     }
 
     /// Rebuilds every join index from the (post-deletion) fact sets.
@@ -1032,87 +728,64 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     /// survivors keeps the index contents deterministic regardless of
     /// the deletion order.
     fn rebuild_join_indices(&mut self) {
-        let strategy = self.config.join_strategy;
-        let mode = self.mode;
+        let strategy = self.st.config.join_strategy;
+        let mode = self.st.mode;
 
-        self.pts_by_var.clear();
-        self.summary_by_method.clear();
-        self.summary_seen.clear();
-        let summary = self.summary_mode();
-        let mut pts: Vec<(Var, Heap, A::X)> = self.pts.iter().copied().collect();
-        pts.sort_unstable();
-        for (y, h, x) in pts {
-            let boundary = self.abs.dst_boundary(x);
-            self.pts_by_var
+        self.st.pts_by_var.clear();
+        for (y, h, x) in sorted(&self.st.pts, |_| true) {
+            let boundary = self.st.abs.dst_boundary(x);
+            self.st
+                .pts_by_var
                 .entry(y)
                 .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(boundary, (h, x), self.abs.interner());
-            if summary {
-                let ix = self.ix;
-                if let Some(methods) = ix.returns_by_var.get(&y) {
-                    for &p in methods {
-                        if self.summary_seen.insert((p, h, x)) {
-                            self.summary_by_method
-                                .entry(p)
-                                .or_insert_with(|| Bucket::new(strategy, mode))
-                                .insert(boundary, (h, x), self.abs.interner());
-                        }
-                    }
-                }
-            }
+                .insert(boundary, (h, x), self.st.abs.interner());
         }
 
-        self.hpts_by_gf.clear();
-        let mut hpts: Vec<(Heap, Field, Heap, A::X)> = self.hpts.iter().copied().collect();
-        hpts.sort_unstable();
-        for (g, f, h, x) in hpts {
-            let boundary = self.abs.dst_boundary(x);
-            self.hpts_by_gf
+        self.st.hpts_by_gf.clear();
+        for (g, f, h, x) in sorted(&self.st.hpts, |_| true) {
+            let boundary = self.st.abs.dst_boundary(x);
+            self.st
+                .hpts_by_gf
                 .entry((g, f))
                 .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(boundary, (h, x), self.abs.interner());
+                .insert(boundary, (h, x), self.st.abs.interner());
         }
 
-        self.hload_by_gf.clear();
-        let mut hload: Vec<(Heap, Field, Var, A::X)> = self.hload.iter().copied().collect();
-        hload.sort_unstable();
-        for (g, f, y, x) in hload {
-            let boundary = self.abs.src_boundary(x);
-            self.hload_by_gf
+        self.st.hload_by_gf.clear();
+        for (g, f, y, x) in sorted(&self.st.hload, |_| true) {
+            let boundary = self.st.abs.src_boundary(x);
+            self.st
+                .hload_by_gf
                 .entry((g, f))
                 .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(boundary, (y, x), self.abs.interner());
+                .insert(boundary, (y, x), self.st.abs.interner());
         }
 
-        self.call_by_inv.clear();
-        self.call_by_method.clear();
-        let mut call: Vec<(Inv, Method, A::X)> = self.call.iter().copied().collect();
-        call.sort_unstable();
-        for (i, q, x) in call {
-            let src = self.abs.src_boundary(x);
-            self.call_by_inv
+        self.st.call_by_inv.clear();
+        self.st.call_by_method.clear();
+        for (i, q, x) in sorted(&self.st.call, |_| true) {
+            let src = self.st.abs.src_boundary(x);
+            self.st
+                .call_by_inv
                 .entry(i)
                 .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(src, (q, x), self.abs.interner());
-            let dst = self.abs.dst_boundary(x);
-            self.call_by_method
+                .insert(src, (q, x), self.st.abs.interner());
+            let dst = self.st.abs.dst_boundary(x);
+            self.st
+                .call_by_method
                 .entry(q)
                 .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(dst, (i, x), self.abs.interner());
+                .insert(dst, (i, x), self.st.abs.interner());
         }
 
-        self.spts_by_field.clear();
-        let mut spts: Vec<(Field, Heap, A::X)> = self.spts.iter().copied().collect();
-        spts.sort_unstable();
-        for (f, h, x) in spts {
-            self.spts_by_field.entry(f).or_default().push((h, x));
+        self.st.spts_by_field.clear();
+        for (f, h, x) in sorted(&self.st.spts, |_| true) {
+            self.st.spts_by_field.entry(f).or_default().push((h, x));
         }
 
-        self.reach_by_method.clear();
-        let mut reach: Vec<(Method, CtxtStr)> = self.reach.iter().copied().collect();
-        reach.sort_unstable();
-        for (p, m) in reach {
-            self.reach_by_method.entry(p).or_default().push(m);
+        self.st.reach_by_method.clear();
+        for (p, m) in sorted(&self.st.reach, |_| true) {
+            self.st.reach_by_method.entry(p).or_default().push(m);
         }
     }
 
@@ -1126,20 +799,20 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     /// re-queues it through the normal `insert_*` path. Entry heads have
     /// no derived body literal, so surviving entry points whose entry
     /// seed was deleted are re-inserted directly.
-    fn reseed_after_deletion(&mut self, sink: &RetractSink<A::X>) {
-        if sink.len() == 0 {
+    fn reseed_after_deletion(&mut self, marks: &RetractSink<A::X>) {
+        if marks.len() == 0 {
             return;
         }
         let program = self.program;
 
-        let d_vars: FxHashSet<Var> = sink.pts.iter().map(|&(y, _, _)| y).collect();
-        let d_pairs: FxHashSet<(Var, Heap)> = sink.pts.iter().map(|&(y, h, _)| (y, h)).collect();
+        let d_vars: FxHashSet<Var> = marks.pts.iter().map(|&(y, _, _)| y).collect();
+        let d_pairs: FxHashSet<(Var, Heap)> = marks.pts.iter().map(|&(y, h, _)| (y, h)).collect();
         let d_hload_keys: FxHashSet<(Field, Var)> =
-            sink.hload.iter().map(|&(_, f, z, _)| (f, z)).collect();
-        let d_hpts_fields: FxHashSet<Field> = sink.hpts.iter().map(|&(_, f, _, _)| f).collect();
-        let d_call_invs: FxHashSet<Inv> = sink.call.iter().map(|&(i, _, _)| i).collect();
-        let d_spts_fields: FxHashSet<Field> = sink.spts.iter().map(|&(f, _, _)| f).collect();
-        let d_reach_methods: FxHashSet<Method> = sink.reach.iter().map(|&(p, _)| p).collect();
+            marks.hload.iter().map(|&(_, f, z, _)| (f, z)).collect();
+        let d_hpts_fields: FxHashSet<Field> = marks.hpts.iter().map(|&(_, f, _, _)| f).collect();
+        let d_call_invs: FxHashSet<Inv> = marks.call.iter().map(|&(i, _, _)| i).collect();
+        let d_spts_fields: FxHashSet<Field> = marks.spts.iter().map(|&(f, _, _)| f).collect();
+        let d_reach_methods: FxHashSet<Method> = marks.reach.iter().map(|&(p, _)| p).collect();
 
         let mut vars: FxHashSet<Var> = FxHashSet::default();
         let mut reach_methods: FxHashSet<Method> = FxHashSet::default();
@@ -1228,654 +901,78 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         }
         // Deleted reach heads: Reach re-derives from surviving call
         // edges (queued below); Entry heads of surviving entry points
-        // are re-inserted directly (the sink is uninstalled by now).
+        // are re-inserted directly.
         if !d_reach_methods.is_empty() {
             let entry_ctx = {
-                let interner = self.abs.interner_mut();
+                let interner = self.st.abs.interner_mut();
                 interner.from_slice(&[CtxtElem::entry()])
             };
             for idx in 0..self.program.entry_points.len() {
                 let p = self.program.entry_points[idx];
-                if sink.reach.contains(&(p, entry_ctx)) {
+                if marks.reach.contains(&(p, entry_ctx)) {
                     self.insert_reach(p, entry_ctx, "Entry");
                 }
             }
         }
 
-        let mut rq_pts: Vec<(Var, Heap, A::X)> = self
+        let st = &mut self.st;
+        st.queue
             .pts
-            .iter()
-            .copied()
-            .filter(|&(y, _, _)| vars.contains(&y))
-            .collect();
-        rq_pts.sort_unstable();
-        self.q_pts.extend(rq_pts);
-
-        let mut rq_reach: Vec<(Method, CtxtStr)> = self
+            .extend(sorted(&st.pts, |&(y, _, _)| vars.contains(&y)));
+        st.queue
             .reach
-            .iter()
-            .copied()
-            .filter(|(p, _)| reach_methods.contains(p))
-            .collect();
-        rq_reach.sort_unstable();
-        self.q_reach.extend(rq_reach);
-
-        let mut rq_call: Vec<(Inv, Method, A::X)> = self
-            .call
-            .iter()
-            .copied()
-            .filter(|&(i, q, _)| {
-                call_methods.contains(&q) || call_invs.contains(&i) || d_reach_methods.contains(&q)
-            })
-            .collect();
-        rq_call.sort_unstable();
-        self.q_call.extend(rq_call);
-
-        let mut rq_hload: Vec<(Heap, Field, Var, A::X)> = self
+            .extend(sorted(&st.reach, |(p, _)| reach_methods.contains(p)));
+        st.queue.call.extend(sorted(&st.call, |&(i, q, _)| {
+            call_methods.contains(&q) || call_invs.contains(&i) || d_reach_methods.contains(&q)
+        }));
+        st.queue
             .hload
-            .iter()
-            .copied()
-            .filter(|(_, _, y, _)| d_vars.contains(y))
-            .collect();
-        rq_hload.sort_unstable();
-        self.q_hload.extend(rq_hload);
-
-        let mut rq_spts: Vec<(Field, Heap, A::X)> = self
+            .extend(sorted(&st.hload, |(_, _, y, _)| d_vars.contains(y)));
+        st.queue
             .spts
-            .iter()
-            .copied()
-            .filter(|(f, _, _)| spts_fields.contains(f))
-            .collect();
-        rq_spts.sort_unstable();
-        self.q_spts.extend(rq_spts);
+            .extend(sorted(&st.spts, |(f, _, _)| spts_fields.contains(f)));
     }
 
     /// How many over-deleted facts the re-derive phase restored.
-    fn count_rederived(&self, sink: &RetractSink<A::X>) -> u64 {
-        let n = sink.pts.iter().filter(|t| self.pts.contains(*t)).count()
-            + sink.hpts.iter().filter(|t| self.hpts.contains(*t)).count()
-            + sink
-                .hload
-                .iter()
-                .filter(|t| self.hload.contains(*t))
-                .count()
-            + sink.call.iter().filter(|t| self.call.contains(*t)).count()
-            + sink.spts.iter().filter(|t| self.spts.contains(*t)).count()
-            + sink
-                .reach
-                .iter()
-                .filter(|t| self.reach.contains(*t))
-                .count();
+    fn count_rederived(&self, marks: &RetractSink<A::X>) -> u64 {
+        let st = &self.st;
+        let n = marks.pts.iter().filter(|t| st.pts.contains(*t)).count()
+            + marks.hpts.iter().filter(|t| st.hpts.contains(*t)).count()
+            + marks.hload.iter().filter(|t| st.hload.contains(*t)).count()
+            + marks.call.iter().filter(|t| st.call.contains(*t)).count()
+            + marks.spts.iter().filter(|t| st.spts.contains(*t)).count()
+            + marks.reach.iter().filter(|t| st.reach.contains(*t)).count();
         n as u64
-    }
-
-    // Marking helpers: a computed consequence is marked for deletion
-    // only when it is currently derived and not yet marked (the sink
-    // sets double as the seen-set of the over-delete worklists).
-
-    fn mark_retract_pts(&mut self, y: Var, h: Heap, x: A::X) {
-        let Some(sink) = self.retract.as_mut() else {
-            return;
-        };
-        if self.pts.contains(&(y, h, x)) && sink.pts.insert((y, h, x)) {
-            sink.q_pts.push((y, h, x));
-        }
-    }
-
-    fn mark_retract_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X) {
-        let Some(sink) = self.retract.as_mut() else {
-            return;
-        };
-        if self.hpts.contains(&(g, f, h, x)) && sink.hpts.insert((g, f, h, x)) {
-            sink.q_hpts.push((g, f, h, x));
-        }
-    }
-
-    fn mark_retract_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X) {
-        let Some(sink) = self.retract.as_mut() else {
-            return;
-        };
-        if self.hload.contains(&(g, f, y, x)) && sink.hload.insert((g, f, y, x)) {
-            sink.q_hload.push((g, f, y, x));
-        }
-    }
-
-    fn mark_retract_call(&mut self, i: Inv, q: Method, x: A::X) {
-        let Some(sink) = self.retract.as_mut() else {
-            return;
-        };
-        if self.call.contains(&(i, q, x)) && sink.call.insert((i, q, x)) {
-            sink.q_call.push((i, q, x));
-        }
-    }
-
-    fn mark_retract_spts(&mut self, f: Field, h: Heap, x: A::X) {
-        let Some(sink) = self.retract.as_mut() else {
-            return;
-        };
-        if self.spts.contains(&(f, h, x)) && sink.spts.insert((f, h, x)) {
-            sink.q_spts.push((f, h, x));
-        }
-    }
-
-    fn mark_retract_reach(&mut self, p: Method, m: CtxtStr) {
-        let Some(sink) = self.retract.as_mut() else {
-            return;
-        };
-        if self.reach.contains(&(p, m)) && sink.reach.insert((p, m)) {
-            sink.q_reach.push((p, m));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Profiling hooks
-    //
-    // All three helpers are plain untaken branches when
-    // `config.profile` is off — no clock reads, no atomics — so the
-    // default hot path is untouched. When profiling is on, the clock
-    // reads only ever land in the timing fields of `SolverStats`,
-    // never in derivation decisions, which is what keeps
-    // `fact_digest` bit-identical either way.
-    // ------------------------------------------------------------------
-
-    /// Block-start timestamp, or `None` when profiling is off.
-    #[inline]
-    fn prof_start(&self) -> Option<Instant> {
-        if self.config.profile {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes a timed rule block opened by [`Solver::prof_start`].
-    #[inline]
-    fn prof_rule(&mut self, t: Option<Instant>, idx: usize) {
-        if let Some(t) = t {
-            self.stats
-                .rule_time
-                .observe(idx, t.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Attributes elapsed time since `t` to the seeding phase.
     #[inline]
     fn prof_seed(&mut self, t: Option<Instant>) {
         if let Some(t) = t {
-            self.stats.phase_profile.seed_ns += t.elapsed().as_nanos() as u64;
+            self.st.stats.phase_profile.seed_ns += t.elapsed().as_nanos() as u64;
         }
     }
 
-    /// Runs the queues to empty with the engine the effective solve mode
-    /// and `threads` select: the bottom-up SCC wave scheduler
-    /// ([`summary`]), the legacy one-delta-at-a-time loop, or the
-    /// frontier-parallel rounds.
+    /// Runs the queues to empty: the one-delta-at-a-time loop at one
+    /// thread, the frontier-parallel rounds at more.
     fn run_to_fixpoint(&mut self, threads: usize) {
-        self.stats.threads_used = threads;
-        match self.config.effective_solve_mode().0 {
-            SolveMode::SummaryScc => self.fixpoint_scc(threads),
-            SolveMode::Rounds if threads > 1 => self.fixpoint_parallel(threads),
-            SolveMode::Rounds => {
-                let t = self.prof_start();
-                self.fixpoint();
-                if let Some(t) = t {
-                    self.stats.phase_profile.eval_ns += t.elapsed().as_nanos() as u64;
-                }
-            }
+        self.st.stats.threads_used = threads;
+        if threads > 1 {
+            return self.fixpoint_parallel(threads);
         }
-    }
-
-    fn fixpoint(&mut self) {
-        loop {
-            if let Some((p, m)) = self.q_reach.pop() {
-                self.stats.events += 1;
-                self.process_reach(p, m);
-                continue;
-            }
-            if let Some((y, h, x)) = self.q_pts.pop() {
-                self.stats.events += 1;
-                if self.config.subsumption && self.dead_pts.contains(&(y, h, x)) {
+        let t = self.prof_start();
+        while let Some(delta) = self.st.queue.pop() {
+            self.st.stats.events += 1;
+            if let Fact::Pts(y, h, x) = delta {
+                if self.st.config.subsumption && self.st.dead_pts.contains(&(y, h, x)) {
                     continue;
                 }
-                self.process_pts(y, h, x);
-                continue;
             }
-            if let Some((i, q, x)) = self.q_call.pop() {
-                self.stats.events += 1;
-                self.process_call(i, q, x);
-                continue;
-            }
-            if let Some((g, f, h, x)) = self.q_hpts.pop() {
-                self.stats.events += 1;
-                self.process_hpts(g, f, h, x);
-                continue;
-            }
-            if let Some((g, f, y, x)) = self.q_hload.pop() {
-                self.stats.events += 1;
-                self.process_hload(g, f, y, x);
-                continue;
-            }
-            if let Some((f, h, x)) = self.q_spts.pop() {
-                self.stats.events += 1;
-                self.process_spts(f, h, x);
-                continue;
-            }
-            break;
+            self.drive(delta);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Rule drivers
-    // ------------------------------------------------------------------
-
-    /// New + Static, driven by a new `reach(P, M)` fact.
-    fn process_reach(&mut self, p: Method, m: CtxtStr) {
-        let ix = self.ix;
-        let t = self.prof_start();
-        if let Some(allocs) = ix.allocs_by_method.get(&p) {
-            for &(h, y) in allocs {
-                let x = self.abs.record(m);
-                self.insert_pts(y, h, x, "New");
-            }
+        if let Some(t) = t {
+            self.st.stats.phase_profile.eval_ns += t.elapsed().as_nanos() as u64;
         }
-        self.prof_rule(t, rule::NEW);
-        let t = self.prof_start();
-        if let Some(statics) = ix.statics_by_method.get(&p) {
-            for &(i, q) in statics {
-                let c = self.abs.merge_s(CtxtElem::of_inv(i), m);
-                self.insert_call(i, q, c, "Static");
-            }
-        }
-        self.prof_rule(t, rule::STATIC);
-        // SLoad, reach role: spts(F,H,B), static_load(F,Z),
-        // reach(parent(Z), M) ⊢ pts(Z,H, load_global(B, M)).
-        let t = self.prof_start();
-        if let Some(loads) = ix.static_loads_by_method.get(&p) {
-            let mut facts = mem::take(&mut self.scratch_heap);
-            for &(f, z) in loads {
-                facts.clear();
-                if let Some(fs) = self.spts_by_field.get(&f) {
-                    facts.extend_from_slice(fs);
-                }
-                for &(h, b) in facts.iter() {
-                    let x = self.abs.load_global(b, m);
-                    self.insert_pts(z, h, x, "SLoad");
-                }
-            }
-            self.scratch_heap = facts;
-        }
-        self.prof_rule(t, rule::SLOAD);
-    }
-
-    /// Assign, Load, Store (both roles), Param (actual role), Ret (return
-    /// role), Virt — driven by a new `pts(Z, H, B)` fact.
-    fn process_pts(&mut self, z: Var, h: Heap, b: A::X) {
-        let ix = self.ix;
-        // Assign: pts(Z,H,A), assign(Z,Y) ⊢ pts(Y,H,A).
-        let t = self.prof_start();
-        if let Some(targets) = ix.assign_from.get(&z) {
-            for &y in targets {
-                self.insert_pts(y, h, b, "Assign");
-            }
-        }
-        self.prof_rule(t, rule::ASSIGN);
-        // Load: pts(Y,G,A), load(Y,F,Z) ⊢ hload(G,F,Z,A).
-        let t = self.prof_start();
-        if let Some(loads) = ix.loads_by_base.get(&z) {
-            for &(f, dst) in loads {
-                self.insert_hload(h, f, dst, b, "Load");
-            }
-        }
-        self.prof_rule(t, rule::LOAD);
-        // Store, value role: pts(X,H,B), store(X,F,Z), pts(Z,G,C)
-        // ⊢ hpts(G,F,H, B;C⁻¹).
-        let t = self.prof_start();
-        if let Some(stores) = ix.stores_by_value.get(&z) {
-            let query = self.abs.dst_boundary(b);
-            let mut cand = mem::take(&mut self.scratch_heap);
-            for &(f, base) in stores {
-                cand.clear();
-                self.collect_compatible_pts(base, query, &mut cand);
-                for &(g, c) in cand.iter() {
-                    let inv_c = self.abs.invert(c);
-                    if let Some(a) = self.compose(b, inv_c, self.limits_store()) {
-                        self.insert_hpts(g, f, h, a, "Store");
-                    }
-                }
-            }
-            self.scratch_heap = cand;
-        }
-        // Store, base role: pts(Z,G,C) with store(X,F,Z).
-        if let Some(stores) = ix.stores_by_base.get(&z) {
-            // (Same timed block as the value role: both are Store.)
-            let query = self.abs.dst_boundary(b);
-            let inv_c = self.abs.invert(b);
-            let mut cand = mem::take(&mut self.scratch_heap);
-            for &(f, value) in stores {
-                cand.clear();
-                self.collect_compatible_pts(value, query, &mut cand);
-                for &(hh, bv) in cand.iter() {
-                    if let Some(a) = self.compose(bv, inv_c, self.limits_store()) {
-                        self.insert_hpts(h, f, hh, a, "Store");
-                    }
-                }
-            }
-            self.scratch_heap = cand;
-        }
-        self.prof_rule(t, rule::STORE);
-        // Param, actual role: pts(Z,H,B), actual(Z,I,O), call(I,P,C),
-        // formal(Y,P,O) ⊢ pts(Y,H, B;C).
-        let t = self.prof_start();
-        if let Some(actuals) = ix.actuals_by_var.get(&z) {
-            let query = self.abs.dst_boundary(b);
-            let mut cand = mem::take(&mut self.scratch_method);
-            for &(i, o) in actuals {
-                cand.clear();
-                self.collect_compatible_call_by_inv(i, query, &mut cand);
-                for &(p, c) in cand.iter() {
-                    let Some(&y) = ix.formal_of.get(&(p, o)) else {
-                        continue;
-                    };
-                    if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                        self.insert_pts(y, h, a, "Param");
-                    }
-                }
-            }
-            self.scratch_method = cand;
-        }
-        self.prof_rule(t, rule::PARAM);
-        // Ret, return role: pts(Z,H,B), return(Z,P), call(I,P,C),
-        // assign_return(I,Y) ⊢ pts(Y,H, B;C⁻¹).
-        let t = self.prof_start();
-        if let Some(returns) = ix.returns_by_var.get(&z) {
-            let query = self.abs.dst_boundary(b);
-            let mut cand = mem::take(&mut self.scratch_inv);
-            for &p in returns {
-                cand.clear();
-                self.collect_compatible_call_by_method(p, query, &mut cand);
-                for &(i, c) in cand.iter() {
-                    let inv_c = self.abs.invert(c);
-                    let Some(a) = self.compose(b, inv_c, self.limits_flow()) else {
-                        continue;
-                    };
-                    if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-                        for &y in ys {
-                            self.insert_pts(y, h, a, "Ret");
-                        }
-                    }
-                }
-            }
-            self.scratch_inv = cand;
-        }
-        self.prof_rule(t, rule::RET);
-        // SStore: pts(X,H,B), static_store(X,F) ⊢ spts(F,H, globalize(B)).
-        let t = self.prof_start();
-        if let Some(fields) = ix.static_stores_by_var.get(&z) {
-            for &f in fields {
-                let g = self.abs.globalize(b);
-                self.insert_spts(f, h, g, "SStore");
-            }
-        }
-        self.prof_rule(t, rule::SSTORE);
-        // Virt: virtual_invoke(I,Z,S), pts(Z,H,B), heap_type(H,T),
-        // implements(Q,T,S), this_var(Y,Q), C ≡ merge(H,I,B)
-        // ⊢ pts(Y,H, B;C), call(I,Q,C).
-        let t = self.prof_start();
-        if let Some(virtuals) = ix.virtuals_by_recv.get(&z) {
-            let t = ix.type_of_heap[h.index()];
-            let class = ix.class_of_heap[h.index()];
-            for &(i, s) in virtuals {
-                let Some(q) = ix.resolve(t, s) else { continue };
-                let site = MergeSite {
-                    inv: CtxtElem::of_inv(i),
-                    heap: CtxtElem::of_heap(h),
-                    class: CtxtElem::of_type(class),
-                };
-                let c = self.abs.merge(site, b);
-                self.insert_call(i, q, c, "Virt");
-                if let Some(&y) = ix.this_of_method.get(&q) {
-                    if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                        self.insert_pts(y, h, a, "Virt");
-                    }
-                }
-            }
-        }
-        self.prof_rule(t, rule::VIRT);
-    }
-
-    /// Ind, hpts role: hpts(G,F,H,B), hload(G,F,Y,C) ⊢ pts(Y,H, B;C).
-    fn process_hpts(&mut self, g: Heap, f: Field, h: Heap, b: A::X) {
-        let t = self.prof_start();
-        let query = self.abs.dst_boundary(b);
-        let mut cand = mem::take(&mut self.scratch_var);
-        cand.clear();
-        self.collect_compatible_hload(g, f, query, &mut cand);
-        for &(y, c) in cand.iter() {
-            if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                self.insert_pts(y, h, a, "Ind");
-            }
-        }
-        self.scratch_var = cand;
-        self.prof_rule(t, rule::IND);
-    }
-
-    /// Ind, hload role.
-    fn process_hload(&mut self, g: Heap, f: Field, y: Var, c: A::X) {
-        let t = self.prof_start();
-        let query = self.abs.src_boundary(c);
-        let mut cand = mem::take(&mut self.scratch_heap);
-        cand.clear();
-        self.collect_compatible_hpts(g, f, query, &mut cand);
-        for &(h, b) in cand.iter() {
-            if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                self.insert_pts(y, h, a, "Ind");
-            }
-        }
-        self.scratch_heap = cand;
-        self.prof_rule(t, rule::IND);
-    }
-
-    /// SLoad, spts role: join against every reachable context of each
-    /// loading method.
-    fn process_spts(&mut self, f: Field, h: Heap, b: A::X) {
-        let ix = self.ix;
-        let t = self.prof_start();
-        if let Some(loaders) = ix.static_loads_by_field.get(&f) {
-            let mut contexts = mem::take(&mut self.scratch_ctxts);
-            for &z in loaders {
-                let p = self.program.var_method[z.index()];
-                contexts.clear();
-                if let Some(ms) = self.reach_by_method.get(&p) {
-                    contexts.extend_from_slice(ms);
-                }
-                for &m in contexts.iter() {
-                    let x = self.abs.load_global(b, m);
-                    self.insert_pts(z, h, x, "SLoad");
-                }
-            }
-            self.scratch_ctxts = contexts;
-        }
-        self.prof_rule(t, rule::SLOAD);
-    }
-
-    /// Reach + Param (call role) + Ret (call role), driven by a new
-    /// `call(I, P, C)` fact.
-    fn process_call(&mut self, i: Inv, p: Method, c: A::X) {
-        let ix = self.ix;
-        // Reach: call(I,P,A) ⊢ reach(P, target(A)).
-        let t = self.prof_start();
-        let m = self.abs.target(c);
-        self.insert_reach(p, m, "Reach");
-        self.prof_rule(t, rule::REACH);
-        // Param, call role.
-        let t = self.prof_start();
-        if let Some(actuals) = ix.actuals_by_inv.get(&i) {
-            let query = self.abs.src_boundary(c);
-            let mut cand = mem::take(&mut self.scratch_heap);
-            for &(o, z) in actuals {
-                let Some(&y) = ix.formal_of.get(&(p, o)) else {
-                    continue;
-                };
-                cand.clear();
-                self.collect_compatible_pts(z, query, &mut cand);
-                for &(h, b) in cand.iter() {
-                    if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                        self.insert_pts(y, h, a, "Param");
-                    }
-                }
-            }
-            self.scratch_heap = cand;
-        }
-        self.prof_rule(t, rule::PARAM);
-        // Ret, call role.
-        let t = self.prof_start();
-        if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-            if self.summary_mode() {
-                // Summary path: one boundary-indexed probe over the
-                // callee's merged summary rows instead of a scan per
-                // return variable. The rows, the compatibility filter,
-                // and the compose are byte-identical to the scan below,
-                // so the derived facts are too.
-                let query = self.abs.dst_boundary(c);
-                let inv_c = self.abs.invert(c);
-                let mut cand = mem::take(&mut self.scratch_heap);
-                cand.clear();
-                self.collect_compatible_summary(p, query, &mut cand);
-                for &(h, b) in cand.iter() {
-                    let Some(a) = self.compose(b, inv_c, self.limits_flow()) else {
-                        continue;
-                    };
-                    self.stats.summaries_applied += 1;
-                    for &y in ys {
-                        self.insert_pts(y, h, a, "Ret");
-                    }
-                }
-                self.scratch_heap = cand;
-            } else if let Some(returns) = ix.returns_by_method.get(&p) {
-                let query = self.abs.dst_boundary(c);
-                // `c` is fixed for this delta, so its inverse is loop-invariant.
-                let inv_c = self.abs.invert(c);
-                let mut cand = mem::take(&mut self.scratch_heap);
-                for &z in returns {
-                    cand.clear();
-                    self.collect_compatible_pts(z, query, &mut cand);
-                    for &(h, b) in cand.iter() {
-                        let Some(a) = self.compose(b, inv_c, self.limits_flow()) else {
-                            continue;
-                        };
-                        for &y in ys {
-                            self.insert_pts(y, h, a, "Ret");
-                        }
-                    }
-                }
-                self.scratch_heap = cand;
-            }
-        }
-        self.prof_rule(t, rule::RET);
-    }
-
-    // ------------------------------------------------------------------
-    // Join candidate collection
-    // ------------------------------------------------------------------
-
-    fn collect_compatible_pts(&mut self, var: Var, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        if let Some(bucket) = self.pts_by_var.get(&var) {
-            let probes = if self.config.subsumption {
-                let dead = &self.dead_pts;
-                bucket.for_compatible(query, self.abs.interner(), |(h, x)| {
-                    if !dead.contains(&(var, h, x)) {
-                        out.push((h, x));
-                    }
-                })
-            } else {
-                bucket.for_compatible(query, self.abs.interner(), |v| out.push(v))
-            };
-            self.stats.probes += probes;
-        }
-    }
-
-    /// Summary-mode analogue of per-return-variable
-    /// [`Solver::collect_compatible_pts`]: probes the callee's merged
-    /// summary bucket. Summary mode never runs with subsumption
-    /// ([`AnalysisConfig::effective_solve_mode`] falls back first), so
-    /// there is no dead-row filter here.
-    fn collect_compatible_summary(
-        &mut self,
-        p: Method,
-        query: CtxtStr,
-        out: &mut Vec<(Heap, A::X)>,
-    ) {
-        if let Some(bucket) = self.summary_by_method.get(&p) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_call_by_inv(
-        &mut self,
-        i: Inv,
-        query: CtxtStr,
-        out: &mut Vec<(Method, A::X)>,
-    ) {
-        if let Some(bucket) = self.call_by_inv.get(&i) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_call_by_method(
-        &mut self,
-        p: Method,
-        query: CtxtStr,
-        out: &mut Vec<(Inv, A::X)>,
-    ) {
-        if let Some(bucket) = self.call_by_method.get(&p) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_hload(
-        &mut self,
-        g: Heap,
-        f: Field,
-        query: CtxtStr,
-        out: &mut Vec<(Var, A::X)>,
-    ) {
-        if let Some(bucket) = self.hload_by_gf.get(&(g, f)) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_hpts(
-        &mut self,
-        g: Heap,
-        f: Field,
-        query: CtxtStr,
-        out: &mut Vec<(Heap, A::X)>,
-    ) {
-        if let Some(bucket) = self.hpts_by_gf.get(&(g, f)) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Option<A::X> {
-        self.stats.compose_calls += 1;
-        if self.config.memoize {
-            if let Some(&r) = self.compose_memo.get(&(a, b, limits)) {
-                self.stats.compose_memo_hits += 1;
-                if r.is_none() {
-                    self.stats.compose_bottom += 1;
-                }
-                return r;
-            }
-            self.stats.compose_memo_misses += 1;
-        }
-        let r = self.abs.compose(a, b, limits);
-        if r.is_none() {
-            self.stats.compose_bottom += 1;
-        }
-        if self.config.memoize {
-            self.compose_memo.insert((a, b, limits), r);
-        }
-        r
     }
 
     /// Memoized `subsumes`, written as an associated function over the
@@ -1905,29 +1002,38 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     // Insertion
     // ------------------------------------------------------------------
 
-    fn insert_pts(&mut self, y: Var, h: Heap, x: A::X, rule: &'static str) {
-        if self.retract.is_some() {
-            self.mark_retract_pts(y, h, x);
-            return;
+    /// Inserts a derived fact: dedup, gate, subsume, index, log, queue.
+    #[inline]
+    fn insert(&mut self, fact: Fact<A::X>, rule: &'static str) {
+        match fact {
+            Fact::Reach(p, m) => self.insert_reach(p, m, rule),
+            Fact::Pts(y, h, x) => self.insert_pts(y, h, x, rule),
+            Fact::Call(i, q, x) => self.insert_call(i, q, x, rule),
+            Fact::Hpts(g, f, h, x) => self.insert_hpts(g, f, h, x, rule),
+            Fact::Hload(g, f, y, x) => self.insert_hload(g, f, y, x, rule),
+            Fact::Spts(f, h, x) => self.insert_spts(f, h, x, rule),
         }
-        if let Some(gate) = &self.gate {
+    }
+
+    fn insert_pts(&mut self, y: Var, h: Heap, x: A::X, rule: &'static str) {
+        if let Some(gate) = &self.st.gate {
             if !gate.pts.contains(&(y, h)) {
                 return;
             }
         }
-        self.stats.rule_fired.bump(rule);
-        if self.config.subsumption {
-            if self.pts.contains(&(y, h, x)) {
+        self.st.stats.rule_fired.bump(rule);
+        if self.st.config.subsumption {
+            if self.st.pts.contains(&(y, h, x)) {
                 return; // plain duplicate, not a subsumption event
             }
-            let memoize = self.config.memoize;
-            let Solver {
+            let memoize = self.st.config.memoize;
+            let SolverState {
                 live_pts,
                 subsume_memo,
                 abs,
                 stats,
                 ..
-            } = self;
+            } = &mut self.st;
             if let Some(live) = live_pts.get(&(y, h)) {
                 if live
                     .iter()
@@ -1938,20 +1044,20 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 }
             }
         }
-        if !self.pts.insert((y, h, x)) {
+        if !self.st.pts.insert((y, h, x)) {
             return;
         }
-        self.stats.rule_derived.bump(rule);
-        if self.config.subsumption {
-            let memoize = self.config.memoize;
-            let Solver {
+        self.st.stats.rule_derived.bump(rule);
+        if self.st.config.subsumption {
+            let memoize = self.st.config.memoize;
+            let SolverState {
                 live_pts,
                 dead_pts,
                 subsume_memo,
                 abs,
                 stats,
                 ..
-            } = self;
+            } = &mut self.st;
             let live = live_pts.entry((y, h)).or_default();
             let mut retired = 0;
             live.retain(|&old| {
@@ -1966,237 +1072,199 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             stats.subsumed_retired += retired;
             live.push(x);
         }
-        let boundary = self.abs.dst_boundary(x);
-        let strategy = self.config.join_strategy;
-        let mode = self.mode;
-        self.pts_by_var
+        let boundary = self.st.abs.dst_boundary(x);
+        let strategy = self.st.config.join_strategy;
+        let mode = self.st.mode;
+        self.st
+            .pts_by_var
             .entry(y)
             .or_insert_with(|| Bucket::new(strategy, mode))
-            .insert(boundary, (h, x), self.abs.interner());
-        // Summary synthesis: a new row on a return variable of `P`
-        // becomes (part of) `P`'s summary transformation, ready for
-        // caller-side Ret joins without re-scanning `P`'s returns.
-        if self.summary_mode() {
-            let ix = self.ix;
-            if let Some(methods) = ix.returns_by_var.get(&y) {
-                for &p in methods {
-                    if self.summary_seen.insert((p, h, x)) {
-                        self.stats.summaries_synthesized += 1;
-                        self.summary_by_method
-                            .entry(p)
-                            .or_insert_with(|| Bucket::new(strategy, mode))
-                            .insert(boundary, (h, x), self.abs.interner());
-                    }
-                }
-            }
-        }
-        if self.config.record_facts {
+            .insert(boundary, (h, x), self.st.abs.interner());
+        if self.st.config.record_facts {
             let text = format!(
                 "pts({}, {}, {})",
                 self.program.var_names[y.index()],
                 self.program.heap_names[h.index()],
-                self.abs.display(x, self.program)
+                self.st.abs.display(x, self.program)
             );
-            self.log.push(LoggedFact {
+            self.st.log.push(LoggedFact {
                 relation: "pts",
                 rule,
                 text,
             });
         }
-        self.q_pts.push((y, h, x));
+        self.st.queue.pts.push((y, h, x));
     }
 
     fn insert_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X, rule: &'static str) {
-        // The collapse transform runs before retract marking so marked
-        // tuples match the stored (collapsed) representation.
-        let x = if self.config.collapse_insensitive_heap && self.levels.heap == 0 {
-            self.abs.uninformative()
-        } else {
-            x
-        };
-        if self.retract.is_some() {
-            self.mark_retract_hpts(g, f, h, x);
-            return;
-        }
-        if let Some(gate) = &self.gate {
+        if let Some(gate) = &self.st.gate {
             if !gate.hpts.contains(&(g, f, h)) {
                 return;
             }
         }
-        self.stats.rule_fired.bump(rule);
-        if !self.hpts.insert((g, f, h, x)) {
+        self.st.stats.rule_fired.bump(rule);
+        if !self.st.hpts.insert((g, f, h, x)) {
             return;
         }
-        self.stats.rule_derived.bump(rule);
-        let boundary = self.abs.dst_boundary(x);
-        let strategy = self.config.join_strategy;
-        let mode = self.mode;
-        self.hpts_by_gf
+        self.st.stats.rule_derived.bump(rule);
+        let boundary = self.st.abs.dst_boundary(x);
+        let strategy = self.st.config.join_strategy;
+        let mode = self.st.mode;
+        self.st
+            .hpts_by_gf
             .entry((g, f))
             .or_insert_with(|| Bucket::new(strategy, mode))
-            .insert(boundary, (h, x), self.abs.interner());
-        if self.config.record_facts {
+            .insert(boundary, (h, x), self.st.abs.interner());
+        if self.st.config.record_facts {
             let text = format!(
                 "hpts({}, {}, {}, {})",
                 self.program.heap_names[g.index()],
                 self.program.field_names[f.index()],
                 self.program.heap_names[h.index()],
-                self.abs.display(x, self.program)
+                self.st.abs.display(x, self.program)
             );
-            self.log.push(LoggedFact {
+            self.st.log.push(LoggedFact {
                 relation: "hpts",
                 rule,
                 text,
             });
         }
-        self.q_hpts.push((g, f, h, x));
+        self.st.queue.hpts.push((g, f, h, x));
     }
 
     fn insert_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X, rule: &'static str) {
-        if self.retract.is_some() {
-            self.mark_retract_hload(g, f, y, x);
-            return;
-        }
-        if let Some(gate) = &self.gate {
+        if let Some(gate) = &self.st.gate {
             if !gate.hload.contains(&(g, f, y)) {
                 return;
             }
         }
-        self.stats.rule_fired.bump(rule);
-        if !self.hload.insert((g, f, y, x)) {
+        self.st.stats.rule_fired.bump(rule);
+        if !self.st.hload.insert((g, f, y, x)) {
             return;
         }
-        self.stats.rule_derived.bump(rule);
-        let boundary = self.abs.src_boundary(x);
-        let strategy = self.config.join_strategy;
-        let mode = self.mode;
-        self.hload_by_gf
+        self.st.stats.rule_derived.bump(rule);
+        let boundary = self.st.abs.src_boundary(x);
+        let strategy = self.st.config.join_strategy;
+        let mode = self.st.mode;
+        self.st
+            .hload_by_gf
             .entry((g, f))
             .or_insert_with(|| Bucket::new(strategy, mode))
-            .insert(boundary, (y, x), self.abs.interner());
-        if self.config.record_facts {
+            .insert(boundary, (y, x), self.st.abs.interner());
+        if self.st.config.record_facts {
             let text = format!(
                 "hload({}, {}, {}, {})",
                 self.program.heap_names[g.index()],
                 self.program.field_names[f.index()],
                 self.program.var_names[y.index()],
-                self.abs.display(x, self.program)
+                self.st.abs.display(x, self.program)
             );
-            self.log.push(LoggedFact {
+            self.st.log.push(LoggedFact {
                 relation: "hload",
                 rule,
                 text,
             });
         }
-        self.q_hload.push((g, f, y, x));
+        self.st.queue.hload.push((g, f, y, x));
     }
 
     fn insert_call(&mut self, i: Inv, q: Method, x: A::X, rule: &'static str) {
-        if self.retract.is_some() {
-            self.mark_retract_call(i, q, x);
-            return;
-        }
-        if let Some(gate) = &self.gate {
+        if let Some(gate) = &self.st.gate {
             if !gate.call.contains(&(i, q)) {
                 return;
             }
         }
-        self.stats.rule_fired.bump(rule);
-        if !self.call.insert((i, q, x)) {
+        self.st.stats.rule_fired.bump(rule);
+        if !self.st.call.insert((i, q, x)) {
             return;
         }
-        self.stats.rule_derived.bump(rule);
-        let strategy = self.config.join_strategy;
-        let mode = self.mode;
-        let src = self.abs.src_boundary(x);
-        self.call_by_inv
+        self.st.stats.rule_derived.bump(rule);
+        let strategy = self.st.config.join_strategy;
+        let mode = self.st.mode;
+        let src = self.st.abs.src_boundary(x);
+        self.st
+            .call_by_inv
             .entry(i)
             .or_insert_with(|| Bucket::new(strategy, mode))
-            .insert(src, (q, x), self.abs.interner());
-        let dst = self.abs.dst_boundary(x);
-        self.call_by_method
+            .insert(src, (q, x), self.st.abs.interner());
+        let dst = self.st.abs.dst_boundary(x);
+        self.st
+            .call_by_method
             .entry(q)
             .or_insert_with(|| Bucket::new(strategy, mode))
-            .insert(dst, (i, x), self.abs.interner());
-        if self.config.record_facts {
+            .insert(dst, (i, x), self.st.abs.interner());
+        if self.st.config.record_facts {
             let text = format!(
                 "call({}, {}, {})",
                 self.program.inv_names[i.index()],
                 self.program.method_names[q.index()],
-                self.abs.display(x, self.program)
+                self.st.abs.display(x, self.program)
             );
-            self.log.push(LoggedFact {
+            self.st.log.push(LoggedFact {
                 relation: "call",
                 rule,
                 text,
             });
         }
-        self.q_call.push((i, q, x));
+        self.st.queue.call.push((i, q, x));
     }
 
     fn insert_spts(&mut self, f: Field, h: Heap, x: A::X, rule: &'static str) {
-        if self.retract.is_some() {
-            self.mark_retract_spts(f, h, x);
-            return;
-        }
-        if let Some(gate) = &self.gate {
+        if let Some(gate) = &self.st.gate {
             if !gate.spts.contains(&(f, h)) {
                 return;
             }
         }
-        self.stats.rule_fired.bump(rule);
-        if !self.spts.insert((f, h, x)) {
+        self.st.stats.rule_fired.bump(rule);
+        if !self.st.spts.insert((f, h, x)) {
             return;
         }
-        self.stats.rule_derived.bump(rule);
-        self.spts_by_field.entry(f).or_default().push((h, x));
-        if self.config.record_facts {
+        self.st.stats.rule_derived.bump(rule);
+        self.st.spts_by_field.entry(f).or_default().push((h, x));
+        if self.st.config.record_facts {
             let text = format!(
                 "spts({}, {}, {})",
                 self.program.field_names[f.index()],
                 self.program.heap_names[h.index()],
-                self.abs.display(x, self.program)
+                self.st.abs.display(x, self.program)
             );
-            self.log.push(LoggedFact {
+            self.st.log.push(LoggedFact {
                 relation: "spts",
                 rule,
                 text,
             });
         }
-        self.q_spts.push((f, h, x));
+        self.st.queue.spts.push((f, h, x));
     }
 
     fn insert_reach(&mut self, p: Method, m: CtxtStr, rule: &'static str) {
-        if self.retract.is_some() {
-            self.mark_retract_reach(p, m);
-            return;
-        }
-        if let Some(gate) = &self.gate {
+        if let Some(gate) = &self.st.gate {
             if !gate.reach.contains(&p) {
                 return;
             }
         }
-        self.stats.rule_fired.bump(rule);
-        if !self.reach.insert((p, m)) {
+        self.st.stats.rule_fired.bump(rule);
+        if !self.st.reach.insert((p, m)) {
             return;
         }
-        self.stats.rule_derived.bump(rule);
-        self.reach_by_method.entry(p).or_default().push(m);
-        if self.config.record_facts {
+        self.st.stats.rule_derived.bump(rule);
+        self.st.reach_by_method.entry(p).or_default().push(m);
+        if self.st.config.record_facts {
             let text = format!(
                 "reach({}, [{}])",
                 self.program.method_names[p.index()],
-                self.abs
+                self.st
+                    .abs
                     .interner()
                     .display_with(m, |e| e.describe(self.program))
             );
-            self.log.push(LoggedFact {
+            self.st.log.push(LoggedFact {
                 relation: "reach",
                 rule,
                 text,
             });
         }
-        self.q_reach.push((p, m));
+        self.st.queue.reach.push((p, m));
     }
 
     // ------------------------------------------------------------------
@@ -2229,75 +1297,148 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                     .sum::<usize>()
         }
         MemoryFootprint {
-            rel_pts: set_bytes(&self.pts),
-            rel_hpts: set_bytes(&self.hpts),
-            rel_hload: set_bytes(&self.hload),
-            rel_call: set_bytes(&self.call),
-            rel_spts: set_bytes(&self.spts),
-            rel_reach: set_bytes(&self.reach),
-            ix_pts_by_var: bucket_map_bytes(&self.pts_by_var),
-            ix_hpts_by_gf: bucket_map_bytes(&self.hpts_by_gf),
-            ix_hload_by_gf: bucket_map_bytes(&self.hload_by_gf),
-            ix_spts_by_field: vec_map_bytes(&self.spts_by_field),
-            ix_call_by_inv: bucket_map_bytes(&self.call_by_inv),
-            ix_call_by_method: bucket_map_bytes(&self.call_by_method),
-            ix_reach_by_method: vec_map_bytes(&self.reach_by_method),
-            memo_compose: self.compose_memo.len()
+            rel_pts: set_bytes(&self.st.pts),
+            rel_hpts: set_bytes(&self.st.hpts),
+            rel_hload: set_bytes(&self.st.hload),
+            rel_call: set_bytes(&self.st.call),
+            rel_spts: set_bytes(&self.st.spts),
+            rel_reach: set_bytes(&self.st.reach),
+            ix_pts_by_var: bucket_map_bytes(&self.st.pts_by_var),
+            ix_hpts_by_gf: bucket_map_bytes(&self.st.hpts_by_gf),
+            ix_hload_by_gf: bucket_map_bytes(&self.st.hload_by_gf),
+            ix_spts_by_field: vec_map_bytes(&self.st.spts_by_field),
+            ix_call_by_inv: bucket_map_bytes(&self.st.call_by_inv),
+            ix_call_by_method: bucket_map_bytes(&self.st.call_by_method),
+            ix_reach_by_method: vec_map_bytes(&self.st.reach_by_method),
+            memo_compose: self.st.compose_memo.len()
                 * (size_of::<(A::X, A::X, Limits)>()
                     + size_of::<Option<A::X>>()
                     + HASH_SLOT_OVERHEAD),
-            memo_subsume: self.subsume_memo.len()
+            memo_subsume: self.st.subsume_memo.len()
                 * (size_of::<(A::X, A::X)>() + size_of::<bool>() + HASH_SLOT_OVERHEAD),
         }
     }
 
     fn finish(&mut self, start: Instant) -> AnalysisResult {
-        self.stats.duration = start.elapsed();
-        self.stats.memory = self.memory_footprint();
-        self.stats.pts = self.pts.len() - self.dead_pts.len();
-        self.stats.hpts = self.hpts.len();
-        self.stats.hload = self.hload.len();
-        self.stats.call = self.call.len();
-        self.stats.spts = self.spts.len();
-        self.stats.reach = self.reach.len();
-        self.stats.interned_contexts = self.abs.interner().interned_count();
-        self.stats.compose_memo_entries = self.compose_memo.len();
-        self.stats.subsume_memo_entries = self.subsume_memo.len();
+        self.st.stats.duration = start.elapsed();
+        self.st.stats.memory = self.memory_footprint();
+        self.st.stats.pts = self.st.pts.len() - self.st.dead_pts.len();
+        self.st.stats.hpts = self.st.hpts.len();
+        self.st.stats.hload = self.st.hload.len();
+        self.st.stats.call = self.st.call.len();
+        self.st.stats.spts = self.st.spts.len();
+        self.st.stats.reach = self.st.reach.len();
+        self.st.stats.interned_contexts = self.st.abs.interner().interned_count();
+        self.st.stats.compose_memo_entries = self.st.compose_memo.len();
+        self.st.stats.subsume_memo_entries = self.st.subsume_memo.len();
         let mut histogram: FxHashMap<String, usize> = FxHashMap::default();
-        for &(y, h, x) in &self.pts {
-            if self.config.subsumption && self.dead_pts.contains(&(y, h, x)) {
+        for &(y, h, x) in &self.st.pts {
+            if self.st.config.subsumption && self.st.dead_pts.contains(&(y, h, x)) {
                 continue;
             }
-            let tag = self.abs.configuration(x);
-            if !tag.is_empty() || matches!(self.mode, ctxform_algebra::BoundaryMode::Prefix) {
+            let tag = self.st.abs.configuration(x);
+            if !tag.is_empty() || matches!(self.st.mode, ctxform_algebra::BoundaryMode::Prefix) {
                 *histogram.entry(tag).or_insert(0) += 1;
             }
         }
         let mut pts_configurations: Vec<(String, usize)> = histogram.into_iter().collect();
         pts_configurations.sort();
-        self.stats.pts_configurations = pts_configurations;
+        self.st.stats.pts_configurations = pts_configurations;
 
         let mut ci = CiFacts::default();
-        for &(y, h, _) in &self.pts {
+        for &(y, h, _) in &self.st.pts {
             ci.pts.insert((y, h));
         }
-        for &(g, f, h, _) in &self.hpts {
+        for &(g, f, h, _) in &self.st.hpts {
             ci.hpts.insert((g, f, h));
         }
-        for &(i, q, _) in &self.call {
+        for &(i, q, _) in &self.st.call {
             ci.call.insert((i, q));
         }
-        for &(f, h, _) in &self.spts {
+        for &(f, h, _) in &self.st.spts {
             ci.spts.insert((f, h));
         }
-        for &(p, _) in &self.reach {
+        for &(p, _) in &self.st.reach {
             ci.reach.insert(p);
         }
         AnalysisResult {
-            config: self.config,
-            stats: self.stats.clone(),
+            config: self.st.config,
+            stats: self.st.stats.clone(),
             ci,
-            log: mem::take(&mut self.log),
+            log: mem::take(&mut self.st.log),
         }
+    }
+}
+
+/// The members of `set` that pass `keep`, sorted: a deterministic order
+/// for re-queued and re-indexed facts, independent of hash order.
+fn sorted<T: Copy + Ord>(set: &FxHashSet<T>, keep: impl Fn(&T) -> bool) -> Vec<T> {
+    let mut out: Vec<T> = set.iter().copied().filter(|t| keep(t)).collect();
+    out.sort_unstable();
+    out
+}
+
+/// The direct sink: interning always succeeds and consequences are
+/// inserted on the spot.
+impl<'p, A: Abstraction> Sink<'p, A> for Solver<'p, A> {
+    #[inline]
+    fn solver(&self) -> &Solver<'p, A> {
+        self
+    }
+
+    #[inline]
+    fn scratch(&mut self) -> &mut Scratch<A::X> {
+        &mut self.st.scratch
+    }
+
+    #[inline]
+    fn count_probes(&mut self, n: u64) {
+        self.st.stats.probes += n;
+    }
+
+    #[inline]
+    fn rule_times(&mut self) -> &mut RuleTimes {
+        &mut self.st.stats.rule_time
+    }
+
+    #[inline]
+    fn intern<T>(
+        &mut self,
+        _ro: impl FnOnce(&A) -> Result<T, NeedsIntern>,
+        rw: impl FnOnce(&mut A) -> T,
+    ) -> Result<T, NeedsIntern> {
+        Ok(rw(&mut self.st.abs))
+    }
+
+    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Result<Option<A::X>, NeedsIntern> {
+        let st = &mut self.st;
+        st.stats.compose_calls += 1;
+        if st.config.memoize {
+            if let Some(&r) = st.compose_memo.get(&(a, b, limits)) {
+                st.stats.compose_memo_hits += 1;
+                if r.is_none() {
+                    st.stats.compose_bottom += 1;
+                }
+                return Ok(r);
+            }
+            st.stats.compose_memo_misses += 1;
+        }
+        let r = st.abs.compose(a, b, limits);
+        if r.is_none() {
+            st.stats.compose_bottom += 1;
+        }
+        if st.config.memoize {
+            st.compose_memo.insert((a, b, limits), r);
+        }
+        Ok(r)
+    }
+
+    #[inline]
+    fn emit(&mut self, fact: Fact<A::X>, rule: &'static str) {
+        self.insert(fact, rule);
+    }
+
+    fn defer(&mut self, _cand: Candidate<A::X>) {
+        unreachable!("the direct sink interns, so it never defers");
     }
 }

@@ -1,31 +1,32 @@
 //! Round-based frontier parallelism for the semi-naive solver.
 //!
-//! The legacy loop in [`super`] pops one delta at a time and mutates the
-//! fact indices after every rule evaluation. This module restructures the
-//! same rules into rounds:
+//! The serial loop in [`super`] pops one delta at a time and drives it
+//! through the direct sink, mutating the fact indices after every rule
+//! evaluation. This module runs the same kernel drivers in rounds:
 //!
 //! 1. **Drain**: all delta queues are drained (in a fixed relation order)
 //!    into one `frontier` vector.
 //! 2. **Evaluate (parallel)**: the frontier is split into contiguous
-//!    chunks; `std::thread::scope` workers evaluate the rule drivers
-//!    *read-only* against the frozen solver state (fact sets, join
-//!    buckets, interner, `ProgramIndex`), appending [`Candidate`]
+//!    chunks; `std::thread::scope` workers evaluate the kernel drivers
+//!    through the read-only worker sink against the frozen solver state
+//!    (fact sets, join buckets, interner, `ProgramIndex`), appending [`Candidate`]
 //!    derivations to a private per-chunk buffer. Worker `w` statically
 //!    owns chunks `w, w + T, w + 2T, …`, and each worker keeps its own
 //!    compose-memo shard across rounds.
 //! 3. **Merge (sequential)**: chunk buffers are applied in chunk order
-//!    through the ordinary `insert_*` methods, which dedup, subsume,
-//!    index, log, and re-queue exactly as the legacy path does.
+//!    through the direct sink, which dedups, subsumes, indexes, logs, and
+//!    re-queues exactly as the serial loop does.
 //!
 //! # Determinism
 //!
 //! The result is bit-identical for every thread count (and across runs):
 //!
-//! * Workers never mutate shared state — the one operation the legacy rule
-//!   drivers mutate through, context-string interning, is routed through
+//! * Workers never mutate shared state — the one operation the direct
+//!   sink mutates through, context-string interning, is routed through
 //!   the read-only `try_*` twins of the [`Abstraction`] interface. When a
 //!   derivation would need to intern a *new* string, the worker emits a
-//!   deferred [`Candidate`] and the merge phase replays the mutating twin.
+//!   deferred [`Candidate`] and the merge phase replays the same kernel
+//!   step through the direct sink.
 //!   All interning therefore happens sequentially, in candidate order.
 //! * The concatenation of the chunk buffers equals the candidate sequence
 //!   a single worker would produce walking the frontier in order: chunks
@@ -52,95 +53,45 @@
 //! and both orientations of every two-derived-literal join are implemented
 //! by the drivers — the same argument as the sequential engine's.
 
-use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite};
-use ctxform_ir::{Field, Heap, Inv, Method, Var};
+use ctxform_algebra::{Abstraction, Limits, NeedsIntern};
 
+use super::kernel::{Candidate, Fact, Scratch, Sink};
 use super::{ComposeMemo, Solver};
-use crate::result::{rule, RoundProfile, RuleTimes, MAX_ROUND_PROFILES};
-
-/// One drained delta, tagged with its relation.
-pub(super) enum Delta<X> {
-    Reach(Method, CtxtStr),
-    Pts(Var, Heap, X),
-    Call(Inv, Method, X),
-    Hpts(Heap, Field, Heap, X),
-    Hload(Heap, Field, Var, X),
-    Spts(Field, Heap, X),
-}
-
-/// A derivation produced by a worker, to be applied by the merge phase.
-///
-/// The `Def*` variants are derivations the worker could not finish
-/// read-only because the result requires interning a new context string;
-/// the merge phase replays the mutating operation and inserts the result.
-pub(super) enum Candidate<X> {
-    Pts(Var, Heap, X, &'static str),
-    Hpts(Heap, Field, Heap, X, &'static str),
-    Hload(Heap, Field, Var, X, &'static str),
-    Call(Inv, Method, X, &'static str),
-    Spts(Field, Heap, X, &'static str),
-    Reach(Method, CtxtStr, &'static str),
-    /// `record(m)` feeding `pts(y, h, ·)` (New).
-    DefRecord(Var, Heap, CtxtStr),
-    /// `compose(a, b, limits)` feeding `pts(y, h, ·)`.
-    DefComposePts(Var, Heap, X, X, Limits, &'static str),
-    /// `compose(a, b, limits)` feeding `hpts(g, f, h, ·)`.
-    DefComposeHpts(Heap, Field, Heap, X, X, Limits, &'static str),
-    /// `merge_s(i, m)` feeding `call(i, q, ·)` (Static).
-    DefMergeS(Inv, Method, CtxtStr),
-    /// `load_global(b, m)` feeding `pts(z, h, ·)` (SLoad).
-    DefLoadGlobal(Var, Heap, X, CtxtStr),
-    /// `globalize(b)` feeding `spts(f, h, ·)` (SStore).
-    DefGlobalize(Field, Heap, X),
-    /// The whole Virt consequent for receiver fact `pts(_, h, b)` at
-    /// invocation `i` resolving to `q`: replays `merge` (and the
-    /// `this`-flow compose) sequentially.
-    DefVirt(Inv, Method, Heap, X),
-}
+use crate::result::{RoundProfile, RuleTimes, MAX_ROUND_PROFILES};
 
 /// Per-worker state that persists across rounds: the compose-memo shard
 /// and the reusable join-candidate buffers.
-pub(super) struct WorkerState<X> {
+struct WorkerState<X> {
     memo: ComposeMemo<X>,
-    scratch_heap: Vec<(Heap, X)>,
-    scratch_method: Vec<(Method, X)>,
-    scratch_inv: Vec<(Inv, X)>,
-    scratch_var: Vec<(Var, X)>,
+    scratch: Scratch<X>,
 }
 
 impl<X> Default for WorkerState<X> {
     fn default() -> Self {
         WorkerState {
             memo: ComposeMemo::default(),
-            scratch_heap: Vec::new(),
-            scratch_method: Vec::new(),
-            scratch_inv: Vec::new(),
-            scratch_var: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 }
 
 /// The output of processing one chunk: candidates in frontier order plus
 /// the counter deltas to fold into [`SolverStats`](crate::SolverStats).
-pub(super) struct ChunkOut<X> {
-    pub(super) cands: Vec<Candidate<X>>,
-    pub(super) probes: u64,
-    pub(super) compose_calls: u64,
-    pub(super) compose_bottom: u64,
-    pub(super) memo_hits: u64,
-    pub(super) memo_misses: u64,
-    pub(super) deferred: u64,
-    /// Summary-index Ret applications observed by this chunk's worker
-    /// (summary mode only; always zero under round-based solving).
-    pub(super) summaries_applied: u64,
+struct ChunkOut<X> {
+    cands: Vec<Candidate<X>>,
+    probes: u64,
+    compose_calls: u64,
+    compose_bottom: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+    deferred: u64,
     /// Per-rule evaluation wall time observed by this chunk's worker
     /// (all-zero unless `config.profile` is set). Folded into
     /// `stats.rule_time` during the merge phase — purely observational,
     /// never part of the candidate stream.
-    pub(super) rule_time: RuleTimes,
+    rule_time: RuleTimes,
 }
 
 impl<X> Default for ChunkOut<X> {
@@ -153,7 +104,6 @@ impl<X> Default for ChunkOut<X> {
             memo_hits: 0,
             memo_misses: 0,
             deferred: 0,
-            summaries_applied: 0,
             rule_time: RuleTimes::default(),
         }
     }
@@ -162,572 +112,100 @@ impl<X> Default for ChunkOut<X> {
 /// Contiguous chunk length for a frontier of `n` deltas. Any value yields
 /// the same result (chunks are concatenated in order); this only balances
 /// scheduling granularity against per-chunk overhead.
-pub(super) fn chunk_size(n: usize, threads: usize) -> usize {
+fn chunk_size(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * 4).clamp(16, 4096)
 }
 
-/// A worker's read-only view of the solver plus its private output.
+/// The worker sink: a read-only view of the solver plus its private
+/// output.
 struct Worker<'a, 'p, A: Abstraction> {
     s: &'a Solver<'p, A>,
-    st: &'a mut WorkerState<A::X>,
+    ws: &'a mut WorkerState<A::X>,
     out: ChunkOut<A::X>,
 }
 
 /// Evaluates the rule drivers for every delta in `chunk`, read-only.
-pub(super) fn process_chunk<'p, A: Abstraction>(
+fn eval_chunk<'p, A: Abstraction>(
     s: &Solver<'p, A>,
-    st: &mut WorkerState<A::X>,
-    chunk: &[Delta<A::X>],
+    ws: &mut WorkerState<A::X>,
+    chunk: &[Fact<A::X>],
 ) -> ChunkOut<A::X> {
     let mut w = Worker {
         s,
-        st,
+        ws,
         out: ChunkOut::default(),
     };
-    for delta in chunk {
-        match *delta {
-            Delta::Reach(p, m) => w.drive_reach(p, m),
-            Delta::Pts(y, h, x) => w.drive_pts(y, h, x),
-            Delta::Call(i, q, x) => w.drive_call(i, q, x),
-            Delta::Hpts(g, f, h, x) => w.drive_hpts(g, f, h, x),
-            Delta::Hload(g, f, y, x) => w.drive_hload(g, f, y, x),
-            Delta::Spts(f, h, x) => w.drive_spts(f, h, x),
-        }
+    for &delta in chunk {
+        w.drive(delta);
     }
     w.out
 }
 
-impl<'p, A: Abstraction> Worker<'_, 'p, A> {
-    // Profiling hooks — mirrors of the legacy solver's: plain untaken
-    // branches (no clocks) when `config.profile` is off, and when on the
-    // timings land only in `out.rule_time`, never in the candidates.
-
-    /// Block-start timestamp, or `None` when profiling is off.
-    #[inline]
-    fn prof_start(&self) -> Option<Instant> {
-        if self.s.config.profile {
-            Some(Instant::now())
-        } else {
-            None
-        }
+impl<'p, A: Abstraction> Sink<'p, A> for Worker<'_, 'p, A> {
+    fn solver(&self) -> &Solver<'p, A> {
+        self.s
     }
 
-    /// Closes a timed rule block opened by [`Worker::prof_start`].
-    #[inline]
-    fn prof_rule(&mut self, t: Option<Instant>, idx: usize) {
-        if let Some(t) = t {
-            self.out
-                .rule_time
-                .observe(idx, t.elapsed().as_nanos() as u64);
-        }
+    fn scratch(&mut self) -> &mut Scratch<A::X> {
+        &mut self.ws.scratch
     }
 
-    // Emit helpers: pre-filter exact duplicates against the frozen fact
-    // sets. `insert_*` performs the same check first against a superset of
-    // this state (facts are never removed), so the filter only drops
-    // candidates the merge phase would drop anyway.
-
-    fn emit_pts(&mut self, y: Var, h: Heap, x: A::X, rule: &'static str) {
-        if self.s.pts.contains(&(y, h, x)) {
-            return;
-        }
-        self.out.cands.push(Candidate::Pts(y, h, x, rule));
+    fn count_probes(&mut self, n: u64) {
+        self.out.probes += n;
     }
 
-    fn emit_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X, rule: &'static str) {
-        // Mirror insert_hpts's collapse so the dedup key matches.
-        let s = self.s;
-        let x = if s.config.collapse_insensitive_heap && s.levels.heap == 0 {
-            s.abs.uninformative()
-        } else {
-            x
+    fn rule_times(&mut self) -> &mut RuleTimes {
+        &mut self.out.rule_time
+    }
+
+    fn intern<T>(
+        &mut self,
+        ro: impl FnOnce(&A) -> Result<T, NeedsIntern>,
+        _rw: impl FnOnce(&mut A) -> T,
+    ) -> Result<T, NeedsIntern> {
+        ro(&self.s.st.abs)
+    }
+
+    /// Read-only memoized compose over the worker's memo shard. `Ok`
+    /// results (including ⊥) are exact; `Err` means the merge phase must
+    /// replay the mutating compose (which also does the stats accounting
+    /// for that call).
+    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Result<Option<A::X>, NeedsIntern> {
+        let memoize = self.s.st.config.memoize;
+        let r = match self.ws.memo.get(&(a, b, limits)) {
+            Some(&r) if memoize => {
+                self.out.memo_hits += 1;
+                r
+            }
+            _ => {
+                let r = self.s.st.abs.try_compose(a, b, limits)?;
+                if memoize {
+                    self.out.memo_misses += 1;
+                    self.ws.memo.insert((a, b, limits), r);
+                }
+                r
+            }
         };
-        if s.hpts.contains(&(g, f, h, x)) {
-            return;
+        self.out.compose_calls += 1;
+        if r.is_none() {
+            self.out.compose_bottom += 1;
         }
-        self.out.cands.push(Candidate::Hpts(g, f, h, x, rule));
+        Ok(r)
     }
 
-    fn emit_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X, rule: &'static str) {
-        if self.s.hload.contains(&(g, f, y, x)) {
-            return;
+    /// Pre-filters exact duplicates against the frozen fact sets.
+    /// `insert_*` performs the same check first against a superset of
+    /// this state (facts are never removed mid-solve), so the filter only
+    /// drops candidates the merge phase would drop anyway.
+    fn emit(&mut self, fact: Fact<A::X>, rule: &'static str) {
+        if !self.s.st.contains(fact) {
+            self.out.cands.push(Candidate::Fact(fact, rule));
         }
-        self.out.cands.push(Candidate::Hload(g, f, y, x, rule));
-    }
-
-    fn emit_call(&mut self, i: Inv, q: Method, x: A::X, rule: &'static str) {
-        if self.s.call.contains(&(i, q, x)) {
-            return;
-        }
-        self.out.cands.push(Candidate::Call(i, q, x, rule));
-    }
-
-    fn emit_spts(&mut self, f: Field, h: Heap, x: A::X, rule: &'static str) {
-        if self.s.spts.contains(&(f, h, x)) {
-            return;
-        }
-        self.out.cands.push(Candidate::Spts(f, h, x, rule));
-    }
-
-    fn emit_reach(&mut self, p: Method, m: CtxtStr, rule: &'static str) {
-        if self.s.reach.contains(&(p, m)) {
-            return;
-        }
-        self.out.cands.push(Candidate::Reach(p, m, rule));
     }
 
     fn defer(&mut self, cand: Candidate<A::X>) {
         self.out.deferred += 1;
         self.out.cands.push(cand);
-    }
-
-    /// Read-only memoized compose. `Ok` results (including ⊥) are exact;
-    /// `Err` means the merge phase must replay the mutating compose (which
-    /// also does the stats accounting for that call).
-    fn try_compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Result<Option<A::X>, ()> {
-        let s = self.s;
-        if s.config.memoize {
-            if let Some(&r) = self.st.memo.get(&(a, b, limits)) {
-                self.out.compose_calls += 1;
-                self.out.memo_hits += 1;
-                if r.is_none() {
-                    self.out.compose_bottom += 1;
-                }
-                return Ok(r);
-            }
-        }
-        match s.abs.try_compose(a, b, limits) {
-            Ok(r) => {
-                self.out.compose_calls += 1;
-                if s.config.memoize {
-                    self.out.memo_misses += 1;
-                    self.st.memo.insert((a, b, limits), r);
-                }
-                if r.is_none() {
-                    self.out.compose_bottom += 1;
-                }
-                Ok(r)
-            }
-            Err(_) => Err(()),
-        }
-    }
-
-    // Read-only join candidate collection (mirrors the legacy
-    // `collect_compatible_*` methods, counting probes locally).
-
-    /// Worker-side mirror of `Solver::collect_compatible_summary`
-    /// (summary mode never runs with subsumption, so no dead filter).
-    fn collect_summary(&mut self, p: Method, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.summary_by_method.get(&p) {
-            self.out.probes += bucket.for_compatible(query, s.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_pts(&mut self, var: Var, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.pts_by_var.get(&var) {
-            let probes = if s.config.subsumption {
-                let dead = &s.dead_pts;
-                bucket.for_compatible(query, s.abs.interner(), |(h, x)| {
-                    if !dead.contains(&(var, h, x)) {
-                        out.push((h, x));
-                    }
-                })
-            } else {
-                bucket.for_compatible(query, s.abs.interner(), |v| out.push(v))
-            };
-            self.out.probes += probes;
-        }
-    }
-
-    fn collect_call_by_inv(&mut self, i: Inv, query: CtxtStr, out: &mut Vec<(Method, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.call_by_inv.get(&i) {
-            self.out.probes += bucket.for_compatible(query, s.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_call_by_method(&mut self, p: Method, query: CtxtStr, out: &mut Vec<(Inv, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.call_by_method.get(&p) {
-            self.out.probes += bucket.for_compatible(query, s.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_hload(&mut self, g: Heap, f: Field, query: CtxtStr, out: &mut Vec<(Var, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.hload_by_gf.get(&(g, f)) {
-            self.out.probes += bucket.for_compatible(query, s.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_hpts(&mut self, g: Heap, f: Field, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.hpts_by_gf.get(&(g, f)) {
-            self.out.probes += bucket.for_compatible(query, s.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    // Rule drivers: read-only mirrors of the legacy `process_*` methods.
-    // The candidate emission order within one delta is exactly the legacy
-    // insertion order.
-
-    /// New + Static + SLoad (reach role).
-    fn drive_reach(&mut self, p: Method, m: CtxtStr) {
-        let s = self.s;
-        let ix = s.ix;
-        let t = self.prof_start();
-        if let Some(allocs) = ix.allocs_by_method.get(&p) {
-            for &(h, y) in allocs {
-                match s.abs.try_record(m) {
-                    Ok(x) => self.emit_pts(y, h, x, "New"),
-                    Err(_) => self.defer(Candidate::DefRecord(y, h, m)),
-                }
-            }
-        }
-        self.prof_rule(t, rule::NEW);
-        let t = self.prof_start();
-        if let Some(statics) = ix.statics_by_method.get(&p) {
-            for &(i, q) in statics {
-                match s.abs.try_merge_s(CtxtElem::of_inv(i), m) {
-                    Ok(c) => self.emit_call(i, q, c, "Static"),
-                    Err(_) => self.defer(Candidate::DefMergeS(i, q, m)),
-                }
-            }
-        }
-        self.prof_rule(t, rule::STATIC);
-        let t = self.prof_start();
-        if let Some(loads) = ix.static_loads_by_method.get(&p) {
-            let mut facts = mem::take(&mut self.st.scratch_heap);
-            for &(f, z) in loads {
-                facts.clear();
-                if let Some(fs) = s.spts_by_field.get(&f) {
-                    facts.extend_from_slice(fs);
-                }
-                for &(h, b) in facts.iter() {
-                    match s.abs.try_load_global(b, m) {
-                        Ok(x) => self.emit_pts(z, h, x, "SLoad"),
-                        Err(_) => self.defer(Candidate::DefLoadGlobal(z, h, b, m)),
-                    }
-                }
-            }
-            self.st.scratch_heap = facts;
-        }
-        self.prof_rule(t, rule::SLOAD);
-    }
-
-    /// Assign, Load, Store (both roles), Param (actual role), Ret (return
-    /// role), SStore, Virt.
-    fn drive_pts(&mut self, z: Var, h: Heap, b: A::X) {
-        let s = self.s;
-        let ix = s.ix;
-        let t = self.prof_start();
-        if let Some(targets) = ix.assign_from.get(&z) {
-            for &y in targets {
-                self.emit_pts(y, h, b, "Assign");
-            }
-        }
-        self.prof_rule(t, rule::ASSIGN);
-        let t = self.prof_start();
-        if let Some(loads) = ix.loads_by_base.get(&z) {
-            for &(f, dst) in loads {
-                self.emit_hload(h, f, dst, b, "Load");
-            }
-        }
-        self.prof_rule(t, rule::LOAD);
-        let t = self.prof_start();
-        if let Some(stores) = ix.stores_by_value.get(&z) {
-            let query = s.abs.dst_boundary(b);
-            let limits = s.limits_store();
-            let mut cand = mem::take(&mut self.st.scratch_heap);
-            for &(f, base) in stores {
-                cand.clear();
-                self.collect_pts(base, query, &mut cand);
-                for &(g, c) in cand.iter() {
-                    let inv_c = s.abs.invert(c);
-                    match self.try_compose(b, inv_c, limits) {
-                        Ok(Some(a)) => self.emit_hpts(g, f, h, a, "Store"),
-                        Ok(None) => {}
-                        Err(()) => self.defer(Candidate::DefComposeHpts(
-                            g, f, h, b, inv_c, limits, "Store",
-                        )),
-                    }
-                }
-            }
-            self.st.scratch_heap = cand;
-        }
-        if let Some(stores) = ix.stores_by_base.get(&z) {
-            let query = s.abs.dst_boundary(b);
-            let inv_c = s.abs.invert(b);
-            let limits = s.limits_store();
-            let mut cand = mem::take(&mut self.st.scratch_heap);
-            for &(f, value) in stores {
-                cand.clear();
-                self.collect_pts(value, query, &mut cand);
-                for &(hh, bv) in cand.iter() {
-                    match self.try_compose(bv, inv_c, limits) {
-                        Ok(Some(a)) => self.emit_hpts(h, f, hh, a, "Store"),
-                        Ok(None) => {}
-                        Err(()) => self.defer(Candidate::DefComposeHpts(
-                            h, f, hh, bv, inv_c, limits, "Store",
-                        )),
-                    }
-                }
-            }
-            self.st.scratch_heap = cand;
-        }
-        self.prof_rule(t, rule::STORE);
-        let t = self.prof_start();
-        if let Some(actuals) = ix.actuals_by_var.get(&z) {
-            let query = s.abs.dst_boundary(b);
-            let limits = s.limits_flow();
-            let mut cand = mem::take(&mut self.st.scratch_method);
-            for &(i, o) in actuals {
-                cand.clear();
-                self.collect_call_by_inv(i, query, &mut cand);
-                for &(p, c) in cand.iter() {
-                    let Some(&y) = ix.formal_of.get(&(p, o)) else {
-                        continue;
-                    };
-                    match self.try_compose(b, c, limits) {
-                        Ok(Some(a)) => self.emit_pts(y, h, a, "Param"),
-                        Ok(None) => {}
-                        Err(()) => {
-                            self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Param"))
-                        }
-                    }
-                }
-            }
-            self.st.scratch_method = cand;
-        }
-        self.prof_rule(t, rule::PARAM);
-        let t = self.prof_start();
-        if let Some(returns) = ix.returns_by_var.get(&z) {
-            let query = s.abs.dst_boundary(b);
-            let limits = s.limits_flow();
-            let mut cand = mem::take(&mut self.st.scratch_inv);
-            for &p in returns {
-                cand.clear();
-                self.collect_call_by_method(p, query, &mut cand);
-                for &(i, c) in cand.iter() {
-                    let inv_c = s.abs.invert(c);
-                    let composed = match self.try_compose(b, inv_c, limits) {
-                        Ok(Some(a)) => Some(a),
-                        Ok(None) => continue,
-                        Err(()) => None,
-                    };
-                    if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-                        for &y in ys {
-                            match composed {
-                                Some(a) => self.emit_pts(y, h, a, "Ret"),
-                                None => self
-                                    .defer(Candidate::DefComposePts(y, h, b, inv_c, limits, "Ret")),
-                            }
-                        }
-                    }
-                }
-            }
-            self.st.scratch_inv = cand;
-        }
-        self.prof_rule(t, rule::RET);
-        let t = self.prof_start();
-        if let Some(fields) = ix.static_stores_by_var.get(&z) {
-            for &f in fields {
-                match s.abs.try_globalize(b) {
-                    Ok(g) => self.emit_spts(f, h, g, "SStore"),
-                    Err(_) => self.defer(Candidate::DefGlobalize(f, h, b)),
-                }
-            }
-        }
-        self.prof_rule(t, rule::SSTORE);
-        let t = self.prof_start();
-        if let Some(virtuals) = ix.virtuals_by_recv.get(&z) {
-            let t = ix.type_of_heap[h.index()];
-            let class = ix.class_of_heap[h.index()];
-            let limits = s.limits_flow();
-            for &(i, sig) in virtuals {
-                let Some(q) = ix.resolve(t, sig) else {
-                    continue;
-                };
-                let site = MergeSite {
-                    inv: CtxtElem::of_inv(i),
-                    heap: CtxtElem::of_heap(h),
-                    class: CtxtElem::of_type(class),
-                };
-                match s.abs.try_merge(site, b) {
-                    Ok(c) => {
-                        self.emit_call(i, q, c, "Virt");
-                        if let Some(&y) = ix.this_of_method.get(&q) {
-                            match self.try_compose(b, c, limits) {
-                                Ok(Some(a)) => self.emit_pts(y, h, a, "Virt"),
-                                Ok(None) => {}
-                                Err(()) => {
-                                    self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Virt"))
-                                }
-                            }
-                        }
-                    }
-                    // The call edge itself needs interning: replay the
-                    // whole consequent sequentially.
-                    Err(_) => self.defer(Candidate::DefVirt(i, q, h, b)),
-                }
-            }
-        }
-        self.prof_rule(t, rule::VIRT);
-    }
-
-    /// Ind, hpts role.
-    fn drive_hpts(&mut self, g: Heap, f: Field, h: Heap, b: A::X) {
-        let s = self.s;
-        let t = self.prof_start();
-        let query = s.abs.dst_boundary(b);
-        let limits = s.limits_flow();
-        let mut cand = mem::take(&mut self.st.scratch_var);
-        cand.clear();
-        self.collect_hload(g, f, query, &mut cand);
-        for &(y, c) in cand.iter() {
-            match self.try_compose(b, c, limits) {
-                Ok(Some(a)) => self.emit_pts(y, h, a, "Ind"),
-                Ok(None) => {}
-                Err(()) => self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Ind")),
-            }
-        }
-        self.st.scratch_var = cand;
-        self.prof_rule(t, rule::IND);
-    }
-
-    /// Ind, hload role.
-    fn drive_hload(&mut self, g: Heap, f: Field, y: Var, c: A::X) {
-        let s = self.s;
-        let t = self.prof_start();
-        let query = s.abs.src_boundary(c);
-        let limits = s.limits_flow();
-        let mut cand = mem::take(&mut self.st.scratch_heap);
-        cand.clear();
-        self.collect_hpts(g, f, query, &mut cand);
-        for &(h, b) in cand.iter() {
-            match self.try_compose(b, c, limits) {
-                Ok(Some(a)) => self.emit_pts(y, h, a, "Ind"),
-                Ok(None) => {}
-                Err(()) => self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Ind")),
-            }
-        }
-        self.st.scratch_heap = cand;
-        self.prof_rule(t, rule::IND);
-    }
-
-    /// SLoad, spts role.
-    fn drive_spts(&mut self, f: Field, h: Heap, b: A::X) {
-        let s = self.s;
-        let ix = s.ix;
-        let t = self.prof_start();
-        if let Some(loaders) = ix.static_loads_by_field.get(&f) {
-            for &z in loaders {
-                let p = s.program.var_method[z.index()];
-                if let Some(ms) = s.reach_by_method.get(&p) {
-                    for &m in ms.iter() {
-                        match s.abs.try_load_global(b, m) {
-                            Ok(x) => self.emit_pts(z, h, x, "SLoad"),
-                            Err(_) => self.defer(Candidate::DefLoadGlobal(z, h, b, m)),
-                        }
-                    }
-                }
-            }
-        }
-        self.prof_rule(t, rule::SLOAD);
-    }
-
-    /// Reach + Param (call role) + Ret (call role).
-    fn drive_call(&mut self, i: Inv, p: Method, c: A::X) {
-        let s = self.s;
-        let ix = s.ix;
-        let t = self.prof_start();
-        let m = s.abs.target(c);
-        self.emit_reach(p, m, "Reach");
-        self.prof_rule(t, rule::REACH);
-        let t = self.prof_start();
-        if let Some(actuals) = ix.actuals_by_inv.get(&i) {
-            let query = s.abs.src_boundary(c);
-            let limits = s.limits_flow();
-            let mut cand = mem::take(&mut self.st.scratch_heap);
-            for &(o, z) in actuals {
-                let Some(&y) = ix.formal_of.get(&(p, o)) else {
-                    continue;
-                };
-                cand.clear();
-                self.collect_pts(z, query, &mut cand);
-                for &(h, b) in cand.iter() {
-                    match self.try_compose(b, c, limits) {
-                        Ok(Some(a)) => self.emit_pts(y, h, a, "Param"),
-                        Ok(None) => {}
-                        Err(()) => {
-                            self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Param"))
-                        }
-                    }
-                }
-            }
-            self.st.scratch_heap = cand;
-        }
-        self.prof_rule(t, rule::PARAM);
-        let t = self.prof_start();
-        if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-            if s.summary_mode() {
-                // Summary path — same rows, filter, and compose as the
-                // per-return-variable scan below (see the serial
-                // `process_call` for the parity argument).
-                let query = s.abs.dst_boundary(c);
-                let inv_c = s.abs.invert(c);
-                let limits = s.limits_flow();
-                let mut cand = mem::take(&mut self.st.scratch_heap);
-                cand.clear();
-                self.collect_summary(p, query, &mut cand);
-                for &(h, b) in cand.iter() {
-                    let composed = match self.try_compose(b, inv_c, limits) {
-                        Ok(Some(a)) => Some(a),
-                        Ok(None) => continue,
-                        Err(()) => None,
-                    };
-                    if composed.is_some() {
-                        self.out.summaries_applied += 1;
-                    }
-                    for &y in ys {
-                        match composed {
-                            Some(a) => self.emit_pts(y, h, a, "Ret"),
-                            None => {
-                                self.defer(Candidate::DefComposePts(y, h, b, inv_c, limits, "Ret"))
-                            }
-                        }
-                    }
-                }
-                self.st.scratch_heap = cand;
-            } else if let Some(returns) = ix.returns_by_method.get(&p) {
-                let query = s.abs.dst_boundary(c);
-                let inv_c = s.abs.invert(c);
-                let limits = s.limits_flow();
-                let mut cand = mem::take(&mut self.st.scratch_heap);
-                for &z in returns {
-                    cand.clear();
-                    self.collect_pts(z, query, &mut cand);
-                    for &(h, b) in cand.iter() {
-                        let composed = match self.try_compose(b, inv_c, limits) {
-                            Ok(Some(a)) => Some(a),
-                            Ok(None) => continue,
-                            Err(()) => None,
-                        };
-                        for &y in ys {
-                            match composed {
-                                Some(a) => self.emit_pts(y, h, a, "Ret"),
-                                None => self
-                                    .defer(Candidate::DefComposePts(y, h, b, inv_c, limits, "Ret")),
-                            }
-                        }
-                    }
-                }
-                self.st.scratch_heap = cand;
-            }
-        }
-        self.prof_rule(t, rule::RET);
     }
 }
 
@@ -739,56 +217,37 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     pub(super) fn fixpoint_parallel(&mut self, threads: usize) {
         let mut states: Vec<WorkerState<A::X>> =
             (0..threads).map(|_| WorkerState::default()).collect();
-        let mut frontier: Vec<Delta<A::X>> = Vec::new();
+        let mut frontier: Vec<Fact<A::X>> = Vec::new();
 
         loop {
             // Phase 1: drain the queues into the frontier, in a fixed
             // relation order (each queue's order is insertion order, which
             // the deterministic merge phase produced).
             frontier.clear();
-            for (p, m) in self.q_reach.drain(..) {
-                frontier.push(Delta::Reach(p, m));
-            }
-            let subsumption = self.config.subsumption;
-            let dead = &self.dead_pts;
-            frontier.extend(self.q_pts.drain(..).filter_map(|(y, h, x)| {
-                if subsumption && dead.contains(&(y, h, x)) {
-                    None
-                } else {
-                    Some(Delta::Pts(y, h, x))
-                }
-            }));
-            for (i, q, x) in self.q_call.drain(..) {
-                frontier.push(Delta::Call(i, q, x));
-            }
-            for (g, f, h, x) in self.q_hpts.drain(..) {
-                frontier.push(Delta::Hpts(g, f, h, x));
-            }
-            for (g, f, y, x) in self.q_hload.drain(..) {
-                frontier.push(Delta::Hload(g, f, y, x));
-            }
-            for (f, h, x) in self.q_spts.drain(..) {
-                frontier.push(Delta::Spts(f, h, x));
+            self.st.queue.drain_into(&mut frontier);
+            if self.st.config.subsumption {
+                let dead = &self.st.dead_pts;
+                frontier.retain(|d| !matches!(*d, Fact::Pts(y, h, x) if dead.contains(&(y, h, x))));
             }
             if frontier.is_empty() {
                 break;
             }
             let n = frontier.len();
-            self.stats.par_rounds += 1;
-            self.stats.par_frontier_peak = self.stats.par_frontier_peak.max(n);
-            self.stats.events += n;
+            self.st.stats.par_rounds += 1;
+            self.st.stats.par_frontier_peak = self.st.stats.par_frontier_peak.max(n);
+            self.st.stats.events += n;
             // Per-round timing span: inert (one relaxed load) unless
             // tracing is on. Purely observational — it must never feed
             // back into the candidate stream or merge order.
             let mut round_span = ctxform_obs::span("solver.round")
-                .field("round", self.stats.par_rounds)
+                .field("round", self.st.stats.par_rounds)
                 .field("frontier", n);
 
             // Phase 2: evaluate chunks. A one-chunk frontier runs inline
             // on the calling thread — through the same chunk driver and
             // the same worker state striding would pick (worker 0 owns
             // chunk 0), so the candidate stream is unaffected.
-            let eval_start = if self.config.profile {
+            let eval_start = if self.st.config.profile {
                 Some(Instant::now())
             } else {
                 None
@@ -798,7 +257,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             let mut outs: Vec<Option<ChunkOut<A::X>>> = Vec::with_capacity(n_chunks);
             outs.resize_with(n_chunks, || None);
             if n_chunks == 1 {
-                outs[0] = Some(process_chunk(&*self, &mut states[0], &frontier));
+                outs[0] = Some(eval_chunk(&*self, &mut states[0], &frontier));
             } else {
                 let solver_ref = &*self;
                 let frontier_ref = &frontier;
@@ -811,10 +270,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                             while ci < n_chunks {
                                 let lo = ci * chunk;
                                 let hi = (lo + chunk).min(n);
-                                mine.push((
-                                    ci,
-                                    process_chunk(solver_ref, st, &frontier_ref[lo..hi]),
-                                ));
+                                mine.push((ci, eval_chunk(solver_ref, st, &frontier_ref[lo..hi])));
                                 ci += threads;
                             }
                             mine
@@ -834,14 +290,13 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             let mut merged = 0usize;
             for out in outs {
                 let out = out.expect("every chunk processed");
-                self.stats.probes += out.probes;
-                self.stats.compose_calls += out.compose_calls;
-                self.stats.compose_bottom += out.compose_bottom;
-                self.stats.compose_memo_hits += out.memo_hits;
-                self.stats.compose_memo_misses += out.memo_misses;
-                self.stats.par_deferred += out.deferred;
-                self.stats.summaries_applied += out.summaries_applied;
-                self.stats.rule_time.merge(&out.rule_time);
+                self.st.stats.probes += out.probes;
+                self.st.stats.compose_calls += out.compose_calls;
+                self.st.stats.compose_bottom += out.compose_bottom;
+                self.st.stats.compose_memo_hits += out.memo_hits;
+                self.st.stats.compose_memo_misses += out.memo_misses;
+                self.st.stats.par_deferred += out.deferred;
+                self.st.stats.rule_time.merge(&out.rule_time);
                 merged += out.cands.len();
                 for cand in out.cands {
                     self.apply_candidate(cand);
@@ -850,11 +305,11 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             round_span.record("candidates", merged);
             if let Some(t) = merge_start {
                 let merge_ns = t.elapsed().as_nanos() as u64;
-                self.stats.phase_profile.eval_ns += eval_ns;
-                self.stats.phase_profile.merge_ns += merge_ns;
-                if self.stats.round_profiles.len() < MAX_ROUND_PROFILES {
-                    self.stats.round_profiles.push(RoundProfile {
-                        round: self.stats.par_rounds,
+                self.st.stats.phase_profile.eval_ns += eval_ns;
+                self.st.stats.phase_profile.merge_ns += merge_ns;
+                if self.st.stats.round_profiles.len() < MAX_ROUND_PROFILES {
+                    self.st.stats.round_profiles.push(RoundProfile {
+                        round: self.st.stats.par_rounds,
                         frontier: n,
                         candidates: merged,
                         eval_ns,
@@ -865,59 +320,22 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         }
     }
 
-    /// Applies one worker candidate through the ordinary insertion
-    /// methods; `Def*` variants replay their interning operation first.
-    pub(super) fn apply_candidate(&mut self, cand: Candidate<A::X>) {
+    /// Applies one worker candidate through the direct sink; a deferred
+    /// step replays through the kernel helper that deferred it.
+    fn apply_candidate(&mut self, cand: Candidate<A::X>) {
         match cand {
-            Candidate::Pts(y, h, x, rule) => self.insert_pts(y, h, x, rule),
-            Candidate::Hpts(g, f, h, x, rule) => self.insert_hpts(g, f, h, x, rule),
-            Candidate::Hload(g, f, y, x, rule) => self.insert_hload(g, f, y, x, rule),
-            Candidate::Call(i, q, x, rule) => self.insert_call(i, q, x, rule),
-            Candidate::Spts(f, h, x, rule) => self.insert_spts(f, h, x, rule),
-            Candidate::Reach(p, m, rule) => self.insert_reach(p, m, rule),
-            Candidate::DefRecord(y, h, m) => {
-                let x = self.abs.record(m);
-                self.insert_pts(y, h, x, "New");
+            Candidate::Fact(fact, rule) => self.insert(fact, rule),
+            Candidate::Record(y, h, m) => self.new_pts(y, h, m),
+            Candidate::MergeS(i, q, m) => self.static_call(i, q, m),
+            Candidate::LoadGlobal(z, h, b, m) => self.sload_pts(z, h, b, m),
+            Candidate::Globalize(f, h, b) => self.sstore_spts(f, h, b),
+            Candidate::ComposePts(y, h, a, b, limits, rule) => {
+                self.compose_pts(y, h, a, b, limits, rule)
             }
-            Candidate::DefComposePts(y, h, a, b, limits, rule) => {
-                if let Some(x) = self.compose(a, b, limits) {
-                    self.insert_pts(y, h, x, rule);
-                }
+            Candidate::ComposeHpts(g, f, h, a, b, limits, rule) => {
+                self.compose_hpts(g, f, h, a, b, limits, rule)
             }
-            Candidate::DefComposeHpts(g, f, h, a, b, limits, rule) => {
-                if let Some(x) = self.compose(a, b, limits) {
-                    self.insert_hpts(g, f, h, x, rule);
-                }
-            }
-            Candidate::DefMergeS(i, q, m) => {
-                let c = self.abs.merge_s(CtxtElem::of_inv(i), m);
-                self.insert_call(i, q, c, "Static");
-            }
-            Candidate::DefLoadGlobal(z, h, b, m) => {
-                let x = self.abs.load_global(b, m);
-                self.insert_pts(z, h, x, "SLoad");
-            }
-            Candidate::DefGlobalize(f, h, b) => {
-                let g = self.abs.globalize(b);
-                self.insert_spts(f, h, g, "SStore");
-            }
-            Candidate::DefVirt(i, q, h, b) => {
-                let ix = self.ix;
-                let class = ix.class_of_heap[h.index()];
-                let site = MergeSite {
-                    inv: CtxtElem::of_inv(i),
-                    heap: CtxtElem::of_heap(h),
-                    class: CtxtElem::of_type(class),
-                };
-                let c = self.abs.merge(site, b);
-                self.insert_call(i, q, c, "Virt");
-                if let Some(&y) = ix.this_of_method.get(&q) {
-                    let limits = self.limits_flow();
-                    if let Some(a) = self.compose(b, c, limits) {
-                        self.insert_pts(y, h, a, "Virt");
-                    }
-                }
-            }
+            Candidate::Virt(i, q, h, b) => self.virt(i, q, h, b),
         }
     }
 }

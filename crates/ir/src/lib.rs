@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 mod builder;
-pub mod callgraph;
 mod delta;
 mod error;
 mod facts;
@@ -43,7 +42,6 @@ mod program;
 pub mod text;
 
 pub use builder::ProgramBuilder;
-pub use callgraph::{condense, scc_partition, Condensation, SccPartition};
 pub use delta::{ProgramDelta, ProgramDiff, ProgramRetraction};
 pub use error::IrError;
 pub use facts::Facts;

@@ -719,64 +719,6 @@ fn record_solve_metrics(registry: &Registry, stats: &SolverStats) {
             &LATENCY_BUCKETS_S,
         )
         .observe_duration(stats.duration);
-    // Bottom-up SCC summary engine series. Registered unconditionally
-    // (`.add(0)` still creates the series) so the families are
-    // scrapeable — and assertable in CI — even when every solve so far
-    // ran in round mode; they only advance on summary-mode solves.
-    registry
-        .counter(
-            "ctxform_solver_scc_solves_total",
-            "Fresh solves scheduled by the bottom-up SCC summary engine.",
-            &[],
-        )
-        .add(u64::from(stats.scc_waves > 0));
-    registry
-        .counter(
-            "ctxform_solver_scc_waves_total",
-            "Bottom-up waves executed by the SCC scheduler.",
-            &[],
-        )
-        .add(stats.scc_waves as u64);
-    registry
-        .counter(
-            "ctxform_solver_scc_summaries_total",
-            "Method summaries synthesized and applied by summary-mode solves.",
-            &[("event", "synthesized")],
-        )
-        .add(stats.summaries_synthesized);
-    registry
-        .counter(
-            "ctxform_solver_scc_summaries_total",
-            "Method summaries synthesized and applied by summary-mode solves.",
-            &[("event", "applied")],
-        )
-        .add(stats.summaries_applied);
-    registry
-        .gauge(
-            "ctxform_solver_scc_components",
-            "Call-graph SCCs condensed by the most recent summary-mode solve.",
-            &[],
-        )
-        .set(stats.scc_count as i64);
-    // SCC size distribution as a classic cumulative `le` counter family
-    // (the condensation yields integer sizes, not durations, so the
-    // shared latency histogram helper does not fit).
-    let mut cumulative = 0u64;
-    let mut le = |label: &'static str, n: u64| {
-        cumulative += n;
-        registry
-            .counter(
-                "ctxform_solver_scc_size_total",
-                "Call-graph SCC sizes observed by summary-mode solves (cumulative buckets).",
-                &[("le", label)],
-            )
-            .add(cumulative);
-    };
-    const LABELS: [&str; ctxform::SCC_SIZE_BOUNDS.len()] = ["1", "2", "4", "8", "16", "32", "64"];
-    for (label, &n) in LABELS.iter().zip(stats.scc_sizes.iter()) {
-        le(label, n);
-    }
-    le("+Inf", stats.scc_sizes[ctxform::SCC_SIZE_BOUNDS.len()]);
 }
 
 /// The canonical content digest of a program: `fx_hash_one` over the
@@ -972,26 +914,6 @@ mod tests {
         let text = registry.render();
         assert!(text.contains("ctxform_solver_rule_derived_total{rule=\"New\"}"));
         assert!(text.contains("ctxform_solver_solve_seconds_count 1"));
-        // The SCC engine series are registered (hence scrapeable) even
-        // though the solve above ran in round mode — but stay at zero.
-        let scc_solves = registry.counter("ctxform_solver_scc_solves_total", "", &[]);
-        assert_eq!(scc_solves.get(), 0);
-        assert!(text.contains("ctxform_solver_scc_solves_total 0"));
-        assert!(text.contains("ctxform_solver_scc_summaries_total{event=\"synthesized\"} 0"));
-        assert!(text.contains("ctxform_solver_scc_size_total{le=\"+Inf\"}"));
-        // A summary-mode solve is a distinct solve of the same engine
-        // family (shared cache tag ⇒ must use a fresh manager to force a
-        // solve) and advances the SCC series.
-        let registry2 = Arc::new(Registry::new());
-        let db2 = DbManager::new(1 << 20).with_registry(registry2.clone());
-        let module2 = compile(corpus::BOX).unwrap();
-        let (digest2, _) = db2.load_program(module2.program);
-        db2.get_or_solve(digest2, &config("1-call").with_summary_scc())
-            .unwrap();
-        let scc_solves2 = registry2.counter("ctxform_solver_scc_solves_total", "", &[]);
-        let waves2 = registry2.counter("ctxform_solver_scc_waves_total", "", &[]);
-        assert_eq!(scc_solves2.get(), 1);
-        assert!(waves2.get() > 0, "summary solve records its waves");
     }
 
     #[test]

@@ -369,17 +369,6 @@ fn req_config(obj: &Json) -> Result<AnalysisConfig, ProtoError> {
     if let Some(threads) = obj.get("threads").and_then(Json::as_u64) {
         config = config.with_threads(threads as usize);
     }
-    // Solve engine selection. Also excluded from `config_tag`: the
-    // bottom-up SCC summary engine is bit-identical to the round-based
-    // one (that parity is the fuzzed acceptance oracle), so both modes
-    // share a cache entry.
-    if let Some(mode) = opt_str(obj, "solve_mode") {
-        config = match mode.as_str() {
-            "rounds" => config.with_solve_mode(ctxform::SolveMode::Rounds),
-            "summary-scc" | "scc" => config.with_summary_scc(),
-            other => return Err(bad(format!("unknown solve_mode `{other}`"))),
-        };
-    }
     Ok(config)
 }
 
@@ -815,40 +804,5 @@ mod tests {
                 "2-object+H".parse().unwrap()
             ))
         );
-    }
-
-    /// `solve_mode` selects the engine but can never fork the cache
-    /// either: the SCC summary solver is bit-identical to the round
-    /// engine, so both tags collapse to one entry. Unknown modes are a
-    /// BadRequest, and the `scc` shorthand resolves to summary mode.
-    #[test]
-    fn solve_mode_parses_but_does_not_affect_the_cache_tag() {
-        use ctxform::SolveMode;
-        for spelling in ["summary-scc", "scc"] {
-            let (_, req) = parse_request(&format!(
-                r#"{{"op": "analyze", "program": "1", "abstraction": "tstring", "sensitivity": "2-object+H", "solve_mode": "{spelling}"}}"#,
-            ))
-            .unwrap();
-            let Request::Analyze { config, .. } = req else {
-                panic!("wrong variant");
-            };
-            assert_eq!(config.solve_mode, SolveMode::SummaryScc, "{spelling}");
-            assert_eq!(
-                config_tag(&config),
-                config_tag(&AnalysisConfig::transformer_strings(
-                    "2-object+H".parse().unwrap()
-                ))
-            );
-        }
-        let (_, req) =
-            parse_request(r#"{"op": "analyze", "program": "1", "solve_mode": "rounds"}"#).unwrap();
-        let Request::Analyze { config, .. } = req else {
-            panic!("wrong variant");
-        };
-        assert_eq!(config.solve_mode, SolveMode::Rounds);
-        let err = parse_request(r#"{"op": "analyze", "program": "1", "solve_mode": "topdown"}"#)
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::BadRequest);
-        assert!(err.message.contains("solve_mode"));
     }
 }

@@ -1,7 +1,7 @@
 //! Shared configuration matrices for the differential test suites.
 //!
-//! The incremental-parity, demand-parity, SCC-parity, and fuzzing
-//! harnesses all sweep the same abstraction × sensitivity grids; before
+//! The incremental-parity, demand-parity, and fuzzing harnesses all
+//! sweep the same abstraction × sensitivity grids; before
 //! this crate each suite re-declared its own copy (and they drifted —
 //! `crates/core/tests/incremental.rs` and
 //! `crates/demand/tests/demand_parity.rs` carried two near-identical
@@ -9,7 +9,7 @@
 //! sweeping the same space.
 //!
 //! The helpers return *base* configurations (no thread count applied);
-//! suites layer `with_threads` / `with_solve_mode` on top, typically
+//! suites layer `with_threads` on top, typically
 //! over [`PARITY_THREADS`].
 
 #![warn(missing_docs)]
@@ -48,8 +48,7 @@ pub fn incremental_configs() -> Vec<AnalysisConfig> {
     config_matrix(&["1-call", "1-object"])
 }
 
-/// The wider context-sensitive grid of the demand-parity and SCC-parity
-/// suites: {cstring, tstring} × {1-call, 1-call+H, 1-object, 2-object+H}.
+/// The wider context-sensitive grid of the demand-parity suite: {cstring, tstring} × {1-call, 1-call+H, 1-object, 2-object+H}.
 pub fn cs_configs() -> Vec<AnalysisConfig> {
     config_matrix(&["1-call", "1-call+H", "1-object", "2-object+H"])
 }

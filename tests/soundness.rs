@@ -25,17 +25,6 @@ fn all_configs() -> Vec<AnalysisConfig> {
     configs.push(
         AnalysisConfig::transformer_strings("2-object+H".parse().unwrap()).with_subsumption(),
     );
-    // Nor may the bottom-up SCC summary engine — one cell per
-    // abstraction, one of them parallel, so every soundness corpus also
-    // exercises the summary scheduler end to end.
-    configs.push(
-        AnalysisConfig::transformer_strings("2-object+H".parse().unwrap()).with_summary_scc(),
-    );
-    configs.push(
-        AnalysisConfig::context_strings("1-call".parse().unwrap())
-            .with_summary_scc()
-            .with_threads(4),
-    );
     configs
 }
 
@@ -192,64 +181,6 @@ fn retracted_databases_stay_sound_after_restoration() {
                  must extend incrementally, got {outcome:?}"
             );
             let name = format!("retracted#{seed}/flavour{flavour}");
-            assert_sound(&name, &module, &vm.facts, db.result());
-        }
-    }
-}
-
-/// The DRed chain above, re-run with summary-mode databases: the
-/// bottom-up SCC engine maintains an extra join index (per-method return
-/// summaries) that retraction must rebuild from the surviving facts. A
-/// stale summary row would re-derive retracted conclusions on the final
-/// restoring extension — exactly what the VM oracle on the restored
-/// program would (fail to) vouch for.
-#[test]
-fn summary_mode_databases_stay_sound_through_retract_then_restore() {
-    use ctxform::ExtendOutcome;
-    for seed in [5u64, 13, 19] {
-        let src = random_program(seed, 1);
-        let module = compile(&src).unwrap_or_else(|e| panic!("summary-retracted#{seed}: {e}"));
-        let programs = retract_edit_script(&module.program, seed, 2, 10);
-        let vm = run(&module, &VmConfig::default());
-        assert!(
-            !vm.facts.reached.is_empty(),
-            "summary-retracted#{seed}: execution should reach at least main"
-        );
-        for (flavour, config) in [
-            AnalysisConfig::transformer_strings("1-call".parse().unwrap()).with_summary_scc(),
-            AnalysisConfig::context_strings("1-object".parse().unwrap())
-                .with_summary_scc()
-                .with_threads(4),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut db = AnalysisDb::solve(module.program.clone(), &config);
-            for (step, next) in programs.iter().enumerate().skip(1) {
-                let outcome = db.extend(next.clone());
-                assert!(
-                    matches!(outcome, ExtendOutcome::Retracted),
-                    "summary-retracted#{seed}/flavour{flavour} step {step}: deleting \
-                     edit classified as {outcome:?}, expected Retracted"
-                );
-            }
-            let outcome = db.extend(module.program.clone());
-            assert!(
-                outcome.is_incremental(),
-                "summary-retracted#{seed}/flavour{flavour}: restoring the base \
-                 program must extend incrementally, got {outcome:?}"
-            );
-            // The restored database must agree bit-for-bit with a fresh
-            // summary-mode solve of the full program *and* cover the
-            // dynamic facts.
-            let fresh = AnalysisDb::solve(module.program.clone(), &config);
-            assert_eq!(
-                db.fact_digest(),
-                fresh.fact_digest(),
-                "summary-retracted#{seed}/flavour{flavour}: restored database \
-                 diverges from a fresh summary-mode solve"
-            );
-            let name = format!("summary-retracted#{seed}/flavour{flavour}");
             assert_sound(&name, &module, &vm.facts, db.result());
         }
     }
