@@ -32,7 +32,7 @@
 //! over-delete/re-derive counts, after asserting the outcome was
 //! `Retracted` and the digests are bit-identical), and a demand-driven
 //! query cell (`tstring_demand`: a cold
-//! `pts(v0, ·)` query answered through the magic-sets demand engine is
+//! `pts(v0, ·)` query answered through the demand engine is
 //! timed against a full solve followed by a lookup, after asserting the
 //! demanded answer is byte-identical and the gated solve derived no more
 //! facts than the exhaustive one):
@@ -651,7 +651,7 @@ fn main() {
     let path = out_path.unwrap_or_else(next_bench_path);
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/9")),
+        ("schema", Json::str("ctxform-regress/10")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
         ("par_threads", Json::int(threads)),

@@ -1,43 +1,39 @@
-//! Demand-driven points-to queries via magic sets (the paper's §10
-//! future-work direction).
+//! Demand-driven points-to queries (the paper's §10 future-work
+//! direction).
 //!
-//! §10: "Datalog programs that exhaustively compute information can be
-//! converted to a demand-driven program through the magic sets
-//! transformation." This module applies
-//! [`ctxform_datalog::magic_transform`] to the plain-Datalog
-//! context-insensitive rules of [`crate::CI_RULES`] for a query
-//! `pts(v, H)`: bottom-up evaluation then derives only the tuples the
-//! query transitively demands, instead of the whole points-to relation.
+//! A query `pts(v, ·)` needs only the context-insensitive tuples its
+//! derivations can touch. [`demand_slice`] computes that fragment for a
+//! set of roots natively: a serial CI solve on the specialized solver,
+//! then a backward closure over the [`crate::CI_RULES`] instances from
+//! the roots, yielding the union of the nodes of every CI derivation tree
+//! of the roots. The slice doubles as a *gate* for the context-sensitive
+//! solver (see [`crate::analyze_sliced`]): because every
+//! context-sensitive derivation projects onto a context-insensitive one
+//! rule-by-rule, restricting the solver to facts whose projection the
+//! slice contains keeps the answers for the queried variables exact
+//! while skipping the rest of the program.
 //!
-//! The transformed rule program depends only on the query's *adornment*
-//! (`pts` with the variable bound and the heap free), never on the queried
-//! constant, so it is computed once per process and memoized; individual
-//! queries seed `magic_pts__bf` with their variable and re-run only the
-//! evaluation. [`demand_slice`] evaluates the demanded fragment for a set
-//! of roots and extracts it as a typed [`DemandSlice`] — the slice doubles
-//! as a *gate* for the context-sensitive solver (see
-//! [`crate::analyze_sliced`]): because every context-sensitive derivation
-//! projects onto a context-insensitive one rule-by-rule, restricting the
-//! solver to facts whose projection the slice demanded keeps the answers
-//! for the queried variables exact while skipping undemanded regions.
-//!
-//! Because points-to analysis is deeply mutually recursive (answering one
-//! variable's query can demand the call graph, which demands receiver
-//! points-to sets, …), the demanded fraction approaches the exhaustive
-//! analysis on densely connected programs; the savings appear when the
-//! queried variable lives in a loosely coupled region. Both effects are
-//! visible in [`DemandAnswer::derived_tuples`].
+//! [`demand_points_to`] keeps the paper's own proposal as a reproduction:
+//! §10 says "Datalog programs that exhaustively compute information can
+//! be converted to a demand-driven program through the magic sets
+//! transformation", so it applies [`ctxform_datalog::magic_transform`] to
+//! the CI rules and evaluates the result on the generic Datalog engine.
+//! Magic sets must demand every derivation-tree node, so their slice is a
+//! superset of the native one, and the generic engine pays for the magic
+//! and adorned bookkeeping on top.
 
+mod closure;
+mod magic;
+
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use ctxform_datalog::{magic_transform, Atom, DatalogError, Engine, Rule, Term};
+use ctxform_datalog::DatalogError;
 use ctxform_hash::{FxHashMap, FxHashSet};
 use ctxform_ir::{Field, Heap, Inv, Method, Program, Var};
 
-use crate::baseline::{load_facts, CI_RULES};
-
-/// The result of one demand-driven query.
+/// The result of one magic-sets demand query ([`demand_points_to`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DemandAnswer {
     /// The queried variable.
@@ -55,8 +51,8 @@ pub struct DemandAnswer {
 }
 
 /// The demanded fragment of the context-insensitive database for a set of
-/// query roots: the six derived relations of [`CI_RULES`], restricted to
-/// the tuples the magic-sets evaluation actually produced.
+/// query roots: the six derived relations of [`crate::CI_RULES`],
+/// restricted to the tuples the roots' derivations need.
 ///
 /// Tuple orders follow the rule text: `pts(var, heap)`,
 /// `hpts(base, field, heap)`, `hload(base, field, var)`,
@@ -75,12 +71,15 @@ pub struct DemandSlice {
     pub spts: FxHashSet<(Field, Heap)>,
     /// Demanded `reach` tuples.
     pub reach: FxHashSet<Method>,
-    /// Total tuples in the database after evaluation (inputs + magic +
-    /// adorned relations).
+    /// Tuples the slice was cut from: the size of the CI fixpoint for
+    /// [`demand_slice`] (all six derived relations), the whole database
+    /// (inputs + magic + adorned relations) for the magic-sets slice.
     pub derived_tuples: usize,
-    /// Rule firings during the magic-sets evaluation.
+    /// Rule instances examined: by the backward closure for
+    /// [`demand_slice`], rule firings for the magic-sets slice.
     pub derivations: usize,
-    /// Semi-naive rounds to fixpoint.
+    /// Levels of the backward closure for [`demand_slice`], semi-naive
+    /// rounds for the magic-sets slice.
     pub rounds: usize,
 }
 
@@ -108,98 +107,31 @@ impl DemandSlice {
     }
 }
 
-/// The magic-transformed CI rule program, minus the per-query seed fact.
+/// The demanded fragment of the context-insensitive database for the
+/// query roots `vars`: every tuple of every CI derivation tree of a
+/// root's `pts(v, ·)`.
 ///
-/// `magic_transform` specializes rules by adornment only; the queried
-/// constant appears solely in the `magic_pts__bf` seed fact, which we
-/// strip here and re-add per query. Parsing and transforming `CI_RULES`
-/// is thus done exactly once per process.
-fn magic_ci_rules() -> &'static [Rule] {
-    static RULES: OnceLock<Vec<Rule>> = OnceLock::new();
-    RULES.get_or_init(|| {
-        let rules = ctxform_datalog::parse_rules(CI_RULES).expect("embedded CI rules parse");
-        // Any constant yields the same `bf` adornment; 0 is arbitrary.
-        let query = Atom::new("pts", vec![Term::Const(0), Term::Var("H".into())]);
-        magic_transform(&rules, &query)
-            .expect("embedded CI rules transform")
-            .into_iter()
-            .filter(|r| !(r.is_fact() && r.head.relation == "magic_pts__bf"))
-            .collect()
-    })
-}
-
-/// Collects every adorned variant of `pred` (e.g. `pts__bf`, `pts__ff`)
-/// into `sink`, decoding tuples with `decode`.
-fn collect_adorned<T, F>(engine: &Engine, pred: &str, sink: &mut FxHashSet<T>, decode: F)
-where
-    T: std::hash::Hash + Eq,
-    F: Fn(&[u32]) -> T,
-{
-    let prefix = format!("{pred}__");
-    let ids: Vec<_> = engine
-        .relations()
-        .filter(|(_, name)| *name == pred || name.starts_with(&prefix))
-        .map(|(id, _)| id)
-        .collect();
-    for id in ids {
-        for t in engine.tuples(id) {
-            sink.insert(decode(t));
-        }
-    }
-}
-
-/// Evaluates the magic-sets program demanded by `pts(v, ·)` for every
-/// `v` in `vars` and extracts the demanded slice.
-///
-/// Seeding several roots into one evaluation unions their slices; the
-/// union over-approximates each per-root slice monotonically, so batch
-/// queries stay exact per variable.
+/// Runs the specialized solver once, serially and context-insensitively,
+/// then walks backwards from the roots (see the `closure` module). A
+/// multi-root slice is exactly the union of the per-root slices.
 ///
 /// # Errors
 ///
-/// Propagates engine errors (none are expected for a validated program —
-/// they would indicate a bug in the embedded rules).
-pub fn demand_slice(program: &Program, vars: &[Var]) -> Result<DemandSlice, DatalogError> {
-    let mut engine = Engine::new();
-    for rule in magic_ci_rules() {
-        engine.add_rule(rule.clone())?;
-    }
-    for var in vars {
-        engine.add_fact("magic_pts__bf", &[var.0])?;
-    }
-    load_facts(&mut engine, program);
-    let stats = engine.run();
-    let mut slice = DemandSlice {
-        derived_tuples: stats.tuples,
-        derivations: stats.derivations,
-        rounds: stats.rounds,
-        ..DemandSlice::default()
-    };
-    collect_adorned(&engine, "pts", &mut slice.pts, |t| (Var(t[0]), Heap(t[1])));
-    collect_adorned(&engine, "hpts", &mut slice.hpts, |t| {
-        (Heap(t[0]), Field(t[1]), Heap(t[2]))
-    });
-    collect_adorned(&engine, "hload", &mut slice.hload, |t| {
-        (Heap(t[0]), Field(t[1]), Var(t[2]))
-    });
-    collect_adorned(&engine, "call", &mut slice.call, |t| {
-        (Inv(t[0]), Method(t[1]))
-    });
-    collect_adorned(&engine, "spts", &mut slice.spts, |t| {
-        (Field(t[0]), Heap(t[1]))
-    });
-    collect_adorned(&engine, "reach", &mut slice.reach, |t| Method(t[0]));
-    Ok(slice)
+/// None: the native slice cannot fail.
+pub fn demand_slice(program: &Program, vars: &[Var]) -> Result<DemandSlice, Infallible> {
+    Ok(closure::native_slice(program, vars))
 }
 
-/// Answers `pts(var, ?)` demand-driven.
+/// Answers `pts(var, ?)` demand-driven through the magic-sets slice of
+/// §10 (a reproduction and comparison point; serving uses
+/// [`demand_slice`]).
 ///
 /// # Errors
 ///
 /// Propagates engine errors (none are expected for a validated program —
 /// they would indicate a bug in the embedded rules).
 pub fn demand_points_to(program: &Program, var: Var) -> Result<DemandAnswer, DatalogError> {
-    let slice = demand_slice(program, &[var])?;
+    let slice = magic::magic_slice(program, &[var])?;
     Ok(DemandAnswer {
         var,
         points_to: slice.points_to(var),
@@ -212,9 +144,9 @@ pub fn demand_points_to(program: &Program, var: Var) -> Result<DemandAnswer, Dat
 /// A bounded, LRU-evicting cache of demand slices keyed by
 /// `(program digest, sorted query roots)`.
 ///
-/// Repeated queries against the same program reuse the demanded magic
-/// sets instead of re-deriving them — the per-digest slice cache the
-/// serving tier keeps next to its database cache.
+/// Repeated queries against the same program reuse the demanded slice
+/// instead of re-deriving it — the per-digest slice cache the serving
+/// tier keeps next to its database cache.
 #[derive(Debug)]
 pub struct SliceCache {
     entries: Mutex<SliceCacheState>,
@@ -252,17 +184,12 @@ impl SliceCache {
 
     /// Returns the slice for `(digest, vars)`, computing and caching it on
     /// miss. The boolean is `true` when the slice was reused from cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`demand_slice`] errors; failed computations are not
-    /// cached.
     pub fn get_or_compute(
         &self,
         digest: u64,
         program: &Program,
         vars: &[Var],
-    ) -> Result<(Arc<DemandSlice>, bool), DatalogError> {
+    ) -> (Arc<DemandSlice>, bool) {
         let mut key_vars: Vec<Var> = vars.to_vec();
         key_vars.sort_unstable();
         key_vars.dedup();
@@ -275,12 +202,12 @@ impl SliceCache {
                 *last_used = tick;
                 let slice = Arc::clone(slice);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((slice, true));
+                return (slice, true);
             }
         }
         // Compute outside the lock; a racing duplicate computation is
         // harmless (both produce the same slice).
-        let slice = Arc::new(demand_slice(program, vars)?);
+        let slice = Arc::new(closure::native_slice(program, vars));
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut state = self.entries.lock().expect("slice cache poisoned");
         state.tick += 1;
@@ -299,14 +226,15 @@ impl SliceCache {
             }
         }
         state.map.insert(key, (Arc::clone(&slice), tick));
-        Ok((slice, false))
+        (slice, false)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze, AnalysisConfig};
+    use crate::{analyze, load_facts, AnalysisConfig, CI_RULES};
+    use ctxform_datalog::Engine;
     use ctxform_minijava::{compile, corpus};
     use ctxform_synth::random_program;
 
@@ -373,21 +301,19 @@ mod tests {
         let module = compile(corpus::BOX).unwrap();
         let cache = SliceCache::new(2);
         let vars = [Var(0)];
-        let (_, reused) = cache.get_or_compute(1, &module.program, &vars).unwrap();
+        let (_, reused) = cache.get_or_compute(1, &module.program, &vars);
         assert!(!reused);
-        let (_, reused) = cache.get_or_compute(1, &module.program, &vars).unwrap();
+        let (_, reused) = cache.get_or_compute(1, &module.program, &vars);
         assert!(reused, "same digest+vars must hit");
         // Root order and duplicates do not change the key.
-        let (_, reused) = cache
-            .get_or_compute(1, &module.program, &[Var(0), Var(0)])
-            .unwrap();
+        let (_, reused) = cache.get_or_compute(1, &module.program, &[Var(0), Var(0)]);
         assert!(reused, "deduped roots must hit");
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
         // Two more digests overflow capacity 2 and evict the oldest.
-        cache.get_or_compute(2, &module.program, &vars).unwrap();
-        cache.get_or_compute(3, &module.program, &vars).unwrap();
-        let (_, reused) = cache.get_or_compute(1, &module.program, &vars).unwrap();
+        cache.get_or_compute(2, &module.program, &vars);
+        cache.get_or_compute(3, &module.program, &vars);
+        let (_, reused) = cache.get_or_compute(1, &module.program, &vars);
         assert!(!reused, "digest 1 must have been evicted");
     }
 

@@ -42,7 +42,7 @@ mod kernel;
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Levels, Limits, NeedsIntern};
+use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Insensitive, Levels, Limits, NeedsIntern};
 use ctxform_hash::{fx_map_with_capacity, FxHashMap, FxHashSet};
 use ctxform_ir::{
     Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, ProgramRetraction,
@@ -81,11 +81,11 @@ pub(crate) fn run<A: Abstraction>(
 /// dropped unless its context-insensitive projection is in `gate`.
 ///
 /// Every context-sensitive derivation projects rule-by-rule onto a
-/// context-insensitive one, and the magic-sets slice contains *every* CI
-/// derivation tree rooted at a demanded query — so gating cannot block any
-/// derivation that contributes to a queried variable's answer. The gated
-/// run therefore returns exactly the exhaustive points-to sets for the
-/// slice's query roots while deriving only the demanded region.
+/// context-insensitive one, and the demand slice contains every node of
+/// every CI derivation tree rooted at a demanded query — so gating cannot
+/// block any derivation that contributes to a queried variable's answer.
+/// The gated run therefore returns exactly the exhaustive points-to sets
+/// for the slice's query roots while deriving only the demanded region.
 pub(crate) fn run_gated<A: Abstraction>(
     program: &Program,
     abs: A,
@@ -97,6 +97,41 @@ pub(crate) fn run_gated<A: Abstraction>(
         SolverState::new(program, abs, config).with_gate(gate),
     );
     result
+}
+
+/// The derived relations of a context-insensitive fixpoint, moved out of
+/// the solver state. `Insensitive` transformations are all `()`, so each
+/// set holds exactly the CI tuples (`hload` is the Load rule's
+/// `load ⋈ pts`); only `reach` keeps its per-method contexts.
+pub(crate) struct InsensitiveFixpoint {
+    pub(crate) pts: FxHashSet<(Var, Heap, ())>,
+    pub(crate) hpts: FxHashSet<(Heap, Field, Heap, ())>,
+    pub(crate) hload: FxHashSet<(Heap, Field, Var, ())>,
+    pub(crate) call: FxHashSet<(Inv, Method, ())>,
+    pub(crate) spts: FxHashSet<(Field, Heap, ())>,
+    pub(crate) reach: FxHashSet<(Method, CtxtStr)>,
+}
+
+/// Solves `program` context-insensitively and serially. Unlike [`run`] it
+/// builds no [`AnalysisResult`]: the demand slice reads only the tuples,
+/// so the statistics, memory accounting and `CiFacts` projection of
+/// `finish` are skipped.
+pub(crate) fn insensitive_fixpoint(program: &Program) -> InsensitiveFixpoint {
+    let config = AnalysisConfig::insensitive().with_threads(1);
+    let ix = program.index();
+    let state = SolverState::new(program, Insensitive::new(), config);
+    let mut solver = Solver::from_state(program, &ix, state);
+    solver.seed_entry();
+    solver.run_to_fixpoint(1);
+    let st = &mut solver.st;
+    InsensitiveFixpoint {
+        pts: mem::take(&mut st.pts),
+        hpts: mem::take(&mut st.hpts),
+        hload: mem::take(&mut st.hload),
+        call: mem::take(&mut st.call),
+        spts: mem::take(&mut st.spts),
+        reach: mem::take(&mut st.reach),
+    }
 }
 
 /// Solves `program` from scratch inside `state` (which must be fresh) and

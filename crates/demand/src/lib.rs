@@ -1,44 +1,42 @@
 //! Demand-driven **context-sensitive** points-to queries — the paper's
-//! §10 magic-sets direction, extended from plain Datalog to the
+//! §10 demand-driven direction, carried from plain Datalog to the
 //! algebra-valued transformer-string rules.
 //!
-//! The classic magic-sets transformation rewrites a Datalog program so
-//! that bottom-up evaluation derives only the facts a query transitively
-//! demands. The context-sensitive rule set is *not* plain Datalog: its
-//! tuples carry algebra values (context transformations) combined with
-//! `compose` and compared with `subsumes`, which the untyped
-//! [`ctxform_datalog::Engine`] cannot express. This crate therefore
-//! evaluates a query `pts(v, ·)` goal-directed in two phases:
+//! The context-sensitive rule set is *not* plain Datalog: its tuples
+//! carry algebra values (context transformations) combined with
+//! `compose` and compared with `subsumes`. This crate therefore evaluates
+//! a query `pts(v, ·)` goal-directed in two phases:
 //!
-//! 1. **Slice.** Run [`ctxform_datalog::magic_transform`]'s SIPS-adorned
-//!    program over the rules' context-insensitive projection
-//!    ([`ctxform::CI_RULES`]), seeded with the query roots
-//!    (`magic_pts__bf(v)`), producing a [`ctxform::DemandSlice`]: the demanded
-//!    fragment of the six derived relations. Binding propagation — which
-//!    body atoms become demanded, in which argument positions — is
-//!    entirely the magic transformation's.
+//! 1. **Slice.** [`ctxform::demand_slice`] solves the program once,
+//!    serially and context-insensitively, on the specialized solver, then
+//!    walks backwards from the roots' `pts(v, ·)` over the instances of
+//!    [`ctxform::CI_RULES`] whose premises hold. The result, a
+//!    [`ctxform::DemandSlice`], is exactly the union of the nodes of every
+//!    CI derivation tree of the roots.
 //! 2. **Sliced solve.** Run the specialized algebra-valued semi-naive
 //!    solver *gated* on the slice ([`ctxform::analyze_sliced`]): every
-//!    insertion whose context-insensitive projection the slice did not
-//!    demand is dropped before it can enter a delta queue. `compose` /
+//!    insertion whose context-insensitive projection the slice does not
+//!    contain is dropped before it can enter a delta queue. `compose` /
 //!    `subsumes` are threaded natively by the solver's typed rule
-//!    drivers, never through the untyped engine.
+//!    drivers.
 //!
 //! This is exact for the queried variables: every context-sensitive
-//! derivation projects rule-by-rule onto a context-insensitive one, and
-//! magic sets demand *every* node of every CI derivation tree of a
-//! demanded root — so the gate can never block a derivation that
-//! contributes to an answer. Undemanded regions of the program are simply
-//! never explored, which is where the latency win over an exhaustive
-//! solve comes from.
+//! derivation projects rule-by-rule onto a context-insensitive one, whose
+//! nodes the slice contains by construction — so the gate can never
+//! block a derivation that contributes to an answer. Undemanded regions
+//! of the program are never explored context-sensitively, which is where
+//! the latency win over an exhaustive solve comes from. (The paper's own
+//! proposal, a magic-sets slice, demands a superset of these tuples at
+//! far higher cost; [`ctxform::demand_points_to`] keeps it for
+//! comparison.)
 //!
 //! [`DemandEngine`] wraps both phases behind a per-digest
 //! [`SliceCache`], so repeated queries against the same program reuse
-//! the demanded magic sets. It answers context-insensitive queries
-//! directly from the slice (phase 1 alone is already the full CI answer)
-//! and context-sensitive ones via the gated solve. Subsumption
-//! elimination is excluded by a typed error: its retire/drop bookkeeping
-//! assumes it observes every derivation, which a gated run violates.
+//! the slice. It answers context-insensitive queries directly from the
+//! slice (phase 1 alone is already the full CI answer) and
+//! context-sensitive ones via the gated solve. Subsumption elimination is
+//! excluded by a typed error: its retire/drop bookkeeping assumes it
+//! observes every derivation, which a gated run violates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,7 +45,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use ctxform::{analyze_sliced, AbstractionKind, AnalysisConfig, SliceCache};
-use ctxform_datalog::DatalogError;
 use ctxform_ir::{Heap, Program, Var};
 
 /// Why a demand query could not be answered.
@@ -56,9 +53,6 @@ pub enum DemandError {
     /// The configuration is outside the demand engine's supported set
     /// (currently: subsumption elimination).
     Unsupported(String),
-    /// The magic-sets evaluation failed (indicates a bug in the embedded
-    /// rules, not bad user input).
-    Datalog(DatalogError),
 }
 
 impl fmt::Display for DemandError {
@@ -67,18 +61,11 @@ impl fmt::Display for DemandError {
             DemandError::Unsupported(what) => {
                 write!(f, "demand mode does not support {what}")
             }
-            DemandError::Datalog(e) => write!(f, "demand evaluation failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for DemandError {}
-
-impl From<DatalogError> for DemandError {
-    fn from(e: DatalogError) -> Self {
-        DemandError::Datalog(e)
-    }
-}
 
 /// The result of one demand query (possibly multi-root).
 #[derive(Debug, Clone)]
@@ -87,18 +74,21 @@ pub struct QueryOutcome {
     /// configuration, sorted. Root order follows the request.
     pub answers: Vec<(Var, Vec<Heap>)>,
     /// `true` when the demand slice came from the cache instead of a
-    /// fresh magic-sets evaluation.
+    /// fresh [`ctxform::demand_slice`].
     pub slice_reused: bool,
     /// Demanded tuples across the six derived CI relations — the
     /// numerator of the demanded-vs-exhaustive ratio.
     pub slice_tuples: usize,
-    /// Rule firings of the magic-sets evaluation.
+    /// Rule instances the slice's backward closure examined.
     pub slice_derivations: usize,
     /// Facts the gated context-sensitive solve derived (`0` when the
     /// query was answered from the slice alone).
     pub solver_facts: usize,
     /// Rule derivations of the gated solve (`0` for slice-only answers).
     pub solver_derivations: u64,
+    /// Worker threads the gated solve ran with (`0` for slice-only
+    /// answers).
+    pub solver_threads: usize,
 }
 
 /// A demand-driven query engine with a per-digest slice cache.
@@ -137,8 +127,7 @@ impl DemandEngine {
     ///
     /// # Errors
     ///
-    /// [`DemandError::Unsupported`] for subsumption configurations;
-    /// [`DemandError::Datalog`] on internal evaluation failure.
+    /// [`DemandError::Unsupported`] for subsumption configurations.
     pub fn query(
         &self,
         digest: u64,
@@ -151,7 +140,7 @@ impl DemandEngine {
                 "subsumption elimination (it must observe every derivation)".into(),
             ));
         }
-        let (slice, slice_reused) = self.cache.get_or_compute(digest, program, vars)?;
+        let (slice, slice_reused) = self.cache.get_or_compute(digest, program, vars);
         let mut outcome = QueryOutcome {
             answers: Vec::with_capacity(vars.len()),
             slice_reused,
@@ -159,6 +148,7 @@ impl DemandEngine {
             slice_derivations: slice.derivations,
             solver_facts: 0,
             solver_derivations: 0,
+            solver_threads: 0,
         };
         match config.abstraction {
             AbstractionKind::Insensitive => {
@@ -171,6 +161,7 @@ impl DemandEngine {
                 let result = analyze_sliced(program, config, Arc::clone(&slice));
                 outcome.solver_facts = result.stats.total();
                 outcome.solver_derivations = result.stats.rule_derived.total();
+                outcome.solver_threads = result.stats.threads_used;
                 for &var in vars {
                     outcome.answers.push((var, result.ci.points_to(var)));
                 }

@@ -243,6 +243,28 @@ impl DbManager {
         self
     }
 
+    /// `config` with an auto thread count (`0`) replaced by the manager's
+    /// default solver width — for every solve the manager runs, and for
+    /// demand queries answered next to it.
+    pub fn resolve_threads(&self, config: &AnalysisConfig) -> AnalysisConfig {
+        let mut config = *config;
+        if config.threads == 0 {
+            config.threads = self.solver_threads;
+        }
+        config
+    }
+
+    /// The configuration a fresh solve of `config` runs under: threads
+    /// resolved, plus profiling when enabled.
+    fn solve_config(&self, config: &AnalysisConfig) -> AnalysisConfig {
+        let config = self.resolve_threads(config);
+        if self.profile {
+            config.with_profiling()
+        } else {
+            config
+        }
+    }
+
     /// Attaches a metrics registry: every fresh solve records its rule
     /// counters, fact totals, duration, and interner size there.
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
@@ -385,13 +407,7 @@ impl DbManager {
             key: Some(key.clone()),
             message: String::new(),
         };
-        let mut solve_config = *config;
-        if solve_config.threads == 0 {
-            solve_config.threads = self.solver_threads;
-        }
-        if self.profile {
-            solve_config = solve_config.with_profiling();
-        }
+        let solve_config = self.solve_config(config);
         let solved = catch_unwind(AssertUnwindSafe(|| match &self.solve_hook {
             Some(hook) => hook(&program, &solve_config),
             None => analyze(&program, &solve_config),
@@ -470,13 +486,7 @@ impl DbManager {
         self.program(base).ok_or(DbError::UnknownProgram)?;
         let (digest, next_arc) = self.load_program(next);
         let tag = config_tag(config);
-        let mut solve_config = *config;
-        if solve_config.threads == 0 {
-            solve_config.threads = self.solver_threads;
-        }
-        if self.profile {
-            solve_config = solve_config.with_profiling();
-        }
+        let solve_config = self.solve_config(config);
         let cached_db = self.db_cache_get(&(base, tag.clone()));
         let base_cached = cached_db.is_some();
         let solved = catch_unwind(AssertUnwindSafe(|| match cached_db {
@@ -575,13 +585,7 @@ impl DbManager {
         if self.dbs.lock().unwrap().entries.contains_key(&key) {
             return Ok(());
         }
-        let mut solve_config = *config;
-        if solve_config.threads == 0 {
-            solve_config.threads = self.solver_threads;
-        }
-        if self.profile {
-            solve_config = solve_config.with_profiling();
-        }
+        let solve_config = self.solve_config(config);
         let solved = catch_unwind(AssertUnwindSafe(|| {
             AnalysisDb::solve((*program).clone(), &solve_config)
         }));
@@ -806,6 +810,29 @@ mod tests {
         assert!(Arc::ptr_eq(&r1, &r2));
         let snap = db.snapshot();
         assert_eq!((snap.hits, snap.misses), (1, 1));
+    }
+
+    #[test]
+    fn solve_update_and_demand_resolve_auto_threads_to_the_default() {
+        let module = compile(corpus::BOX).unwrap();
+        let db = DbManager::new(1 << 24).with_solver_threads(3);
+        let (digest, _) = db.load_program(module.program.clone());
+        let auto = config("1-call");
+        assert_eq!(auto.threads, 0, "requests default to auto");
+        let (solved, _) = db.get_or_solve(digest, &auto).unwrap();
+        assert_eq!(solved.stats.threads_used, 3, "solve");
+        let next = compile(corpus::LIST).unwrap().program;
+        let report = db.update(digest, next, &auto).unwrap();
+        assert_eq!(report.result.stats.threads_used, 3, "update");
+        let outcome = ctxform_demand::DemandEngine::new(1)
+            .query(
+                digest,
+                &module.program,
+                &db.resolve_threads(&auto),
+                &[ctxform_ir::Var(0)],
+            )
+            .unwrap();
+        assert_eq!(outcome.solver_threads, 3, "demand");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ([`db::DbManager`]) — the serving-side analogue of value-context reuse:
 //! answer repeated queries from previously computed results instead of
 //! recomputing them. Cold context-insensitive queries can bypass the
-//! exhaustive solver entirely through the demand-driven magic-sets path
+//! exhaustive solver entirely through the demand-driven slice path
 //! (`"demand": true` on `points_to`).
 //!
 //! The wire protocol ([`protocol`]) is newline-delimited JSON over TCP —

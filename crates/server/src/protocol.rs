@@ -164,7 +164,7 @@ pub enum Request {
         config: AnalysisConfig,
         /// The queried variable.
         var: VarRef,
-        /// Answer via the demand-driven magic-sets engine instead of the
+        /// Answer via the demand-driven slice engine instead of the
         /// exhaustive (cached) solver; context-insensitive only.
         demand: bool,
     },
@@ -181,7 +181,7 @@ pub enum Request {
     },
     /// Demand-driven points-to query: answered from the cached solved
     /// database when one is resident, otherwise via the demand engine
-    /// (magic-sets slice + gated context-sensitive solve) *without*
+    /// (native CI derivation slice + gated context-sensitive solve) *without*
     /// triggering a full exhaustive solve.
     Query {
         /// Program digest.

@@ -35,7 +35,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ctxform::{AnalysisConfig, AnalysisResult};
-use ctxform_demand::{DemandError, QueryOutcome};
+use ctxform_demand::QueryOutcome;
 use ctxform_ir::{Program, Var};
 use ctxform_obs::metrics::{PromText, Registry};
 use ctxform_obs::{self as obs, SpanContext};
@@ -1237,11 +1237,8 @@ fn sliced_answer(
 
     let outcome: QueryOutcome = shard
         .demand
-        .query(digest, &program, config, &roots)
-        .map_err(|e| match e {
-            DemandError::Unsupported(_) => ProtoError::new(ErrorCode::BadRequest, e.to_string()),
-            DemandError::Datalog(_) => ProtoError::new(ErrorCode::Internal, e.to_string()),
-        })?;
+        .query(digest, &program, &shard.db.resolve_threads(config), &roots)
+        .map_err(|e| ProtoError::new(ErrorCode::BadRequest, e.to_string()))?;
     demand_counter(
         shared,
         "ctxform_demand_queries_total",
@@ -1261,8 +1258,8 @@ fn sliced_answer(
         .registry
         .counter(
             "ctxform_demand_demanded_tuples_total",
-            "Tuples demanded by magic-sets slices (compare against the \
-             exhaustive ctxform_solver_* fact counters for the \
+            "Tuples in the demand slices of cold queries (compare against \
+             the exhaustive ctxform_solver_* fact counters for the \
              demanded-vs-exhaustive ratio).",
             &[],
         )

@@ -74,8 +74,8 @@ pub struct Shard {
     /// LRU, loaded programs.
     pub db: DbManager,
     /// The shard-local demand-query engine (per-digest slice cache), so a
-    /// digest's demanded magic sets live on the shard its queries route
-    /// to — mirroring the database cache.
+    /// digest's demand slices live on the shard its queries route to —
+    /// mirroring the database cache.
     pub demand: DemandEngine,
     queue: Mutex<VecDeque<Job>>,
     /// Signalled when a job is queued (and broadcast on shutdown).
