@@ -14,9 +14,11 @@
 use std::fmt::Debug;
 use std::hash::Hash;
 
+use ctxform_hash::hash_words;
 use ctxform_ir::Program;
 
 use crate::cstring::CPair;
+use crate::digest::CtxtDigest;
 use crate::elem::CtxtElem;
 use crate::flavour::{Flavour, MergeSite, Sensitivity};
 use crate::interner::{CtxtInterner, CtxtStr, NeedsIntern};
@@ -175,6 +177,12 @@ pub trait Abstraction: Sync {
 
     /// Renders `x` with entity names from `program`.
     fn display(&self, x: Self::X, program: &Program) -> String;
+
+    /// A hash of `x` built from the names its context strings denote,
+    /// never from handles: equal for equal [`display`](Self::display)
+    /// renderings, whatever the interning order. `ctxt` must be a
+    /// digest over this abstraction's [`interner`](Self::interner).
+    fn digest(&self, x: Self::X, ctxt: &mut CtxtDigest<'_>) -> u64;
 }
 
 /// The context-string abstraction (Fig. 4, left column).
@@ -356,6 +364,10 @@ impl Abstraction for CStrings {
 
     fn display(&self, x: CPair, program: &Program) -> String {
         x.display_with(&self.interner, |e| e.describe(program))
+    }
+
+    fn digest(&self, x: CPair, ctxt: &mut CtxtDigest<'_>) -> u64 {
+        hash_words(&[ctxt.ctxt(x.src), ctxt.ctxt(x.dst)])
     }
 }
 
@@ -546,6 +558,12 @@ impl Abstraction for TStrings {
     fn display(&self, x: TStr, program: &Program) -> String {
         x.display_with(&self.interner, |e| e.describe(program))
     }
+
+    fn digest(&self, x: TStr, ctxt: &mut CtxtDigest<'_>) -> u64 {
+        // Exits, the wildcard and entries keep their positions, so
+        // `a·^b`, `^a·b` and `a·*·^b` hash apart.
+        hash_words(&[ctxt.ctxt(x.exits), u64::from(x.wild), ctxt.ctxt(x.entries)])
+    }
 }
 
 /// The context-insensitive instantiation: a single abstract transformation.
@@ -652,6 +670,10 @@ impl Abstraction for Insensitive {
 
     fn display(&self, _x: (), _program: &Program) -> String {
         "·".to_owned()
+    }
+
+    fn digest(&self, _x: (), _ctxt: &mut CtxtDigest<'_>) -> u64 {
+        0
     }
 }
 

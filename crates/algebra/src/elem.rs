@@ -94,21 +94,27 @@ impl CtxtElem {
         (self.0 >> TAG_SHIFT == TAG_TYPE).then_some(Type(self.0 & ID_MASK))
     }
 
-    /// Renders the element with the entity names of `program`.
-    pub fn describe(self, program: &Program) -> String {
+    /// The element's entity name in `program` (`entry` for the entry
+    /// element).
+    pub fn name(self, program: &Program) -> &str {
         if self.is_entry() {
-            return "entry".to_owned();
+            return "entry";
         }
         if let Some(i) = self.as_inv() {
-            return program.inv_names[i.index()].clone();
+            return &program.inv_names[i.index()];
         }
         if let Some(h) = self.as_heap() {
-            return program.heap_names[h.index()].clone();
+            return &program.heap_names[h.index()];
         }
         if let Some(t) = self.as_type() {
-            return program.type_names[t.index()].clone();
+            return &program.type_names[t.index()];
         }
         unreachable!("exhaustive tags")
+    }
+
+    /// Renders the element with the entity names of `program`.
+    pub fn describe(self, program: &Program) -> String {
+        self.name(program).to_owned()
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`CtxtElem`] — elemental contexts (`entry`, invocation sites, heap
 //!   sites, class types) and [`CtxtInterner`]/[`CtxtStr`] — hash-consed
-//!   context strings with O(1) prefix queries;
+//!   context strings with O(1) prefix queries, and [`CtxtDigest`] —
+//!   their interning-independent, name-based hashes;
 //! * [`TStr`] — canonical **transformer strings** `A·w·B̂` with the
 //!   paper's `match`-based composition, `trunc`, inversion, and the
 //!   subsumption order of §8;
@@ -40,6 +41,7 @@
 
 mod abstraction;
 mod cstring;
+mod digest;
 mod elem;
 mod flavour;
 mod interner;
@@ -48,6 +50,7 @@ mod word;
 
 pub use abstraction::{Abstraction, BoundaryMode, CStrings, Insensitive, Limits, TStrings};
 pub use cstring::CPair;
+pub use digest::CtxtDigest;
 pub use elem::CtxtElem;
 pub use flavour::{Flavour, Levels, MergeSite, Sensitivity, SensitivityError};
 pub use interner::{CtxtInterner, CtxtStr, NeedsIntern, RevElems};

@@ -11,7 +11,10 @@
 //! dependencies and fails reproducibly (every failure message carries the
 //! case index; re-running the test replays the identical stream).
 
-use ctxform_algebra::{CPair, CtxtElem, CtxtInterner, CtxtStr, Letter, Sem, TStr, Word};
+use ctxform_algebra::{
+    Abstraction, CPair, CStrings, CtxtDigest, CtxtElem, CtxtInterner, CtxtStr, Letter, Sem, TStr,
+    TStrings, Word,
+};
 use ctxform_hash::SplitMix64;
 use ctxform_ir::Inv;
 
@@ -644,6 +647,78 @@ fn subsumption_complete_on_tiny_domain() {
                 a.display(&it),
                 b.display(&it)
             );
+        }
+    }
+}
+
+/// `Abstraction::digest` is canonical: over every transformer string and
+/// context-string pair built from strings of length ≤ 2 over three
+/// elements of two kinds, two values digest equal exactly when they
+/// render equal — whichever of two interners, filled in opposite
+/// orders, they were interned in.
+#[test]
+fn digest_is_equal_exactly_when_rendering_is() {
+    let program = ctxform_ir::Program {
+        inv_names: vec!["Main.main/0".into(), "Main.main/1".into()],
+        heap_names: vec!["Main.main/new A".into()],
+        ..ctxform_ir::Program::default()
+    };
+    let elems = [elem(0), elem(1), CtxtElem::of_heap(ctxform_ir::Heap(0))];
+    let mut strings: Vec<Vec<CtxtElem>> = vec![vec![]];
+    for &a in &elems {
+        strings.push(vec![a]);
+        for &b in &elems {
+            strings.push(vec![a, b]);
+        }
+    }
+    let sens: ctxform_algebra::Sensitivity = "2-call".parse().unwrap();
+    // Both interners hold the same strings under different handles.
+    let mut fwd = CtxtInterner::new();
+    let fwd_handles: Vec<CtxtStr> = strings.iter().map(|s| fwd.from_slice(s)).collect();
+    let mut rev = CtxtInterner::new();
+    let mut rev_handles: Vec<CtxtStr> = strings.iter().rev().map(|s| rev.from_slice(s)).collect();
+    rev_handles.reverse();
+    assert_ne!(fwd_handles, rev_handles);
+
+    let describe = |e: CtxtElem| e.describe(&program);
+    let mut rendered: Vec<Vec<(String, u64)>> = Vec::new();
+    for (it, handles) in [(fwd, &fwd_handles), (rev, &rev_handles)] {
+        let ts = TStrings {
+            sensitivity: sens,
+            interner: it.clone(),
+        };
+        let cs = CStrings {
+            sensitivity: sens,
+            interner: it,
+        };
+        let mut t_digest = CtxtDigest::new(&ts.interner, &program);
+        let mut c_digest = CtxtDigest::new(&cs.interner, &program);
+        let mut values = Vec::new();
+        for &a in handles {
+            for &b in handles {
+                for wild in [false, true] {
+                    let t = TStr {
+                        exits: a,
+                        wild,
+                        entries: b,
+                    };
+                    values.push((
+                        format!("t {}", t.display_with(&ts.interner, describe)),
+                        ts.digest(t, &mut t_digest),
+                    ));
+                }
+                let c = CPair { src: a, dst: b };
+                values.push((
+                    format!("c {}", c.display_with(&cs.interner, describe)),
+                    cs.digest(c, &mut c_digest),
+                ));
+            }
+        }
+        rendered.push(values);
+    }
+    for (ra, da) in &rendered[0] {
+        for (rb, db) in &rendered[1] {
+            assert_eq!(ra == rb, da == db, "{ra} ({da:016x}) vs {rb} ({db:016x})");
         }
     }
 }

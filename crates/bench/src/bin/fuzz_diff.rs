@@ -15,8 +15,9 @@
 //!    ([`ctxform_testutil::incremental_configs`]: {cstring, tstring} ×
 //!    {1-call, 1-object}) × {1, 4} threads, every cell must match the
 //!    serial from-scratch solve of the same revision:
-//!    * **digest parity** — `AnalysisDb::fact_digest` (rendered, sorted,
-//!      context-sensitive facts) is bit-identical;
+//!    * **digest parity** — `AnalysisDb::fact_digest` (the multiset
+//!      digest of the context-sensitive facts, hashed by name) is
+//!      bit-identical;
 //!    * **pts-set equality** — the context-insensitive projections match
 //!      set for set;
 //!    * **extend parity** — one seeded additive edit applied through
@@ -27,8 +28,11 @@
 //!      digest of the shrunken revision.
 //!
 //! On the first violated property the harness writes a reproducer to
-//! `ctxform-fuzz-repro/1` — a JSON object (schema `ctxform-fuzz-repro/2`)
-//! with the seed, iteration, config, thread count, both digests, and the
+//! `ctxform-fuzz-repro/1` — a JSON object (schema `ctxform-fuzz-repro/3`)
+//! with the seed, iteration, config, thread count, both digests, up to
+//! five facts from each side of the symmetric difference of the two
+//! databases' `AnalysisDb::rendered_facts` listings (`only_expected`,
+//! `only_actual`; empty for a Datalog-baseline violation), and the
 //! replay command (`fuzz_diff --iters 1 --seed <seed>`) — and exits
 //! nonzero. CI uploads that file as an artifact on failure.
 
@@ -49,12 +53,42 @@ struct Violation {
     property: &'static str,
     expected: u64,
     actual: u64,
+    /// Facts only the expected (oracle) database holds.
+    only_expected: Vec<String>,
+    /// Facts only the actual database holds.
+    only_actual: Vec<String>,
+}
+
+/// How many facts of each side of a digest mismatch a reproducer lists.
+const FACT_DIFF_LIMIT: usize = 5;
+
+/// Up to [`FACT_DIFF_LIMIT`] facts from each side of the symmetric
+/// difference of two databases' rendered listings: (only in `expected`,
+/// only in `actual`).
+fn fact_diff(expected: &AnalysisDb, actual: &AnalysisDb) -> (Vec<String>, Vec<String>) {
+    let (e, a) = (expected.rendered_facts(), actual.rendered_facts());
+    // Both listings are sorted, so membership is a binary search.
+    let only = |x: &[String], y: &[String]| {
+        x.iter()
+            .filter(|f| y.binary_search(f).is_err())
+            .take(FACT_DIFF_LIMIT)
+            .cloned()
+            .collect()
+    };
+    (only(&e, &a), only(&a, &e))
 }
 
 impl Violation {
+    /// Attaches the facts that tell `expected` and `actual` apart.
+    fn with_fact_diff(mut self, expected: &AnalysisDb, actual: &AnalysisDb) -> Self {
+        (self.only_expected, self.only_actual) = fact_diff(expected, actual);
+        self
+    }
+
     fn to_json(&self, iters: usize) -> Json {
+        let facts = |facts: &[String]| facts.iter().map(|f| Json::str(f.as_str())).collect();
         Json::obj([
-            ("schema", Json::str("ctxform-fuzz-repro/2")),
+            ("schema", Json::str("ctxform-fuzz-repro/3")),
             ("seed", Json::uint(self.seed)),
             ("iter", Json::int(self.iter)),
             ("iters", Json::int(iters)),
@@ -63,6 +97,8 @@ impl Violation {
             ("property", Json::str(self.property)),
             ("expected_digest", Json::Str(hex16(self.expected))),
             ("actual_digest", Json::Str(hex16(self.actual))),
+            ("only_expected", Json::Arr(facts(&self.only_expected))),
+            ("only_actual", Json::Arr(facts(&self.only_actual))),
             (
                 "replay",
                 Json::Str(format!(
@@ -115,6 +151,8 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
         property,
         expected,
         actual,
+        only_expected: Vec::new(),
+        only_actual: Vec::new(),
     };
 
     let insensitive = AnalysisConfig::insensitive().with_threads(1);
@@ -138,28 +176,32 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
     for base in incremental_configs() {
         // The serial from-scratch solve of each revision is the oracle
         // for every cell; digests are independent of thread count.
-        let oracle = AnalysisDb::solve(programs[0].clone(), &base.with_threads(1));
-        let scratch: Vec<u64> = programs[1..]
+        let scratch: Vec<AnalysisDb> = programs
             .iter()
-            .map(|p| AnalysisDb::solve(p.clone(), &base.with_threads(1)).fact_digest())
+            .map(|p| AnalysisDb::solve(p.clone(), &base.with_threads(1)))
             .collect();
+        let oracle = &scratch[0];
         for &threads in &PARITY_THREADS {
             let mut db = AnalysisDb::solve(programs[0].clone(), &base.with_threads(threads));
-            let check = |db: &AnalysisDb, property, expected| {
-                (db.fact_digest() != expected)
-                    .then(|| violation(base, threads, property, expected, db.fact_digest()))
+            let mismatch = |db: &AnalysisDb, property, expected: &AnalysisDb| {
+                violation(
+                    base,
+                    threads,
+                    property,
+                    expected.fact_digest(),
+                    db.fact_digest(),
+                )
+                .with_fact_diff(expected, db)
             };
-            if let Some(v) = check(&db, "fact_digest parity", oracle.fact_digest()) {
+            let check = |db: &AnalysisDb, property, expected: &AnalysisDb| {
+                (db.fact_digest() != expected.fact_digest())
+                    .then(|| mismatch(db, property, expected))
+            };
+            if let Some(v) = check(&db, "fact_digest parity", oracle) {
                 return Some(v);
             }
             if db.result().ci != oracle.result().ci {
-                return Some(violation(
-                    base,
-                    threads,
-                    "ci pts-set equality",
-                    oracle.fact_digest(),
-                    db.fact_digest(),
-                ));
+                return Some(mismatch(&db, "ci pts-set equality", oracle));
             }
             let outcome = db.extend(programs[1].clone());
             assert!(
@@ -167,7 +209,7 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
                 "seed {seed} {base} threads={threads}: additive fuzz edit did not \
                  extend incrementally: {outcome:?}"
             );
-            if let Some(v) = check(&db, "extend parity", scratch[0]) {
+            if let Some(v) = check(&db, "extend parity", &scratch[1]) {
                 return Some(v);
             }
             let outcome = db.extend(programs[2].clone());
@@ -176,7 +218,7 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
                 "seed {seed} {base} threads={threads}: deleting fuzz edit did not \
                  retract: {outcome:?}"
             );
-            if let Some(v) = check(&db, "retract parity", scratch[1]) {
+            if let Some(v) = check(&db, "retract parity", &scratch[2]) {
                 return Some(v);
             }
         }
@@ -225,12 +267,15 @@ fn main() {
                 "fuzz_diff",
                 format!(
                     "seed {seed} ({}, threads={}) violated {}: \
-                     expected {} got {}; reproducer written to {path}",
+                     expected {} got {} (only expected: {:?}; only actual: {:?}); \
+                     reproducer written to {path}",
                     v.config,
                     v.threads,
                     v.property,
                     hex16(v.expected),
-                    hex16(v.actual)
+                    hex16(v.actual),
+                    v.only_expected,
+                    v.only_actual
                 ),
             );
             std::process::exit(1);
@@ -247,4 +292,38 @@ fn main() {
             PARITY_THREADS,
         ),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctxform_minijava::corpus;
+
+    #[test]
+    fn fact_diff_lists_at_most_five_facts_per_side() {
+        let config = AnalysisConfig::transformer_strings("1-call".parse().unwrap());
+        let base = compile(corpus::BOX).unwrap().program;
+        let edited = compile(&format!(
+            "{}\nclass Extra {{ public static void main(String[] args) {{ \
+             Object a = new Object(); Object b = a; Object c = b; Object d = c; Object e = d; }} }}",
+            corpus::BOX
+        ))
+        .unwrap()
+        .program;
+        let (base, edited) = (
+            AnalysisDb::solve(base, &config),
+            AnalysisDb::solve(edited, &config),
+        );
+        assert_eq!(fact_diff(&base, &base), (vec![], vec![]));
+        // The edit only adds facts: five `pts` and one `reach`, and the
+        // limit keeps five of the six.
+        let (only_base, only_edited) = fact_diff(&base, &edited);
+        assert!(only_base.is_empty(), "{only_base:?}");
+        assert_eq!(only_edited.len(), FACT_DIFF_LIMIT, "{only_edited:?}");
+        let listing = edited.rendered_facts();
+        assert!(only_edited.iter().all(|f| listing.contains(f)));
+        let (only_edited, only_base) = fact_diff(&edited, &base);
+        assert!(only_base.is_empty());
+        assert_eq!(only_edited.len(), FACT_DIFF_LIMIT);
+    }
 }

@@ -62,23 +62,6 @@ use ctxform_obs::logger;
 use ctxform_server::json::{hex16, Json};
 use ctxform_synth::{append_edit, dacapo_like, retract_edit_script};
 
-/// An order-independent digest of the CI projections: each fact set is
-/// sorted and hashed as a sequence, then the five relation digests are
-/// combined. Identical CI facts ⇒ identical digest, on every platform.
-fn ci_digest(r: &AnalysisResult) -> u64 {
-    let mut pts: Vec<_> = r.ci.pts.iter().copied().collect();
-    pts.sort_unstable();
-    let mut hpts: Vec<_> = r.ci.hpts.iter().copied().collect();
-    hpts.sort_unstable();
-    let mut call: Vec<_> = r.ci.call.iter().copied().collect();
-    call.sort_unstable();
-    let mut spts: Vec<_> = r.ci.spts.iter().copied().collect();
-    spts.sort_unstable();
-    let mut reach: Vec<_> = r.ci.reach.iter().copied().collect();
-    reach.sort_unstable();
-    fx_hash_one(&(pts, hpts, call, spts, reach))
-}
-
 /// Serializes one analysis run as a JSON object.
 fn run_json(r: &AnalysisResult) -> Json {
     let s = &r.stats;
@@ -140,7 +123,7 @@ fn run_json(r: &AnalysisResult) -> Json {
                 ("reach", Json::int(r.ci.reach.len())),
             ]),
         ),
-        ("ci_digest", Json::Str(hex16(ci_digest(r)))),
+        ("ci_digest", Json::Str(hex16(r.ci.digest()))),
     ])
 }
 
@@ -154,11 +137,11 @@ fn best_of(
     repeat: usize,
 ) -> AnalysisResult {
     let mut best = analyze(program, config);
-    let (digest, total) = (ci_digest(&best), best.stats.total());
+    let (digest, total) = (best.ci.digest(), best.stats.total());
     for _ in 1..repeat {
         let r = analyze(program, config);
         assert_eq!(
-            ci_digest(&r),
+            r.ci.digest(),
             digest,
             "{config}: CI facts differ across repeats"
         );
@@ -586,16 +569,16 @@ fn main() {
             // Subsumption prunes redundant context-sensitive tuples but
             // must never change the CI answer.
             assert_eq!(
-                ci_digest(&t_subs),
-                ci_digest(&t),
+                t_subs.ci.digest(),
+                t.ci.digest(),
                 "{s}: subsumption changed the CI facts"
             );
             // The frontier-parallel engine must be bit-identical to the
             // serial one: same CI digest and same fact counts, for every
             // thread count.
             assert_eq!(
-                ci_digest(&t_par),
-                ci_digest(&t),
+                t_par.ci.digest(),
+                t.ci.digest(),
                 "{s}: parallel engine changed the CI facts"
             );
             assert_eq!(
@@ -651,7 +634,7 @@ fn main() {
     let path = out_path.unwrap_or_else(next_bench_path);
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/10")),
+        ("schema", Json::str("ctxform-regress/11")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
         ("par_threads", Json::int(threads)),

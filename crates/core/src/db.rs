@@ -20,12 +20,18 @@
 //! subsumption elimination (which *retires* facts, breaking the grow-only
 //! invariant the resume argument needs) fall back to a from-scratch
 //! solve; either way the database ends up describing the new program, and
-//! [`AnalysisDb::fact_digest`] — a canonical digest over the rendered
-//! fact sets, independent of interning order — is identical across both
-//! paths.
+//! [`AnalysisDb::fact_digest`] is identical across both paths.
+//!
+//! That digest is the parity oracle every incremental path is checked
+//! against, and the server computes it on every `update`, so it costs one
+//! hash per fact: an order-independent multiset hash over the fact
+//! tuples, canonical because it hashes entities and contexts by program
+//! *name*, never by id or interner handle (which differ between a
+//! from-scratch solve, an extension and a parallel solve of the same
+//! program). [`AnalysisDb::rendered_facts`] lists the same facts as
+//! sorted strings for diagnostics.
 
 use ctxform_algebra::{CStrings, Insensitive, TStrings};
-use ctxform_hash::fx_hash_one;
 use ctxform_ir::{Program, ProgramDelta, ProgramDiff, ProgramRetraction};
 
 use crate::config::{AbstractionKind, AnalysisConfig};
@@ -146,17 +152,33 @@ impl AnalysisDb {
         }
     }
 
-    /// A canonical digest of every live derived fact, rendered with
-    /// program names and sorted — independent of interning order, thread
-    /// count, and of whether the database was built by one solve or a
-    /// chain of extensions.
+    /// A canonical digest of every live derived fact: an order-independent
+    /// multiset hash over the fact tuples, with every entity and context
+    /// hashed by its program *name*, never by id or interner handle. It is
+    /// therefore independent of interning order, thread count, and of
+    /// whether the database was built by one solve, a chain of
+    /// extensions or a DRed retraction; two databases digest equal
+    /// exactly when their [`rendered_facts`](Self::rendered_facts) are
+    /// equal (up to 64-bit hash collisions). Facts retired by subsumption
+    /// elimination are not live and are skipped. Renders no string and
+    /// sorts nothing: the cost is one hash per fact.
     pub fn fact_digest(&self) -> u64 {
-        let rendered = match &self.state {
+        match &self.state {
+            DbState::Ins(st) => st.fact_digest(&self.program),
+            DbState::Cs(st) => st.fact_digest(&self.program),
+            DbState::Ts(st) => st.fact_digest(&self.program),
+        }
+    }
+
+    /// Every live derived fact rendered with program names, sorted — a
+    /// human-readable listing for diagnostics and tests (it allocates a
+    /// string per fact; [`fact_digest`](Self::fact_digest) does not).
+    pub fn rendered_facts(&self) -> Vec<String> {
+        match &self.state {
             DbState::Ins(st) => st.rendered_facts(&self.program),
             DbState::Cs(st) => st.rendered_facts(&self.program),
             DbState::Ts(st) => st.rendered_facts(&self.program),
-        };
-        fx_hash_one(&rendered)
+        }
     }
 
     fn extend_additive(&mut self, next: Program, delta: &ProgramDelta) {

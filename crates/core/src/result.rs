@@ -4,6 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
+use ctxform_hash::fx_hash_one;
 use ctxform_ir::{Field, Heap, Inv, Method, Var};
 
 use crate::config::AnalysisConfig;
@@ -587,6 +588,26 @@ impl CiFacts {
     /// `spts`, `reach`).
     pub fn total(&self) -> usize {
         self.pts.len() + self.hpts.len() + self.call.len() + self.reach.len() + self.spts.len()
+    }
+
+    /// An order-independent digest of the five projections: each set is
+    /// sorted and the sorted sequences are hashed together. Identical CI
+    /// facts give an identical digest on every platform. This is the
+    /// `ci_digest` of the `BENCH_<n>.json` history and of the server's
+    /// replies.
+    pub fn digest(&self) -> u64 {
+        fn sorted<T: Ord + Copy>(set: &HashSet<T>) -> Vec<T> {
+            let mut items: Vec<T> = set.iter().copied().collect();
+            items.sort_unstable();
+            items
+        }
+        fx_hash_one(&(
+            sorted(&self.pts),
+            sorted(&self.hpts),
+            sorted(&self.call),
+            sorted(&self.spts),
+            sorted(&self.reach),
+        ))
     }
 }
 

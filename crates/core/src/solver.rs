@@ -42,8 +42,12 @@ mod kernel;
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Insensitive, Levels, Limits, NeedsIntern};
-use ctxform_hash::{fx_map_with_capacity, FxHashMap, FxHashSet};
+use ctxform_algebra::{
+    Abstraction, CtxtDigest, CtxtElem, CtxtStr, Insensitive, Levels, Limits, NeedsIntern,
+};
+use ctxform_hash::{
+    fx_map_with_capacity, hash_str, hash_words, FxHashMap, FxHashSet, MultisetDigest,
+};
 use ctxform_ir::{
     Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, ProgramRetraction,
     Var,
@@ -399,9 +403,64 @@ impl<A: Abstraction> SolverState<A> {
         self.log.clear();
     }
 
+    /// An order-independent multiset digest of every live derived fact,
+    /// computed from the fact tuples without rendering or sorting.
+    ///
+    /// Each fact hashes a relation tag, the hashes of its entities'
+    /// *names* (one pass per name table), and the name-based hash of its
+    /// transformation or context ([`CtxtDigest`], memoized per interned
+    /// string); the per-fact hashes are summed. No id or interner handle
+    /// is ever hashed, so the digest is a function of the
+    /// [`rendered_facts`](Self::rendered_facts) listing alone: independent
+    /// of interning order, thread count, and of whether the state came
+    /// from a solve, an extension or a retraction.
+    pub(crate) fn fact_digest(&self, program: &Program) -> u64 {
+        fn names(table: &[String]) -> Vec<u64> {
+            table.iter().map(|n| hash_str(n)).collect()
+        }
+        let vars = names(&program.var_names);
+        let heaps = names(&program.heap_names);
+        let fields = names(&program.field_names);
+        let invs = names(&program.inv_names);
+        let methods = names(&program.method_names);
+        let mut ctxt = CtxtDigest::new(self.abs.interner(), program);
+        let mut digest = MultisetDigest::default();
+        // Each relation leads its facts' words with its own tag, 1–6.
+        for &(y, h, x) in &self.pts {
+            if self.config.subsumption && self.dead_pts.contains(&(y, h, x)) {
+                continue;
+            }
+            let x = self.abs.digest(x, &mut ctxt);
+            digest.add(hash_words(&[1, vars[y.index()], heaps[h.index()], x]));
+        }
+        for &(g, f, h, x) in &self.hpts {
+            let x = self.abs.digest(x, &mut ctxt);
+            let (g, f, h) = (heaps[g.index()], fields[f.index()], heaps[h.index()]);
+            digest.add(hash_words(&[2, g, f, h, x]));
+        }
+        for &(g, f, y, x) in &self.hload {
+            let x = self.abs.digest(x, &mut ctxt);
+            let (g, f, y) = (heaps[g.index()], fields[f.index()], vars[y.index()]);
+            digest.add(hash_words(&[3, g, f, y, x]));
+        }
+        for &(i, q, x) in &self.call {
+            let x = self.abs.digest(x, &mut ctxt);
+            digest.add(hash_words(&[4, invs[i.index()], methods[q.index()], x]));
+        }
+        for &(f, h, x) in &self.spts {
+            let x = self.abs.digest(x, &mut ctxt);
+            digest.add(hash_words(&[5, fields[f.index()], heaps[h.index()], x]));
+        }
+        for &(p, m) in &self.reach {
+            digest.add(hash_words(&[6, methods[p.index()], ctxt.ctxt(m)]));
+        }
+        digest.finish()
+    }
+
     /// Every live derived fact, rendered with program names and sorted —
-    /// a canonical, interning-order-independent description of the
-    /// database, suitable for digesting and cross-run comparison.
+    /// a human-readable listing of the database for diagnostics and
+    /// tests; [`fact_digest`](Self::fact_digest) digests the same facts
+    /// without rendering them.
     pub(crate) fn rendered_facts(&self, program: &Program) -> Vec<String> {
         let mut out = Vec::with_capacity(
             self.pts.len()

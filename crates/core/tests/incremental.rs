@@ -5,8 +5,8 @@
 //! `extend` once per edit) must be *bit-identical* — same fact digest —
 //! to solving every revision from scratch, across both context
 //! abstractions, call-site and object sensitivity, and thread counts.
-//! Fact digests are computed over rendered, sorted facts, so they are
-//! independent of interning order and thread count; a single
+//! Fact digests hash every entity and context by program name, so they
+//! are independent of interning order and thread count; a single
 //! from-scratch digest per revision serves as the oracle for every
 //! incremental chain.
 //!
@@ -43,8 +43,8 @@ fn incremental_chains_are_bit_identical_to_scratch_solves() {
     for seed in 0..SEEDS {
         let programs = revisions(seed);
         for config in configs() {
-            // From-scratch oracle per revision. Digests are rendered and
-            // sorted, hence thread-independent: one scratch solve per
+            // From-scratch oracle per revision. Digests hash names, not
+            // ids, hence are thread-independent: one scratch solve per
             // revision covers both incremental thread counts.
             let scratch: Vec<(u64, u64)> = programs
                 .iter()

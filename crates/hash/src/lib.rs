@@ -14,6 +14,12 @@
 //! synthetic-workload generator and the randomized property tests, so the
 //! workspace needs no external `rand` dependency and builds with no
 //! network access.
+//!
+//! Finally, [`hash_words`], [`hash_str`] and [`MultisetDigest`] build
+//! stable, platform-independent content digests: each element is
+//! finalized with murmur3's `fmix64`, and a multiset of element
+//! hashes is combined by wrapping addition, so the digest of a set does
+//! not depend on the order it is visited in.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -127,6 +133,81 @@ pub fn fx_hash_one<T: std::hash::Hash>(value: &T) -> u64 {
     h.finish()
 }
 
+/// murmur3's 64-bit finalizer: a bijective avalanche mix, so that
+/// sums of finalized words behave like sums of independent random
+/// values (bare Fx output does not: it is linear in its last word).
+#[inline]
+const fn fmix64(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// The start state of [`hash_words`] and [`hash_str`]. Not zero: zero
+/// is a fixed point of both the Fx fold of zero words and `fmix64`,
+/// so a zero start would hash `[]`, `[0]` and `[0, 0]` alike.
+const DIGEST_START: FxHasher = FxHasher {
+    hash: 0x9e37_79b9_7f4a_7c15,
+};
+
+/// A finalized hash of a fixed sequence of words: Fx-folds `words`,
+/// then applies murmur3's `fmix64`. Deterministic on every platform.
+#[inline]
+pub fn hash_words(words: &[u64]) -> u64 {
+    let mut h = DIGEST_START;
+    for &w in words {
+        h.add_to_hash(w);
+    }
+    fmix64(h.finish())
+}
+
+/// A finalized hash of a string's bytes and length. Deterministic on
+/// every platform.
+pub fn hash_str(s: &str) -> u64 {
+    let mut h = DIGEST_START;
+    h.write(s.as_bytes());
+    h.add_to_hash(s.len() as u64);
+    fmix64(h.finish())
+}
+
+/// An order-independent digest of a multiset of element hashes: the
+/// wrapping sum of the hashes, with the element count folded in at
+/// [`finish`](Self::finish). Feed it finalized hashes (e.g. from
+/// [`hash_words`]); the result does not depend on insertion order.
+///
+/// ```
+/// use ctxform_hash::{hash_words, MultisetDigest};
+/// let (a, b) = (hash_words(&[1]), hash_words(&[2]));
+/// let mut x = MultisetDigest::default();
+/// x.add(a);
+/// x.add(b);
+/// let mut y = MultisetDigest::default();
+/// y.add(b);
+/// y.add(a);
+/// assert_eq!(x.finish(), y.finish());
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MultisetDigest {
+    sum: u64,
+    count: u64,
+}
+
+impl MultisetDigest {
+    /// Adds one element hash.
+    #[inline]
+    pub fn add(&mut self, hash: u64) {
+        self.sum = self.sum.wrapping_add(hash);
+        self.count += 1;
+    }
+
+    /// The digest of every hash added so far.
+    pub fn finish(self) -> u64 {
+        hash_words(&[self.sum, self.count])
+    }
+}
+
 /// A small deterministic PRNG: splitmix64 state advance with
 /// xorshift-multiply output mixing (Vigna's reference finalizer).
 ///
@@ -231,6 +312,25 @@ mod tests {
         let mut h2 = FxHasher::default();
         h2.write(b"hello world, context transformationz");
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn multiset_digest_counts_multiplicity_and_ignores_order() {
+        let (a, b) = (hash_str("a"), hash_str("b"));
+        let digest = |hashes: &[u64]| {
+            let mut d = MultisetDigest::default();
+            hashes.iter().for_each(|&h| d.add(h));
+            d.finish()
+        };
+        assert_eq!(digest(&[a, b]), digest(&[b, a]));
+        assert_ne!(digest(&[a]), digest(&[a, a]));
+        assert_ne!(digest(&[]), digest(&[0]));
+        assert_ne!(hash_words(&[1, 2]), hash_words(&[2, 1]));
+        assert_ne!(hash_words(&[]), hash_words(&[0]));
+        assert_ne!(hash_words(&[0]), hash_words(&[0, 0]));
+        assert_ne!(hash_str(""), 0);
+        assert_ne!(hash_str("ab"), hash_str("ab\0"));
+        assert_eq!(fmix64(0), 0);
     }
 
     #[test]

@@ -734,27 +734,12 @@ pub fn program_digest(program: &Program) -> u64 {
     fx_hash_one(&text::emit(program))
 }
 
-/// An order-independent digest of a result's context-insensitive
-/// projections: each fact set is sorted and hashed as a sequence, then the
-/// relation digests are combined. Identical CI facts ⇒ identical digest on
-/// every platform — the oracle the integration suite uses to prove
-/// shard-served answers equal direct `analyze` calls.
+/// The result's CI digest, [`ctxform::CiFacts::digest`] — the same
+/// number the `BENCH_<n>.json` history records as `ci_digest`, and the
+/// oracle the integration suite uses to prove shard-served answers equal
+/// direct `analyze` calls.
 pub fn ci_digest(r: &AnalysisResult) -> u64 {
-    fn set_digest<T: Ord + Copy + std::hash::Hash>(
-        set: &std::collections::HashSet<T, impl std::hash::BuildHasher>,
-    ) -> u64 {
-        let mut items: Vec<T> = set.iter().copied().collect();
-        items.sort_unstable();
-        fx_hash_one(&items)
-    }
-    let ci = &r.ci;
-    fx_hash_one(&[
-        set_digest(&ci.pts),
-        set_digest(&ci.hpts),
-        set_digest(&ci.call),
-        set_digest(&ci.spts),
-        set_digest(&ci.reach),
-    ])
+    r.ci.digest()
 }
 
 /// Estimates the resident size of a solved database: the dominant cost is
@@ -784,6 +769,16 @@ mod tests {
 
     fn config(label: &str) -> AnalysisConfig {
         AnalysisConfig::transformer_strings(label.parse().unwrap())
+    }
+
+    #[test]
+    fn wire_ci_digest_is_the_core_ci_digest() {
+        let program = compile(corpus::BOX).unwrap().program;
+        let r = analyze(&program, &config("1-call"));
+        assert_eq!(ci_digest(&r), r.ci.digest());
+        // Pinned: the definition the BENCH_<n>.json `ci_digest` history
+        // was recorded with.
+        assert_eq!(format!("{:016x}", ci_digest(&r)), "d96aad2805f41487");
     }
 
     #[test]
