@@ -39,7 +39,7 @@ fn main() -> ExitCode {
     let Some(path) = args.next() else {
         eprintln!(
             "usage: analyze <program.mj|facts.txt> [--config LABEL] \
-             [--abstraction cstring|tstring|ci] [--naive] [--subsumption] \
+             [--abstraction cstring|tstring|ci] [--naive] \
              [--threads N] [--trace-json PATH] [--query Method::var]..."
         );
         return ExitCode::FAILURE;
@@ -47,7 +47,6 @@ fn main() -> ExitCode {
     let mut label = "2-object+H".to_owned();
     let mut kind = AbstractionKind::TransformerStrings;
     let mut naive = false;
-    let mut subsumption = false;
     let mut threads = 1usize;
     let mut trace_json: Option<String> = None;
     let mut queries: Vec<String> = Vec::new();
@@ -73,7 +72,6 @@ fn main() -> ExitCode {
                 }
             }
             "--naive" => naive = true,
-            "--subsumption" => subsumption = true,
             "--trace-json" => trace_json = Some(args.next().expect("--trace-json needs a path")),
             "--query" => queries.push(args.next().expect("--query needs Method::var")),
             other => {
@@ -108,9 +106,6 @@ fn main() -> ExitCode {
     };
     if naive {
         config = config.with_naive_joins();
-    }
-    if subsumption {
-        config = config.with_subsumption();
     }
     config = config.with_threads(threads);
     if trace_json.is_some() {

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p ctxform-bench --bin figure6 -- [--scale N] \
-//!     [--bench NAME] [--naive] [--subsumption]
+//!     [--bench NAME] [--naive]
 //! ```
 
 use ctxform::JoinStrategy;
@@ -23,25 +23,19 @@ fn main() {
             }
             "--bench" => only = Some(args.next().expect("--bench needs a name")),
             "--naive" => opts.join_strategy = JoinStrategy::Naive,
-            "--subsumption" => opts.subsumption = true,
             "--help" | "-h" => {
-                eprintln!("usage: figure6 [--scale N] [--bench NAME] [--naive] [--subsumption]");
+                eprintln!("usage: figure6 [--scale N] [--bench NAME] [--naive]");
                 return;
             }
             other => panic!("unknown argument `{other}`"),
         }
     }
     eprintln!(
-        "running figure 6 at scale {} ({} joins{})...",
+        "running figure 6 at scale {} ({} joins)...",
         opts.scale,
         match opts.join_strategy {
             JoinStrategy::Specialized => "specialized",
             JoinStrategy::Naive => "naive",
-        },
-        if opts.subsumption {
-            ", subsumption"
-        } else {
-            ""
         }
     );
     let rows = run_figure6(&opts, only.as_deref());

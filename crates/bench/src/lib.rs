@@ -108,8 +108,6 @@ pub struct Figure6Options {
     /// Join strategy for both abstractions (Naive reproduces §7's
     /// strawman).
     pub join_strategy: JoinStrategy,
-    /// Enable §8 subsumption elimination for transformer strings.
-    pub subsumption: bool,
 }
 
 impl Default for Figure6Options {
@@ -117,7 +115,6 @@ impl Default for Figure6Options {
         Figure6Options {
             scale: 20,
             join_strategy: JoinStrategy::Specialized,
-            subsumption: false,
         }
     }
 }
@@ -155,9 +152,6 @@ pub fn run_cell(program: &Program, sensitivity: Sensitivity, opts: &Figure6Optio
     let mut t_cfg = AnalysisConfig::transformer_strings(sensitivity);
     c_cfg.join_strategy = opts.join_strategy;
     t_cfg.join_strategy = opts.join_strategy;
-    if opts.subsumption {
-        t_cfg.subsumption = true;
-    }
     let c = analyze(program, &c_cfg);
     let t = analyze(program, &t_cfg);
     ConfigCell {

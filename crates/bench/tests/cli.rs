@@ -73,13 +73,7 @@ fn analyze_accepts_all_abstractions_and_flags() {
             "2-hybrid+H",
             "--naive",
         ],
-        vec![
-            "--abstraction",
-            "tstring",
-            "--config",
-            "1-object",
-            "--subsumption",
-        ],
+        vec!["--abstraction", "tstring", "--config", "1-object"],
     ] {
         let mut args = vec![path.to_str().unwrap()];
         args.extend(extra.iter().copied());

@@ -45,21 +45,12 @@ pub struct AnalysisConfig {
     pub sensitivity: Option<Sensitivity>,
     /// Join indexing discipline (§7): specialized or naive.
     pub join_strategy: JoinStrategy,
-    /// Delete subsumed transformer-string facts on insertion (§8's
-    /// suggested engine customization; a no-op for context strings).
-    pub subsumption: bool,
-    /// Collapse the `hpts` transformation to the uninformative value when
-    /// `h = 0`, making the relation context-insensitive exactly as the
-    /// paper's Fig. 6 reports ("no reduction … because the relation is
-    /// context-insensitive"). Disable to keep the strictly-more-precise
-    /// `ε`-vs-`∗` distinction the raw formalism would preserve.
-    pub collapse_insensitive_heap: bool,
     /// Record every derived fact (rendered, in derivation order) into the
     /// result — used by the figure examples; expensive on big programs.
     pub record_facts: bool,
-    /// Memoize `compose` and `subsumes` over the copyable interned handles
-    /// (sound because the interner is append-only, so both are pure
-    /// functions of their handles). On by default; disable for the
+    /// Memoize `compose` over the copyable interned handles (sound
+    /// because the interner is append-only, so it is a pure function of
+    /// its handles). On by default; disable for the
     /// memoization-parity tests and ablation runs.
     pub memoize: bool,
     /// Solver worker threads: `0` picks `std::thread::available_parallelism`
@@ -110,8 +101,6 @@ impl AnalysisConfig {
             abstraction: AbstractionKind::Insensitive,
             sensitivity: None,
             join_strategy: JoinStrategy::Specialized,
-            subsumption: false,
-            collapse_insensitive_heap: true,
             record_facts: false,
             memoize: true,
             threads: 0,
@@ -144,19 +133,13 @@ impl AnalysisConfig {
         self
     }
 
-    /// Returns a copy with subsumption elimination enabled.
-    pub fn with_subsumption(mut self) -> Self {
-        self.subsumption = true;
-        self
-    }
-
     /// Returns a copy that records rendered facts in derivation order.
     pub fn with_recorded_facts(mut self) -> Self {
         self.record_facts = true;
         self
     }
 
-    /// Returns a copy with `compose`/`subsumes` memoization disabled
+    /// Returns a copy with `compose` memoization disabled
     /// (parity testing and ablation).
     pub fn without_memoization(mut self) -> Self {
         self.memoize = false;
@@ -202,10 +185,8 @@ mod tests {
         let s: Sensitivity = "1-call".parse().unwrap();
         let cfg = AnalysisConfig::transformer_strings(s)
             .with_naive_joins()
-            .with_subsumption()
             .with_recorded_facts();
         assert_eq!(cfg.join_strategy, JoinStrategy::Naive);
-        assert!(cfg.subsumption);
         assert!(cfg.record_facts);
         assert!(cfg.memoize, "memoization is on by default");
         assert!(!cfg.without_memoization().memoize);

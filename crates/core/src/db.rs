@@ -16,9 +16,7 @@
 //! input, then the ordinary monotone fixpoint restores what the new
 //! program still supports — again bit-identical to from-scratch at every
 //! thread count. Edits that rewrite something structural (classified by
-//! [`ProgramDiff::between`] as non-monotone) and configurations with
-//! subsumption elimination (which *retires* facts, breaking the grow-only
-//! invariant the resume argument needs) fall back to a from-scratch
+//! [`ProgramDiff::between`] as non-monotone) fall back to a from-scratch
 //! solve; either way the database ends up describing the new program, and
 //! [`AnalysisDb::fact_digest`] is identical across both paths.
 //!
@@ -57,8 +55,8 @@ pub enum ExtendOutcome {
     /// The edit removed input tuples; a DRed (delete-and-rederive) pass
     /// updated the saved state in place.
     Retracted,
-    /// The edit (or the configuration) was not monotone; the database was
-    /// re-solved from scratch. The payload says why.
+    /// The edit was not monotone; the database was re-solved from
+    /// scratch. The payload says why.
     Fallback(String),
 }
 
@@ -117,16 +115,10 @@ impl AnalysisDb {
     ///
     /// Additive edits resume the saved fixpoint seeded with the delta;
     /// retractive edits run a DRed delete-and-rederive pass over the
-    /// saved state; anything else — a non-monotone edit, or a
-    /// subsumption configuration (retired facts violate the grow-only
-    /// resume invariant) — re-solves from scratch. The resulting fact
-    /// sets are identical in every case; only the work differs.
+    /// saved state; a non-monotone edit re-solves from scratch. The
+    /// resulting fact sets are identical in every case; only the work
+    /// differs.
     pub fn extend(&mut self, next: Program) -> ExtendOutcome {
-        if self.config.subsumption {
-            let reason = "subsumption elimination retires facts; extension is not monotone";
-            self.resolve_from_scratch(next);
-            return ExtendOutcome::Fallback(reason.to_owned());
-        }
         match ProgramDiff::between(&self.program, &next) {
             ProgramDiff::Identical => {
                 // The database is already up to date, and the no-op did
@@ -152,16 +144,15 @@ impl AnalysisDb {
         }
     }
 
-    /// A canonical digest of every live derived fact: an order-independent
+    /// A canonical digest of every derived fact: an order-independent
     /// multiset hash over the fact tuples, with every entity and context
     /// hashed by its program *name*, never by id or interner handle. It is
     /// therefore independent of interning order, thread count, and of
     /// whether the database was built by one solve, a chain of
     /// extensions or a DRed retraction; two databases digest equal
     /// exactly when their [`rendered_facts`](Self::rendered_facts) are
-    /// equal (up to 64-bit hash collisions). Facts retired by subsumption
-    /// elimination are not live and are skipped. Renders no string and
-    /// sorts nothing: the cost is one hash per fact.
+    /// equal (up to 64-bit hash collisions). Renders no string and sorts
+    /// nothing: the cost is one hash per fact.
     pub fn fact_digest(&self) -> u64 {
         match &self.state {
             DbState::Ins(st) => st.fact_digest(&self.program),
@@ -170,7 +161,7 @@ impl AnalysisDb {
         }
     }
 
-    /// Every live derived fact rendered with program names, sorted — a
+    /// Every derived fact rendered with program names, sorted — a
     /// human-readable listing for diagnostics and tests (it allocates a
     /// string per fact; [`fact_digest`](Self::fact_digest) does not).
     pub fn rendered_facts(&self) -> Vec<String> {
@@ -178,6 +169,19 @@ impl AnalysisDb {
             DbState::Ins(st) => st.rendered_facts(&self.program),
             DbState::Cs(st) => st.rendered_facts(&self.program),
             DbState::Ts(st) => st.rendered_facts(&self.program),
+        }
+    }
+
+    /// How many `pts` facts are strictly subsumed by another fact on the
+    /// same `(var, heap)` (§8, Fig. 7). Transformer strings can derive
+    /// such redundant facts along distinct data-flow paths; context
+    /// strings never do, since their subsumption is equality. A
+    /// diagnostic: it checks every pair per key with no memo.
+    pub fn subsumed_pts(&self) -> usize {
+        match &self.state {
+            DbState::Ins(st) => st.subsumed_pts(),
+            DbState::Cs(st) => st.subsumed_pts(),
+            DbState::Ts(st) => st.subsumed_pts(),
         }
     }
 
@@ -392,18 +396,6 @@ mod tests {
         let base = compile(EDITED).unwrap().program;
         let next = compile(BASE).unwrap().program; // a *removal*
         let config = cfg("1-call");
-        let mut db = AnalysisDb::solve(base, &config);
-        let outcome = db.extend(next.clone());
-        assert!(matches!(outcome, ExtendOutcome::Fallback(_)), "{outcome:?}");
-        let scratch = AnalysisDb::solve(next, &config);
-        assert_eq!(db.fact_digest(), scratch.fact_digest());
-    }
-
-    #[test]
-    fn subsumption_config_always_falls_back() {
-        let base = compile(BASE).unwrap().program;
-        let next = compile(EDITED).unwrap().program;
-        let config = cfg("1-call+H").with_subsumption();
         let mut db = AnalysisDb::solve(base, &config);
         let outcome = db.extend(next.clone());
         assert!(matches!(outcome, ExtendOutcome::Fallback(_)), "{outcome:?}");

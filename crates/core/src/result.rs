@@ -286,8 +286,6 @@ pub struct MemoryFootprint {
     pub ix_reach_by_method: usize,
     /// `compose` memo table.
     pub memo_compose: usize,
-    /// `subsumes` memo table.
-    pub memo_subsume: usize,
 }
 
 impl MemoryFootprint {
@@ -314,7 +312,6 @@ impl MemoryFootprint {
             ("index", "call_by_method", self.ix_call_by_method),
             ("index", "reach_by_method", self.ix_reach_by_method),
             ("memo", "compose", self.memo_compose),
-            ("memo", "subsume", self.memo_subsume),
         ]
         .into_iter()
     }
@@ -348,26 +345,15 @@ pub struct SolverStats {
     pub compose_memo_hits: u64,
     /// `comp` evaluations that missed the memo table (and were computed).
     pub compose_memo_misses: u64,
-    /// Subsumption checks answered from the memo table.
-    pub subsume_memo_hits: u64,
-    /// Subsumption checks that missed the memo table.
-    pub subsume_memo_misses: u64,
-    /// New facts dropped because an existing fact subsumed them.
-    pub subsumed_dropped: u64,
-    /// Existing facts retired because a new fact subsumed them.
-    pub subsumed_retired: u64,
     /// Per-rule insert attempts (a rule driver produced a candidate
     /// fact and offered it to the fact sets).
     pub rule_fired: RuleCounts,
     /// Per-rule novel derivations (the candidate was new — not a
-    /// duplicate, not subsumed — and was admitted).
+    /// duplicate — and was admitted).
     pub rule_derived: RuleCounts,
     /// Entries resident in the compose memo table when the run finished
     /// (the merge-phase table under the parallel engine).
     pub compose_memo_entries: usize,
-    /// Entries resident in the subsumption memo table when the run
-    /// finished.
-    pub subsume_memo_entries: usize,
     /// Distinct context strings interned by the end of the run
     /// (including ε).
     pub interned_contexts: usize,
@@ -425,10 +411,6 @@ impl SolverStats {
         self.probes = 0;
         self.compose_memo_hits = 0;
         self.compose_memo_misses = 0;
-        self.subsume_memo_hits = 0;
-        self.subsume_memo_misses = 0;
-        self.subsumed_dropped = 0;
-        self.subsumed_retired = 0;
         self.rule_fired = RuleCounts::default();
         self.rule_derived = RuleCounts::default();
         self.par_rounds = 0;
@@ -461,18 +443,10 @@ impl SolverStats {
             "  compose memo:     {} hits / {} misses\n",
             self.compose_memo_hits, self.compose_memo_misses
         ));
-        out.push_str(&format!(
-            "  subsume memo:     {} hits / {} misses\n",
-            self.subsume_memo_hits, self.subsume_memo_misses
-        ));
         out.push_str(&format!("  join probes:      {}\n", self.probes));
         out.push_str(&format!(
-            "  subsumption:      {} dropped / {} retired\n",
-            self.subsumed_dropped, self.subsumed_retired
-        ));
-        out.push_str(&format!(
-            "  memo entries:     {} compose / {} subsume\n",
-            self.compose_memo_entries, self.subsume_memo_entries
+            "  memo entries:     {} compose\n",
+            self.compose_memo_entries
         ));
         if self.rule_derived.total() > 0 {
             let derived: Vec<String> = self
@@ -527,7 +501,7 @@ impl SolverStats {
                     + self.memory.ix_call_by_inv
                     + self.memory.ix_call_by_method
                     + self.memory.ix_reach_by_method,
-                self.memory.memo_compose + self.memory.memo_subsume
+                self.memory.memo_compose
             ));
         }
         out.push_str(&format!("  time:             {:?}\n", self.duration));
@@ -698,7 +672,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(fp.total(), 147);
-        assert_eq!(fp.sections().count(), 15);
+        assert_eq!(fp.sections().count(), 14);
         let (kind, name, bytes) = fp.sections().next().unwrap();
         assert_eq!((kind, name, bytes), ("relation", "pts", 100));
     }

@@ -29,9 +29,9 @@
 //! * Join-candidate collection writes into reusable scratch buffers that
 //!   are `mem::take`n out of the sink around each rule loop (the borrow
 //!   checker then sees them as locals disjoint from the sink).
-//! * `compose` and `subsumes` are memoized over the copyable interned
-//!   handles (sound because the interner is append-only, making both pure
-//!   functions of their arguments). `invert` is *not* memoized: for every
+//! * `compose` is memoized over the copyable interned handles (sound
+//!   because the interner is append-only, making it a pure function of
+//!   its arguments). `invert` is *not* memoized: for every
 //!   abstraction it is an O(1) field swap, cheaper than any table lookup.
 //! * All maps and sets use the Fx hasher ([`ctxform_hash`]) — the keys are
 //!   small trusted `Copy` tuples, the exact case Fx is built for.
@@ -175,11 +175,10 @@ pub(crate) fn solve_state<A: Abstraction>(
 /// program's indices.
 ///
 /// `program` must be the extended program `delta` was computed against,
-/// and `state` the solved state of the base program under a configuration
-/// without subsumption elimination. Because Figure 3 is monotone, the
-/// resumed fixpoint reaches exactly the least model of the extended
-/// program — the same fact sets a from-scratch solve derives, at every
-/// thread count.
+/// and `state` the solved state of the base program. Because Figure 3 is
+/// monotone, the resumed fixpoint reaches exactly the least model of the
+/// extended program — the same fact sets a from-scratch solve derives, at
+/// every thread count.
 pub(crate) fn extend_state<A: Abstraction>(
     program: &Program,
     state: SolverState<A>,
@@ -321,13 +320,7 @@ pub(crate) struct SolverState<A: Abstraction> {
     reach_by_method: FxHashMap<Method, Vec<CtxtStr>>,
     /// Facts inserted but not yet driven.
     queue: Queues<A::X>,
-    /// Live (unsubsumed) transformations per (var, heap) key; maintained
-    /// only when subsumption elimination is on.
-    live_pts: FxHashMap<(Var, Heap), Vec<A::X>>,
-    dead_pts: FxHashSet<(Var, Heap, A::X)>,
     compose_memo: ComposeMemo<A::X>,
-    /// Memo table for `subsumes(a, b)`.
-    subsume_memo: FxHashMap<(A::X, A::X), bool>,
     scratch: Scratch<A::X>,
     stats: SolverStats,
     log: Vec<LoggedFact>,
@@ -364,10 +357,7 @@ impl<A: Abstraction> SolverState<A> {
             reach: FxHashSet::default(),
             reach_by_method: fx_map_with_capacity(program.method_count()),
             queue: Queues::default(),
-            live_pts: FxHashMap::default(),
-            dead_pts: FxHashSet::default(),
             compose_memo: FxHashMap::default(),
-            subsume_memo: FxHashMap::default(),
             scratch: Scratch::default(),
             stats: SolverStats::default(),
             log: Vec::new(),
@@ -403,7 +393,7 @@ impl<A: Abstraction> SolverState<A> {
         self.log.clear();
     }
 
-    /// An order-independent multiset digest of every live derived fact,
+    /// An order-independent multiset digest of every derived fact,
     /// computed from the fact tuples without rendering or sorting.
     ///
     /// Each fact hashes a relation tag, the hashes of its entities'
@@ -427,9 +417,6 @@ impl<A: Abstraction> SolverState<A> {
         let mut digest = MultisetDigest::default();
         // Each relation leads its facts' words with its own tag, 1–6.
         for &(y, h, x) in &self.pts {
-            if self.config.subsumption && self.dead_pts.contains(&(y, h, x)) {
-                continue;
-            }
             let x = self.abs.digest(x, &mut ctxt);
             digest.add(hash_words(&[1, vars[y.index()], heaps[h.index()], x]));
         }
@@ -457,7 +444,24 @@ impl<A: Abstraction> SolverState<A> {
         digest.finish()
     }
 
-    /// Every live derived fact, rendered with program names and sorted —
+    /// See [`crate::AnalysisDb::subsumed_pts`]; never called while
+    /// solving.
+    pub(crate) fn subsumed_pts(&self) -> usize {
+        let mut by_key: FxHashMap<(Var, Heap), Vec<A::X>> = FxHashMap::default();
+        for &(y, h, x) in &self.pts {
+            by_key.entry((y, h)).or_default().push(x);
+        }
+        by_key
+            .values()
+            .map(|xs| {
+                xs.iter()
+                    .filter(|&&b| xs.iter().any(|&a| a != b && self.abs.subsumes(a, b)))
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Every derived fact, rendered with program names and sorted —
     /// a human-readable listing of the database for diagnostics and
     /// tests; [`fact_digest`](Self::fact_digest) digests the same facts
     /// without rendering them.
@@ -471,9 +475,6 @@ impl<A: Abstraction> SolverState<A> {
                 + self.reach.len(),
         );
         for &(y, h, x) in &self.pts {
-            if self.config.subsumption && self.dead_pts.contains(&(y, h, x)) {
-                continue;
-            }
             out.push(format!(
                 "pts({}, {}, {})",
                 program.var_names[y.index()],
@@ -657,9 +658,9 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         let call_invs: FxHashSet<Inv> = added.assign_return.iter().map(|&(i, _)| i).collect();
 
         let st = &mut self.st;
-        st.queue.pts.extend(sorted(&st.pts, |&(y, h, x)| {
-            vars.contains(&y) && !(st.config.subsumption && st.dead_pts.contains(&(y, h, x)))
-        }));
+        st.queue
+            .pts
+            .extend(sorted(&st.pts, |(y, _, _)| vars.contains(y)));
         st.queue
             .reach
             .extend(sorted(&st.reach, |(p, _)| methods.contains(p)));
@@ -1057,11 +1058,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         let t = self.prof_start();
         while let Some(delta) = self.st.queue.pop() {
             self.st.stats.events += 1;
-            if let Fact::Pts(y, h, x) = delta {
-                if self.st.config.subsumption && self.st.dead_pts.contains(&(y, h, x)) {
-                    continue;
-                }
-            }
             self.drive(delta);
         }
         if let Some(t) = t {
@@ -1069,34 +1065,11 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         }
     }
 
-    /// Memoized `subsumes`, written as an associated function over the
-    /// split-borrowed fields so it can run inside `retain` closures.
-    fn subsumes_cached(
-        abs: &A,
-        memo: &mut FxHashMap<(A::X, A::X), bool>,
-        stats: &mut SolverStats,
-        memoize: bool,
-        a: A::X,
-        b: A::X,
-    ) -> bool {
-        if !memoize {
-            return abs.subsumes(a, b);
-        }
-        if let Some(&r) = memo.get(&(a, b)) {
-            stats.subsume_memo_hits += 1;
-            return r;
-        }
-        stats.subsume_memo_misses += 1;
-        let r = abs.subsumes(a, b);
-        memo.insert((a, b), r);
-        r
-    }
-
     // ------------------------------------------------------------------
     // Insertion
     // ------------------------------------------------------------------
 
-    /// Inserts a derived fact: dedup, gate, subsume, index, log, queue.
+    /// Inserts a derived fact: gate, dedup, index, log, queue.
     #[inline]
     fn insert(&mut self, fact: Fact<A::X>, rule: &'static str) {
         match fact {
@@ -1116,56 +1089,10 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             }
         }
         self.st.stats.rule_fired.bump(rule);
-        if self.st.config.subsumption {
-            if self.st.pts.contains(&(y, h, x)) {
-                return; // plain duplicate, not a subsumption event
-            }
-            let memoize = self.st.config.memoize;
-            let SolverState {
-                live_pts,
-                subsume_memo,
-                abs,
-                stats,
-                ..
-            } = &mut self.st;
-            if let Some(live) = live_pts.get(&(y, h)) {
-                if live
-                    .iter()
-                    .any(|&old| Self::subsumes_cached(abs, subsume_memo, stats, memoize, old, x))
-                {
-                    stats.subsumed_dropped += 1;
-                    return;
-                }
-            }
-        }
         if !self.st.pts.insert((y, h, x)) {
             return;
         }
         self.st.stats.rule_derived.bump(rule);
-        if self.st.config.subsumption {
-            let memoize = self.st.config.memoize;
-            let SolverState {
-                live_pts,
-                dead_pts,
-                subsume_memo,
-                abs,
-                stats,
-                ..
-            } = &mut self.st;
-            let live = live_pts.entry((y, h)).or_default();
-            let mut retired = 0;
-            live.retain(|&old| {
-                if Self::subsumes_cached(abs, subsume_memo, stats, memoize, x, old) {
-                    dead_pts.insert((y, h, old));
-                    retired += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            stats.subsumed_retired += retired;
-            live.push(x);
-        }
         let boundary = self.st.abs.dst_boundary(x);
         let strategy = self.st.config.join_strategy;
         let mode = self.st.mode;
@@ -1408,15 +1335,13 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 * (size_of::<(A::X, A::X, Limits)>()
                     + size_of::<Option<A::X>>()
                     + HASH_SLOT_OVERHEAD),
-            memo_subsume: self.st.subsume_memo.len()
-                * (size_of::<(A::X, A::X)>() + size_of::<bool>() + HASH_SLOT_OVERHEAD),
         }
     }
 
     fn finish(&mut self, start: Instant) -> AnalysisResult {
         self.st.stats.duration = start.elapsed();
         self.st.stats.memory = self.memory_footprint();
-        self.st.stats.pts = self.st.pts.len() - self.st.dead_pts.len();
+        self.st.stats.pts = self.st.pts.len();
         self.st.stats.hpts = self.st.hpts.len();
         self.st.stats.hload = self.st.hload.len();
         self.st.stats.call = self.st.call.len();
@@ -1424,12 +1349,8 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         self.st.stats.reach = self.st.reach.len();
         self.st.stats.interned_contexts = self.st.abs.interner().interned_count();
         self.st.stats.compose_memo_entries = self.st.compose_memo.len();
-        self.st.stats.subsume_memo_entries = self.st.subsume_memo.len();
         let mut histogram: FxHashMap<String, usize> = FxHashMap::default();
-        for &(y, h, x) in &self.st.pts {
-            if self.st.config.subsumption && self.st.dead_pts.contains(&(y, h, x)) {
-                continue;
-            }
+        for &(_, _, x) in &self.st.pts {
             let tag = self.st.abs.configuration(x);
             if !tag.is_empty() || matches!(self.st.mode, ctxform_algebra::BoundaryMode::Prefix) {
                 *histogram.entry(tag).or_insert(0) += 1;

@@ -14,7 +14,7 @@
 //!    owns chunks `w, w + T, w + 2T, …`, and each worker keeps its own
 //!    compose-memo shard across rounds.
 //! 3. **Merge (sequential)**: chunk buffers are applied in chunk order
-//!    through the direct sink, which dedups, subsumes, indexes, logs, and
+//!    through the direct sink, which dedups, indexes, logs, and
 //!    re-queues exactly as the serial loop does.
 //!
 //! # Determinism
@@ -225,10 +225,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             // the deterministic merge phase produced).
             frontier.clear();
             self.st.queue.drain_into(&mut frontier);
-            if self.st.config.subsumption {
-                let dead = &self.st.dead_pts;
-                frontier.retain(|d| !matches!(*d, Fact::Pts(y, h, x) if dead.contains(&(y, h, x))));
-            }
             if frontier.is_empty() {
                 break;
             }

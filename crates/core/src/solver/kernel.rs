@@ -5,7 +5,7 @@
 //! consequence to a [`Sink`]. Three sinks implement the trait:
 //!
 //! * **direct** — the [`Solver`] itself. Interning always succeeds and
-//!   [`Sink::emit`] inserts (dedup, subsume, index, log, queue). The
+//!   [`Sink::emit`] inserts (dedup, index, log, queue). The
 //!   serial loop drives deltas through it, and the parallel merge phase
 //!   replays deferred candidates through it.
 //! * **worker** — the read-only worker of [`super::frontier`]. Interning
@@ -223,36 +223,25 @@ pub(super) trait Sink<'p, A: Abstraction> {
     }
 
     /// Appends to `out` the rows of the bucket `index` selects that are
-    /// compatible with `query` and pass `keep`, counting the probes.
+    /// compatible with `query`, counting the probes.
     #[inline]
     fn probe<V: Copy>(
         &mut self,
         index: impl FnOnce(&SolverState<A>) -> Option<&Bucket<V>>,
         query: CtxtStr,
         out: &mut Vec<V>,
-        keep: impl Fn(&SolverState<A>, V) -> bool,
     ) {
         let st = &self.solver().st;
         let probes = index(st).map_or(0, |bucket| {
-            bucket.for_compatible(query, st.abs.interner(), |v| {
-                if keep(st, v) {
-                    out.push(v);
-                }
-            })
+            bucket.for_compatible(query, st.abs.interner(), |v| out.push(v))
         });
         self.count_probes(probes);
     }
 
-    /// [`Sink::probe`] over `pts(var, ·, ·)`, skipping rows retired by
-    /// subsumption elimination.
+    /// [`Sink::probe`] over `pts(var, ·, ·)`.
     #[inline]
     fn probe_pts(&mut self, var: Var, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        self.probe(
-            |st| st.pts_by_var.get(&var),
-            query,
-            out,
-            |st, (h, x)| !st.config.subsumption || !st.dead_pts.contains(&(var, h, x)),
-        );
+        self.probe(|st| st.pts_by_var.get(&var), query, out);
     }
 
     fn drive(&mut self, delta: Fact<A::X>) {
@@ -363,7 +352,7 @@ pub(super) trait Sink<'p, A: Abstraction> {
             let mut cand = mem::take(&mut self.scratch().method);
             for &(i, o) in actuals {
                 cand.clear();
-                self.probe(|st| st.call_by_inv.get(&i), query, &mut cand, |_, _| true);
+                self.probe(|st| st.call_by_inv.get(&i), query, &mut cand);
                 for &(p, c) in cand.iter() {
                     if let Some(&y) = ix.formal_of.get(&(p, o)) {
                         self.compose_pts(y, h, b, c, flow, "Param");
@@ -381,12 +370,7 @@ pub(super) trait Sink<'p, A: Abstraction> {
             let mut cand = mem::take(&mut self.scratch().inv);
             for &p in returns {
                 cand.clear();
-                self.probe(
-                    |st| st.call_by_method.get(&p),
-                    query,
-                    &mut cand,
-                    |_, _| true,
-                );
+                self.probe(|st| st.call_by_method.get(&p), query, &mut cand);
                 for &(i, c) in cand.iter() {
                     let inv_c = self.abs().invert(c);
                     let ys = ix
@@ -428,12 +412,7 @@ pub(super) trait Sink<'p, A: Abstraction> {
         let query = self.abs().dst_boundary(b);
         let mut cand = mem::take(&mut self.scratch().var);
         cand.clear();
-        self.probe(
-            |st| st.hload_by_gf.get(&(g, f)),
-            query,
-            &mut cand,
-            |_, _| true,
-        );
+        self.probe(|st| st.hload_by_gf.get(&(g, f)), query, &mut cand);
         for &(y, c) in cand.iter() {
             self.compose_pts(y, h, b, c, flow, "Ind");
         }
@@ -448,12 +427,7 @@ pub(super) trait Sink<'p, A: Abstraction> {
         let query = self.abs().src_boundary(c);
         let mut cand = mem::take(&mut self.scratch().heap);
         cand.clear();
-        self.probe(
-            |st| st.hpts_by_gf.get(&(g, f)),
-            query,
-            &mut cand,
-            |_, _| true,
-        );
+        self.probe(|st| st.hpts_by_gf.get(&(g, f)), query, &mut cand);
         for &(h, b) in cand.iter() {
             self.compose_pts(y, h, b, c, flow, "Ind");
         }
@@ -602,9 +576,9 @@ pub(super) trait Sink<'p, A: Abstraction> {
     ) {
         match self.compose(a, b, limits) {
             Ok(Some(x)) => {
-                let s = self.solver();
-                let x = if s.st.config.collapse_insensitive_heap && s.st.levels.heap == 0 {
-                    s.st.abs.uninformative()
+                let st = &self.solver().st;
+                let x = if st.levels.heap == 0 {
+                    st.abs.uninformative()
                 } else {
                     x
                 };

@@ -168,36 +168,3 @@ fn digests_are_equal_exactly_when_rendered_facts_are() {
     }
     assert!(equal_pairs > 0 && distinct_pairs > 0);
 }
-
-/// Facts retired by subsumption elimination are not live: the listing
-/// and the digest skip them alike. The serial and parallel engines
-/// retire in different orders, so their stored fact sets may differ
-/// while their live facts — and hence their digests — may not.
-#[test]
-fn subsumption_digests_skip_retired_facts() {
-    let config = AnalysisConfig::transformer_strings("1-call+H".parse().unwrap());
-    let mut retired = 0;
-    for (name, revisions) in subjects() {
-        let mut entries = Vec::new();
-        for threads in PARITY_THREADS {
-            for (rev, program) in revisions.iter().enumerate() {
-                for cfg in [config, config.with_subsumption()] {
-                    let cfg = cfg.with_threads(threads);
-                    let db = AnalysisDb::solve(program.clone(), &cfg);
-                    let subsumption = if cfg.subsumption { " subsumption" } else { "" };
-                    let entry = Entry::of(format!("{name} {cfg}{subsumption} rev{rev}"), &db);
-                    let live_pts = entry
-                        .rendered
-                        .iter()
-                        .filter(|f| f.starts_with("pts("))
-                        .count();
-                    assert_eq!(live_pts, db.result().stats.pts, "{}", entry.label);
-                    retired += db.result().stats.subsumed_retired;
-                    entries.push(entry);
-                }
-            }
-        }
-        assert_digest_iff_listing(&entries);
-    }
-    assert!(retired > 0, "no subject retired a fact");
-}

@@ -142,30 +142,6 @@ fn retraction_chains_are_bit_identical_to_scratch_solves() {
     }
 }
 
-/// Subsumption retires facts, so the grow-only snapshot cannot resume:
-/// `extend` must *report* a fallback and still land on the from-scratch
-/// result.
-#[test]
-fn subsumption_configs_fall_back_but_stay_correct() {
-    let programs = revisions(1);
-    let sensitivity: Sensitivity = "1-call".parse().unwrap();
-    let config = AnalysisConfig::transformer_strings(sensitivity)
-        .with_subsumption()
-        .with_threads(1);
-    let mut db = AnalysisDb::solve(programs[0].clone(), &config);
-    let outcome = db.extend(programs[1].clone());
-    assert!(
-        matches!(outcome, ExtendOutcome::Fallback(_)),
-        "subsumption must never resume a grow-only snapshot"
-    );
-    let scratch = AnalysisDb::solve(programs[1].clone(), &config);
-    assert_eq!(
-        db.fact_digest(),
-        scratch.fact_digest(),
-        "fallback result must equal a from-scratch solve"
-    );
-}
-
 /// A non-monotone edit (reversing the script) falls back and still
 /// matches a from-scratch solve of the new revision.
 #[test]

@@ -64,23 +64,6 @@ fn corpus_parallel_matches_legacy_for_all_configs() {
     }
 }
 
-/// Subsumption elimination (transformer strings only) must also be
-/// thread-count independent: retirement order differs between engines,
-/// but the surviving context-insensitive facts may not.
-#[test]
-fn subsumption_parallel_matches_legacy() {
-    let program = corpus_program("luindex");
-    for sensitivity in Sensitivity::paper_configs() {
-        let base = AnalysisConfig::transformer_strings(sensitivity).with_subsumption();
-        let serial = analyze(&program, &base.with_threads(1));
-        let parallel = analyze(&program, &base.with_threads(4));
-        assert_eq!(
-            serial.ci, parallel.ci,
-            "{sensitivity}: subsumption projections differ across engines"
-        );
-    }
-}
-
 /// The parallel engine is deterministic run-to-run at a fixed thread
 /// count: full stats (minus wall-clock) and fact sets are reproduced,
 /// including the memo-shard counters (chunk ownership is static).

@@ -4,7 +4,7 @@
 //!
 //! The context-sensitive rule set is *not* plain Datalog: its tuples
 //! carry algebra values (context transformations) combined with
-//! `compose` and compared with `subsumes`. This crate therefore evaluates
+//! with `compose`. This crate therefore evaluates
 //! a query `pts(v, ·)` goal-directed in two phases:
 //!
 //! 1. **Slice.** [`ctxform::demand_slice`] solves the program once,
@@ -16,9 +16,8 @@
 //! 2. **Sliced solve.** Run the specialized algebra-valued semi-naive
 //!    solver *gated* on the slice ([`ctxform::analyze_sliced`]): every
 //!    insertion whose context-insensitive projection the slice does not
-//!    contain is dropped before it can enter a delta queue. `compose` /
-//!    `subsumes` are threaded natively by the solver's typed rule
-//!    drivers.
+//!    contain is dropped before it can enter a delta queue. `compose` is
+//!    threaded natively by the solver's typed rule drivers.
 //!
 //! This is exact for the queried variables: every context-sensitive
 //! derivation projects rule-by-rule onto a context-insensitive one, whose
@@ -34,38 +33,15 @@
 //! [`SliceCache`], so repeated queries against the same program reuse
 //! the slice. It answers context-insensitive queries directly from the
 //! slice (phase 1 alone is already the full CI answer) and
-//! context-sensitive ones via the gated solve. Subsumption elimination is
-//! excluded by a typed error: its retire/drop bookkeeping assumes it
-//! observes every derivation, which a gated run violates.
+//! context-sensitive ones via the gated solve.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::fmt;
 use std::sync::Arc;
 
 use ctxform::{analyze_sliced, AbstractionKind, AnalysisConfig, SliceCache};
 use ctxform_ir::{Heap, Program, Var};
-
-/// Why a demand query could not be answered.
-#[derive(Debug)]
-pub enum DemandError {
-    /// The configuration is outside the demand engine's supported set
-    /// (currently: subsumption elimination).
-    Unsupported(String),
-}
-
-impl fmt::Display for DemandError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DemandError::Unsupported(what) => {
-                write!(f, "demand mode does not support {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DemandError {}
 
 /// The result of one demand query (possibly multi-root).
 #[derive(Debug, Clone)]
@@ -124,22 +100,13 @@ impl DemandEngine {
     /// `digest` keys the slice cache; callers must pass a value that
     /// uniquely identifies `program` (the serving tier uses the program's
     /// content digest).
-    ///
-    /// # Errors
-    ///
-    /// [`DemandError::Unsupported`] for subsumption configurations.
     pub fn query(
         &self,
         digest: u64,
         program: &Program,
         config: &AnalysisConfig,
         vars: &[Var],
-    ) -> Result<QueryOutcome, DemandError> {
-        if config.subsumption {
-            return Err(DemandError::Unsupported(
-                "subsumption elimination (it must observe every derivation)".into(),
-            ));
-        }
+    ) -> QueryOutcome {
         let (slice, slice_reused) = self.cache.get_or_compute(digest, program, vars);
         let mut outcome = QueryOutcome {
             answers: Vec::with_capacity(vars.len()),
@@ -167,7 +134,7 @@ impl DemandEngine {
                 }
             }
         }
-        Ok(outcome)
+        outcome
     }
 }
 
@@ -198,9 +165,7 @@ mod tests {
                     .step_by(3)
                     .map(Var::from_index)
                     .collect();
-                let outcome = engine
-                    .query(digest as u64, &module.program, &config, &vars)
-                    .unwrap();
+                let outcome = engine.query(digest as u64, &module.program, &config, &vars);
                 for (var, heaps) in outcome.answers {
                     assert_eq!(heaps, exhaustive.ci.points_to(var), "{name} {config} {var}");
                 }
@@ -215,26 +180,14 @@ mod tests {
         let vars = [Var(0)];
         let ci = AnalysisConfig::insensitive();
         let ts = AnalysisConfig::transformer_strings("1-call".parse().unwrap());
-        let first = engine.query(7, &module.program, &ci, &vars).unwrap();
+        let first = engine.query(7, &module.program, &ci, &vars);
         assert!(!first.slice_reused);
         // Same digest + roots: the slice is config-independent.
-        let second = engine.query(7, &module.program, &ts, &vars).unwrap();
+        let second = engine.query(7, &module.program, &ts, &vars);
         assert!(second.slice_reused);
         assert_eq!(engine.slice_hits(), 1);
         assert_eq!(engine.slice_misses(), 1);
         assert!(second.solver_facts > 0, "context-sensitive path solves");
         assert_eq!(first.solver_facts, 0, "insensitive path answers from slice");
-    }
-
-    #[test]
-    fn subsumption_is_a_typed_unsupported_error() {
-        let engine = DemandEngine::new(2);
-        let module = compile(corpus::BOX).unwrap();
-        let config =
-            AnalysisConfig::transformer_strings("1-call".parse().unwrap()).with_subsumption();
-        let err = engine
-            .query(1, &module.program, &config, &[Var(0)])
-            .unwrap_err();
-        assert!(matches!(err, DemandError::Unsupported(_)), "{err}");
     }
 }

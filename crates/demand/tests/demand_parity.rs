@@ -25,7 +25,7 @@ fn demand_matches_exhaustive_across_seeds_configs_threads() {
             for threads in [1, 4] {
                 let config = base.with_threads(threads);
                 let exhaustive = analyze(&module.program, &config);
-                let outcome = engine.query(seed, &module.program, &config, &vars).unwrap();
+                let outcome = engine.query(seed, &module.program, &config, &vars);
                 for (var, heaps) in outcome.answers {
                     assert_eq!(
                         heaps,

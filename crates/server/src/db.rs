@@ -709,13 +709,6 @@ fn record_solve_metrics(registry: &Registry, stats: &SolverStats) {
         )
         .set(stats.compose_memo_entries as i64);
     registry
-        .gauge(
-            "ctxform_solver_memo_entries",
-            "Memo-table entries after the most recent fresh solve.",
-            &[("table", "subsume")],
-        )
-        .set(stats.subsume_memo_entries as i64);
-    registry
         .histogram(
             "ctxform_solver_solve_seconds",
             "Wall-clock duration of fresh solves.",
@@ -819,14 +812,12 @@ mod tests {
         let next = compile(corpus::LIST).unwrap().program;
         let report = db.update(digest, next, &auto).unwrap();
         assert_eq!(report.result.stats.threads_used, 3, "update");
-        let outcome = ctxform_demand::DemandEngine::new(1)
-            .query(
-                digest,
-                &module.program,
-                &db.resolve_threads(&auto),
-                &[ctxform_ir::Var(0)],
-            )
-            .unwrap();
+        let outcome = ctxform_demand::DemandEngine::new(1).query(
+            digest,
+            &module.program,
+            &db.resolve_threads(&auto),
+            &[ctxform_ir::Var(0)],
+        );
         assert_eq!(outcome.solver_threads, 3, "demand");
     }
 

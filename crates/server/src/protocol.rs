@@ -15,7 +15,8 @@
 //! returned from `load_source`/`load_facts`, and a configuration by
 //! `"abstraction"` (`"insensitive"` default, `"cstring"`, `"tstring"`),
 //! `"sensitivity"` (a label like `"2-object+H"`, required for the
-//! context-sensitive abstractions) and an optional `"subsumption"` flag.
+//! context-sensitive abstractions). The removed `"subsumption": true`
+//! flag is refused with `bad_request`.
 
 use std::fmt;
 
@@ -358,10 +359,10 @@ fn req_config(obj: &Json) -> Result<AnalysisConfig, ProtoError> {
         ),
         other => return Err(bad(format!("unknown abstraction `{other}`"))),
     };
-    if let Some(flag) = obj.get("subsumption").and_then(Json::as_bool) {
-        if flag {
-            config = config.with_subsumption();
-        }
+    if obj.get("subsumption").and_then(Json::as_bool) == Some(true) {
+        return Err(bad(
+            "`subsumption` was removed: subsumption elimination is no longer supported",
+        ));
     }
     // Solver thread count (0 = auto). Deliberately excluded from
     // `config_tag`: the parallel engine is bit-identical to the serial
@@ -587,10 +588,7 @@ pub fn config_tag(config: &AnalysisConfig) -> String {
         AbstractionKind::ContextStrings => "cstring",
         AbstractionKind::TransformerStrings => "tstring",
     };
-    format!(
-        "{kind}/{sens}{}",
-        if config.subsumption { "+subs" } else { "" }
-    )
+    format!("{kind}/{sens}")
 }
 
 /// Renders a program digest for the wire.
@@ -768,7 +766,7 @@ mod tests {
     #[test]
     fn config_fields_resolve() {
         let (_, req) = parse_request(
-            r#"{"op": "analyze", "program": "1", "abstraction": "cstring", "sensitivity": "1-call", "subsumption": true}"#,
+            r#"{"op": "analyze", "program": "1", "abstraction": "cstring", "sensitivity": "1-call"}"#,
         )
         .unwrap();
         let Request::Analyze { program, config } = req else {
@@ -776,14 +774,44 @@ mod tests {
         };
         assert_eq!(program, 1);
         assert_eq!(config.abstraction, AbstractionKind::ContextStrings);
-        assert!(config.subsumption);
-        assert_eq!(config_tag(&config), "cstring/1-call+subs");
+        assert_eq!(config_tag(&config), "cstring/1-call");
         let (_, req) = parse_request(r#"{"op": "analyze", "program": "1"}"#).unwrap();
         let Request::Analyze { config, .. } = req else {
             panic!("wrong variant");
         };
         assert_eq!(config, AnalysisConfig::insensitive());
         assert_eq!(config_tag(&config), "ci/-");
+    }
+
+    /// Every configuration-bearing op refuses `"subsumption": true`
+    /// with `bad_request` rather than silently solving without it;
+    /// `false` asks for nothing the server does not do and is accepted.
+    #[test]
+    fn removed_subsumption_flag_is_rejected() {
+        for op in [
+            r#""op": "update", "base": "ff", "source": "class Main {}""#,
+            r#""op": "analyze", "program": "1""#,
+            r#""op": "points_to", "program": "1", "method": "M.m", "var": "x""#,
+            r#""op": "points_to_batch", "program": "1", "vars": [{"method": "M.m", "var": "x"}]"#,
+            r#""op": "query", "program": "1", "method": "M.m", "var": "x""#,
+            r#""op": "query_batch", "program": "1", "vars": [{"method": "M.m", "var": "x"}]"#,
+            r#""op": "may_alias", "program": "1", "method_a": "M.m", "var_a": "x", "method_b": "M.m", "var_b": "y""#,
+            r#""op": "call_edges", "program": "1""#,
+            r#""op": "reachable", "program": "1""#,
+        ] {
+            let line = format!(
+                r#"{{{op}, "abstraction": "tstring", "sensitivity": "1-call+H", "subsumption": true}}"#
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+            assert!(
+                err.message.contains("subsumption"),
+                "{line}: {}",
+                err.message
+            );
+            let accepted = line.replace(r#""subsumption": true"#, r#""subsumption": false"#);
+            assert!(parse_request(&accepted).is_ok(), "{accepted}");
+        }
     }
 
     /// `threads` tunes the solve but can never fork the cache: the tag of

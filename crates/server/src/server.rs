@@ -1235,10 +1235,10 @@ fn sliced_answer(
         return Ok((fields, slots));
     }
 
-    let outcome: QueryOutcome = shard
-        .demand
-        .query(digest, &program, &shard.db.resolve_threads(config), &roots)
-        .map_err(|e| ProtoError::new(ErrorCode::BadRequest, e.to_string()))?;
+    let outcome: QueryOutcome =
+        shard
+            .demand
+            .query(digest, &program, &shard.db.resolve_threads(config), &roots);
     demand_counter(
         shared,
         "ctxform_demand_queries_total",

@@ -1475,7 +1475,8 @@ fn query_answers_context_sensitively_without_full_solve() {
     assert!(parity, "post-solve answers must still match");
     assert!(saw_cached, "at least one query lands on the solved shard");
 
-    // Subsumption is the one unsupported configuration: typed error.
+    // `"subsumption": true` names an unsupported option: a typed error
+    // on every configuration-bearing op.
     let err = client
         .request(&Json::obj([
             ("op", Json::str("query")),
@@ -1494,6 +1495,20 @@ fn query_answers_context_sensitively_without_full_solve() {
     assert!(
         msg.contains("bad_request") && msg.contains("subsumption"),
         "want a typed bad_request for subsumption, got: {msg}"
+    );
+    let err = client
+        .request(&Json::obj([
+            ("op", Json::str("analyze")),
+            ("program", Json::str(digest.clone())),
+            ("abstraction", Json::str("tstring")),
+            ("sensitivity", Json::str(label)),
+            ("subsumption", Json::Bool(true)),
+        ]))
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("bad_request") && msg.contains("subsumption"),
+        "want a typed bad_request for subsumption on analyze, got: {msg}"
     );
 
     // The demand counters made it into the exposition.

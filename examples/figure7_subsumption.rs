@@ -1,16 +1,17 @@
-//! Figure 7: subsuming facts from multiple data-flow paths, and the §8/§10
-//! subsumption-elimination remedy.
+//! Figure 7: subsuming facts from multiple data-flow paths (§8).
 //!
 //! On the Fig. 7 program at 1-call+H, `v` points to `h1` both directly
 //! (transformer `ε`) and through the receiver's field (`c1·ĉ1`). The `ε`
 //! fact subsumes the other, so every fact derivable from `c1·ĉ1` is also
 //! derivable from `ε` — duplicated work the paper measures on bloat.
+//! `AnalysisDb::subsumed_pts` counts such facts; context strings, whose
+//! subsumption is equality, derive none.
 //!
 //! ```text
 //! cargo run --example figure7_subsumption
 //! ```
 
-use ctxform::{analyze, AnalysisConfig};
+use ctxform::{analyze, AnalysisConfig, AnalysisDb};
 use ctxform_minijava::{compile, corpus};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,14 +40,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {tag:6} {count}");
     }
 
-    let subsumed = analyze(&module.program, &cfg.with_subsumption());
-    println!(
-        "\nwith subsumption elimination: {} pts facts (was {}), {} dropped/retired",
-        subsumed.stats.pts,
-        plain.stats.pts,
-        subsumed.stats.subsumed_dropped + subsumed.stats.subsumed_retired
+    let tstring = AnalysisDb::solve(module.program.clone(), &cfg);
+    let cstring = AnalysisDb::solve(
+        module.program,
+        &AnalysisConfig::context_strings(sensitivity),
     );
-    assert!(subsumed.stats.pts < plain.stats.pts);
-    assert_eq!(plain.ci.pts, subsumed.ci.pts, "precision is unchanged");
+    println!(
+        "\nstrictly subsumed pts facts: {} of {} (transformer strings), {} of {} (context strings)",
+        tstring.subsumed_pts(),
+        tstring.result().stats.pts,
+        cstring.subsumed_pts(),
+        cstring.result().stats.pts
+    );
+    assert_eq!(tstring.subsumed_pts(), 1, "c1·ĉ1 is subsumed by ε");
+    assert_eq!(cstring.subsumed_pts(), 0);
     Ok(())
 }

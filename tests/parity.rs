@@ -1,5 +1,5 @@
-//! Hot-path parity: the §7 join specialization and the compose/subsumes
-//! memo tables are pure engine optimizations, so every observable output
+//! Hot-path parity: the §7 join specialization and the compose memo
+//! table are pure engine optimizations, so every observable output
 //! — the context-insensitive projections *and* the context-sensitive
 //! fact counts — must be bit-for-bit identical with them on or off.
 
@@ -61,18 +61,6 @@ fn naive_and_specialized_joins_agree_on_synth_corpus() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn join_strategies_agree_under_subsumption() {
-    // Subsumption takes the Prefix-bucket retire path; cover it too.
-    for (name, program) in corpus(2) {
-        let cfg =
-            AnalysisConfig::transformer_strings("2-object+H".parse().unwrap()).with_subsumption();
-        let spec = analyze(&program, &cfg);
-        let naive = analyze(&program, &cfg.with_naive_joins());
-        assert_same_facts(&format!("{name} {cfg} subsumption"), &spec, &naive);
     }
 }
 
@@ -147,12 +135,7 @@ fn memo_counters_surface_in_stats_and_report() {
     assert!(on.stats.interned_contexts >= 1, "at least ε is interned");
 
     let report = on.stats.report();
-    for needle in [
-        "compose memo:",
-        "subsume memo:",
-        "interned ctxts:",
-        "join probes:",
-    ] {
+    for needle in ["compose memo:", "interned ctxts:", "join probes:"] {
         assert!(
             report.contains(needle),
             "report is missing `{needle}`:\n{report}"

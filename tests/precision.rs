@@ -116,7 +116,7 @@ fn heap_contexts_refine_object_sensitivity() {
 }
 
 #[test]
-fn join_strategy_and_subsumption_never_change_precision() {
+fn join_strategy_never_changes_precision() {
     for seed in 0..10u64 {
         let src = random_program(seed, 2);
         for label in ["1-call+H", "2-object+H"] {
@@ -124,10 +124,8 @@ fn join_strategy_and_subsumption_never_change_precision() {
             let base = AnalysisConfig::transformer_strings(s);
             let a = ci(&src, &base);
             let b = ci(&src, &base.with_naive_joins());
-            let c = ci(&src, &base.with_subsumption());
             assert_eq!(a.pts, b.pts, "{label} seed {seed} naive");
-            assert_eq!(a.pts, c.pts, "{label} seed {seed} subsumption");
-            assert_eq!(a.call, c.call, "{label} seed {seed} subsumption call");
+            assert_eq!(a.call, b.call, "{label} seed {seed} naive call");
         }
     }
 }

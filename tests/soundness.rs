@@ -21,10 +21,6 @@ fn all_configs() -> Vec<AnalysisConfig> {
         configs.push(AnalysisConfig::context_strings(extra));
         configs.push(AnalysisConfig::transformer_strings(extra));
     }
-    // Subsumption must not lose soundness either.
-    configs.push(
-        AnalysisConfig::transformer_strings("2-object+H".parse().unwrap()).with_subsumption(),
-    );
     configs
 }
 
