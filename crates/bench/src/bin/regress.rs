@@ -30,10 +30,12 @@
 //! over-delete/re-derive counts, after asserting the outcome was
 //! `Retracted` and the digests are bit-identical), and a demand-driven
 //! query cell (`tstring_demand`: a cold
-//! `pts(v0, ·)` query answered through the demand engine is
-//! timed against a full solve followed by a lookup, after asserting the
-//! demanded answer is byte-identical and the gated solve derived no more
-//! facts than the exhaustive one):
+//! `pts(v0, ·)` query answered through the demand engine, which builds
+//! the program's demand index, is timed against a full solve followed by
+//! a lookup, and a warm `pts(v1, ·)` query on the same engine, which
+//! reuses the index, is timed as `query_warm_ms`, after asserting both
+//! demanded answers are byte-identical and the gated solve derived no
+//! more facts than the exhaustive one):
 //! context-sensitive fact counts, solver wall time, the
 //! probe/compose/memo counters from [`ctxform::SolverStats`], the interner
 //! size, and an order-independent Fx digest of the context-insensitive
@@ -42,7 +44,8 @@
 //! each cell is solved `N` times and the fastest run is recorded —
 //! min-of-N is the noise-robust estimator on a shared machine — after
 //! asserting that every repeat produced the same CI digest and fact
-//! counts.
+//! counts. Every cell but `tstring_par` is solved with one thread,
+//! whatever the host's core count.
 //!
 //! Without `--out`, the file is named `BENCH_<n>.json` where `n` is one
 //! more than the largest existing trajectory point in the current
@@ -328,20 +331,31 @@ fn incr_del_cell(
 }
 
 /// The demand-driven query cell: answers `pts(v0, ·)` cold through the
-/// demand engine (`repeat` times over fresh engines — no slice reuse —
-/// min time kept) and by a full solve followed by a lookup (`repeat`
-/// times; min time kept). Panics unless the demanded answer is
-/// byte-identical to the exhaustive one and the gated solve derived no
-/// more facts than the exhaustive solve.
+/// demand engine, which builds the program's index, then `pts(v1, ·)`
+/// warm on the same engine, which reuses it (`repeat` times over fresh
+/// engines, min time of each kept), and `pts(v0, ·)` by a full solve
+/// followed by a lookup (`repeat` times; min time kept). Panics unless
+/// both demanded answers are byte-identical to the exhaustive ones and
+/// the gated solve derived no more facts than the exhaustive solve.
 fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: usize) -> Json {
     let var = ctxform_ir::Var::from_index(0);
+    let warm_var = ctxform_ir::Var::from_index(1.min(program.var_count() - 1));
     let mut query_time = Duration::MAX;
+    let mut warm_time = Duration::MAX;
     let mut outcome = None;
+    let mut warm = None;
     for _ in 0..repeat {
         let engine = ctxform_demand::DemandEngine::new(1);
         let started = Instant::now();
         let got = engine.query(0, program, config, &[var]);
         let elapsed = started.elapsed();
+        let started = Instant::now();
+        let got_warm = engine.query(0, program, config, &[warm_var]);
+        warm_time = warm_time.min(started.elapsed());
+        assert!(
+            got_warm.slice_reused,
+            "{config}: a second root must reuse the index"
+        );
         if let Some(prev) = &outcome {
             let prev: &ctxform_demand::QueryOutcome = prev;
             assert_eq!(
@@ -353,7 +367,9 @@ fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: u
             query_time = elapsed;
             outcome = Some(got);
         }
+        warm = Some(got_warm);
     }
+    let warm = warm.expect("repeat >= 1");
     let outcome = outcome.expect("repeat >= 1");
     let mut solve_time = Duration::MAX;
     let mut exhaustive = None;
@@ -373,6 +389,11 @@ fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: u
         exhaustive.ci.points_to(var),
         "{config}: demanded answer differs from the exhaustive one"
     );
+    assert_eq!(
+        warm.answers[0].1,
+        exhaustive.ci.points_to(warm_var),
+        "{config}: warm demanded answer differs from the exhaustive one"
+    );
     let exhaustive_facts = exhaustive.stats.total();
     assert!(
         outcome.solver_facts <= exhaustive_facts,
@@ -384,6 +405,7 @@ fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: u
     let solve_ms = solve_time.as_secs_f64() * 1000.0;
     Json::obj([
         ("time_ms", Json::ms(query_ms)),
+        ("query_warm_ms", Json::ms(warm_time.as_secs_f64() * 1000.0)),
         ("solve_lookup_ms", Json::ms(solve_ms)),
         (
             "speedup",
@@ -538,12 +560,12 @@ fn main() {
         for s in &configs {
             let c = best_of(
                 &program,
-                &with_prof(AnalysisConfig::context_strings(*s)),
+                &with_prof(AnalysisConfig::context_strings(*s).with_threads(1)),
                 repeat,
             );
             let t = best_of(
                 &program,
-                &with_prof(AnalysisConfig::transformer_strings(*s)),
+                &with_prof(AnalysisConfig::transformer_strings(*s).with_threads(1)),
                 repeat,
             );
             profile_store.record(&c.stats);
@@ -570,19 +592,12 @@ fn main() {
                 cstring_2objh_ms += c.stats.duration.as_secs_f64() * 1000.0;
                 tstring_2objh_ms += t.stats.duration.as_secs_f64() * 1000.0;
             }
-            let t_incr = incr_cell(
-                &program,
-                &edited,
-                &AnalysisConfig::transformer_strings(*s),
-                repeat,
-            );
-            let t_incr_del = incr_del_cell(
-                &program,
-                &deleted,
-                &AnalysisConfig::transformer_strings(*s),
-                repeat,
-            );
-            let t_demand = demand_cell(&program, &AnalysisConfig::transformer_strings(*s), repeat);
+            // The serial cells pin one solver thread: auto would resolve
+            // to the host's core count.
+            let serial = AnalysisConfig::transformer_strings(*s).with_threads(1);
+            let t_incr = incr_cell(&program, &edited, &serial, repeat);
+            let t_incr_del = incr_del_cell(&program, &deleted, &serial, repeat);
+            let t_demand = demand_cell(&program, &serial, repeat);
             pairs.push((
                 s.to_string(),
                 Json::obj([
@@ -613,7 +628,7 @@ fn main() {
     let path = out_path.unwrap_or_else(next_bench_path);
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/12")),
+        ("schema", Json::str("ctxform-regress/13")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
         ("par_threads", Json::int(threads)),

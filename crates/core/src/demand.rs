@@ -3,15 +3,18 @@
 //!
 //! A query `pts(v, ·)` needs only the context-insensitive tuples its
 //! derivations can touch. [`demand_slice`] computes that fragment for a
-//! set of roots natively: a serial CI solve on the specialized solver,
-//! then a backward closure over the [`crate::CI_RULES`] instances from
-//! the roots, yielding the union of the nodes of every CI derivation tree
-//! of the roots. The slice doubles as a *gate* for the context-sensitive
-//! solver (see [`crate::analyze_sliced`]): because every
-//! context-sensitive derivation projects onto a context-insensitive one
-//! rule-by-rule, restricting the solver to facts whose projection the
-//! slice contains keeps the answers for the queried variables exact
-//! while skipping the rest of the program.
+//! set of roots natively, in two halves: a [`DemandIndex`] that depends
+//! on the program alone (a serial CI solve on the specialized solver plus
+//! reverse indices of the inputs), then a backward closure over the
+//! [`crate::CI_RULES`] instances from the roots, yielding the union of
+//! the nodes of every CI derivation tree of the roots. A server keeps the
+//! index per program and pays only the walk per query. The slice doubles
+//! as a *gate* for the context-sensitive solver (see
+//! [`crate::analyze_sliced`]): because every context-sensitive derivation
+//! projects onto a context-insensitive one rule-by-rule, restricting the
+//! solver to facts whose projection the slice contains keeps the answers
+//! for the queried variables exact while skipping the rest of the
+//! program.
 //!
 //! [`demand_points_to`] keeps the paper's own proposal as a reproduction:
 //! §10 says "Datalog programs that exhaustively compute information can
@@ -25,12 +28,12 @@
 mod closure;
 mod magic;
 
+pub use closure::DemandIndex;
+
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use ctxform_datalog::DatalogError;
-use ctxform_hash::{FxHashMap, FxHashSet};
+use ctxform_hash::FxHashSet;
 use ctxform_ir::{Field, Heap, Inv, Method, Program, Var};
 
 /// The result of one magic-sets demand query ([`demand_points_to`]).
@@ -111,15 +114,18 @@ impl DemandSlice {
 /// query roots `vars`: every tuple of every CI derivation tree of a
 /// root's `pts(v, ·)`.
 ///
-/// Runs the specialized solver once, serially and context-insensitively,
-/// then walks backwards from the roots (see the `closure` module). A
-/// multi-root slice is exactly the union of the per-root slices.
+/// Builds a fresh [`DemandIndex`] (one serial context-insensitive solve
+/// plus reverse indices) and walks backwards from the roots. A
+/// multi-root slice is exactly the union of the per-root slices. Callers
+/// that query one program repeatedly should keep the index and call
+/// [`DemandIndex::slice`] instead: it returns the same slice without
+/// re-solving.
 ///
 /// # Errors
 ///
 /// None: the native slice cannot fail.
 pub fn demand_slice(program: &Program, vars: &[Var]) -> Result<DemandSlice, Infallible> {
-    Ok(closure::native_slice(program, vars))
+    Ok(DemandIndex::new(program).slice(program, vars))
 }
 
 /// Answers `pts(var, ?)` demand-driven through the magic-sets slice of
@@ -139,95 +145,6 @@ pub fn demand_points_to(program: &Program, var: Var) -> Result<DemandAnswer, Dat
         derivations: slice.derivations,
         rounds: slice.rounds,
     })
-}
-
-/// A bounded, LRU-evicting cache of demand slices keyed by
-/// `(program digest, sorted query roots)`.
-///
-/// Repeated queries against the same program reuse the demanded slice
-/// instead of re-deriving it — the per-digest slice cache the serving
-/// tier keeps next to its database cache.
-#[derive(Debug)]
-pub struct SliceCache {
-    entries: Mutex<SliceCacheState>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct SliceCacheState {
-    map: FxHashMap<(u64, Vec<Var>), (Arc<DemandSlice>, u64)>,
-    tick: u64,
-}
-
-impl SliceCache {
-    /// Creates a cache holding at most `capacity` slices.
-    pub fn new(capacity: usize) -> Self {
-        SliceCache {
-            entries: Mutex::new(SliceCacheState::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Returns the slice for `(digest, vars)`, computing and caching it on
-    /// miss. The boolean is `true` when the slice was reused from cache.
-    pub fn get_or_compute(
-        &self,
-        digest: u64,
-        program: &Program,
-        vars: &[Var],
-    ) -> (Arc<DemandSlice>, bool) {
-        let mut key_vars: Vec<Var> = vars.to_vec();
-        key_vars.sort_unstable();
-        key_vars.dedup();
-        let key = (digest, key_vars);
-        {
-            let mut state = self.entries.lock().expect("slice cache poisoned");
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some((slice, last_used)) = state.map.get_mut(&key) {
-                *last_used = tick;
-                let slice = Arc::clone(slice);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (slice, true);
-            }
-        }
-        // Compute outside the lock; a racing duplicate computation is
-        // harmless (both produce the same slice).
-        let slice = Arc::new(closure::native_slice(program, vars));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.entries.lock().expect("slice cache poisoned");
-        state.tick += 1;
-        let tick = state.tick;
-        while state.map.len() >= self.capacity {
-            let oldest = state
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(k, _)| k.clone());
-            match oldest {
-                Some(k) => {
-                    state.map.remove(&k);
-                }
-                None => break,
-            }
-        }
-        state.map.insert(key, (Arc::clone(&slice), tick));
-        (slice, false)
-    }
 }
 
 #[cfg(test)]
@@ -294,27 +211,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn slice_cache_reuses_and_evicts() {
-        let module = compile(corpus::BOX).unwrap();
-        let cache = SliceCache::new(2);
-        let vars = [Var(0)];
-        let (_, reused) = cache.get_or_compute(1, &module.program, &vars);
-        assert!(!reused);
-        let (_, reused) = cache.get_or_compute(1, &module.program, &vars);
-        assert!(reused, "same digest+vars must hit");
-        // Root order and duplicates do not change the key.
-        let (_, reused) = cache.get_or_compute(1, &module.program, &[Var(0), Var(0)]);
-        assert!(reused, "deduped roots must hit");
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
-        // Two more digests overflow capacity 2 and evict the oldest.
-        cache.get_or_compute(2, &module.program, &vars);
-        cache.get_or_compute(3, &module.program, &vars);
-        let (_, reused) = cache.get_or_compute(1, &module.program, &vars);
-        assert!(!reused, "digest 1 must have been evicted");
     }
 
     #[test]

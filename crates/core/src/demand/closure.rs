@@ -1,6 +1,8 @@
-//! The native demand slice: one serial context-insensitive solve on the
-//! specialized solver, then a backward closure over the [`CI_RULES`]
-//! instances from the query roots.
+//! The native demand slice, in two halves: a per-program
+//! [`DemandIndex`] (one serial context-insensitive solve on the
+//! specialized solver, plus reverse indices of the input relations), and
+//! a per-query backward closure over the [`CI_RULES`] instances from the
+//! query roots ([`DemandIndex::slice`]).
 //!
 //! A head in the closure demands the premises of every rule instance that
 //! derives it and whose premises all hold in the fixpoint. Starting from
@@ -9,105 +11,179 @@
 //! magic or adorned bookkeeping, and a subset of what magic sets demand
 //! (they must demand every such node).
 //!
+//! The index is stored in flat rows over the dense id spaces (see
+//! [`Rows`]): membership checks are binary searches in sorted rows, and
+//! nothing in it depends on the roots, so one index serves every query
+//! against its program.
+//!
 //! [`CI_RULES`]: crate::CI_RULES
 
-use std::hash::Hash;
-
-use ctxform_hash::{FxHashMap, FxHashSet};
 use ctxform_ir::{Field, Heap, Inv, MSig, Method, Program, Type, Var};
 
 use super::DemandSlice;
-use crate::solver::{insensitive_fixpoint, InsensitiveFixpoint};
+use crate::solver::insensitive_fixpoint;
 
-/// Groups `(key, value)` pairs into a multimap.
-fn group<K: Hash + Eq, V>(pairs: impl Iterator<Item = (K, V)>) -> FxHashMap<K, Vec<V>> {
-    let mut map: FxHashMap<K, Vec<V>> = FxHashMap::default();
-    for (k, v) in pairs {
-        map.entry(k).or_default().push(v);
-    }
-    map
+/// A multimap over a dense key space in compressed-sparse-row form: the
+/// values of key `k` are `vals[off[k]..off[k + 1]]`, sorted. Duplicate
+/// pairs are kept, so a row enumerates every input tuple, and the
+/// closure's count of examined rule instances matches the relations.
+#[derive(Debug)]
+struct Rows<T> {
+    off: Vec<u32>,
+    vals: Vec<T>,
 }
 
-/// The values stored under `key`, or none.
-fn at<'m, K: Hash + Eq, V>(map: &'m FxHashMap<K, Vec<V>>, key: &K) -> &'m [V] {
-    map.get(key).map_or(&[], Vec::as_slice)
+impl<T: Copy + Ord> Rows<T> {
+    /// Groups `(key, value)` pairs, with keys below `keys`.
+    fn new(keys: usize, pairs: impl Iterator<Item = (usize, T)>) -> Self {
+        let mut pairs: Vec<(usize, T)> = pairs.collect();
+        pairs.sort_unstable();
+        let mut off = vec![0u32; keys + 1];
+        for &(k, _) in &pairs {
+            off[k + 1] += 1;
+        }
+        for k in 0..keys {
+            off[k + 1] += off[k];
+        }
+        Rows {
+            off,
+            vals: pairs.into_iter().map(|(_, v)| v).collect(),
+        }
+    }
+
+    /// The values stored under key `k`.
+    fn row(&self, k: usize) -> &[T] {
+        &self.vals[self.off[k] as usize..self.off[k + 1] as usize]
+    }
+
+    /// Whether `v` is stored under key `k`.
+    fn contains(&self, k: usize, v: &T) -> bool {
+        self.row(k).binary_search(v).is_ok()
+    }
+}
+
+/// The entries of a sorted row of pairs whose first column is `k`.
+fn with_first<K: Ord + Copy, V>(row: &[(K, V)], k: K) -> &[(K, V)] {
+    let lo = row.partition_point(|e| e.0 < k);
+    let hi = lo + row[lo..].partition_point(|e| e.0 == k);
+    &row[lo..hi]
 }
 
 /// The input relations keyed by the columns a rule's head binds, so that
-/// a head enumerates exactly the rule instances that can derive it.
+/// a head enumerates exactly the rule instances that can derive it. A
+/// composite key `(A, B)` is a row under `A` of `(B, value)` pairs.
+#[derive(Debug)]
 struct Reverse {
-    /// `assign_new(H, Y, P)` keyed by `(Y, H)`: all `P`.
-    allocs: FxHashMap<(Var, Heap), Vec<Method>>,
-    /// `assign(Z, Y)` keyed by `Y`: all `Z`.
-    assigns_into: FxHashMap<Var, Vec<Var>>,
-    /// `load(Y, F, Z)` keyed by `Z`: all `(Y, F)`.
-    loads_into: FxHashMap<Var, Vec<(Var, Field)>>,
-    /// `store(X, F, Z)` keyed by `F`: all `(X, Z)`.
-    stores_of: FxHashMap<Field, Vec<(Var, Var)>>,
-    /// `static_invoke(I, Q, P)` keyed by `I`: all `(Q, P)`.
-    statics_at: FxHashMap<Inv, Vec<(Method, Method)>>,
-    /// `virtual_invoke(I, Z, S)` keyed by `I`: all `(Z, S)`.
-    virtuals_at: FxHashMap<Inv, Vec<(Var, MSig)>>,
-    /// `virtual_invoke(I, Z, S)` keyed by `S`: all receivers `Z`.
-    receivers_of: FxHashMap<MSig, Vec<Var>>,
-    /// `heap_type(H, T)` keyed by `H`.
-    types_of: FxHashMap<Heap, Vec<Type>>,
-    /// `implements(Q, T, S)` keyed by `(Q, T)`: all `S`.
-    implements: FxHashMap<(Method, Type), Vec<MSig>>,
-    /// `this_var(Y, Q)` keyed by `Y`.
-    this_of: FxHashMap<Var, Vec<Method>>,
-    /// `formal(Y, P, O)` keyed by `Y`: all `(P, O)`.
-    formals: FxHashMap<Var, Vec<(Method, u32)>>,
-    /// `actual(Z, I, O)` keyed by `(I, O)`: all `Z`.
-    actuals: FxHashMap<(Inv, u32), Vec<Var>>,
-    /// `assign_return(I, Y)` keyed by `Y`.
-    returns_into: FxHashMap<Var, Vec<Inv>>,
-    /// `return(Z, P)` keyed by `P`.
-    returns_of: FxHashMap<Method, Vec<Var>>,
-    /// `static_store(X, F)` keyed by `F`.
-    static_stores_of: FxHashMap<Field, Vec<Var>>,
-    /// `static_load(F, Z)` keyed by `Z`.
-    static_loads_into: FxHashMap<Var, Vec<Field>>,
+    /// `assign_new(H, Y, P)` under `Y`: all `(H, P)`.
+    allocs: Rows<(Heap, Method)>,
+    /// `assign(Z, Y)` under `Y`: all `Z`.
+    assigns_into: Rows<Var>,
+    /// `load(Y, F, Z)` under `Z`: all `(F, Y)`.
+    loads_into: Rows<(Field, Var)>,
+    /// `store(X, F, Z)` under `F`: all `(X, Z)`.
+    stores_of: Rows<(Var, Var)>,
+    /// `static_invoke(I, Q, P)` under `I`: all `(Q, P)`.
+    statics_at: Rows<(Method, Method)>,
+    /// `virtual_invoke(I, Z, S)` under `I`: all `(Z, S)`.
+    virtuals_at: Rows<(Var, MSig)>,
+    /// `virtual_invoke(I, Z, S)` under `S`: all receivers `Z`.
+    receivers_of: Rows<Var>,
+    /// `heap_type(H, T)` under `H`.
+    types_of: Rows<Type>,
+    /// `implements(Q, T, S)` under `Q`: all `(T, S)`.
+    implements: Rows<(Type, MSig)>,
+    /// `this_var(Y, Q)` under `Y`.
+    this_of: Rows<Method>,
+    /// `formal(Y, P, O)` under `Y`: all `(P, O)`.
+    formals: Rows<(Method, u32)>,
+    /// `actual(Z, I, O)` under `I`: all `(O, Z)`.
+    actuals: Rows<(u32, Var)>,
+    /// `assign_return(I, Y)` under `Y`.
+    returns_into: Rows<Inv>,
+    /// `return(Z, P)` under `P`.
+    returns_of: Rows<Var>,
+    /// `static_store(X, F)` under `F`.
+    static_stores_of: Rows<Var>,
+    /// `static_load(F, Z)` under `Z`.
+    static_loads_into: Rows<Field>,
 }
 
 impl Reverse {
     fn new(program: &Program) -> Self {
         let f = &program.facts;
+        let (vars, heaps, invs) = (
+            program.var_count(),
+            program.heap_count(),
+            program.inv_count(),
+        );
+        let (methods, fields) = (program.method_count(), program.field_count());
         Reverse {
-            allocs: group(f.assign_new.iter().map(|&(h, y, p)| ((y, h), p))),
-            assigns_into: group(f.assign.iter().map(|&(z, y)| (y, z))),
-            loads_into: group(f.load.iter().map(|&(y, fld, z)| (z, (y, fld)))),
-            stores_of: group(f.store.iter().map(|&(x, fld, z)| (fld, (x, z)))),
-            statics_at: group(f.static_invoke.iter().map(|&(i, q, p)| (i, (q, p)))),
-            virtuals_at: group(f.virtual_invoke.iter().map(|&(i, z, s)| (i, (z, s)))),
-            receivers_of: group(f.virtual_invoke.iter().map(|&(_, z, s)| (s, z))),
-            types_of: group(f.heap_type.iter().copied()),
-            implements: group(f.implements.iter().map(|&(q, t, s)| ((q, t), s))),
-            this_of: group(f.this_var.iter().copied()),
-            formals: group(f.formal.iter().map(|&(y, p, o)| (y, (p, o)))),
-            actuals: group(f.actual.iter().map(|&(z, i, o)| ((i, o), z))),
-            returns_into: group(f.assign_return.iter().map(|&(i, y)| (y, i))),
-            returns_of: group(f.ret.iter().map(|&(z, p)| (p, z))),
-            static_stores_of: group(f.static_store.iter().map(|&(x, fld)| (fld, x))),
-            static_loads_into: group(f.static_load.iter().map(|&(fld, z)| (z, fld))),
+            allocs: Rows::new(
+                vars,
+                f.assign_new.iter().map(|&(h, y, p)| (y.index(), (h, p))),
+            ),
+            assigns_into: Rows::new(vars, f.assign.iter().map(|&(z, y)| (y.index(), z))),
+            loads_into: Rows::new(
+                vars,
+                f.load.iter().map(|&(y, fld, z)| (z.index(), (fld, y))),
+            ),
+            stores_of: Rows::new(
+                fields,
+                f.store.iter().map(|&(x, fld, z)| (fld.index(), (x, z))),
+            ),
+            statics_at: Rows::new(
+                invs,
+                f.static_invoke.iter().map(|&(i, q, p)| (i.index(), (q, p))),
+            ),
+            virtuals_at: Rows::new(
+                invs,
+                f.virtual_invoke
+                    .iter()
+                    .map(|&(i, z, s)| (i.index(), (z, s))),
+            ),
+            receivers_of: Rows::new(
+                program.msig_count(),
+                f.virtual_invoke.iter().map(|&(_, z, s)| (s.index(), z)),
+            ),
+            types_of: Rows::new(heaps, f.heap_type.iter().map(|&(h, t)| (h.index(), t))),
+            implements: Rows::new(
+                methods,
+                f.implements.iter().map(|&(q, t, s)| (q.index(), (t, s))),
+            ),
+            this_of: Rows::new(vars, f.this_var.iter().map(|&(y, q)| (y.index(), q))),
+            formals: Rows::new(vars, f.formal.iter().map(|&(y, p, o)| (y.index(), (p, o)))),
+            actuals: Rows::new(invs, f.actual.iter().map(|&(z, i, o)| (i.index(), (o, z)))),
+            returns_into: Rows::new(vars, f.assign_return.iter().map(|&(i, y)| (y.index(), i))),
+            returns_of: Rows::new(methods, f.ret.iter().map(|&(z, p)| (p.index(), z))),
+            static_stores_of: Rows::new(
+                fields,
+                f.static_store.iter().map(|&(x, fld)| (fld.index(), x)),
+            ),
+            static_loads_into: Rows::new(
+                vars,
+                f.static_load.iter().map(|&(fld, z)| (z.index(), fld)),
+            ),
         }
     }
 }
 
 /// The CI fixpoint, indexed for the premise checks of the backward walk.
+#[derive(Debug)]
 struct Fixpoint {
-    /// The solver's tuple sets (`pts`, `hpts` and `spts` are probed
-    /// directly).
-    db: InsensitiveFixpoint,
-    /// `pts(v, ·)` per variable.
-    pts_of: Vec<Vec<Heap>>,
-    /// `hload(G, F, Z)` keyed by `Z`: all `(G, F)`.
-    hloads_into: FxHashMap<Var, Vec<(Heap, Field)>>,
-    /// `call(I, Q)` keyed by `I`.
-    callees: FxHashMap<Inv, Vec<Method>>,
-    /// `call(I, Q)` keyed by `Q`.
-    callers: FxHashMap<Method, Vec<Inv>>,
-    reach: FxHashSet<Method>,
+    /// `pts(V, H)` under `V`.
+    pts: Rows<Heap>,
+    /// `hpts(G, F, H)` under `G`: all `(F, H)`.
+    hpts: Rows<(Field, Heap)>,
+    /// `spts(F, H)` under `F`.
+    spts: Rows<Heap>,
+    /// `hload(G, F, Z)` under `Z`: all `(G, F)`.
+    hloads_into: Rows<(Heap, Field)>,
+    /// `call(I, Q)` under `I`.
+    callees: Rows<Method>,
+    /// `call(I, Q)` under `Q`.
+    callers: Rows<Inv>,
+    /// `reach(P)` per method.
+    reach: Vec<bool>,
     /// Tuples across the six derived relations.
     size: usize,
 }
@@ -118,37 +194,112 @@ impl Fixpoint {
     /// round overhead costs more than it saves.
     fn solve(program: &Program) -> Self {
         let db = insensitive_fixpoint(program);
-        let mut pts_of = vec![Vec::new(); program.var_count()];
-        for &(v, h, ()) in &db.pts {
-            pts_of[v.index()].push(h);
+        let mut reach = vec![false; program.method_count()];
+        for &(p, _) in &db.reach {
+            reach[p.index()] = true;
         }
-        let reach: FxHashSet<Method> = db.reach.iter().map(|&(p, _)| p).collect();
+        let (vars, invs, methods) = (
+            program.var_count(),
+            program.inv_count(),
+            program.method_count(),
+        );
         Fixpoint {
             size: db.pts.len()
                 + db.hpts.len()
                 + db.hload.len()
                 + db.call.len()
                 + db.spts.len()
-                + reach.len(),
-            pts_of,
-            hloads_into: group(db.hload.iter().map(|&(g, f, z, ())| (z, (g, f)))),
-            callees: group(db.call.iter().map(|&(i, q, ())| (i, q))),
-            callers: group(db.call.iter().map(|&(i, q, ())| (q, i))),
+                + reach.iter().filter(|&&r| r).count(),
+            pts: Rows::new(vars, db.pts.iter().map(|&(v, h, ())| (v.index(), h))),
+            hpts: Rows::new(
+                program.heap_count(),
+                db.hpts.iter().map(|&(g, f, h, ())| (g.index(), (f, h))),
+            ),
+            spts: Rows::new(
+                program.field_count(),
+                db.spts.iter().map(|&(f, h, ())| (f.index(), h)),
+            ),
+            hloads_into: Rows::new(
+                vars,
+                db.hload.iter().map(|&(g, f, z, ())| (z.index(), (g, f))),
+            ),
+            callees: Rows::new(invs, db.call.iter().map(|&(i, q, ())| (i.index(), q))),
+            callers: Rows::new(methods, db.call.iter().map(|&(i, q, ())| (q.index(), i))),
             reach,
-            db,
         }
     }
 
     fn pts(&self, v: Var, h: Heap) -> bool {
-        self.db.pts.contains(&(v, h, ()))
+        self.pts.contains(v.index(), &h)
     }
 
     fn hpts(&self, g: Heap, f: Field, h: Heap) -> bool {
-        self.db.hpts.contains(&(g, f, h, ()))
+        self.hpts.contains(g.index(), &(f, h))
     }
 
     fn spts(&self, f: Field, h: Heap) -> bool {
-        self.db.spts.contains(&(f, h, ()))
+        self.spts.contains(f.index(), &h)
+    }
+
+    fn reach(&self, p: Method) -> bool {
+        self.reach[p.index()]
+    }
+}
+
+/// The root-independent half of the native demand slice: the program's
+/// serial CI fixpoint and the reverse index of its input relations.
+///
+/// Build it once per program with [`DemandIndex::new`], then cut any
+/// number of slices from it with [`DemandIndex::slice`]; each slice is
+/// exactly what [`crate::demand_slice`] returns for the same roots.
+#[derive(Debug)]
+pub struct DemandIndex {
+    fix: Fixpoint,
+    rev: Reverse,
+}
+
+impl DemandIndex {
+    /// Solves `program` context-insensitively and indexes the fixpoint
+    /// and the input relations for backward walks.
+    pub fn new(program: &Program) -> Self {
+        DemandIndex {
+            fix: Fixpoint::solve(program),
+            rev: Reverse::new(program),
+        }
+    }
+
+    /// The demanded fragment for the roots `vars`: every tuple of every
+    /// CI derivation tree of a root's `pts(v, ·)`.
+    ///
+    /// `program` must be the program the index was built from.
+    pub fn slice(&self, program: &Program, vars: &[Var]) -> DemandSlice {
+        debug_assert_eq!(
+            self.fix.pts.off.len(),
+            program.var_count() + 1,
+            "index built from another program"
+        );
+        let mut walk = Closure {
+            fix: &self.fix,
+            rev: &self.rev,
+            var_method: &program.var_method,
+            slice: DemandSlice {
+                derived_tuples: self.fix.size,
+                ..DemandSlice::default()
+            },
+            next: Vec::new(),
+        };
+        for &v in vars {
+            for &h in self.fix.pts.row(v.index()) {
+                walk.demand(Tuple::Pts(v, h));
+            }
+        }
+        while !walk.next.is_empty() {
+            walk.slice.rounds += 1;
+            for head in std::mem::take(&mut walk.next) {
+                walk.expand(head);
+            }
+        }
+        walk.slice
     }
 }
 
@@ -204,29 +355,29 @@ impl Closure<'_> {
         match head {
             Tuple::Pts(y, h) => {
                 // New.
-                for &p in at(&rev.allocs, &(y, h)) {
-                    if self.instance(fix.reach.contains(&p)) {
+                for &(_, p) in with_first(rev.allocs.row(y.index()), h) {
+                    if self.instance(fix.reach(p)) {
                         self.demand(Tuple::Reach(p));
                     }
                 }
                 // Assign.
-                for &z in at(&rev.assigns_into, &y) {
+                for &z in rev.assigns_into.row(y.index()) {
                     if self.instance(fix.pts(z, h)) {
                         self.demand(Tuple::Pts(z, h));
                     }
                 }
                 // Ind.
-                for &(g, f) in at(&fix.hloads_into, &y) {
+                for &(g, f) in fix.hloads_into.row(y.index()) {
                     if self.instance(fix.hpts(g, f, h)) {
                         self.demand(Tuple::Hload(g, f, y));
                         self.demand(Tuple::Hpts(g, f, h));
                     }
                 }
                 // Virt, this-binding.
-                for &q in at(&rev.this_of, &y) {
-                    for &t in at(&rev.types_of, &h) {
-                        for &s in at(&rev.implements, &(q, t)) {
-                            for &z in at(&rev.receivers_of, &s) {
+                for &q in rev.this_of.row(y.index()) {
+                    for &t in rev.types_of.row(h.index()) {
+                        for &(_, s) in with_first(rev.implements.row(q.index()), t) {
+                            for &z in rev.receivers_of.row(s.index()) {
                                 if self.instance(fix.pts(z, h)) {
                                     self.demand(Tuple::Pts(z, h));
                                 }
@@ -235,9 +386,9 @@ impl Closure<'_> {
                     }
                 }
                 // Param.
-                for &(p, o) in at(&rev.formals, &y) {
-                    for &i in at(&fix.callers, &p) {
-                        for &z in at(&rev.actuals, &(i, o)) {
+                for &(p, o) in rev.formals.row(y.index()) {
+                    for &i in fix.callers.row(p.index()) {
+                        for &(_, z) in with_first(rev.actuals.row(i.index()), o) {
                             if self.instance(fix.pts(z, h)) {
                                 self.demand(Tuple::Pts(z, h));
                                 self.demand(Tuple::Call(i, p));
@@ -246,9 +397,9 @@ impl Closure<'_> {
                     }
                 }
                 // Ret.
-                for &i in at(&rev.returns_into, &y) {
-                    for &p in at(&fix.callees, &i) {
-                        for &z in at(&rev.returns_of, &p) {
+                for &i in rev.returns_into.row(y.index()) {
+                    for &p in fix.callees.row(i.index()) {
+                        for &z in rev.returns_of.row(p.index()) {
                             if self.instance(fix.pts(z, h)) {
                                 self.demand(Tuple::Pts(z, h));
                                 self.demand(Tuple::Call(i, p));
@@ -258,8 +409,8 @@ impl Closure<'_> {
                 }
                 // SLoad.
                 let p = self.var_method[y.index()];
-                for &f in at(&rev.static_loads_into, &y) {
-                    if self.instance(fix.spts(f, h) && fix.reach.contains(&p)) {
+                for &f in rev.static_loads_into.row(y.index()) {
+                    if self.instance(fix.spts(f, h) && fix.reach(p)) {
                         self.demand(Tuple::Spts(f, h));
                         self.demand(Tuple::Reach(p));
                     }
@@ -267,7 +418,7 @@ impl Closure<'_> {
             }
             // Store.
             Tuple::Hpts(g, f, h) => {
-                for &(x, z) in at(&rev.stores_of, &f) {
+                for &(x, z) in rev.stores_of.row(f.index()) {
                     if self.instance(fix.pts(x, h) && fix.pts(z, g)) {
                         self.demand(Tuple::Pts(x, h));
                         self.demand(Tuple::Pts(z, g));
@@ -276,7 +427,7 @@ impl Closure<'_> {
             }
             // Load.
             Tuple::Hload(g, f, z) => {
-                for &(y, _) in at(&rev.loads_into, &z).iter().filter(|l| l.1 == f) {
+                for &(_, y) in with_first(rev.loads_into.row(z.index()), f) {
                     if self.instance(fix.pts(y, g)) {
                         self.demand(Tuple::Pts(y, g));
                     }
@@ -284,16 +435,16 @@ impl Closure<'_> {
             }
             Tuple::Call(i, q) => {
                 // Static.
-                for &(_, p) in at(&rev.statics_at, &i).iter().filter(|s| s.0 == q) {
-                    if self.instance(fix.reach.contains(&p)) {
+                for &(_, p) in with_first(rev.statics_at.row(i.index()), q) {
+                    if self.instance(fix.reach(p)) {
                         self.demand(Tuple::Reach(p));
                     }
                 }
                 // Virt, call edge.
-                for &(z, s) in at(&rev.virtuals_at, &i) {
-                    for &h in &fix.pts_of[z.index()] {
-                        for &t in at(&rev.types_of, &h) {
-                            if self.instance(at(&rev.implements, &(q, t)).contains(&s)) {
+                for &(z, s) in rev.virtuals_at.row(i.index()) {
+                    for &h in fix.pts.row(z.index()) {
+                        for &t in rev.types_of.row(h.index()) {
+                            if self.instance(rev.implements.contains(q.index(), &(t, s))) {
                                 self.demand(Tuple::Pts(z, h));
                             }
                         }
@@ -302,7 +453,7 @@ impl Closure<'_> {
             }
             // SStore.
             Tuple::Spts(f, h) => {
-                for &x in at(&rev.static_stores_of, &f) {
+                for &x in rev.static_stores_of.row(f.index()) {
                     if self.instance(fix.pts(x, h)) {
                         self.demand(Tuple::Pts(x, h));
                     }
@@ -311,7 +462,7 @@ impl Closure<'_> {
             // Reach through a call edge (the `entry` rule has no derived
             // premise).
             Tuple::Reach(p) => {
-                for &i in at(&fix.callers, &p) {
+                for &i in fix.callers.row(p.index()) {
                     if self.instance(true) {
                         self.demand(Tuple::Call(i, p));
                     }
@@ -319,32 +470,4 @@ impl Closure<'_> {
             }
         }
     }
-}
-
-/// The native slice for the roots `vars`: see the module docs.
-pub(super) fn native_slice(program: &Program, vars: &[Var]) -> DemandSlice {
-    let fix = Fixpoint::solve(program);
-    let rev = Reverse::new(program);
-    let mut walk = Closure {
-        fix: &fix,
-        rev: &rev,
-        var_method: &program.var_method,
-        slice: DemandSlice {
-            derived_tuples: fix.size,
-            ..DemandSlice::default()
-        },
-        next: Vec::new(),
-    };
-    for &v in vars {
-        for &h in &fix.pts_of[v.index()] {
-            walk.demand(Tuple::Pts(v, h));
-        }
-    }
-    while !walk.next.is_empty() {
-        walk.slice.rounds += 1;
-        for head in std::mem::take(&mut walk.next) {
-            walk.expand(head);
-        }
-    }
-    walk.slice
 }

@@ -51,7 +51,7 @@ pub use bucket::{Bucket, JoinStrategy};
 pub use compact::CompactVec;
 pub use config::{AbstractionKind, AnalysisConfig};
 pub use db::{AnalysisDb, ExtendOutcome};
-pub use demand::{demand_points_to, demand_slice, DemandAnswer, DemandSlice, SliceCache};
+pub use demand::{demand_points_to, demand_slice, DemandAnswer, DemandIndex, DemandSlice};
 pub use result::{
     rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, PhaseProfile, RoundProfile,
     RuleCounts, RuleTimes, SolverStats, MAX_ROUND_PROFILES, RULE_NAMES, RULE_TIME_BUCKETS_NS,

@@ -1,12 +1,15 @@
 //! Properties of the native demand slice ([`ctxform::demand_slice`]) on
 //! the corpus and on random programs, every 3rd variable: the slice holds
 //! the root's full CI points-to set, lies inside the CI fixpoint and
-//! inside what magic sets demand for the same root, and a multi-root
-//! slice is exactly the union of its per-root slices.
+//! inside what magic sets demand for the same root, a multi-root slice
+//! is exactly the union of its per-root slices, and slices cut from one
+//! shared [`DemandIndex`] equal fresh ones.
 
 use std::collections::BTreeSet;
 
-use ctxform::{analyze, demand_slice, load_facts, AnalysisConfig, DemandSlice, CI_RULES};
+use ctxform::{
+    analyze, demand_slice, load_facts, AnalysisConfig, DemandIndex, DemandSlice, CI_RULES,
+};
 use ctxform_datalog::{magic_transform, parse_rules, Atom, Engine, Term};
 use ctxform_ir::{Program, Var};
 use ctxform_minijava::{compile, corpus};
@@ -156,4 +159,80 @@ fn multi_root_slice_is_the_union_of_per_root_slices() {
         let joint = demand_slice(&program, &vars).unwrap();
         assert_eq!(tuples(&joint), union, "{name}");
     }
+}
+
+/// Asserts that `shared` cuts the same slice for `vars` as a fresh
+/// [`demand_slice`]: same tuples, same work, same depth.
+fn assert_same_as_fresh(name: &str, program: &Program, shared: &DemandIndex, vars: &[Var]) {
+    let cut = shared.slice(program, vars);
+    let fresh = demand_slice(program, vars).unwrap();
+    assert_eq!(tuples(&cut), tuples(&fresh), "{name} {vars:?}");
+    assert_eq!(cut.derivations, fresh.derivations, "{name} {vars:?}");
+    assert_eq!(cut.rounds, fresh.rounds, "{name} {vars:?}");
+    assert_eq!(cut.derived_tuples, fresh.derived_tuples, "{name} {vars:?}");
+}
+
+/// One index, many root sets: every single root, every sampled pair, the
+/// whole sample, and no root at all, in an order that revisits roots.
+#[test]
+fn slices_from_a_shared_index_equal_fresh_slices() {
+    let presets = ["chart", "pmd"].into_iter().map(|name| {
+        let cfg = ctxform_synth::preset(name).unwrap().scale_driver(1);
+        let src = ctxform_synth::generate(&cfg);
+        (name.to_owned(), compile(&src).unwrap().program)
+    });
+    for (name, program) in programs().into_iter().chain(presets) {
+        let shared = DemandIndex::new(&program);
+        let vars = sampled(&program);
+        assert_same_as_fresh(&name, &program, &shared, &[]);
+        for &v in vars.iter().rev() {
+            assert_same_as_fresh(&name, &program, &shared, &[v]);
+        }
+        for pair in vars.windows(2).step_by(4) {
+            assert_same_as_fresh(&name, &program, &shared, pair);
+        }
+        assert_same_as_fresh(&name, &program, &shared, &vars);
+        let size = shared.slice(&program, &[]).derived_tuples;
+        assert_eq!(size, fixpoint(&program).len(), "{name}");
+    }
+}
+
+/// Empty relations and empty rows: a program with no loads, stores,
+/// statics, virtual calls or returns, and a variable that points nowhere.
+#[test]
+fn empty_relations_and_empty_rows_slice_to_nothing_extra() {
+    let program = compile(
+        "class Main {
+             public static void main(String[] args) {
+                 Object x = new Object();
+                 Object y = x;
+                 Object z = null;
+             }
+         }",
+    )
+    .unwrap()
+    .program;
+    let f = &program.facts;
+    assert!(f.load.is_empty() && f.store.is_empty() && f.virtual_invoke.is_empty());
+    assert!(f.static_load.is_empty() && f.ret.is_empty());
+    let index = DemandIndex::new(&program);
+    let var =
+        |name: &str| Var::from_index(program.var_names.iter().position(|n| n == name).unwrap());
+    let (x, y, z) = (var("x"), var("y"), var("z"));
+
+    // `z` is assigned only `null`: its `pts` row is empty, so its slice is.
+    let nothing = index.slice(&program, &[z]);
+    assert_eq!(nothing.demanded(), 0);
+    assert_eq!((nothing.derivations, nothing.rounds), (0, 0));
+    assert!(index.slice(&program, &[]).pts.is_empty());
+
+    // `y` demands its own `pts`, `x`'s through Assign, and `reach(main)`
+    // through New.
+    let slice = index.slice(&program, &[y]);
+    assert_eq!(slice.points_to(y), slice.points_to(x));
+    assert_eq!(slice.points_to(y).len(), 1);
+    assert_eq!((slice.pts.len(), slice.reach.len()), (2, 1));
+    assert!(slice.hpts.is_empty() && slice.hload.is_empty() && slice.spts.is_empty());
+    assert!(slice.call.is_empty());
+    assert_same_as_fresh("empty relations", &program, &index, &[x, y, z]);
 }

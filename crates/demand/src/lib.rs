@@ -7,12 +7,14 @@
 //! with `compose`. This crate therefore evaluates
 //! a query `pts(v, ·)` goal-directed in two phases:
 //!
-//! 1. **Slice.** [`ctxform::demand_slice`] solves the program once,
-//!    serially and context-insensitively, on the specialized solver, then
-//!    walks backwards from the roots' `pts(v, ·)` over the instances of
-//!    [`ctxform::CI_RULES`] whose premises hold. The result, a
-//!    [`ctxform::DemandSlice`], is exactly the union of the nodes of every
-//!    CI derivation tree of the roots.
+//! 1. **Slice.** A [`ctxform::DemandIndex`] solves the program once,
+//!    serially and context-insensitively, on the specialized solver, and
+//!    indexes the input relations in reverse; it depends on the program
+//!    alone. [`ctxform::DemandIndex::slice`] then walks backwards from the
+//!    roots' `pts(v, ·)` over the instances of [`ctxform::CI_RULES`]
+//!    whose premises hold. The result, a [`ctxform::DemandSlice`], is
+//!    exactly the union of the nodes of every CI derivation tree of the
+//!    roots.
 //! 2. **Sliced solve.** Run the specialized algebra-valued semi-naive
 //!    solver *gated* on the slice ([`ctxform::analyze_sliced`]): every
 //!    insertion whose context-insensitive projection the slice does not
@@ -29,18 +31,19 @@
 //! far higher cost; [`ctxform::demand_points_to`] keeps it for
 //! comparison.)
 //!
-//! [`DemandEngine`] wraps both phases behind a per-digest
-//! [`SliceCache`], so repeated queries against the same program reuse
-//! the slice. It answers context-insensitive queries directly from the
-//! slice (phase 1 alone is already the full CI answer) and
-//! context-sensitive ones via the gated solve.
+//! [`DemandEngine`] keeps the index of each program in an LRU keyed by
+//! program digest, so every query after the first against a program,
+//! whatever its roots, pays only the walk and the gated solve. It answers
+//! context-insensitive queries directly from the slice (phase 1 alone is
+//! already the full CI answer) and context-sensitive ones via the gated
+//! solve.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use ctxform::{analyze_sliced, AbstractionKind, AnalysisConfig, SliceCache};
+use ctxform::{analyze_sliced, AbstractionKind, AnalysisConfig, DemandIndex};
 use ctxform_ir::{Heap, Program, Var};
 
 /// The result of one demand query (possibly multi-root).
@@ -49,8 +52,8 @@ pub struct QueryOutcome {
     /// Per queried variable, its points-to set under the requested
     /// configuration, sorted. Root order follows the request.
     pub answers: Vec<(Var, Vec<Heap>)>,
-    /// `true` when the demand slice came from the cache instead of a
-    /// fresh [`ctxform::demand_slice`].
+    /// `true` when the program's [`DemandIndex`] came from the cache
+    /// instead of a fresh build (the slice itself is always cut anew).
     pub slice_reused: bool,
     /// Demanded tuples across the six derived CI relations — the
     /// numerator of the demanded-vs-exhaustive ratio.
@@ -67,37 +70,58 @@ pub struct QueryOutcome {
     pub solver_threads: usize,
 }
 
-/// A demand-driven query engine with a per-digest slice cache.
+/// A demand-driven query engine with a per-digest index cache.
 ///
 /// One engine per serving shard mirrors the shard's database cache: a
-/// digest's slices live exactly where its queries are routed.
+/// digest's index lives exactly where its queries are routed. A digest
+/// names immutable program content, so entries never go stale; an edited
+/// program arrives under a new digest.
 #[derive(Debug)]
 pub struct DemandEngine {
-    cache: SliceCache,
+    /// Cached indices, least recently used first.
+    lru: Mutex<Vec<(u64, Arc<DemandIndex>)>>,
+    capacity: usize,
 }
 
 impl DemandEngine {
-    /// Creates an engine whose cache holds at most `capacity` slices.
+    /// Creates an engine whose cache holds the indices of at most
+    /// `capacity` programs.
     pub fn new(capacity: usize) -> Self {
         DemandEngine {
-            cache: SliceCache::new(capacity),
+            lru: Mutex::new(Vec::new()),
+            capacity: capacity.max(1),
         }
     }
 
-    /// Slice-cache hits so far.
-    pub fn slice_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Slice-cache misses so far.
-    pub fn slice_misses(&self) -> u64 {
-        self.cache.misses()
+    /// The index of the program with `digest`, building it from `program`
+    /// on a miss. The boolean is `true` when it came from the cache.
+    fn index(&self, digest: u64, program: &Program) -> (Arc<DemandIndex>, bool) {
+        {
+            let mut lru = self.lru.lock().expect("demand index cache poisoned");
+            if let Some(pos) = lru.iter().position(|(d, _)| *d == digest) {
+                let entry = lru.remove(pos);
+                let index = Arc::clone(&entry.1);
+                lru.push(entry);
+                return (index, true);
+            }
+        }
+        // Build outside the lock; a racing duplicate build is harmless
+        // (both produce the same index) and only one is kept.
+        let index = Arc::new(DemandIndex::new(program));
+        let mut lru = self.lru.lock().expect("demand index cache poisoned");
+        if !lru.iter().any(|(d, _)| *d == digest) {
+            if lru.len() >= self.capacity {
+                lru.remove(0);
+            }
+            lru.push((digest, Arc::clone(&index)));
+        }
+        (index, false)
     }
 
     /// Answers `pts(v, ·)` for every root in `vars` under `config`,
     /// deriving only the transitively demanded facts.
     ///
-    /// `digest` keys the slice cache; callers must pass a value that
+    /// `digest` keys the index cache; callers must pass a value that
     /// uniquely identifies `program` (the serving tier uses the program's
     /// content digest).
     pub fn query(
@@ -107,7 +131,8 @@ impl DemandEngine {
         config: &AnalysisConfig,
         vars: &[Var],
     ) -> QueryOutcome {
-        let (slice, slice_reused) = self.cache.get_or_compute(digest, program, vars);
+        let (index, slice_reused) = self.index(digest, program);
+        let slice = Arc::new(index.slice(program, vars));
         let mut outcome = QueryOutcome {
             answers: Vec::with_capacity(vars.len()),
             slice_reused,
@@ -174,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_cache_is_shared_across_configs() {
+    fn index_cache_is_shared_across_configs() {
         let engine = DemandEngine::new(8);
         let module = compile(corpus::BOX).unwrap();
         let vars = [Var(0)];
@@ -182,12 +207,46 @@ mod tests {
         let ts = AnalysisConfig::transformer_strings("1-call".parse().unwrap());
         let first = engine.query(7, &module.program, &ci, &vars);
         assert!(!first.slice_reused);
-        // Same digest + roots: the slice is config-independent.
+        // Same digest: the index is config-independent.
         let second = engine.query(7, &module.program, &ts, &vars);
         assert!(second.slice_reused);
-        assert_eq!(engine.slice_hits(), 1);
-        assert_eq!(engine.slice_misses(), 1);
         assert!(second.solver_facts > 0, "context-sensitive path solves");
         assert_eq!(first.solver_facts, 0, "insensitive path answers from slice");
+    }
+
+    #[test]
+    fn index_cache_hits_across_roots_of_one_digest() {
+        let engine = DemandEngine::new(8);
+        let module = compile(corpus::LIST).unwrap();
+        let program = &module.program;
+        let config = AnalysisConfig::transformer_strings("1-call".parse().unwrap());
+        let exhaustive = analyze(program, &config);
+        for v in 0..program.var_count() {
+            let var = Var::from_index(v);
+            let outcome = engine.query(3, program, &config, &[var]);
+            assert_eq!(outcome.slice_reused, v > 0, "root {var}");
+            assert_eq!(outcome.answers, vec![(var, exhaustive.ci.points_to(var))]);
+        }
+        let all: Vec<Var> = (0..program.var_count()).map(Var::from_index).collect();
+        assert!(engine.query(3, program, &config, &all).slice_reused);
+    }
+
+    #[test]
+    fn index_cache_evicts_the_least_recently_used_digest() {
+        let engine = DemandEngine::new(2);
+        let module = compile(corpus::BOX).unwrap();
+        let ci = AnalysisConfig::insensitive();
+        let reused = |digest: u64, v: usize| {
+            engine
+                .query(digest, &module.program, &ci, &[Var::from_index(v)])
+                .slice_reused
+        };
+        assert!(!reused(1, 0));
+        assert!(!reused(2, 0));
+        // Touch digest 1 under another root: digest 2 is now the oldest.
+        assert!(reused(1, 1));
+        assert!(!reused(3, 0), "a third digest overflows capacity 2");
+        assert!(reused(1, 2), "the recently used digest survives");
+        assert!(!reused(2, 0), "the least recently used digest was evicted");
     }
 }

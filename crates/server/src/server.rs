@@ -1191,20 +1191,22 @@ fn sliced_answer(
         )
     })?;
     // Resolve names positionally; in batch mode failures become per-slot
-    // error objects (mirroring `points_to_batch`).
-    let mut index: HashMap<(&str, &str), Var> = HashMap::with_capacity(program.var_count());
-    for i in 0..program.var_count() {
-        let method = program.method_names[program.var_method[i].index()].as_str();
-        index.insert((method, program.var_names[i].as_str()), Var::from_index(i));
-    }
-    let mut resolved: Vec<Option<Var>> = Vec::with_capacity(vars.len());
-    for var in vars {
-        match index.get(&(var.method.as_str(), var.var.as_str())) {
-            Some(&v) => resolved.push(Some(v)),
-            None if batch => resolved.push(None),
-            None => return Err(unknown_var(var)),
-        }
-    }
+    // error objects (mirroring `points_to_batch`). A single root is found
+    // by a scan, without building the name index.
+    let resolved: Vec<Option<Var>> = if batch {
+        let index = var_index(&program);
+        vars.iter()
+            .map(|var| index.get(&(var.method.as_str(), var.var.as_str())).copied())
+            .collect()
+    } else {
+        vars.iter()
+            .map(|var| {
+                find_var(&program, var)
+                    .map(Some)
+                    .ok_or_else(|| unknown_var(var))
+            })
+            .collect::<Result<_, _>>()?
+    };
     let roots: Vec<Var> = resolved.iter().filter_map(|v| *v).collect();
     let heaps_json = |heaps: &[ctxform_ir::Heap]| -> Json {
         Json::Arr(
@@ -1250,7 +1252,7 @@ fn sliced_answer(
         .registry
         .counter(
             "ctxform_demand_slice_reuse_total",
-            "Demand-slice cache lookups, by outcome.",
+            "Demand-index cache lookups, by outcome.",
             &[("outcome", if outcome.slice_reused { "hit" } else { "miss" })],
         )
         .inc();
@@ -1356,11 +1358,7 @@ fn points_to_batch(
     vars: &[VarRef],
 ) -> Result<Fields, ProtoError> {
     let (result, cached, program) = solve_with_program(db, digest, config)?;
-    let mut index: HashMap<(&str, &str), Var> = HashMap::with_capacity(program.var_count());
-    for i in 0..program.var_count() {
-        let method = program.method_names[program.var_method[i].index()].as_str();
-        index.insert((method, program.var_names[i].as_str()), Var::from_index(i));
-    }
+    let index = var_index(&program);
     let mut found = 0usize;
     let mut items = Vec::with_capacity(vars.len());
     for var in vars {
@@ -1411,12 +1409,31 @@ fn resolve_var(program: &Program, var: &VarRef) -> Result<Var, ProtoError> {
     (0..program.var_count())
         .find(|&i| program.var_method[i] == method && program.var_names[i] == var.var)
         .map(Var::from_index)
-        .ok_or_else(|| {
-            ProtoError::new(
-                ErrorCode::UnknownVar,
-                format!("no variable `{}` in `{}`", var.var, var.method),
-            )
+        .ok_or_else(|| unknown_var(var))
+}
+
+/// `var` by a scan, resolving exactly as a lookup in [`var_index`] does:
+/// the last variable with that method and variable name wins (nested
+/// scopes and arity overloads can repeat both).
+fn find_var(program: &Program, var: &VarRef) -> Option<Var> {
+    (0..program.var_count())
+        .rev()
+        .find(|&i| {
+            program.var_names[i] == var.var
+                && program.method_names[program.var_method[i].index()] == var.method
         })
+        .map(Var::from_index)
+}
+
+/// Every variable keyed by `(method name, variable name)`: one pass over
+/// the program, for requests that look up many variables.
+fn var_index(program: &Program) -> HashMap<(&str, &str), Var> {
+    let mut index = HashMap::with_capacity(program.var_count());
+    for i in 0..program.var_count() {
+        let method = program.method_names[program.var_method[i].index()].as_str();
+        index.insert((method, program.var_names[i].as_str()), Var::from_index(i));
+    }
+    index
 }
 
 /// Sums the per-shard cache snapshots into the whole-server view (the
@@ -1930,4 +1947,50 @@ fn stats_fields(shared: &Shared) -> Fields {
         ),
         ("shard_detail", Json::Arr(detail)),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctxform_minijava::compile;
+
+    /// The single-root scan resolves every name exactly as the batch name
+    /// index does, including names repeated by nested scopes and arity
+    /// overloads, and misses the same names.
+    #[test]
+    fn find_var_agrees_with_the_name_index() {
+        let program = compile(
+            "class A {
+                 Object m() { Object y = new Object(); return y; }
+                 Object m(Object p) { Object y = p; return y; }
+             }
+             class Main {
+                 public static void main(String[] args) {
+                     Object x = new Object();
+                     if (true) { Object y = x; }
+                     Object y = new A().m(x);
+                 }
+             }",
+        )
+        .unwrap()
+        .program;
+        let index = var_index(&program);
+        let mut names: Vec<(&str, &str)> = index.keys().copied().collect();
+        names.extend([("Main.main", "nope"), ("Nope.main", "x"), ("A.m", "x")]);
+        for (method, var) in names {
+            let var_ref = VarRef {
+                method: method.to_owned(),
+                var: var.to_owned(),
+            };
+            assert_eq!(
+                find_var(&program, &var_ref),
+                index.get(&(method, var)).copied(),
+                "{method}::{var}"
+            );
+        }
+        let ys = (0..program.var_count())
+            .filter(|&i| program.var_names[i] == "y")
+            .count();
+        assert!(ys >= 4, "the program repeats names ({ys} `y`s)");
+    }
 }

@@ -64,17 +64,19 @@ pub(crate) struct Job {
     pub reply: SyncSender<String>,
 }
 
-/// Demand slices a shard keeps per digest; slices are orders of magnitude
-/// smaller than solved databases, so the bound is generous.
-const SLICE_CACHE_CAPACITY: usize = 128;
+/// Programs whose demand index a shard keeps (one index per digest);
+/// an index is a flat CI fixpoint plus reverse input rows, orders of
+/// magnitude smaller than a solved context-sensitive database, so the
+/// bound is generous.
+const DEMAND_INDEX_CAPACITY: usize = 128;
 
 /// One independent serving shard.
 pub struct Shard {
     /// The shard-local database manager: result LRU, incremental database
     /// LRU, loaded programs.
     pub db: DbManager,
-    /// The shard-local demand-query engine (per-digest slice cache), so a
-    /// digest's demand slices live on the shard its queries route to —
+    /// The shard-local demand-query engine (per-digest index cache), so a
+    /// digest's demand index lives on the shard its queries route to —
     /// mirroring the database cache.
     pub demand: DemandEngine,
     queue: Mutex<VecDeque<Job>>,
@@ -102,7 +104,7 @@ impl Shard {
     pub(crate) fn new(db: DbManager, depth: usize) -> Self {
         Shard {
             db,
-            demand: DemandEngine::new(SLICE_CACHE_CAPACITY),
+            demand: DemandEngine::new(DEMAND_INDEX_CAPACITY),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             depth: depth.max(1),

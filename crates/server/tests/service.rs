@@ -893,7 +893,7 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
             .collect::<Vec<String>>()
     };
 
-    // Prime a demand slice for the base digest; a repeat reuses it.
+    // Prime the base digest's demand index; a repeat reuses it.
     let direct_v1 = analyze(&v1_program, &query_config);
     let want_v1 = heaps_of(&v1_program, &direct_v1);
     assert!(
@@ -951,7 +951,7 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
     );
 
     // Freshness across the edit: the same query on the new digest must be
-    // answered against the retracted program — never from the slice
+    // answered against the retracted program — never from the index
     // cached under the base digest.
     let direct_r = analyze(&retracted, &query_config);
     let want_r = heaps_of(&retracted, &direct_r);
@@ -959,7 +959,7 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
     let q2 = query(&mut client, &dr);
     assert_eq!(q2.get("slice_reused").unwrap().as_bool(), Some(false));
     assert_eq!(str_arr(&q2, "heaps"), want_r);
-    // The base digest's slice is untouched and still serves old answers.
+    // The base digest's index is untouched and still serves old answers.
     let q3 = query(&mut client, &d1);
     assert_eq!(str_arr(&q3, "heaps"), want_v1);
 
@@ -1423,11 +1423,17 @@ fn query_answers_context_sensitively_without_full_solve() {
     };
 
     // Cold: every variable answered by the demand engine, byte-identical
-    // to the exhaustive analysis.
+    // to the exhaustive analysis. The first query builds the program's
+    // demand index; every later one, whatever its root, reuses it.
     for v in 0..program.var_count() {
         let reply = query(&mut client, v);
         assert_eq!(reply.get("demand").unwrap().as_bool(), Some(true), "{v}");
         assert_eq!(reply.get("cached").unwrap().as_bool(), Some(false), "{v}");
+        assert_eq!(
+            reply.get("slice_reused").unwrap().as_bool(),
+            Some(v > 0),
+            "{v}"
+        );
         let want: Vec<String> = direct
             .ci
             .points_to(ctxform_ir::Var::from_index(v))
@@ -1442,7 +1448,7 @@ fn query_answers_context_sensitively_without_full_solve() {
         );
     }
 
-    // Re-querying the same variable reuses the cached demand slice.
+    // Re-querying the same variable reuses the cached demand index too.
     let again = query(&mut client, 0);
     assert_eq!(again.get("slice_reused").unwrap().as_bool(), Some(true));
 

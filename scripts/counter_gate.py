@@ -29,7 +29,11 @@ BASELINE = {
         "core.facts": 1_028_445,
         "core.overdeleted": 438_172,
     },
-    "query-cold": {"core.events": 9_691, "core.facts": 8_033},
+    "query-cold": {
+        "core.events": 9_691,
+        "core.facts": 8_033,
+        "demand.slice_derivations": 11_891,
+    },
 }
 MAX_DIGEST_SHARE = 0.2
 
