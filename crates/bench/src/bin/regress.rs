@@ -10,8 +10,10 @@
 //! `--profile-folded PATH` runs the `cstring`/`tstring` cells with solver
 //! profiling enabled and writes the aggregated per-rule/per-phase wall
 //! time as folded-stack text (one `frame;frame <ns>` line per stack),
-//! ready for `flamegraph.pl` or `inferno-flamegraph`. Profiling never
-//! changes answers — the digest assertions below hold either way.
+//! ready for `flamegraph.pl` or `inferno-flamegraph`. Rule times are
+//! sampled (one popped delta in `ctxform::PROFILE_STRIDE`, weighted by
+//! the stride), phase times exact. Profiling never changes answers — the
+//! digest assertions below hold either way.
 //!
 //! Each run records, per benchmark and per Figure 6 configuration, for both
 //! abstractions plus a frontier-parallel transformer-string cell (`tstring_par`, solved

@@ -54,7 +54,8 @@ pub use db::{AnalysisDb, ExtendOutcome};
 pub use demand::{demand_points_to, demand_slice, DemandAnswer, DemandIndex, DemandSlice};
 pub use result::{
     rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, PhaseProfile, RoundProfile,
-    RuleCounts, RuleTimes, SolverStats, MAX_ROUND_PROFILES, RULE_NAMES, RULE_TIME_BUCKETS_NS,
+    RuleCounts, RuleTimes, SolverStats, MAX_ROUND_PROFILES, PROFILE_STRIDE, RULE_NAMES,
+    RULE_TIME_BUCKETS_NS,
 };
 
 use ctxform_algebra::{CStrings, Insensitive, TStrings};

@@ -2,7 +2,8 @@
 //! optional rendered fact log.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use ctxform_hash::fx_hash_one;
 use ctxform_ir::{Field, Heap, Inv, Method, Var};
@@ -125,12 +126,46 @@ pub const RULE_TIME_BUCKETS_NS: [u64; 7] = [
     1_000_000_000,
 ];
 
+/// A profiled solve reads the rule-block clocks on one popped delta in
+/// `PROFILE_STRIDE`, chosen from the delta's event index (so the choice
+/// is deterministic), and records each sampled block with this weight
+/// (see [`RuleTimes::observe_sampled`]).
+pub const PROFILE_STRIDE: u64 = 64;
+
+/// The clock's own cost: the minimum of back-to-back
+/// `Instant::now().elapsed()` readings, measured once per process.
+fn clock_floor_ns() -> u64 {
+    static FLOOR: OnceLock<u64> = OnceLock::new();
+    *FLOOR.get_or_init(|| {
+        (0..256)
+            .map(|_| Instant::now().elapsed().as_nanos() as u64)
+            .min()
+            .unwrap_or(0)
+    })
+}
+
+/// `raw` nanoseconds less the clock `floor`, saturating at 0.
+#[inline]
+fn net_of_floor(raw: u64, floor: u64) -> u64 {
+    raw.saturating_sub(floor)
+}
+
+/// Nanoseconds elapsed since `t`, net of the clock's own cost.
+#[inline]
+pub(crate) fn elapsed_ns(t: Instant) -> u64 {
+    net_of_floor(t.elapsed().as_nanos() as u64, clock_floor_ns())
+}
+
 /// Per-Figure-3-rule wall-time accounting, indexed like [`RuleCounts`].
 ///
 /// Each observation is one timed rule-driver *block* (all the joins one
 /// popped delta feeds into for that rule), not one derived tuple — so
 /// counts here are comparable to delta-queue pops, while
-/// [`SolverStats::rule_fired`] counts tuples.
+/// [`SolverStats::rule_fired`] counts tuples. The solver samples: only
+/// one popped delta in [`PROFILE_STRIDE`] is timed, and its blocks count
+/// [`PROFILE_STRIDE`] times, so `ns`, `count` and the histogram are
+/// estimates of the unsampled totals (and the histogram still sums to
+/// the count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleTimes {
     ns: [u64; RULE_NAMES.len()],
@@ -153,13 +188,27 @@ impl RuleTimes {
     /// `idx` (see [`rule`]).
     #[inline]
     pub fn observe(&mut self, idx: usize, ns: u64) {
-        self.ns[idx] += ns;
-        self.count[idx] += 1;
+        self.observe_weighted(idx, ns, 1);
+    }
+
+    /// Record one *sampled* block of `ns` nanoseconds: it stands for
+    /// [`PROFILE_STRIDE`] blocks, so it adds `PROFILE_STRIDE × ns` to the
+    /// total and `PROFILE_STRIDE` to the count and to its histogram
+    /// bucket.
+    #[inline]
+    pub fn observe_sampled(&mut self, idx: usize, ns: u64) {
+        self.observe_weighted(idx, ns, PROFILE_STRIDE);
+    }
+
+    #[inline]
+    fn observe_weighted(&mut self, idx: usize, ns: u64, weight: u64) {
+        self.ns[idx] += ns * weight;
+        self.count[idx] += weight;
         let bucket = RULE_TIME_BUCKETS_NS
             .iter()
             .position(|&edge| ns <= edge)
             .unwrap_or(RULE_TIME_BUCKETS_NS.len());
-        self.hist[idx][bucket] += 1;
+        self.hist[idx][bucket] += weight;
     }
 
     /// Total nanoseconds attributed to `rule` (0 for unknown names).
@@ -206,7 +255,8 @@ impl RuleTimes {
 }
 
 /// Aggregate solver phase timings (nanoseconds), populated when
-/// [`AnalysisConfig::profile`] is set.
+/// [`AnalysisConfig::profile`] is set. Each phase is timed exactly, by
+/// one clock pair per phase (per round under the parallel engine).
 ///
 /// On the single-threaded path `eval_ns` covers the whole delta loop and
 /// `merge_ns` stays 0 (there is no separate merge). Under the parallel
@@ -220,12 +270,35 @@ pub struct PhaseProfile {
     pub eval_ns: u64,
     /// Sequential candidate-merge phases (parallel engine only).
     pub merge_ns: u64,
+    /// A DRed update's over-delete pass: seeding the marks, closing
+    /// them through the mark sink, deleting the marked facts and
+    /// rebuilding the join indices (retractive updates only).
+    pub retract_ns: u64,
 }
 
 impl PhaseProfile {
     /// Sum over all phases.
     pub fn total_ns(&self) -> u64 {
-        self.seed_ns + self.eval_ns + self.merge_ns
+        self.seed_ns + self.eval_ns + self.merge_ns + self.retract_ns
+    }
+
+    /// `(name, ns)` for every phase, in the order a solve runs them
+    /// (`retract` before `seed`).
+    pub fn phases(&self) -> [(&'static str, u64); 4] {
+        [
+            ("retract", self.retract_ns),
+            ("seed", self.seed_ns),
+            ("eval", self.eval_ns),
+            ("merge", self.merge_ns),
+        ]
+    }
+
+    /// Fold another run's phase timings into this one.
+    pub fn merge(&mut self, other: &PhaseProfile) {
+        self.seed_ns += other.seed_ns;
+        self.eval_ns += other.eval_ns;
+        self.merge_ns += other.merge_ns;
+        self.retract_ns += other.retract_ns;
     }
 }
 
@@ -476,13 +549,14 @@ impl SolverStats {
                 .map(|(rule, ns, blocks)| format!("{rule} {}µs/{blocks}", ns / 1_000))
                 .collect();
             out.push_str(&format!("  rule time:        {}\n", timed.join(", ")));
-            let p = &self.phase_profile;
-            out.push_str(&format!(
-                "  phases:           seed {}µs, eval {}µs, merge {}µs\n",
-                p.seed_ns / 1_000,
-                p.eval_ns / 1_000,
-                p.merge_ns / 1_000
-            ));
+            let phases: Vec<String> = self
+                .phase_profile
+                .phases()
+                .iter()
+                .filter(|&&(name, ns)| name != "retract" || ns > 0)
+                .map(|&(name, ns)| format!("{name} {}µs", ns / 1_000))
+                .collect();
+            out.push_str(&format!("  phases:           {}\n", phases.join(", ")));
         }
         if self.memory.total() > 0 {
             out.push_str(&format!(
@@ -661,6 +735,52 @@ mod tests {
         assert_eq!(m.total_ns(), 2_005_000_600);
         let rules: Vec<&str> = m.nonzero().map(|(r, _, _)| r).collect();
         assert_eq!(rules, vec!["Assign", "Virt"]);
+    }
+
+    #[test]
+    fn sampled_blocks_carry_the_stride_weight() {
+        let mut t = RuleTimes::default();
+        t.observe_sampled(rule::LOAD, 200); // ≤ 1µs bucket
+        t.observe(rule::LOAD, 50_000); // ≤ 100µs bucket, weight 1
+        assert_eq!(t.ns("Load"), 200 * PROFILE_STRIDE + 50_000);
+        assert_eq!(t.count("Load"), PROFILE_STRIDE + 1);
+        let b = t.buckets("Load");
+        assert_eq!((b[0], b[2]), (PROFILE_STRIDE, 1));
+        assert_eq!(b.iter().sum::<u64>(), t.count("Load"));
+    }
+
+    #[test]
+    fn blocks_shorter_than_the_clock_floor_record_zero() {
+        assert_eq!(net_of_floor(12, 40), 0, "saturates instead of underflowing");
+        assert_eq!(net_of_floor(0, u64::MAX), 0);
+        assert_eq!(net_of_floor(40, 40), 0);
+        assert_eq!(net_of_floor(1_040, 40), 1_000);
+        let mut t = RuleTimes::default();
+        t.observe_sampled(rule::ASSIGN, net_of_floor(12, 40));
+        assert_eq!(t.ns("Assign"), 0);
+        assert_eq!(t.count("Assign"), PROFILE_STRIDE, "the block still counts");
+        assert_eq!(t.buckets("Assign")[0], PROFILE_STRIDE);
+        // The measured floor is a real clock reading, and never exceeds
+        // what an (empty) timed block reads.
+        assert!(elapsed_ns(Instant::now()) < 1_000_000);
+        assert_eq!(clock_floor_ns(), clock_floor_ns(), "measured once");
+    }
+
+    #[test]
+    fn phase_profiles_merge_and_list_retract() {
+        let mut p = PhaseProfile {
+            seed_ns: 1,
+            eval_ns: 2,
+            merge_ns: 3,
+            retract_ns: 4,
+        };
+        p.merge(&p.clone());
+        assert_eq!(p.total_ns(), 20);
+        assert_eq!(p.phases()[0], ("retract", 8));
+        assert_eq!(
+            p.phases().iter().map(|&(_, ns)| ns).sum::<u64>(),
+            p.total_ns()
+        );
     }
 
     #[test]

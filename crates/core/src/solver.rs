@@ -57,7 +57,7 @@ use self::kernel::{Candidate, Fact, MarkSink, Queues, RetractSink, Scratch, Sink
 use crate::bucket::Bucket;
 use crate::config::AnalysisConfig;
 use crate::result::{
-    rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, RuleTimes, SolverStats,
+    elapsed_ns, rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, RuleTimes, SolverStats,
 };
 
 /// Fixed per-slot estimate for hash-container overhead (control bytes
@@ -158,10 +158,13 @@ pub(crate) fn solve_state<A: Abstraction>(
     }
     let start = Instant::now();
     solver.st.stats.profiled = config.profile;
-    let t = solver.prof_start();
+    let t = solver.phase_start();
     solver.seed_entry();
-    solver.prof_rule(t, rule::ENTRY);
-    solver.prof_seed(t);
+    if let Some(t) = t {
+        let ns = elapsed_ns(t);
+        solver.st.stats.rule_time.observe(rule::ENTRY, ns);
+        solver.st.stats.phase_profile.seed_ns += ns;
+    }
     solver.run_to_fixpoint(threads);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
@@ -196,9 +199,9 @@ pub(crate) fn extend_state<A: Abstraction>(
     }
     let start = Instant::now();
     solver.st.stats.profiled = config.profile;
-    let t = solver.prof_start();
+    let t = solver.phase_start();
     solver.reseed_for_delta(&delta.added, &delta.added_entry_points);
-    solver.prof_seed(t);
+    solver.st.stats.phase_profile.seed_ns += phase_ns(t);
     solver.run_to_fixpoint(threads);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
@@ -247,6 +250,7 @@ pub(crate) fn retract_state<A: Abstraction>(
     }
     let start = Instant::now();
     solver.st.stats.profiled = config.profile;
+    let t = solver.phase_start();
     let marks = solver.seed_overdelete(base, retraction);
     let marks = MarkSink {
         solver: &mut solver,
@@ -254,10 +258,11 @@ pub(crate) fn retract_state<A: Abstraction>(
     }
     .run();
     solver.apply_deletions(&marks);
-    let t = solver.prof_start();
+    solver.st.stats.phase_profile.retract_ns += phase_ns(t);
+    let t = solver.phase_start();
     solver.reseed_after_deletion(&marks);
     solver.reseed_for_delta(&retraction.added, &retraction.added_entry_points);
-    solver.prof_seed(t);
+    solver.st.stats.phase_profile.seed_ns += phase_ns(t);
     solver.run_to_fixpoint(threads);
     solver.st.stats.rederived = solver.count_rederived(&marks);
     let result = solver.finish(start);
@@ -536,12 +541,19 @@ struct Solver<'p, A: Abstraction> {
     /// them while mutating the state (split borrows).
     ix: &'p ProgramIndex,
     st: SolverState<A>,
+    /// Whether the serial loop is driving a sampled delta.
+    sampled: bool,
 }
 
 impl<'p, A: Abstraction> Solver<'p, A> {
     /// Rebinds a state to a program and its freshly-built indices.
     fn from_state(program: &'p Program, ix: &'p ProgramIndex, st: SolverState<A>) -> Self {
-        Solver { program, ix, st }
+        Solver {
+            program,
+            ix,
+            st,
+            sampled: false,
+        }
     }
 
     /// Releases the program borrow, giving back the owned state.
@@ -1040,12 +1052,10 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         n as u64
     }
 
-    /// Attributes elapsed time since `t` to the seeding phase.
+    /// Starts a phase clock when the run is profiled.
     #[inline]
-    fn prof_seed(&mut self, t: Option<Instant>) {
-        if let Some(t) = t {
-            self.st.stats.phase_profile.seed_ns += t.elapsed().as_nanos() as u64;
-        }
+    fn phase_start(&self) -> Option<Instant> {
+        self.st.config.profile.then(Instant::now)
     }
 
     /// Runs the queues to empty: the one-delta-at-a-time loop at one
@@ -1055,14 +1065,15 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         if threads > 1 {
             return self.fixpoint_parallel(threads);
         }
-        let t = self.prof_start();
+        let profile = self.st.config.profile;
+        let t = self.phase_start();
         while let Some(delta) = self.st.queue.pop() {
+            self.sampled = kernel::sampled(profile, self.st.stats.events);
             self.st.stats.events += 1;
             self.drive(delta);
         }
-        if let Some(t) = t {
-            self.st.stats.phase_profile.eval_ns += t.elapsed().as_nanos() as u64;
-        }
+        self.sampled = false;
+        self.st.stats.phase_profile.eval_ns += phase_ns(t);
     }
 
     // ------------------------------------------------------------------
@@ -1385,6 +1396,12 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     }
 }
 
+/// Nanoseconds since a [`Solver::phase_start`] clock (0 when unprofiled).
+#[inline]
+fn phase_ns(t: Option<Instant>) -> u64 {
+    t.map_or(0, elapsed_ns)
+}
+
 /// The members of `set` that pass `keep`, sorted: a deterministic order
 /// for re-queued and re-indexed facts, independent of hash order.
 fn sorted<T: Copy + Ord>(set: &FxHashSet<T>, keep: impl Fn(&T) -> bool) -> Vec<T> {
@@ -1409,6 +1426,11 @@ impl<'p, A: Abstraction> Sink<'p, A> for Solver<'p, A> {
     #[inline]
     fn count_probes(&mut self, n: u64) {
         self.st.stats.probes += n;
+    }
+
+    #[inline]
+    fn sampled(&self) -> bool {
+        self.sampled
     }
 
     #[inline]

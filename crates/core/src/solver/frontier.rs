@@ -53,13 +53,11 @@
 //! and both orientations of every two-derived-literal join are implemented
 //! by the drivers — the same argument as the sequential engine's.
 
-use std::time::Instant;
-
 use ctxform_algebra::{Abstraction, Limits, NeedsIntern};
 
-use super::kernel::{Candidate, Fact, Scratch, Sink};
-use super::{ComposeMemo, Solver};
-use crate::result::{RoundProfile, RuleTimes, MAX_ROUND_PROFILES};
+use super::kernel::{self, Candidate, Fact, Scratch, Sink};
+use super::{phase_ns, ComposeMemo, Solver};
+use crate::result::{elapsed_ns, RoundProfile, RuleTimes, MAX_ROUND_PROFILES};
 
 /// Per-worker state that persists across rounds: the compose-memo shard
 /// and the reusable join-candidate buffers.
@@ -87,7 +85,7 @@ struct ChunkOut<X> {
     memo_hits: u64,
     memo_misses: u64,
     deferred: u64,
-    /// Per-rule evaluation wall time observed by this chunk's worker
+    /// Per-rule evaluation wall time of this chunk's sampled deltas
     /// (all-zero unless `config.profile` is set). Folded into
     /// `stats.rule_time` during the merge phase — purely observational,
     /// never part of the candidate stream.
@@ -122,20 +120,29 @@ struct Worker<'a, 'p, A: Abstraction> {
     s: &'a Solver<'p, A>,
     ws: &'a mut WorkerState<A::X>,
     out: ChunkOut<A::X>,
+    /// Whether the delta being driven is sampled. Worker-local: every
+    /// worker shares the one `&Solver`.
+    sampled: bool,
 }
 
 /// Evaluates the rule drivers for every delta in `chunk`, read-only.
+/// `first_event` is the run-wide event index of `chunk[0]`, so the
+/// sampled deltas do not depend on how the frontier was chunked.
 fn eval_chunk<'p, A: Abstraction>(
     s: &Solver<'p, A>,
     ws: &mut WorkerState<A::X>,
     chunk: &[Fact<A::X>],
+    first_event: usize,
 ) -> ChunkOut<A::X> {
+    let profile = s.st.config.profile;
     let mut w = Worker {
         s,
         ws,
         out: ChunkOut::default(),
+        sampled: false,
     };
-    for &delta in chunk {
+    for (k, &delta) in chunk.iter().enumerate() {
+        w.sampled = kernel::sampled(profile, first_event + k);
         w.drive(delta);
     }
     w.out
@@ -152,6 +159,10 @@ impl<'p, A: Abstraction> Sink<'p, A> for Worker<'_, 'p, A> {
 
     fn count_probes(&mut self, n: u64) {
         self.out.probes += n;
+    }
+
+    fn sampled(&self) -> bool {
+        self.sampled
     }
 
     fn rule_times(&mut self) -> &mut RuleTimes {
@@ -229,6 +240,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 break;
             }
             let n = frontier.len();
+            let first_event = self.st.stats.events;
             self.st.stats.par_rounds += 1;
             self.st.stats.par_frontier_peak = self.st.stats.par_frontier_peak.max(n);
             self.st.stats.events += n;
@@ -243,17 +255,13 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             // on the calling thread — through the same chunk driver and
             // the same worker state striding would pick (worker 0 owns
             // chunk 0), so the candidate stream is unaffected.
-            let eval_start = if self.st.config.profile {
-                Some(Instant::now())
-            } else {
-                None
-            };
+            let eval_start = self.phase_start();
             let chunk = chunk_size(n, threads);
             let n_chunks = n.div_ceil(chunk);
             let mut outs: Vec<Option<ChunkOut<A::X>>> = Vec::with_capacity(n_chunks);
             outs.resize_with(n_chunks, || None);
             if n_chunks == 1 {
-                outs[0] = Some(eval_chunk(&*self, &mut states[0], &frontier));
+                outs[0] = Some(eval_chunk(&*self, &mut states[0], &frontier, first_event));
             } else {
                 let solver_ref = &*self;
                 let frontier_ref = &frontier;
@@ -266,7 +274,13 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                             while ci < n_chunks {
                                 let lo = ci * chunk;
                                 let hi = (lo + chunk).min(n);
-                                mine.push((ci, eval_chunk(solver_ref, st, &frontier_ref[lo..hi])));
+                                let out = eval_chunk(
+                                    solver_ref,
+                                    st,
+                                    &frontier_ref[lo..hi],
+                                    first_event + lo,
+                                );
+                                mine.push((ci, out));
                                 ci += threads;
                             }
                             mine
@@ -281,8 +295,8 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             }
 
             // Phase 3: merge sequentially, in frontier order.
-            let eval_ns = eval_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let merge_start = eval_start.map(|_| Instant::now());
+            let eval_ns = phase_ns(eval_start);
+            let merge_start = self.phase_start();
             let mut merged = 0usize;
             for out in outs {
                 let out = out.expect("every chunk processed");
@@ -300,7 +314,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             }
             round_span.record("candidates", merged);
             if let Some(t) = merge_start {
-                let merge_ns = t.elapsed().as_nanos() as u64;
+                let merge_ns = elapsed_ns(t);
                 self.st.stats.phase_profile.eval_ns += eval_ns;
                 self.st.stats.phase_profile.merge_ns += merge_ns;
                 if self.st.stats.round_profiles.len() < MAX_ROUND_PROFILES {

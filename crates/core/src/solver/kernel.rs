@@ -31,7 +31,14 @@ use ctxform_ir::{Field, Heap, Inv, Method, ProgramIndex, Var};
 
 use super::{Solver, SolverState};
 use crate::bucket::Bucket;
-use crate::result::{rule, RuleTimes};
+use crate::result::{elapsed_ns, rule, RuleTimes, PROFILE_STRIDE};
+
+/// Whether a profiled run times the delta with event index `event` (its
+/// 0-based position in the run's pop order): one in [`PROFILE_STRIDE`].
+#[inline]
+pub(super) fn sampled(profile: bool, event: usize) -> bool {
+    profile && (event as u64).is_multiple_of(PROFILE_STRIDE)
+}
 
 /// One fact of a derived relation: a queued delta, an emitted
 /// consequence, or a fact marked for deletion.
@@ -179,6 +186,10 @@ pub(super) trait Sink<'p, A: Abstraction> {
     fn solver(&self) -> &Solver<'p, A>;
     fn scratch(&mut self) -> &mut Scratch<A::X>;
     fn count_probes(&mut self, n: u64);
+    /// `true` while this sink drives a delta whose rule blocks are timed
+    /// (see [`sampled`]).
+    fn sampled(&self) -> bool;
+    /// Where a sampled delta's block times go.
     fn rule_times(&mut self) -> &mut RuleTimes;
     /// Runs one interning operation: the mutating `rw` when this sink
     /// may intern, otherwise the read-only twin `ro`.
@@ -205,20 +216,19 @@ pub(super) trait Sink<'p, A: Abstraction> {
         &self.solver().st.abs
     }
 
-    // Profiling hooks: plain untaken branches (no clock reads) when
-    // `config.profile` is off; when on, the timings land only in the
+    // Profiling hooks: plain untaken branches (no clock reads) unless
+    // the delta being driven is sampled; the timings land only in the
     // sink's rule times, never in a derivation decision.
 
     #[inline]
     fn prof_start(&self) -> Option<Instant> {
-        self.solver().st.config.profile.then(Instant::now)
+        self.sampled().then(Instant::now)
     }
 
     #[inline]
     fn prof_rule(&mut self, t: Option<Instant>, idx: usize) {
         if let Some(t) = t {
-            self.rule_times()
-                .observe(idx, t.elapsed().as_nanos() as u64);
+            self.rule_times().observe_sampled(idx, elapsed_ns(t));
         }
     }
 
@@ -693,7 +703,8 @@ pub(super) struct MarkSink<'s, 'p, A: Abstraction> {
 }
 
 impl<A: Abstraction> MarkSink<'_, '_, A> {
-    /// Closes the marking transitively.
+    /// Closes the marking transitively. The whole pass is timed as the
+    /// `retract` phase, so no mark delta is sampled into rule time.
     pub(super) fn run(mut self) -> RetractSink<A::X> {
         while let Some(delta) = self.marks.queue.pop() {
             self.solver.st.stats.events += 1;
@@ -716,8 +727,12 @@ impl<'p, A: Abstraction> Sink<'p, A> for MarkSink<'_, 'p, A> {
         self.solver.count_probes(n);
     }
 
+    fn sampled(&self) -> bool {
+        false
+    }
+
     fn rule_times(&mut self) -> &mut RuleTimes {
-        self.solver.rule_times()
+        unreachable!("the mark sink samples no delta")
     }
 
     fn intern<T>(

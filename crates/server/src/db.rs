@@ -196,8 +196,9 @@ pub struct DbManager {
     /// When `true`, fresh solves run with per-rule/per-phase profiling
     /// enabled (result-neutral; timing fields only).
     profile: bool,
-    /// When set, every profiled solve's stats are folded into this store
-    /// (the `profile` endpoint's data source).
+    /// When set, every profiled solver run's stats (fresh solves and
+    /// updates) are folded into this store (the `profile` endpoint's
+    /// data source).
     profile_store: Option<Arc<crate::profile::ProfileStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -505,6 +506,13 @@ impl DbManager {
             Err(payload) => return Err(DbError::SolveFailed(panic_message(payload.as_ref()))),
         };
         let result = Arc::new(db.result().clone());
+        // Every run that did solver work is profiled like a fresh solve;
+        // a noop reports cleared run counters and is not a run.
+        if !matches!(outcome, ExtendOutcome::Noop) {
+            if let Some(store) = &self.profile_store {
+                store.record(&result.stats);
+            }
+        }
         match outcome {
             ExtendOutcome::Incremental => {
                 self.incremental_reuse.fetch_add(1, Ordering::Relaxed);
@@ -528,9 +536,6 @@ impl DbManager {
                 // extensions are accounted by the reuse counter instead.
                 if let Some(registry) = &self.registry {
                     record_solve_metrics(registry, &result.stats);
-                }
-                if let Some(store) = &self.profile_store {
-                    store.record(&result.stats);
                 }
             }
         };
@@ -591,6 +596,9 @@ impl DbManager {
         }));
         match solved {
             Ok(db) => {
+                if let Some(store) = &self.profile_store {
+                    store.record(&db.result().stats);
+                }
                 self.db_cache_put(key, db);
                 Ok(())
             }
@@ -947,11 +955,17 @@ mod tests {
         // A cache hit performs no solve and must not re-fold the stats.
         db.get_or_solve(digest, &config("1-call")).unwrap();
         assert_eq!(store.solves(), 1);
+        // Priming an extendable database is a profiled solve too; a
+        // resident one is not re-solved.
+        db.prime_db(digest, &config("1-call")).unwrap();
+        assert_eq!(store.solves(), 2);
+        db.prime_db(digest, &config("1-call")).unwrap();
+        assert_eq!(store.solves(), 2);
         // An unprofiled manager sharing the store never feeds it.
         let plain = DbManager::new(1 << 20).with_profile_store(store.clone());
         let (digest, _) = plain.load_program(compile(corpus::LIST).unwrap().program);
         plain.get_or_solve(digest, &config("1-call")).unwrap();
-        assert_eq!(store.solves(), 1);
+        assert_eq!(store.solves(), 2);
     }
 
     #[test]

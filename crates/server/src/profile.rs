@@ -1,9 +1,10 @@
 //! Aggregated solver profiling for the serving tier.
 //!
-//! Every profiled solve's [`ctxform::SolverStats`] is folded into one
-//! process-wide [`ProfileStore`]: per-Fig.-3-rule wall-time totals and
-//! counts, per-phase (seed/eval/merge) timings, and the byte accounting
-//! of the most recent solve's database. The `profile` server op exports
+//! Every profiled solver run's [`ctxform::SolverStats`] (fresh solves and
+//! updates) is folded into one process-wide [`ProfileStore`]:
+//! per-Fig.-3-rule wall-time totals and counts, per-phase
+//! (retract/seed/eval/merge) timings, and the byte accounting of the
+//! most recent run's database. The `profile` server op exports
 //! the store as JSON plus a folded-stack text rendering that feeds
 //! straight into `inferno`/`flamegraph.pl`.
 
@@ -13,7 +14,8 @@ use ctxform::{MemoryFootprint, PhaseProfile, RuleTimes, SolverStats};
 
 #[derive(Default)]
 struct ProfileInner {
-    /// Profiled solves folded in so far.
+    /// Profiled solver runs (solves, extensions, retractions) folded in
+    /// so far.
     solves: u64,
     /// Per-rule wall-time totals/counts/histograms, summed across solves.
     rule: RuleTimes,
@@ -32,7 +34,7 @@ pub struct ProfileStore {
 }
 
 impl ProfileStore {
-    /// Folds one solve's stats in. A no-op unless the run was profiled
+    /// Folds one solver run's stats in. A no-op unless the run was profiled
     /// (`stats.profiled`), so cache hits and unprofiled servers cost one
     /// mutex lock at most — and nothing is ever half-counted.
     pub fn record(&self, stats: &SolverStats) {
@@ -42,13 +44,11 @@ impl ProfileStore {
         let mut inner = self.inner.lock().unwrap();
         inner.solves += 1;
         inner.rule.merge(&stats.rule_time);
-        inner.phase.seed_ns += stats.phase_profile.seed_ns;
-        inner.phase.eval_ns += stats.phase_profile.eval_ns;
-        inner.phase.merge_ns += stats.phase_profile.merge_ns;
+        inner.phase.merge(&stats.phase_profile);
         inner.memory = stats.memory;
     }
 
-    /// Profiled solves folded in so far.
+    /// Profiled solver runs folded in so far.
     pub fn solves(&self) -> u64 {
         self.inner.lock().unwrap().solves
     }
@@ -61,12 +61,15 @@ impl ProfileStore {
     }
 
     /// Folded-stack rendering (one `frame;frame;frame <ns>` line per
-    /// stack, flamegraph-ready): seed and merge under `solver`, each
-    /// rule's eval time under `solver;eval`, and the eval remainder not
-    /// attributed to any rule block under `solver;eval;other`.
+    /// stack, flamegraph-ready): retract, seed and merge under `solver`,
+    /// each rule's eval time under `solver;eval`, and the eval remainder
+    /// not attributed to any rule block under `solver;eval;other`.
     pub fn folded(&self) -> String {
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
+        if inner.phase.retract_ns > 0 {
+            out.push_str(&format!("solver;retract {}\n", inner.phase.retract_ns));
+        }
         if inner.phase.seed_ns > 0 {
             out.push_str(&format!("solver;seed {}\n", inner.phase.seed_ns));
         }
@@ -75,9 +78,10 @@ impl ProfileStore {
             rule_total += ns;
             out.push_str(&format!("solver;eval;{rule} {ns}\n"));
         }
-        // Parallel workers time rule blocks on their own clocks, so the
-        // per-rule sum can exceed the wall eval time; saturate rather
-        // than emit a negative remainder.
+        // Parallel workers time rule blocks on their own clocks, and the
+        // sampled rule times are estimates, so the per-rule sum can
+        // exceed the wall eval time; saturate rather than emit a
+        // negative remainder.
         let other = inner.phase.eval_ns.saturating_sub(rule_total);
         if other > 0 {
             out.push_str(&format!("solver;eval;other {other}\n"));
@@ -103,6 +107,7 @@ mod tests {
         stats.phase_profile.seed_ns = 500;
         stats.phase_profile.eval_ns = 10_000;
         stats.phase_profile.merge_ns = 300;
+        stats.phase_profile.retract_ns = 700;
         stats.memory.rel_pts = 4096;
         stats
     }
@@ -134,6 +139,7 @@ mod tests {
         // eval 20_000 minus 6_000 of attributed rule time.
         assert!(folded.contains("solver;eval;other 14000\n"));
         assert!(folded.contains("solver;merge 600\n"));
+        assert!(folded.contains("solver;retract 1400\n"));
         for line in folded.lines() {
             let (stack, ns) = line.rsplit_once(' ').expect("stack + value");
             assert!(stack.starts_with("solver"));

@@ -1631,7 +1631,7 @@ fn render_profile_prometheus(text: &mut PromText, profile: &ProfileStore) {
     text.header(
         "ctxform_solver_profiled_solves_total",
         "counter",
-        "Profiled solver runs folded into the profile store.",
+        "Profiled solver runs, fresh solves and updates alike, folded into the profile store.",
     );
     text.sample("ctxform_solver_profiled_solves_total", &[], solves as f64);
     text.header(
@@ -1639,11 +1639,7 @@ fn render_profile_prometheus(text: &mut PromText, profile: &ProfileStore) {
         "counter",
         "Wall time spent in each solver phase across profiled solves.",
     );
-    for (name, ns) in [
-        ("seed", phase.seed_ns),
-        ("eval", phase.eval_ns),
-        ("merge", phase.merge_ns),
-    ] {
+    for (name, ns) in phase.phases() {
         text.sample(
             "ctxform_solver_phase_seconds_total",
             &[("phase", name)],
@@ -1792,6 +1788,7 @@ fn profile_fields(shared: &Shared) -> Fields {
                 ("seed_ns", Json::uint(phase.seed_ns)),
                 ("eval_ns", Json::uint(phase.eval_ns)),
                 ("merge_ns", Json::uint(phase.merge_ns)),
+                ("retract_ns", Json::uint(phase.retract_ns)),
             ]),
         ),
         ("rules", Json::Obj(rules)),

@@ -1805,6 +1805,76 @@ fn profile_op_reports_rules_phases_and_folded_stacks() {
     server.join();
 }
 
+/// The `profile` op covers the updates the server runs, not only fresh
+/// solves: one additive and one retractive `update` against a resident
+/// database each fold one profiled run into the store, and the
+/// retractive one shows up as the `retract` phase.
+#[test]
+fn profile_op_counts_incremental_and_retractive_updates() {
+    let server = test_server(|_| {});
+    let mut client = Client::connect(server.addr()).unwrap();
+    let profile = |client: &mut Client| {
+        client
+            .request(&Json::obj([("op", Json::str("profile"))]))
+            .unwrap()
+    };
+    let d0 = client.load_source(UPD_V0).unwrap();
+    // Seed the database chain (a fallback solve of V1).
+    let r1 = client.request(&update_req(&d0, &upd_v1())).unwrap();
+    assert_eq!(r1.get("outcome").unwrap().as_str(), Some("fallback"));
+    let d1 = r1.get("program").unwrap().as_str().unwrap().to_owned();
+    let before = profile(&mut client);
+    let solves_before = before.get("solves").unwrap().as_u64().unwrap();
+    assert_eq!(
+        before
+            .get("phases")
+            .unwrap()
+            .get("retract_ns")
+            .unwrap()
+            .as_u64(),
+        Some(0),
+        "no retraction has run yet"
+    );
+
+    let r2 = client.request(&update_req(&d1, &upd_v2())).unwrap();
+    assert_eq!(r2.get("outcome").unwrap().as_str(), Some("incremental"));
+    let mut retracted = compile(&upd_v1()).unwrap().program;
+    retracted.facts.store.clear();
+    let r3 = client
+        .request(&Json::obj([
+            ("op", Json::str("update")),
+            ("base", Json::str(d1)),
+            ("facts", Json::str(ctxform_ir::text::emit(&retracted))),
+            ("abstraction", Json::str("tstring")),
+            ("sensitivity", Json::str("2-object+H")),
+        ]))
+        .unwrap();
+    assert_eq!(r3.get("outcome").unwrap().as_str(), Some("retracted"));
+
+    let after = profile(&mut client);
+    assert_eq!(
+        after.get("solves").unwrap().as_u64().unwrap(),
+        solves_before + 2,
+        "both updates are profiled runs: {}",
+        after.to_line()
+    );
+    let retract_ns = after
+        .get("phases")
+        .unwrap()
+        .get("retract_ns")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    assert!(retract_ns > 0, "the DRed over-delete is its own phase");
+    let folded = after.get("folded").unwrap().as_str().unwrap();
+    assert!(
+        folded.lines().any(|l| l.starts_with("solver;retract ")),
+        "folded stacks must include the retract frame:\n{folded}"
+    );
+    server.shutdown();
+    server.join();
+}
+
 /// `trace {exemplars: true}` returns the slowest retained requests per
 /// endpoint, each with its span subtree reconstructed from the ring —
 /// even when `limit` truncates the record list itself to nothing.
