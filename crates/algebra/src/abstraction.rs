@@ -21,7 +21,7 @@ use crate::cstring::CPair;
 use crate::digest::CtxtDigest;
 use crate::elem::CtxtElem;
 use crate::flavour::{Flavour, MergeSite, Sensitivity};
-use crate::interner::{CtxtInterner, CtxtStr, NeedsIntern};
+use crate::interner::{CtxtInterner, CtxtStr};
 use crate::tstring::TStr;
 
 /// How the solver may index facts for composition joins.
@@ -52,16 +52,10 @@ pub struct Limits {
 /// Figures 3 and 4.
 ///
 /// All methods that may intern new context strings take `&mut self`; the
-/// interner is owned by the abstraction. Each such method has a read-only
-/// `try_` twin returning `Err(NeedsIntern)` when the result would require
-/// interning a not-yet-seen context string — the frontier-parallel solver
-/// evaluates rules through the `try_` twins from worker threads (sharing
-/// the abstraction immutably, hence the `Sync` supertrait and the
-/// `Send + Sync` bound on `X`) and replays the rare failures through the
-/// mutating originals during its sequential merge phase.
-pub trait Abstraction: Sync {
+/// interner is owned by the abstraction.
+pub trait Abstraction {
     /// The abstract transformation attached to each derived fact.
-    type X: Copy + Eq + Ord + Hash + Debug + Send + Sync;
+    type X: Copy + Eq + Ord + Hash + Debug;
 
     /// Human-readable name of the abstraction ("context strings", …).
     fn name(&self) -> &'static str;
@@ -132,42 +126,6 @@ pub trait Abstraction: Sync {
     /// strings represent all of them with one wildcard fact. Used by the
     /// SLoad rule.
     fn load_global(&mut self, b: Self::X, m: CtxtStr) -> Self::X;
-
-    /// Read-only twin of [`record`](Self::record). The default defers
-    /// unconditionally, which is always sound (merely slower).
-    fn try_record(&self, _m: CtxtStr) -> Result<Self::X, NeedsIntern> {
-        Err(NeedsIntern)
-    }
-
-    /// Read-only twin of [`compose`](Self::compose).
-    fn try_compose(
-        &self,
-        _a: Self::X,
-        _b: Self::X,
-        _limits: Limits,
-    ) -> Result<Option<Self::X>, NeedsIntern> {
-        Err(NeedsIntern)
-    }
-
-    /// Read-only twin of [`merge`](Self::merge).
-    fn try_merge(&self, _site: MergeSite, _b: Self::X) -> Result<Self::X, NeedsIntern> {
-        Err(NeedsIntern)
-    }
-
-    /// Read-only twin of [`merge_s`](Self::merge_s).
-    fn try_merge_s(&self, _inv: CtxtElem, _m: CtxtStr) -> Result<Self::X, NeedsIntern> {
-        Err(NeedsIntern)
-    }
-
-    /// Read-only twin of [`globalize`](Self::globalize).
-    fn try_globalize(&self, _b: Self::X) -> Result<Self::X, NeedsIntern> {
-        Err(NeedsIntern)
-    }
-
-    /// Read-only twin of [`load_global`](Self::load_global).
-    fn try_load_global(&self, _b: Self::X, _m: CtxtStr) -> Result<Self::X, NeedsIntern> {
-        Err(NeedsIntern)
-    }
 
     /// Configuration tag of `x` in the `x*w?e*` sense of §7 (empty for
     /// abstractions without configurations).
@@ -300,66 +258,6 @@ impl Abstraction for CStrings {
 
     fn dst_boundary(&self, x: CPair) -> CtxtStr {
         x.dst
-    }
-
-    fn try_record(&self, m: CtxtStr) -> Result<CPair, NeedsIntern> {
-        // `prefix` is a pure parent-pointer walk: record never interns.
-        let h = self.sensitivity.levels.heap;
-        Ok(CPair {
-            src: self.interner.prefix(m, h),
-            dst: m,
-        })
-    }
-
-    fn try_compose(
-        &self,
-        a: CPair,
-        b: CPair,
-        _limits: Limits,
-    ) -> Result<Option<CPair>, NeedsIntern> {
-        // Pure: the equality join never builds new strings.
-        Ok(a.compose(b))
-    }
-
-    fn try_merge(&self, site: MergeSite, b: CPair) -> Result<CPair, NeedsIntern> {
-        let m = self.sensitivity.levels.method;
-        match self.sensitivity.flavour {
-            Flavour::CallSite => {
-                let kept = self.interner.prefix(b.dst, m - 1);
-                let dst = self.interner.try_push_front(site.inv, kept)?;
-                Ok(CPair { src: b.dst, dst })
-            }
-            Flavour::Object | Flavour::HybridObject => {
-                let dst = self.interner.try_push_front(site.heap, b.src)?;
-                Ok(CPair { src: b.dst, dst })
-            }
-            Flavour::Type => {
-                let dst = self.interner.try_push_front(site.class, b.src)?;
-                Ok(CPair { src: b.dst, dst })
-            }
-        }
-    }
-
-    fn try_merge_s(&self, inv: CtxtElem, m: CtxtStr) -> Result<CPair, NeedsIntern> {
-        match self.sensitivity.flavour {
-            Flavour::CallSite | Flavour::HybridObject => {
-                let kept = self.interner.prefix(m, self.sensitivity.levels.method - 1);
-                let dst = self.interner.try_push_front(inv, kept)?;
-                Ok(CPair { src: m, dst })
-            }
-            Flavour::Object | Flavour::Type => Ok(CPair { src: m, dst: m }),
-        }
-    }
-
-    fn try_globalize(&self, b: CPair) -> Result<CPair, NeedsIntern> {
-        Ok(CPair {
-            src: b.src,
-            dst: CtxtStr::EMPTY,
-        })
-    }
-
-    fn try_load_global(&self, b: CPair, m: CtxtStr) -> Result<CPair, NeedsIntern> {
-        Ok(CPair { src: b.src, dst: m })
     }
 
     fn display(&self, x: CPair, program: &Program) -> String {
@@ -495,62 +393,6 @@ impl Abstraction for TStrings {
         a.subsumes(&self.interner, b)
     }
 
-    fn try_record(&self, _m: CtxtStr) -> Result<TStr, NeedsIntern> {
-        Ok(TStr::IDENTITY)
-    }
-
-    fn try_compose(&self, a: TStr, b: TStr, limits: Limits) -> Result<Option<TStr>, NeedsIntern> {
-        a.try_compose_in(&self.interner, b, limits.src, limits.dst)
-    }
-
-    fn try_merge(&self, site: MergeSite, b: TStr) -> Result<TStr, NeedsIntern> {
-        let m = self.sensitivity.levels.method;
-        let raw = match self.sensitivity.flavour {
-            Flavour::CallSite => TStr {
-                exits: b.entries,
-                wild: b.wild,
-                entries: self.interner.try_push_front(site.inv, b.entries)?,
-            },
-            Flavour::Object | Flavour::HybridObject => TStr {
-                exits: b.entries,
-                wild: b.wild,
-                entries: self.interner.try_push_front(site.heap, b.exits)?,
-            },
-            Flavour::Type => TStr {
-                exits: b.entries,
-                wild: b.wild,
-                entries: self.interner.try_push_front(site.class, b.exits)?,
-            },
-        };
-        Ok(raw.truncate(&self.interner, m, m))
-    }
-
-    fn try_merge_s(&self, inv: CtxtElem, m: CtxtStr) -> Result<TStr, NeedsIntern> {
-        match self.sensitivity.flavour {
-            Flavour::CallSite | Flavour::HybridObject => {
-                let s = self.interner.try_snoc(CtxtStr::EMPTY, inv)?;
-                Ok(TStr {
-                    exits: CtxtStr::EMPTY,
-                    wild: false,
-                    entries: s,
-                })
-            }
-            Flavour::Object | Flavour::Type => Ok(TStr::projection(m)),
-        }
-    }
-
-    fn try_globalize(&self, b: TStr) -> Result<TStr, NeedsIntern> {
-        Ok(TStr {
-            exits: b.exits,
-            wild: true,
-            entries: CtxtStr::EMPTY,
-        })
-    }
-
-    fn try_load_global(&self, b: TStr, _m: CtxtStr) -> Result<TStr, NeedsIntern> {
-        Ok(b)
-    }
-
     fn configuration(&self, x: TStr) -> String {
         x.configuration(&self.interner)
     }
@@ -642,30 +484,6 @@ impl Abstraction for Insensitive {
 
     fn dst_boundary(&self, _x: ()) -> CtxtStr {
         CtxtStr::EMPTY
-    }
-
-    fn try_record(&self, _m: CtxtStr) -> Result<(), NeedsIntern> {
-        Ok(())
-    }
-
-    fn try_compose(&self, _a: (), _b: (), _limits: Limits) -> Result<Option<()>, NeedsIntern> {
-        Ok(Some(()))
-    }
-
-    fn try_merge(&self, _site: MergeSite, _b: ()) -> Result<(), NeedsIntern> {
-        Ok(())
-    }
-
-    fn try_merge_s(&self, _inv: CtxtElem, _m: CtxtStr) -> Result<(), NeedsIntern> {
-        Ok(())
-    }
-
-    fn try_globalize(&self, _b: ()) -> Result<(), NeedsIntern> {
-        Ok(())
-    }
-
-    fn try_load_global(&self, _b: (), _m: CtxtStr) -> Result<(), NeedsIntern> {
-        Ok(())
     }
 
     fn display(&self, _x: (), _program: &Program) -> String {
@@ -820,61 +638,6 @@ mod tests {
         let mut ob = TStrings::new(Sensitivity::new(Flavour::Object, 1, 0).unwrap());
         let entry = ob.interner.from_slice(&[CtxtElem::entry()]);
         assert_eq!(ob.merge_s(site().inv, entry), TStr::projection(entry));
-    }
-
-    /// The `try_` twins must agree with the mutating originals whenever
-    /// they succeed, and must succeed once the original has interned the
-    /// strings they needed — for every flavour of both abstractions.
-    #[test]
-    fn try_twins_agree_with_mutating_ops() {
-        let flavours = [
-            Flavour::CallSite,
-            Flavour::Object,
-            Flavour::Type,
-            Flavour::HybridObject,
-        ];
-        let limits = Limits { src: 1, dst: 2 };
-        for flavour in flavours {
-            let s = Sensitivity::new(flavour, 2, 1).unwrap();
-
-            let mut cs = CStrings::new(s);
-            let c1 = CtxtElem::of_inv(Inv(1));
-            let m = cs.interner.from_slice(&[c1, CtxtElem::entry()]);
-            assert_eq!(cs.try_record(m), Ok(cs.record(m)));
-            let b = cs.record(m);
-            // Cold interner: merge needs a new string, so try defers…
-            assert_eq!(cs.try_merge(site(), b), Err(NeedsIntern));
-            let merged = cs.merge(site(), b);
-            // …and succeeds after the original interned it.
-            assert_eq!(cs.try_merge(site(), b), Ok(merged));
-            let composed = cs.compose(b, merged, limits);
-            assert_eq!(cs.try_compose(b, merged, limits), Ok(composed));
-            let ms = cs.merge_s(site().inv, m);
-            assert_eq!(cs.try_merge_s(site().inv, m), Ok(ms));
-            let gl = cs.globalize(b);
-            assert_eq!(cs.try_globalize(b), Ok(gl));
-            let lg = cs.load_global(b, m);
-            assert_eq!(cs.try_load_global(b, m), Ok(lg));
-
-            let mut ts = TStrings::new(s);
-            let m = ts.interner.from_slice(&[c1, CtxtElem::entry()]);
-            assert_eq!(ts.try_record(m), Ok(ts.record(m)));
-            let b = TStr {
-                exits: ts.interner.from_slice(&[c1]),
-                wild: false,
-                entries: m,
-            };
-            let merged = ts.merge(site(), b);
-            assert_eq!(ts.try_merge(site(), b), Ok(merged));
-            let composed = ts.compose(b, merged, limits);
-            assert_eq!(ts.try_compose(b, merged, limits), Ok(composed));
-            let ms = ts.merge_s(site().inv, m);
-            assert_eq!(ts.try_merge_s(site().inv, m), Ok(ms));
-            let gl = ts.globalize(b);
-            assert_eq!(ts.try_globalize(b), Ok(gl));
-            let lg = ts.load_global(b, m);
-            assert_eq!(ts.try_load_global(b, m), Ok(lg));
-        }
     }
 
     #[test]

@@ -18,14 +18,6 @@ use ctxform_hash::FxHashMap;
 
 use crate::elem::CtxtElem;
 
-/// Marker error for the read-only `try_*` operations: the result string
-/// is not interned yet, so producing it would require `&mut` access.
-///
-/// The parallel solver treats this as "defer to the sequential merge
-/// phase", where the mutating twin of the operation is replayed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NeedsIntern;
-
 /// An interned context string (a handle into a [`CtxtInterner`]).
 ///
 /// `CtxtStr::EMPTY` is the empty string in every interner.
@@ -109,13 +101,6 @@ impl CtxtInterner {
         id
     }
 
-    /// Read-only [`snoc`](Self::snoc): succeeds iff the appended string is
-    /// already interned. Pure, so safe to call from parallel workers that
-    /// share the interner immutably.
-    pub fn try_snoc(&self, s: CtxtStr, elem: CtxtElem) -> Result<CtxtStr, NeedsIntern> {
-        self.snoc_map.get(&(s, elem)).copied().ok_or(NeedsIntern)
-    }
-
     /// Interns a full string given front-to-back (top-most element first).
     pub fn from_slice(&mut self, elems: &[CtxtElem]) -> CtxtStr {
         let mut s = CtxtStr::EMPTY;
@@ -194,20 +179,6 @@ impl CtxtInterner {
         self.snoc(head, l)
     }
 
-    /// Read-only [`drop_front`](Self::drop_front): succeeds iff the suffix
-    /// is already interned.
-    pub fn try_drop_front(&self, s: CtxtStr, k: usize) -> Result<CtxtStr, NeedsIntern> {
-        if k == 0 {
-            return Ok(s);
-        }
-        if self.len(s) <= k {
-            return Ok(CtxtStr::EMPTY);
-        }
-        let node = self.nodes[s.0 as usize];
-        let head = self.try_drop_front(node.parent, k)?;
-        self.try_snoc(head, node.last)
-    }
-
     /// Pushes `elem` onto the *front* of `s` (most-recent position).
     /// Allocation-free; recursion depth is `len(s)`.
     pub fn push_front(&mut self, elem: CtxtElem, s: CtxtStr) -> CtxtStr {
@@ -222,17 +193,6 @@ impl CtxtInterner {
         self.snoc(head, l)
     }
 
-    /// Read-only [`push_front`](Self::push_front): succeeds iff the
-    /// extended string is already interned.
-    pub fn try_push_front(&self, elem: CtxtElem, s: CtxtStr) -> Result<CtxtStr, NeedsIntern> {
-        if self.is_empty(s) {
-            return self.try_snoc(CtxtStr::EMPTY, elem);
-        }
-        let node = self.nodes[s.0 as usize];
-        let head = self.try_push_front(elem, node.parent)?;
-        self.try_snoc(head, node.last)
-    }
-
     /// Concatenation `a · b`. Allocation-free; recursion depth is `len(b)`.
     pub fn concat(&mut self, a: CtxtStr, b: CtxtStr) -> CtxtStr {
         if self.is_empty(b) {
@@ -244,17 +204,6 @@ impl CtxtInterner {
         };
         let head = self.concat(a, p);
         self.snoc(head, l)
-    }
-
-    /// Read-only [`concat`](Self::concat): succeeds iff `a · b` is already
-    /// interned.
-    pub fn try_concat(&self, a: CtxtStr, b: CtxtStr) -> Result<CtxtStr, NeedsIntern> {
-        if self.is_empty(b) {
-            return Ok(a);
-        }
-        let node = self.nodes[b.0 as usize];
-        let head = self.try_concat(a, node.parent)?;
-        self.try_snoc(head, node.last)
     }
 
     /// The elements of `s`, back-to-front (last element first): the order
@@ -422,34 +371,6 @@ mod tests {
         assert_eq!(it.drop_front(abc, 9), CtxtStr::EMPTY);
         let bc = it.from_slice(&[b, c]);
         assert_eq!(it.push_front(a, bc), abc);
-    }
-
-    #[test]
-    fn try_ops_mirror_mutating_ops_without_interning() {
-        let mut it = CtxtInterner::new();
-        let [a, b, c] = elems3();
-        let abc = it.from_slice(&[a, b, c]);
-        let bc = it.from_slice(&[b, c]);
-        let ab = it.from_slice(&[a, b]);
-        let c1 = it.from_slice(&[c]);
-        let before = it.interned_count();
-        // Every result string already interned ⇒ Ok with the same handle.
-        assert_eq!(it.try_snoc(ab, c), Ok(abc));
-        assert_eq!(it.try_drop_front(abc, 1), Ok(bc));
-        assert_eq!(it.try_drop_front(abc, 0), Ok(abc));
-        assert_eq!(it.try_drop_front(abc, 9), Ok(CtxtStr::EMPTY));
-        assert_eq!(it.try_push_front(a, bc), Ok(abc));
-        assert_eq!(it.try_concat(ab, c1), Ok(abc));
-        assert_eq!(it.try_concat(ab, CtxtStr::EMPTY), Ok(ab));
-        assert_eq!(it.interned_count(), before, "try ops must never intern");
-        // Result not interned yet ⇒ NeedsIntern, still no mutation.
-        assert_eq!(it.try_snoc(abc, a), Err(NeedsIntern));
-        assert_eq!(it.try_push_front(c, abc), Err(NeedsIntern));
-        assert_eq!(it.try_concat(abc, c1), Err(NeedsIntern));
-        assert_eq!(it.interned_count(), before);
-        // After the mutating twin runs, the try op succeeds.
-        let abca = it.snoc(abc, a);
-        assert_eq!(it.try_snoc(abc, a), Ok(abca));
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub use cstring::CPair;
 pub use digest::CtxtDigest;
 pub use elem::CtxtElem;
 pub use flavour::{Flavour, Levels, MergeSite, Sensitivity, SensitivityError};
-pub use interner::{CtxtInterner, CtxtStr, NeedsIntern, RevElems};
+pub use interner::{CtxtInterner, CtxtStr, RevElems};
 pub use tstring::TStr;
 pub use word::{Letter, Sem, Word};

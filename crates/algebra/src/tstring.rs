@@ -25,7 +25,7 @@
 //! > other.
 
 use crate::elem::CtxtElem;
-use crate::interner::{CtxtInterner, CtxtStr, NeedsIntern};
+use crate::interner::{CtxtInterner, CtxtStr};
 
 /// A canonical transformer string `exits · wild? · entries`.
 ///
@@ -178,59 +178,6 @@ impl TStr {
             }
         };
         Some(result.truncate(interner, max_exits, max_entries))
-    }
-
-    /// Read-only twin of [`compose_in`](Self::compose_in): identical
-    /// result for identical arguments, but never interns. Returns
-    /// `Err(NeedsIntern)` when the composition would have to intern a new
-    /// context string; the caller replays the mutating twin later.
-    pub fn try_compose_in(
-        self,
-        interner: &CtxtInterner,
-        other: TStr,
-        max_exits: usize,
-        max_entries: usize,
-    ) -> Result<Option<TStr>, NeedsIntern> {
-        let be = self.entries;
-        let ce = other.exits;
-        let lb = interner.len(be);
-        let lc = interner.len(ce);
-        let k = lb.min(lc);
-        if interner.prefix(be, k) != interner.prefix(ce, k) {
-            return Ok(None);
-        }
-        let result = if lc > lb {
-            if self.wild {
-                TStr {
-                    exits: self.exits,
-                    wild: true,
-                    entries: other.entries,
-                }
-            } else {
-                let excess = interner.try_drop_front(ce, lb)?;
-                let exits = interner.try_concat(self.exits, excess)?;
-                TStr {
-                    exits,
-                    wild: other.wild,
-                    entries: other.entries,
-                }
-            }
-        } else if other.wild {
-            TStr {
-                exits: self.exits,
-                wild: true,
-                entries: other.entries,
-            }
-        } else {
-            let leftover = interner.try_drop_front(be, k)?;
-            let entries = interner.try_concat(other.entries, leftover)?;
-            TStr {
-                exits: self.exits,
-                wild: self.wild,
-                entries,
-            }
-        };
-        Ok(Some(result.truncate(interner, max_exits, max_entries)))
     }
 
     /// `trunc_{i,j}` (paper §4.2): keeps the first `max_exits` exits and
@@ -466,53 +413,6 @@ mod tests {
                 entries: it.from_slice(&[c, b])
             }
         );
-    }
-
-    #[test]
-    fn try_compose_matches_compose_and_never_interns() {
-        let (mut it, a, b, c) = setup();
-        let strings = [
-            CtxtStr::EMPTY,
-            it.from_slice(&[a]),
-            it.from_slice(&[b]),
-            it.from_slice(&[a, b]),
-            it.from_slice(&[a, b, c]),
-        ];
-        let mut pool = Vec::new();
-        for &exits in &strings {
-            for &entries in &strings {
-                for wild in [false, true] {
-                    pool.push(TStr {
-                        exits,
-                        wild,
-                        entries,
-                    });
-                }
-            }
-        }
-        for &x in &pool {
-            for &y in &pool {
-                for limits in [(usize::MAX, usize::MAX), (2, 2), (1, 0)] {
-                    let before = it.interned_count();
-                    let tried = x.try_compose_in(&it, y, limits.0, limits.1);
-                    assert_eq!(it.interned_count(), before, "try op interned");
-                    let real = x.compose_in(&mut it, y, limits.0, limits.1);
-                    match tried {
-                        // When it succeeds it must agree with the real op.
-                        Ok(r) => assert_eq!(r, real, "{x:?} ; {y:?}"),
-                        // When it defers, the real op must have interned
-                        // something new — and a replayed try now succeeds.
-                        Err(NeedsIntern) => {
-                            assert_eq!(
-                                x.try_compose_in(&it, y, limits.0, limits.1),
-                                Ok(real),
-                                "try must succeed after the mutating twin"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

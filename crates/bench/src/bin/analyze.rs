@@ -40,26 +40,18 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: analyze <program.mj|facts.txt> [--config LABEL] \
              [--abstraction cstring|tstring|ci] [--naive] \
-             [--threads N] [--trace-json PATH] [--query Method::var]..."
+             [--trace-json PATH] [--query Method::var]..."
         );
         return ExitCode::FAILURE;
     };
     let mut label = "2-object+H".to_owned();
     let mut kind = AbstractionKind::TransformerStrings;
     let mut naive = false;
-    let mut threads = 1usize;
     let mut trace_json: Option<String> = None;
     let mut queries: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--config" => label = args.next().expect("--config needs a label"),
-            // 0 = auto-detect; results are identical for every value.
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads needs a non-negative integer")
-            }
             "--abstraction" => {
                 kind = match args.next().as_deref() {
                     Some("cstring") => AbstractionKind::ContextStrings,
@@ -107,7 +99,6 @@ fn main() -> ExitCode {
     if naive {
         config = config.with_naive_joins();
     }
-    config = config.with_threads(threads);
     if trace_json.is_some() {
         ctxform_obs::enable_tracing(ctxform_obs::trace::DEFAULT_CAPACITY);
     }

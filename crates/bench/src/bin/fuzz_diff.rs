@@ -11,25 +11,21 @@
 //! 1. **Datalog baseline** — the context-insensitive solve must derive
 //!    exactly the relations the generic Datalog engine derives from
 //!    [`ctxform::CI_RULES`].
-//! 2. **Serial solve** — across the shared differential matrix
+//! 2. **From-scratch solve** — across the shared differential matrix
 //!    ([`ctxform_testutil::incremental_configs`]: {cstring, tstring} ×
-//!    {1-call, 1-object}) × {1, 4} threads, every cell must match the
-//!    serial from-scratch solve of the same revision:
-//!    * **digest parity** — `AnalysisDb::fact_digest` (the multiset
-//!      digest of the context-sensitive facts, hashed by name) is
-//!      bit-identical;
-//!    * **pts-set equality** — the context-insensitive projections match
-//!      set for set;
-//!    * **extend parity** — one seeded additive edit applied through
-//!      `AnalysisDb::extend` reaches the scratch digest of the edited
-//!      revision;
-//!    * **retract parity** — one seeded deleting edit of that revision,
-//!      applied through `AnalysisDb::extend` (DRed), reaches the scratch
-//!      digest of the shrunken revision.
+//!    {1-call, 1-object}), the solved base revision is updated through
+//!    `AnalysisDb::extend`, and after each update its
+//!    `AnalysisDb::fact_digest` (the multiset digest of the
+//!    context-sensitive facts, hashed by name) must equal the
+//!    from-scratch solve's:
+//!    * **extend parity** — one seeded additive edit reaches the scratch
+//!      digest of the edited revision;
+//!    * **retract parity** — one seeded deleting edit of that revision
+//!      (DRed) reaches the scratch digest of the shrunken revision.
 //!
 //! On the first violated property the harness writes a reproducer to
-//! `ctxform-fuzz-repro/1` — a JSON object (schema `ctxform-fuzz-repro/3`)
-//! with the seed, iteration, config, thread count, both digests, up to
+//! `ctxform-fuzz-repro/1` — a JSON object (schema `ctxform-fuzz-repro/4`)
+//! with the seed, iteration, config, both digests, up to
 //! five facts from each side of the symmetric difference of the two
 //! databases' `AnalysisDb::rendered_facts` listings (`only_expected`,
 //! `only_actual`; empty for a Datalog-baseline violation), and the
@@ -42,14 +38,13 @@ use ctxform_minijava::compile;
 use ctxform_obs::logger;
 use ctxform_server::json::{hex16, Json};
 use ctxform_synth::{edit_script, random_program, retract_edit_script};
-use ctxform_testutil::{incremental_configs, PARITY_THREADS};
+use ctxform_testutil::incremental_configs;
 
 /// One differential violation, with everything needed to replay it.
 struct Violation {
     seed: u64,
     iter: usize,
     config: AnalysisConfig,
-    threads: usize,
     property: &'static str,
     expected: u64,
     actual: u64,
@@ -88,12 +83,11 @@ impl Violation {
     fn to_json(&self, iters: usize) -> Json {
         let facts = |facts: &[String]| facts.iter().map(|f| Json::str(f.as_str())).collect();
         Json::obj([
-            ("schema", Json::str("ctxform-fuzz-repro/3")),
+            ("schema", Json::str("ctxform-fuzz-repro/4")),
             ("seed", Json::uint(self.seed)),
             ("iter", Json::int(self.iter)),
             ("iters", Json::int(iters)),
             ("config", Json::Str(self.config.to_string())),
-            ("threads", Json::int(self.threads)),
             ("property", Json::str(self.property)),
             ("expected_digest", Json::Str(hex16(self.expected))),
             ("actual_digest", Json::Str(hex16(self.actual))),
@@ -143,11 +137,10 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
         .collect();
     let retracted = retract_edit_script(&programs[1], seed, 1, 10).swap_remove(1);
     programs.push(retracted);
-    let violation = |config, threads, property, expected, actual| Violation {
+    let violation = |config, property, expected, actual| Violation {
         seed,
         iter,
         config,
-        threads,
         property,
         expected,
         actual,
@@ -155,7 +148,7 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
         only_actual: Vec::new(),
     };
 
-    let insensitive = AnalysisConfig::insensitive().with_threads(1);
+    let insensitive = AnalysisConfig::insensitive();
     for program in &programs {
         let solved = AnalysisDb::solve(program.clone(), &insensitive);
         let (expected, actual) = (
@@ -163,64 +156,34 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
             baseline_digest(&solved.result().ci),
         );
         if expected != actual {
-            return Some(violation(
-                insensitive,
-                1,
-                "datalog baseline",
-                expected,
-                actual,
-            ));
+            return Some(violation(insensitive, "datalog baseline", expected, actual));
         }
     }
 
-    for base in incremental_configs() {
-        // The serial from-scratch solve of each revision is the oracle
-        // for every cell; digests are independent of thread count.
-        let scratch: Vec<AnalysisDb> = programs
-            .iter()
-            .map(|p| AnalysisDb::solve(p.clone(), &base.with_threads(1)))
-            .collect();
-        let oracle = &scratch[0];
-        for &threads in &PARITY_THREADS {
-            let mut db = AnalysisDb::solve(programs[0].clone(), &base.with_threads(threads));
-            let mismatch = |db: &AnalysisDb, property, expected: &AnalysisDb| {
-                violation(
-                    base,
-                    threads,
-                    property,
-                    expected.fact_digest(),
-                    db.fact_digest(),
-                )
-                .with_fact_diff(expected, db)
-            };
-            let check = |db: &AnalysisDb, property, expected: &AnalysisDb| {
-                (db.fact_digest() != expected.fact_digest())
-                    .then(|| mismatch(db, property, expected))
-            };
-            if let Some(v) = check(&db, "fact_digest parity", oracle) {
-                return Some(v);
-            }
-            if db.result().ci != oracle.result().ci {
-                return Some(mismatch(&db, "ci pts-set equality", oracle));
-            }
-            let outcome = db.extend(programs[1].clone());
-            assert!(
-                matches!(outcome, ExtendOutcome::Incremental),
-                "seed {seed} {base} threads={threads}: additive fuzz edit did not \
-                 extend incrementally: {outcome:?}"
-            );
-            if let Some(v) = check(&db, "extend parity", &scratch[1]) {
-                return Some(v);
-            }
-            let outcome = db.extend(programs[2].clone());
-            assert!(
-                matches!(outcome, ExtendOutcome::Retracted),
-                "seed {seed} {base} threads={threads}: deleting fuzz edit did not \
-                 retract: {outcome:?}"
-            );
-            if let Some(v) = check(&db, "retract parity", &scratch[2]) {
-                return Some(v);
-            }
+    for config in incremental_configs() {
+        let check = |db: &AnalysisDb, property, rev: usize| {
+            let expected = AnalysisDb::solve(programs[rev].clone(), &config);
+            (db.fact_digest() != expected.fact_digest()).then(|| {
+                violation(config, property, expected.fact_digest(), db.fact_digest())
+                    .with_fact_diff(&expected, db)
+            })
+        };
+        let mut db = AnalysisDb::solve(programs[0].clone(), &config);
+        let outcome = db.extend(programs[1].clone());
+        assert!(
+            matches!(outcome, ExtendOutcome::Incremental),
+            "seed {seed} {config}: additive fuzz edit did not extend incrementally: {outcome:?}"
+        );
+        if let Some(v) = check(&db, "extend parity", 1) {
+            return Some(v);
+        }
+        let outcome = db.extend(programs[2].clone());
+        assert!(
+            matches!(outcome, ExtendOutcome::Retracted),
+            "seed {seed} {config}: deleting fuzz edit did not retract: {outcome:?}"
+        );
+        if let Some(v) = check(&db, "retract parity", 2) {
+            return Some(v);
         }
     }
     None
@@ -266,11 +229,10 @@ fn main() {
             logger::error(
                 "fuzz_diff",
                 format!(
-                    "seed {seed} ({}, threads={}) violated {}: \
+                    "seed {seed} ({}) violated {}: \
                      expected {} got {} (only expected: {:?}; only actual: {:?}); \
                      reproducer written to {path}",
                     v.config,
-                    v.threads,
                     v.property,
                     hex16(v.expected),
                     hex16(v.actual),
@@ -287,9 +249,8 @@ fn main() {
     logger::info(
         "fuzz_diff",
         format!(
-            "all {iters} seeds clean: datalog baseline + {} configs x {:?} threads",
+            "all {iters} seeds clean: datalog baseline + {} configs",
             incremental_configs().len(),
-            PARITY_THREADS,
         ),
     );
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p ctxform-bench --bin regress -- \
-//!     [--scale N] [--repeat N] [--threads N] [--bench NAME] [--out PATH] \
+//!     [--scale N] [--repeat N] [--bench NAME] [--out PATH] \
 //!     [--trace-json PATH] [--profile-folded PATH]
 //! ```
 //!
@@ -16,10 +16,7 @@
 //! digest assertions below hold either way.
 //!
 //! Each run records, per benchmark and per Figure 6 configuration, for both
-//! abstractions plus a frontier-parallel transformer-string cell (`tstring_par`, solved
-//! with `--threads` workers — default 4 — whose CI digest is asserted
-//! equal to the serial `tstring` cell before the file is written), an
-//! incremental re-analysis cell (`tstring_incr`: a single additive
+//! abstractions, an incremental re-analysis cell (`tstring_incr`: a single additive
 //! driver-class edit is applied to the benchmark source and the edited
 //! program is solved twice — once by `AnalysisDb::extend` over the base
 //! program's cached database and once from scratch — recording both times,
@@ -46,8 +43,7 @@
 //! each cell is solved `N` times and the fastest run is recorded —
 //! min-of-N is the noise-robust estimator on a shared machine — after
 //! asserting that every repeat produced the same CI digest and fact
-//! counts. Every cell but `tstring_par` is solved with one thread,
-//! whatever the host's core count.
+//! counts.
 //!
 //! Without `--out`, the file is named `BENCH_<n>.json` where `n` is one
 //! more than the largest existing trajectory point in the current
@@ -84,15 +80,8 @@ fn run_json(r: &AnalysisResult) -> Json {
         ("compose_memo_hits", Json::uint(s.compose_memo_hits)),
         ("compose_memo_misses", Json::uint(s.compose_memo_misses)),
         ("interned_contexts", Json::int(s.interned_contexts)),
-        ("threads_used", Json::int(s.threads_used)),
-        ("par_rounds", Json::int(s.par_rounds)),
-        ("par_frontier_peak", Json::int(s.par_frontier_peak)),
-        ("par_deferred", Json::uint(s.par_deferred)),
-        // Per-Fig.-3-rule firing/derivation counts (zero rows omitted).
-        // `fired` counts insertion attempts, which differ between the
-        // serial and frontier-parallel engines (candidates are
-        // pre-filtered emit-side); `derived` counts new facts and is
-        // engine-independent.
+        // Per-Fig.-3-rule firing/derivation counts (zero rows omitted):
+        // `fired` counts insertion attempts, `derived` new facts.
         (
             "rules",
             Json::Obj(
@@ -454,10 +443,6 @@ fn next_bench_path() -> String {
 fn main() {
     let mut scale = 20usize;
     let mut repeat = 3usize;
-    // Width of the `tstring_par` cell. Defaults to 4 rather than auto so
-    // the frontier-parallel engine is exercised even on one-core CI boxes
-    // (oversubscription cannot change answers, only latency).
-    let mut threads = 4usize;
     let mut only: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut trace_json: Option<String> = None;
@@ -478,13 +463,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .expect("--repeat needs a positive integer");
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--threads needs a positive integer");
-            }
             "--bench" => only = Some(args.next().expect("--bench needs a name")),
             "--out" => out_path = Some(args.next().expect("--out needs a path")),
             "--trace-json" => trace_json = Some(args.next().expect("--trace-json needs a path")),
@@ -493,7 +471,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: regress [--scale N] [--repeat N] [--threads N] [--bench NAME] \
+                    "usage: regress [--scale N] [--repeat N] [--bench NAME] \
                      [--out PATH] [--trace-json PATH] [--profile-folded PATH]"
                 );
                 return;
@@ -508,7 +486,7 @@ fn main() {
     let profiling = profile_folded.is_some();
     let profile_store = ctxform_server::ProfileStore::default();
     // Applied to the cstring/tstring cells when `--profile-folded` is on;
-    // the parity cells (subs/par/incr/demand) stay unprofiled so their
+    // the parity cells (incr/demand) stay unprofiled so their
     // timing comparisons against `tstring` are not perturbed.
     let with_prof = |c: AnalysisConfig| if profiling { c.with_profiling() } else { c };
     let started = Instant::now();
@@ -562,50 +540,25 @@ fn main() {
         for s in &configs {
             let c = best_of(
                 &program,
-                &with_prof(AnalysisConfig::context_strings(*s).with_threads(1)),
+                &with_prof(AnalysisConfig::context_strings(*s)),
                 repeat,
             );
-            let t = best_of(
-                &program,
-                &with_prof(AnalysisConfig::transformer_strings(*s).with_threads(1)),
-                repeat,
-            );
+            let tstring = AnalysisConfig::transformer_strings(*s);
+            let t = best_of(&program, &with_prof(tstring), repeat);
             profile_store.record(&c.stats);
             profile_store.record(&t.stats);
-            let t_par = best_of(
-                &program,
-                &AnalysisConfig::transformer_strings(*s).with_threads(threads),
-                repeat,
-            );
-            // The frontier-parallel engine must be bit-identical to the
-            // serial one: same CI digest and same fact counts, for every
-            // thread count.
-            assert_eq!(
-                t_par.ci.digest(),
-                t.ci.digest(),
-                "{s}: parallel engine changed the CI facts"
-            );
-            assert_eq!(
-                t_par.stats.total(),
-                t.stats.total(),
-                "{s}: parallel engine changed the cs-fact counts"
-            );
             if s.to_string() == "2-object+H" {
                 cstring_2objh_ms += c.stats.duration.as_secs_f64() * 1000.0;
                 tstring_2objh_ms += t.stats.duration.as_secs_f64() * 1000.0;
             }
-            // The serial cells pin one solver thread: auto would resolve
-            // to the host's core count.
-            let serial = AnalysisConfig::transformer_strings(*s).with_threads(1);
-            let t_incr = incr_cell(&program, &edited, &serial, repeat);
-            let t_incr_del = incr_del_cell(&program, &deleted, &serial, repeat);
-            let t_demand = demand_cell(&program, &serial, repeat);
+            let t_incr = incr_cell(&program, &edited, &tstring, repeat);
+            let t_incr_del = incr_del_cell(&program, &deleted, &tstring, repeat);
+            let t_demand = demand_cell(&program, &tstring, repeat);
             pairs.push((
                 s.to_string(),
                 Json::obj([
                     ("cstring", run_json(&c)),
                     ("tstring", run_json(&t)),
-                    ("tstring_par", run_json(&t_par)),
                     ("tstring_incr", t_incr),
                     ("tstring_incr_del", t_incr_del),
                     ("tstring_demand", t_demand),
@@ -630,10 +583,9 @@ fn main() {
     let path = out_path.unwrap_or_else(next_bench_path);
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/13")),
+        ("schema", Json::str("ctxform-regress/14")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
-        ("par_threads", Json::int(threads)),
         (
             "harness_ms",
             Json::ms(started.elapsed().as_secs_f64() * 1000.0),

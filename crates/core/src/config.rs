@@ -53,13 +53,7 @@ pub struct AnalysisConfig {
     /// its handles). On by default; disable for the
     /// memoization-parity tests and ablation runs.
     pub memoize: bool,
-    /// Solver worker threads: `0` picks `std::thread::available_parallelism`
-    /// (the default), `1` runs the exact legacy single-threaded delta loop,
-    /// and `n > 1` runs the round-based frontier-parallel engine with `n`
-    /// workers. The derived facts and `ci_digest` are bit-identical for
-    /// every thread count.
-    pub threads: usize,
-    /// Collect per-rule wall-time histograms and per-round phase timings
+    /// Collect per-rule wall-time histograms and per-phase timings
     /// into [`crate::SolverStats`]. Off by default: when disabled the rule
     /// drivers take a plain untaken branch and read no clocks, so the hot
     /// loop is unaffected. Profiling never changes *what* is derived —
@@ -103,28 +97,15 @@ impl AnalysisConfig {
             join_strategy: JoinStrategy::Specialized,
             record_facts: false,
             memoize: true,
-            threads: 0,
             profile: false,
         }
     }
 
-    /// Returns a copy with an explicit solver thread count (`0` = auto,
-    /// `1` = legacy single-threaded path).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Returns `self` unchanged: the solver is serial. Kept only because
+    /// the `ctxbench` benchmark crate calls `.with_threads(1)`; remove it
+    /// with the next change to that crate.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The thread count this configuration resolves to on this machine:
-    /// `threads` itself unless it is `0` (auto), in which case
-    /// `std::thread::available_parallelism` decides.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
     }
 
     /// Returns a copy with the naive join strategy (§7 ablation).
@@ -146,7 +127,7 @@ impl AnalysisConfig {
         self
     }
 
-    /// Returns a copy with per-rule/per-round wall-time profiling enabled.
+    /// Returns a copy with per-rule/per-phase wall-time profiling enabled.
     pub fn with_profiling(mut self) -> Self {
         self.profile = true;
         self
@@ -195,14 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn threads_knob_defaults_to_auto() {
+    fn with_threads_is_a_no_op() {
         let s: Sensitivity = "1-call".parse().unwrap();
         let cfg = AnalysisConfig::transformer_strings(s);
-        assert_eq!(cfg.threads, 0, "auto by default");
-        assert!(cfg.effective_threads() >= 1);
-        assert_eq!(cfg.with_threads(4).threads, 4);
-        assert_eq!(cfg.with_threads(4).effective_threads(), 4);
-        assert_eq!(cfg.with_threads(1).effective_threads(), 1);
+        assert_eq!(cfg.with_threads(1), cfg);
+        assert_eq!(cfg.with_threads(4), cfg);
     }
 
     #[test]

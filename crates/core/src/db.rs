@@ -7,15 +7,14 @@
 //! program, so after a purely-additive edit the semi-naive fixpoint can
 //! resume from the saved state, seeded only with the delta, and reach
 //! exactly the least model a from-scratch solve of the edited program
-//! would — bit-identically, at every thread count.
+//! would — bit-identically.
 //!
 //! Edits that *remove* input tuples or entry points over prefix-stable
 //! entity tables (classified [`ProgramDiff::Retractive`]) also resume
 //! incrementally, via DRed (delete-and-rederive): an over-delete phase
 //! transitively retracts every fact whose derivations depend on a removed
 //! input, then the ordinary monotone fixpoint restores what the new
-//! program still supports — again bit-identical to from-scratch at every
-//! thread count. Edits that rewrite something structural (classified by
+//! program still supports — again bit-identical to from-scratch. Edits that rewrite something structural (classified by
 //! [`ProgramDiff::between`] as non-monotone) fall back to a from-scratch
 //! solve; either way the database ends up describing the new program, and
 //! [`AnalysisDb::fact_digest`] is identical across both paths.
@@ -25,7 +24,7 @@
 //! hash per fact: an order-independent multiset hash over the fact
 //! tuples, canonical because it hashes entities and contexts by program
 //! *name*, never by id or interner handle (which differ between a
-//! from-scratch solve, an extension and a parallel solve of the same
+//! from-scratch solve, an extension and a retraction of the same
 //! program). [`AnalysisDb::rendered_facts`] lists the same facts as
 //! sorted strings for diagnostics.
 
@@ -147,7 +146,7 @@ impl AnalysisDb {
     /// A canonical digest of every derived fact: an order-independent
     /// multiset hash over the fact tuples, with every entity and context
     /// hashed by its program *name*, never by id or interner handle. It is
-    /// therefore independent of interning order, thread count, and of
+    /// therefore independent of interning order and of
     /// whether the database was built by one solve, a chain of
     /// extensions or a DRed retraction; two databases digest equal
     /// exactly when their [`rendered_facts`](Self::rendered_facts) are
@@ -330,7 +329,7 @@ mod tests {
     ";
 
     fn cfg(label: &str) -> AnalysisConfig {
-        AnalysisConfig::transformer_strings(label.parse().unwrap()).with_threads(1)
+        AnalysisConfig::transformer_strings(label.parse().unwrap())
     }
 
     #[test]

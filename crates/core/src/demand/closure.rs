@@ -190,8 +190,6 @@ struct Fixpoint {
 
 impl Fixpoint {
     /// Solves `program` context-insensitively on the specialized solver.
-    /// Serial on purpose: at demand-query sizes the parallel engine's
-    /// round overhead costs more than it saves.
     fn solve(program: &Program) -> Self {
         let db = insensitive_fixpoint(program);
         let mut reach = vec![false; program.method_count()];

@@ -53,9 +53,8 @@ pub use config::{AbstractionKind, AnalysisConfig};
 pub use db::{AnalysisDb, ExtendOutcome};
 pub use demand::{demand_points_to, demand_slice, DemandAnswer, DemandIndex, DemandSlice};
 pub use result::{
-    rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, PhaseProfile, RoundProfile,
-    RuleCounts, RuleTimes, SolverStats, MAX_ROUND_PROFILES, PROFILE_STRIDE, RULE_NAMES,
-    RULE_TIME_BUCKETS_NS,
+    rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, PhaseProfile, RuleCounts,
+    RuleTimes, SolverStats, PROFILE_STRIDE, RULE_NAMES, RULE_TIME_BUCKETS_NS,
 };
 
 use ctxform_algebra::{CStrings, Insensitive, TStrings};

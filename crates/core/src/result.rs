@@ -242,7 +242,7 @@ impl RuleTimes {
         self.ns.iter().sum()
     }
 
-    /// Fold another accounting (e.g. a worker's chunk) into this one.
+    /// Fold another run's accounting into this one.
     pub fn merge(&mut self, other: &RuleTimes) {
         for i in 0..RULE_NAMES.len() {
             self.ns[i] += other.ns[i];
@@ -256,19 +256,16 @@ impl RuleTimes {
 
 /// Aggregate solver phase timings (nanoseconds), populated when
 /// [`AnalysisConfig::profile`] is set. Each phase is timed exactly, by
-/// one clock pair per phase (per round under the parallel engine).
-///
-/// On the single-threaded path `eval_ns` covers the whole delta loop and
-/// `merge_ns` stays 0 (there is no separate merge). Under the parallel
-/// engine `eval_ns` is the summed wall time of the chunked evaluation
-/// phases and `merge_ns` the summed sequential merges.
+/// one clock pair per phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Seeding (`Entry` rule + initial fact loading).
     pub seed_ns: u64,
-    /// Rule evaluation (delta loop / parallel chunk evaluation).
+    /// Rule evaluation: the whole delta loop.
     pub eval_ns: u64,
-    /// Sequential candidate-merge phases (parallel engine only).
+    /// Always 0: the serial solver has no merge phase. Kept only because
+    /// the `ctxbench` benchmark crate reads it for `core.merge_ms`;
+    /// remove it with the next change to that crate.
     pub merge_ns: u64,
     /// A DRed update's over-delete pass: seeding the marks, closing
     /// them through the mark sink, deleting the marked facts and
@@ -279,17 +276,16 @@ pub struct PhaseProfile {
 impl PhaseProfile {
     /// Sum over all phases.
     pub fn total_ns(&self) -> u64 {
-        self.seed_ns + self.eval_ns + self.merge_ns + self.retract_ns
+        self.seed_ns + self.eval_ns + self.retract_ns
     }
 
     /// `(name, ns)` for every phase, in the order a solve runs them
     /// (`retract` before `seed`).
-    pub fn phases(&self) -> [(&'static str, u64); 4] {
+    pub fn phases(&self) -> [(&'static str, u64); 3] {
         [
             ("retract", self.retract_ns),
             ("seed", self.seed_ns),
             ("eval", self.eval_ns),
-            ("merge", self.merge_ns),
         ]
     }
 
@@ -297,29 +293,9 @@ impl PhaseProfile {
     pub fn merge(&mut self, other: &PhaseProfile) {
         self.seed_ns += other.seed_ns;
         self.eval_ns += other.eval_ns;
-        self.merge_ns += other.merge_ns;
         self.retract_ns += other.retract_ns;
     }
 }
-
-/// Per-frontier-round timing under the parallel engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundProfile {
-    /// Round number (1-based, matching the `solver.round` trace span).
-    pub round: usize,
-    /// Deltas drained into this round.
-    pub frontier: usize,
-    /// Candidates the evaluation phase produced.
-    pub candidates: usize,
-    /// Wall time of the chunked evaluation phase.
-    pub eval_ns: u64,
-    /// Wall time of the sequential merge phase.
-    pub merge_ns: u64,
-}
-
-/// Cap on retained [`RoundProfile`] entries; rounds beyond this still
-/// accumulate into [`PhaseProfile`] but are not itemized.
-pub const MAX_ROUND_PROFILES: usize = 256;
 
 /// Estimated resident bytes of the solver's fact relations, the seven
 /// join indices, and the two memo tables, measured at the end of a run.
@@ -424,22 +400,11 @@ pub struct SolverStats {
     /// Per-rule novel derivations (the candidate was new — not a
     /// duplicate — and was admitted).
     pub rule_derived: RuleCounts,
-    /// Entries resident in the compose memo table when the run finished
-    /// (the merge-phase table under the parallel engine).
+    /// Entries resident in the compose memo table when the run finished.
     pub compose_memo_entries: usize,
     /// Distinct context strings interned by the end of the run
     /// (including ε).
     pub interned_contexts: usize,
-    /// Worker threads the solve actually ran with (1 = legacy path).
-    pub threads_used: usize,
-    /// Frontier rounds executed by the parallel engine (0 on the legacy
-    /// path, which has no round structure).
-    pub par_rounds: usize,
-    /// Largest frontier (deltas drained into one round).
-    pub par_frontier_peak: usize,
-    /// Candidate derivations deferred from workers to the sequential
-    /// merge phase because they needed to intern a new context string.
-    pub par_deferred: u64,
     /// Derived facts transitively retracted by the over-delete phase of a
     /// DRed update (0 outside retraction runs).
     pub overdeleted: u64,
@@ -457,11 +422,8 @@ pub struct SolverStats {
     pub profiled: bool,
     /// Per-rule wall-time totals and histograms (profiling only).
     pub rule_time: RuleTimes,
-    /// Aggregate seed/eval/merge phase timings (profiling only).
+    /// Aggregate retract/seed/eval phase timings (profiling only).
     pub phase_profile: PhaseProfile,
-    /// Per-round eval/merge timings under the parallel engine, capped at
-    /// [`MAX_ROUND_PROFILES`] entries (profiling only).
-    pub round_profiles: Vec<RoundProfile>,
     /// Estimated resident bytes of relations, join indices, and memo
     /// tables at the end of the run (always populated).
     pub memory: MemoryFootprint,
@@ -486,15 +448,11 @@ impl SolverStats {
         self.compose_memo_misses = 0;
         self.rule_fired = RuleCounts::default();
         self.rule_derived = RuleCounts::default();
-        self.par_rounds = 0;
-        self.par_frontier_peak = 0;
-        self.par_deferred = 0;
         self.overdeleted = 0;
         self.rederived = 0;
         self.duration = Duration::default();
         self.rule_time = RuleTimes::default();
         self.phase_profile = PhaseProfile::default();
-        self.round_profiles = Vec::new();
     }
 
     /// A multi-line human-readable report of the solver counters (used by
@@ -536,12 +494,6 @@ impl SolverStats {
             ));
         }
         out.push_str(&format!("  interned ctxts:   {}\n", self.interned_contexts));
-        if self.threads_used > 1 {
-            out.push_str(&format!(
-                "  parallelism:      {} threads, {} rounds, peak frontier {}, {} deferred\n",
-                self.threads_used, self.par_rounds, self.par_frontier_peak, self.par_deferred
-            ));
-        }
         if self.profiled && self.rule_time.total_ns() > 0 {
             let timed: Vec<String> = self
                 .rule_time
@@ -771,11 +723,11 @@ mod tests {
         let mut p = PhaseProfile {
             seed_ns: 1,
             eval_ns: 2,
-            merge_ns: 3,
             retract_ns: 4,
+            ..Default::default()
         };
         p.merge(&p.clone());
-        assert_eq!(p.total_ns(), 20);
+        assert_eq!(p.total_ns(), 14);
         assert_eq!(p.phases()[0], ("retract", 8));
         assert_eq!(
             p.phases().iter().map(|&(_, ns)| ns).sum::<u64>(),
@@ -809,17 +761,9 @@ mod tests {
         };
         stats.rule_time.observe(rule::NEW, 10);
         stats.phase_profile.eval_ns = 99;
-        stats.round_profiles.push(RoundProfile {
-            round: 1,
-            frontier: 1,
-            candidates: 1,
-            eval_ns: 1,
-            merge_ns: 1,
-        });
         stats.clear_run_work();
         assert_eq!(stats.rule_time.total_ns(), 0);
         assert_eq!(stats.phase_profile.total_ns(), 0);
-        assert!(stats.round_profiles.is_empty());
         assert_eq!(stats.memory.rel_pts, 64, "footprint describes the db");
     }
 

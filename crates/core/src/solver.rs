@@ -15,8 +15,8 @@
 //!
 //! Each rule driver is written once, in [`kernel`], generic over a sink
 //! that decides where consequences go: the [`Solver`] itself inserts them
-//! (the serial loop), the [`frontier`] worker collects them read-only for
-//! a sequential merge, and the DRed mark sink marks them for deletion.
+//! (the serial delta loop), and the DRed mark sink marks them for
+//! deletion.
 //!
 //! # Hot-path layout
 //!
@@ -36,15 +36,12 @@
 //! * All maps and sets use the Fx hasher ([`ctxform_hash`]) — the keys are
 //!   small trusted `Copy` tuples, the exact case Fx is built for.
 
-mod frontier;
 mod kernel;
 
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{
-    Abstraction, CtxtDigest, CtxtElem, CtxtStr, Insensitive, Levels, Limits, NeedsIntern,
-};
+use ctxform_algebra::{Abstraction, CtxtDigest, CtxtElem, CtxtStr, Insensitive, Levels, Limits};
 use ctxform_hash::{
     fx_map_with_capacity, hash_str, hash_words, FxHashMap, FxHashSet, MultisetDigest,
 };
@@ -53,11 +50,11 @@ use ctxform_ir::{
     Var,
 };
 
-use self::kernel::{Candidate, Fact, MarkSink, Queues, RetractSink, Scratch, Sink};
+use self::kernel::{Fact, MarkSink, Queues, RetractSink, Scratch, Sink};
 use crate::bucket::Bucket;
 use crate::config::AnalysisConfig;
 use crate::result::{
-    elapsed_ns, rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, RuleTimes, SolverStats,
+    elapsed_ns, rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, SolverStats,
 };
 
 /// Fixed per-slot estimate for hash-container overhead (control bytes
@@ -67,11 +64,6 @@ use crate::result::{
 const HASH_SLOT_OVERHEAD: usize = 8;
 
 /// Runs the analysis with the given abstraction instance.
-///
-/// `config.threads` picks the engine: `1` (or an auto resolution of 1)
-/// runs the serial one-delta-at-a-time loop; more threads run the
-/// round-based frontier-parallel engine in [`frontier`]. Both produce the
-/// identical fact sets, so the choice is purely a wall-clock one.
 pub(crate) fn run<A: Abstraction>(
     program: &Program,
     abs: A,
@@ -116,17 +108,16 @@ pub(crate) struct InsensitiveFixpoint {
     pub(crate) reach: FxHashSet<(Method, CtxtStr)>,
 }
 
-/// Solves `program` context-insensitively and serially. Unlike [`run`] it
+/// Solves `program` context-insensitively. Unlike [`run`] it
 /// builds no [`AnalysisResult`]: the demand slice reads only the tuples,
 /// so the statistics, memory accounting and `CiFacts` projection of
 /// `finish` are skipped.
 pub(crate) fn insensitive_fixpoint(program: &Program) -> InsensitiveFixpoint {
-    let config = AnalysisConfig::insensitive().with_threads(1);
     let ix = program.index();
-    let state = SolverState::new(program, Insensitive::new(), config);
+    let state = SolverState::new(program, Insensitive::new(), AnalysisConfig::insensitive());
     let mut solver = Solver::from_state(program, &ix, state);
     solver.seed_entry();
-    solver.run_to_fixpoint(1);
+    solver.run_to_fixpoint();
     let st = &mut solver.st;
     InsensitiveFixpoint {
         pts: mem::take(&mut st.pts),
@@ -146,7 +137,6 @@ pub(crate) fn solve_state<A: Abstraction>(
     state: SolverState<A>,
 ) -> (SolverState<A>, AnalysisResult) {
     let config = state.config;
-    let threads = config.effective_threads();
     let ix = program.index();
     let mut solver = Solver::from_state(program, &ix, state);
     // The solve-level span is inert (one relaxed load) unless tracing
@@ -154,7 +144,6 @@ pub(crate) fn solve_state<A: Abstraction>(
     let mut span = ctxform_obs::span("solver.solve");
     if span.is_active() {
         span.record("config", format!("{config}"));
-        span.record("threads", threads);
     }
     let start = Instant::now();
     solver.st.stats.profiled = config.profile;
@@ -165,7 +154,7 @@ pub(crate) fn solve_state<A: Abstraction>(
         solver.st.stats.rule_time.observe(rule::ENTRY, ns);
         solver.st.stats.phase_profile.seed_ns += ns;
     }
-    solver.run_to_fixpoint(threads);
+    solver.run_to_fixpoint();
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
     span.record("events", result.stats.events);
@@ -180,21 +169,18 @@ pub(crate) fn solve_state<A: Abstraction>(
 /// `program` must be the extended program `delta` was computed against,
 /// and `state` the solved state of the base program. Because Figure 3 is
 /// monotone, the resumed fixpoint reaches exactly the least model of the
-/// extended program — the same fact sets a from-scratch solve derives, at
-/// every thread count.
+/// extended program — the same fact sets a from-scratch solve derives.
 pub(crate) fn extend_state<A: Abstraction>(
     program: &Program,
     state: SolverState<A>,
     delta: &ProgramDelta,
 ) -> (SolverState<A>, AnalysisResult) {
     let config = state.config;
-    let threads = config.effective_threads();
     let ix = program.index();
     let mut solver = Solver::from_state(program, &ix, state);
     let mut span = ctxform_obs::span("solver.extend");
     if span.is_active() {
         span.record("config", format!("{config}"));
-        span.record("threads", threads);
         span.record("delta_facts", delta.len());
     }
     let start = Instant::now();
@@ -202,7 +188,7 @@ pub(crate) fn extend_state<A: Abstraction>(
     let t = solver.phase_start();
     solver.reseed_for_delta(&delta.added, &delta.added_entry_points);
     solver.st.stats.phase_profile.seed_ns += phase_ns(t);
-    solver.run_to_fixpoint(threads);
+    solver.run_to_fixpoint();
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
     span.record("events", result.stats.events);
@@ -238,13 +224,11 @@ pub(crate) fn retract_state<A: Abstraction>(
     retraction: &ProgramRetraction,
 ) -> (SolverState<A>, AnalysisResult) {
     let config = state.config;
-    let threads = config.effective_threads();
     let ix = program.index();
     let mut solver = Solver::from_state(program, &ix, state);
     let mut span = ctxform_obs::span("solver.retract");
     if span.is_active() {
         span.record("config", format!("{config}"));
-        span.record("threads", threads);
         span.record("removed_facts", retraction.removed_len());
         span.record("added_facts", retraction.added_len());
     }
@@ -263,7 +247,7 @@ pub(crate) fn retract_state<A: Abstraction>(
     solver.reseed_after_deletion(&marks);
     solver.reseed_for_delta(&retraction.added, &retraction.added_entry_points);
     solver.st.stats.phase_profile.seed_ns += phase_ns(t);
-    solver.run_to_fixpoint(threads);
+    solver.run_to_fixpoint();
     solver.st.stats.rederived = solver.count_rederived(&marks);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
@@ -407,8 +391,8 @@ impl<A: Abstraction> SolverState<A> {
     /// string); the per-fact hashes are summed. No id or interner handle
     /// is ever hashed, so the digest is a function of the
     /// [`rendered_facts`](Self::rendered_facts) listing alone: independent
-    /// of interning order, thread count, and of whether the state came
-    /// from a solve, an extension or a retraction.
+    /// of interning order and of whether the state came from a solve, an
+    /// extension or a retraction.
     pub(crate) fn fact_digest(&self, program: &Program) -> u64 {
         fn names(table: &[String]) -> Vec<u64> {
             table.iter().map(|n| hash_str(n)).collect()
@@ -1058,13 +1042,10 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         self.st.config.profile.then(Instant::now)
     }
 
-    /// Runs the queues to empty: the one-delta-at-a-time loop at one
-    /// thread, the frontier-parallel rounds at more.
-    fn run_to_fixpoint(&mut self, threads: usize) {
-        self.st.stats.threads_used = threads;
-        if threads > 1 {
-            return self.fixpoint_parallel(threads);
-        }
+    /// Runs the queues to empty, one delta at a time. Seeding (entry
+    /// points or an incremental delta) is the caller's job, so the same
+    /// loop serves fresh solves and resumed ones.
+    fn run_to_fixpoint(&mut self) {
         let profile = self.st.config.profile;
         let t = self.phase_start();
         while let Some(delta) = self.st.queue.pop() {
@@ -1410,8 +1391,7 @@ fn sorted<T: Copy + Ord>(set: &FxHashSet<T>, keep: impl Fn(&T) -> bool) -> Vec<T
     out
 }
 
-/// The direct sink: interning always succeeds and consequences are
-/// inserted on the spot.
+/// The direct sink: consequences are inserted on the spot.
 impl<'p, A: Abstraction> Sink<'p, A> for Solver<'p, A> {
     #[inline]
     fn solver(&self) -> &Solver<'p, A> {
@@ -1419,63 +1399,12 @@ impl<'p, A: Abstraction> Sink<'p, A> for Solver<'p, A> {
     }
 
     #[inline]
-    fn scratch(&mut self) -> &mut Scratch<A::X> {
-        &mut self.st.scratch
-    }
-
-    #[inline]
-    fn count_probes(&mut self, n: u64) {
-        self.st.stats.probes += n;
-    }
-
-    #[inline]
-    fn sampled(&self) -> bool {
-        self.sampled
-    }
-
-    #[inline]
-    fn rule_times(&mut self) -> &mut RuleTimes {
-        &mut self.st.stats.rule_time
-    }
-
-    #[inline]
-    fn intern<T>(
-        &mut self,
-        _ro: impl FnOnce(&A) -> Result<T, NeedsIntern>,
-        rw: impl FnOnce(&mut A) -> T,
-    ) -> Result<T, NeedsIntern> {
-        Ok(rw(&mut self.st.abs))
-    }
-
-    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Result<Option<A::X>, NeedsIntern> {
-        let st = &mut self.st;
-        st.stats.compose_calls += 1;
-        if st.config.memoize {
-            if let Some(&r) = st.compose_memo.get(&(a, b, limits)) {
-                st.stats.compose_memo_hits += 1;
-                if r.is_none() {
-                    st.stats.compose_bottom += 1;
-                }
-                return Ok(r);
-            }
-            st.stats.compose_memo_misses += 1;
-        }
-        let r = st.abs.compose(a, b, limits);
-        if r.is_none() {
-            st.stats.compose_bottom += 1;
-        }
-        if st.config.memoize {
-            st.compose_memo.insert((a, b, limits), r);
-        }
-        Ok(r)
+    fn solver_mut(&mut self) -> &mut Solver<'p, A> {
+        self
     }
 
     #[inline]
     fn emit(&mut self, fact: Fact<A::X>, rule: &'static str) {
         self.insert(fact, rule);
-    }
-
-    fn defer(&mut self, _cand: Candidate<A::X>) {
-        unreachable!("the direct sink interns, so it never defers");
     }
 }

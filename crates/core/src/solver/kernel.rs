@@ -2,36 +2,28 @@
 //! over where its consequences go.
 //!
 //! A driver joins one delta against the solver's indices and hands each
-//! consequence to a [`Sink`]. Three sinks implement the trait:
+//! consequence to a [`Sink`]. Two sinks implement the trait, and they
+//! differ only in [`Sink::emit`]:
 //!
-//! * **direct** — the [`Solver`] itself. Interning always succeeds and
-//!   [`Sink::emit`] inserts (dedup, index, log, queue). The
-//!   serial loop drives deltas through it, and the parallel merge phase
-//!   replays deferred candidates through it.
-//! * **worker** — the read-only worker of [`super::frontier`]. Interning
-//!   goes through the `try_*` twins of [`Abstraction`]; a consequence
-//!   that would intern a new context string is deferred as a
-//!   [`Candidate`] for the sequential merge.
-//! * **mark** — [`MarkSink`], the over-delete phase of a DRed update.
-//!   Interning succeeds as in the direct sink, but `emit` marks the
-//!   consequence for deletion (when it is currently derived) instead of
-//!   inserting it.
+//! * **direct** — the [`Solver`] itself: `emit` inserts (dedup, index,
+//!   log, queue). The serial delta loop drives every delta through it.
+//! * **mark** — [`MarkSink`], the over-delete phase of a DRed update:
+//!   `emit` marks the consequence for deletion (when it is currently
+//!   derived) instead of inserting it.
 //!
-//! Every deferrable step — one interning operation feeding one emission
-//! — is a kernel helper of its own ([`Sink::new_pts`], [`Sink::virt`],
-//! …), so the merge phase replays a deferred [`Candidate`] by calling
-//! the same helper on the direct sink: the rule bodies exist once.
+//! Both sinks intern and compose through the same solver state, so the
+//! rule bodies exist once.
 
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite, NeedsIntern};
+use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite};
 use ctxform_hash::FxHashSet;
 use ctxform_ir::{Field, Heap, Inv, Method, ProgramIndex, Var};
 
 use super::{Solver, SolverState};
 use crate::bucket::Bucket;
-use crate::result::{elapsed_ns, rule, RuleTimes, PROFILE_STRIDE};
+use crate::result::{elapsed_ns, rule, PROFILE_STRIDE};
 
 /// Whether a profiled run times the delta with event index `event` (its
 /// 0-based position in the run's pop order): one in [`PROFILE_STRIDE`].
@@ -50,31 +42,6 @@ pub(super) enum Fact<X> {
     Hpts(Heap, Field, Heap, X),
     Hload(Heap, Field, Var, X),
     Spts(Field, Heap, X),
-}
-
-/// A worker's derivation, applied by the merge phase through the direct
-/// sink ([`Solver::apply_candidate`]).
-///
-/// Every variant but `Fact` is a step the worker could not finish
-/// read-only because it interns a new context string; it names the
-/// kernel helper that replays it.
-pub(super) enum Candidate<X> {
-    /// A finished consequence.
-    Fact(Fact<X>, &'static str),
-    /// [`Sink::new_pts`].
-    Record(Var, Heap, CtxtStr),
-    /// [`Sink::static_call`].
-    MergeS(Inv, Method, CtxtStr),
-    /// [`Sink::sload_pts`].
-    LoadGlobal(Var, Heap, X, CtxtStr),
-    /// [`Sink::sstore_spts`].
-    Globalize(Field, Heap, X),
-    /// [`Sink::compose_pts`].
-    ComposePts(Var, Heap, X, X, Limits, &'static str),
-    /// [`Sink::compose_hpts`].
-    ComposeHpts(Heap, Field, Heap, X, X, Limits, &'static str),
-    /// [`Sink::virt`].
-    Virt(Inv, Method, Heap, X),
 }
 
 /// One LIFO queue per derived relation.
@@ -133,25 +100,6 @@ impl<X: Copy> Queues<X> {
         }
         self.spts.pop().map(|(f, h, x)| Fact::Spts(f, h, x))
     }
-
-    /// Moves every queued delta onto `frontier`, relation by relation in
-    /// [`Queues::pop`]'s priority order, each queue in insertion order.
-    pub(super) fn drain_into(&mut self, frontier: &mut Vec<Fact<X>>) {
-        frontier.extend(self.reach.drain(..).map(|(p, m)| Fact::Reach(p, m)));
-        frontier.extend(self.pts.drain(..).map(|(y, h, x)| Fact::Pts(y, h, x)));
-        frontier.extend(self.call.drain(..).map(|(i, q, x)| Fact::Call(i, q, x)));
-        frontier.extend(
-            self.hpts
-                .drain(..)
-                .map(|(g, f, h, x)| Fact::Hpts(g, f, h, x)),
-        );
-        frontier.extend(
-            self.hload
-                .drain(..)
-                .map(|(g, f, y, x)| Fact::Hload(g, f, y, x)),
-        );
-        frontier.extend(self.spts.drain(..).map(|(f, h, x)| Fact::Spts(f, h, x)));
-    }
 }
 
 /// Reusable join-candidate buffers, one per tuple shape. A driver
@@ -178,32 +126,59 @@ impl<X> Default for Scratch<X> {
     }
 }
 
-/// Where the rule drivers send their work. The required methods are the
-/// only behaviour that differs between the direct, worker and mark
-/// sinks; the provided methods are the Fig. 3 rules, written once.
+/// Where the rule drivers send their work. [`Sink::emit`] is the only
+/// behaviour that differs between the direct and mark sinks; the
+/// provided methods are the Fig. 3 rules, written once.
 pub(super) trait Sink<'p, A: Abstraction> {
     /// The solver whose facts and join indices the drivers read.
     fn solver(&self) -> &Solver<'p, A>;
-    fn scratch(&mut self) -> &mut Scratch<A::X>;
-    fn count_probes(&mut self, n: u64);
-    /// `true` while this sink drives a delta whose rule blocks are timed
-    /// (see [`sampled`]).
-    fn sampled(&self) -> bool;
-    /// Where a sampled delta's block times go.
-    fn rule_times(&mut self) -> &mut RuleTimes;
-    /// Runs one interning operation: the mutating `rw` when this sink
-    /// may intern, otherwise the read-only twin `ro`.
-    fn intern<T>(
-        &mut self,
-        ro: impl FnOnce(&A) -> Result<T, NeedsIntern>,
-        rw: impl FnOnce(&mut A) -> T,
-    ) -> Result<T, NeedsIntern>;
-    /// Counted, memoized `compose`.
-    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Result<Option<A::X>, NeedsIntern>;
+    /// The same solver, for interning, memoized composition and counters.
+    fn solver_mut(&mut self) -> &mut Solver<'p, A>;
     fn emit(&mut self, fact: Fact<A::X>, rule: &'static str);
-    /// Hands a step that needs interning to the merge phase. Only a sink
-    /// whose [`Sink::intern`] can fail ever calls this.
-    fn defer(&mut self, cand: Candidate<A::X>);
+
+    #[inline]
+    fn scratch<'s>(&'s mut self) -> &'s mut Scratch<A::X>
+    where
+        'p: 's,
+        A: 's,
+    {
+        &mut self.solver_mut().st.scratch
+    }
+
+    #[inline]
+    fn count_probes(&mut self, n: u64) {
+        self.solver_mut().st.stats.probes += n;
+    }
+
+    /// Runs one interning operation on the solver's abstraction.
+    #[inline]
+    fn intern<T>(&mut self, op: impl FnOnce(&mut A) -> T) -> T {
+        op(&mut self.solver_mut().st.abs)
+    }
+
+    /// Counted, memoized `compose`; `None` is ⊥.
+    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Option<A::X> {
+        let st = &mut self.solver_mut().st;
+        st.stats.compose_calls += 1;
+        if st.config.memoize {
+            if let Some(&r) = st.compose_memo.get(&(a, b, limits)) {
+                st.stats.compose_memo_hits += 1;
+                if r.is_none() {
+                    st.stats.compose_bottom += 1;
+                }
+                return r;
+            }
+            st.stats.compose_memo_misses += 1;
+        }
+        let r = st.abs.compose(a, b, limits);
+        if r.is_none() {
+            st.stats.compose_bottom += 1;
+        }
+        if st.config.memoize {
+            st.compose_memo.insert((a, b, limits), r);
+        }
+        r
+    }
 
     fn ix(&self) -> &'p ProgramIndex {
         self.solver().ix
@@ -217,18 +192,24 @@ pub(super) trait Sink<'p, A: Abstraction> {
     }
 
     // Profiling hooks: plain untaken branches (no clock reads) unless
-    // the delta being driven is sampled; the timings land only in the
-    // sink's rule times, never in a derivation decision.
+    // the delta being driven is sampled (see [`sampled`]; the mark sink
+    // runs with it unset); the timings land only in the solver's rule
+    // times, never in a derivation decision.
 
     #[inline]
     fn prof_start(&self) -> Option<Instant> {
-        self.sampled().then(Instant::now)
+        self.solver().sampled.then(Instant::now)
     }
 
     #[inline]
     fn prof_rule(&mut self, t: Option<Instant>, idx: usize) {
         if let Some(t) = t {
-            self.rule_times().observe_sampled(idx, elapsed_ns(t));
+            let ns = elapsed_ns(t);
+            self.solver_mut()
+                .st
+                .stats
+                .rule_time
+                .observe_sampled(idx, ns);
         }
     }
 
@@ -270,15 +251,20 @@ pub(super) trait Sink<'p, A: Abstraction> {
         let ix = self.ix();
         let t = self.prof_start();
         if let Some(allocs) = ix.allocs_by_method.get(&p) {
+            // New: pts(Y, H, record(M)).
             for &(h, y) in allocs {
-                self.new_pts(y, h, m);
+                let x = self.intern(|a| a.record(m));
+                self.emit(Fact::Pts(y, h, x), "New");
             }
         }
         self.prof_rule(t, rule::NEW);
         let t = self.prof_start();
         if let Some(statics) = ix.statics_by_method.get(&p) {
+            // Static: call(I, Q, merge_s(I, M)).
             for &(i, q) in statics {
-                self.static_call(i, q, m);
+                let site = CtxtElem::of_inv(i);
+                let c = self.intern(|a| a.merge_s(site, m));
+                self.emit(Fact::Call(i, q, c), "Static");
             }
         }
         self.prof_rule(t, rule::STATIC);
@@ -396,8 +382,9 @@ pub(super) trait Sink<'p, A: Abstraction> {
         // SStore: pts(X,H,B), static_store(X,F) ⊢ spts(F,H, globalize(B)).
         let t = self.prof_start();
         if let Some(fields) = ix.static_stores_by_var.get(&z) {
+            let g = self.intern(|a| a.globalize(b));
             for &f in fields {
-                self.sstore_spts(f, h, b);
+                self.emit(Fact::Spts(f, h, g), "SStore");
             }
         }
         self.prof_rule(t, rule::SSTORE);
@@ -407,8 +394,19 @@ pub(super) trait Sink<'p, A: Abstraction> {
         if let Some(virtuals) = ix.virtuals_by_recv.get(&z) {
             let ty = ix.type_of_heap[h.index()];
             for &(i, s) in virtuals {
-                if let Some(q) = ix.resolve(ty, s) {
-                    self.virt(i, q, h, b);
+                let Some(q) = ix.resolve(ty, s) else {
+                    continue;
+                };
+                // C = merge(H, I, B).
+                let site = MergeSite {
+                    inv: CtxtElem::of_inv(i),
+                    heap: CtxtElem::of_heap(h),
+                    class: CtxtElem::of_type(ix.class_of_heap[h.index()]),
+                };
+                let c = self.intern(|a| a.merge(site, b));
+                self.emit(Fact::Call(i, q, c), "Virt");
+                if let Some(&y) = ix.this_of_method.get(&q) {
+                    self.compose_pts(y, h, b, c, flow, "Virt");
                 }
             }
         }
@@ -518,39 +516,12 @@ pub(super) trait Sink<'p, A: Abstraction> {
         self.prof_rule(t, rule::RET);
     }
 
-    // Deferrable steps, shared by the drivers and the merge-phase replay.
-
-    /// New: `pts(Y, H, record(M))`.
-    fn new_pts(&mut self, y: Var, h: Heap, m: CtxtStr) {
-        match self.intern(|a| a.try_record(m), |a| a.record(m)) {
-            Ok(x) => self.emit(Fact::Pts(y, h, x), "New"),
-            Err(_) => self.defer(Candidate::Record(y, h, m)),
-        }
-    }
-
-    /// Static: `call(I, Q, merge_s(I, M))`.
-    fn static_call(&mut self, i: Inv, q: Method, m: CtxtStr) {
-        let site = CtxtElem::of_inv(i);
-        match self.intern(|a| a.try_merge_s(site, m), |a| a.merge_s(site, m)) {
-            Ok(c) => self.emit(Fact::Call(i, q, c), "Static"),
-            Err(_) => self.defer(Candidate::MergeS(i, q, m)),
-        }
-    }
+    // Steps shared by more than one driver.
 
     /// SLoad: `pts(Z, H, load_global(B, M))`.
     fn sload_pts(&mut self, z: Var, h: Heap, b: A::X, m: CtxtStr) {
-        match self.intern(|a| a.try_load_global(b, m), |a| a.load_global(b, m)) {
-            Ok(x) => self.emit(Fact::Pts(z, h, x), "SLoad"),
-            Err(_) => self.defer(Candidate::LoadGlobal(z, h, b, m)),
-        }
-    }
-
-    /// SStore: `spts(F, H, globalize(B))`.
-    fn sstore_spts(&mut self, f: Field, h: Heap, b: A::X) {
-        match self.intern(|a| a.try_globalize(b), |a| a.globalize(b)) {
-            Ok(g) => self.emit(Fact::Spts(f, h, g), "SStore"),
-            Err(_) => self.defer(Candidate::Globalize(f, h, b)),
-        }
+        let x = self.intern(|a| a.load_global(b, m));
+        self.emit(Fact::Pts(z, h, x), "SLoad");
     }
 
     /// `pts(Y, H, A;B)` unless the composition is ⊥.
@@ -563,16 +534,14 @@ pub(super) trait Sink<'p, A: Abstraction> {
         limits: Limits,
         rule: &'static str,
     ) {
-        match self.compose(a, b, limits) {
-            Ok(Some(x)) => self.emit(Fact::Pts(y, h, x), rule),
-            Ok(None) => {}
-            Err(_) => self.defer(Candidate::ComposePts(y, h, a, b, limits, rule)),
+        if let Some(x) = self.compose(a, b, limits) {
+            self.emit(Fact::Pts(y, h, x), rule);
         }
     }
 
     /// `hpts(G, F, H, A;B)` unless the composition is ⊥. Under the
     /// insensitive-heap collapse the context is stored uninformative, so
-    /// every sink dedups and marks the stored form.
+    /// both sinks dedup and mark the stored form.
     #[allow(clippy::too_many_arguments)]
     fn compose_hpts(
         &mut self,
@@ -584,56 +553,24 @@ pub(super) trait Sink<'p, A: Abstraction> {
         limits: Limits,
         rule: &'static str,
     ) {
-        match self.compose(a, b, limits) {
-            Ok(Some(x)) => {
-                let st = &self.solver().st;
-                let x = if st.levels.heap == 0 {
-                    st.abs.uninformative()
-                } else {
-                    x
-                };
-                self.emit(Fact::Hpts(g, f, h, x), rule);
-            }
-            Ok(None) => {}
-            Err(_) => self.defer(Candidate::ComposeHpts(g, f, h, a, b, limits, rule)),
+        if let Some(x) = self.compose(a, b, limits) {
+            let st = &self.solver().st;
+            let x = if st.levels.heap == 0 {
+                st.abs.uninformative()
+            } else {
+                x
+            };
+            self.emit(Fact::Hpts(g, f, h, x), rule);
         }
     }
 
     /// Ret's consequent for one joined `(H, B)` row: `pts(Y, H, B;C⁻¹)`
     /// for every `Y` in `ys`. The compose runs once for all of them.
     fn ret_pts(&mut self, ys: &[Var], h: Heap, b: A::X, inv_c: A::X, limits: Limits) {
-        let composed = match self.compose(b, inv_c, limits) {
-            Ok(Some(a)) => Ok(a),
-            Ok(None) => return,
-            Err(e) => Err(e),
-        };
-        for &y in ys {
-            match composed {
-                Ok(a) => self.emit(Fact::Pts(y, h, a), "Ret"),
-                Err(_) => self.defer(Candidate::ComposePts(y, h, b, inv_c, limits, "Ret")),
+        if let Some(a) = self.compose(b, inv_c, limits) {
+            for &y in ys {
+                self.emit(Fact::Pts(y, h, a), "Ret");
             }
-        }
-    }
-
-    /// Virt's consequent for receiver row `(H, B)` at `I` dispatching to
-    /// `Q`: `call(I, Q, C)` and `pts(this(Q), H, B;C)` with
-    /// `C = merge(H, I, B)`.
-    fn virt(&mut self, i: Inv, q: Method, h: Heap, b: A::X) {
-        let ix = self.ix();
-        let site = MergeSite {
-            inv: CtxtElem::of_inv(i),
-            heap: CtxtElem::of_heap(h),
-            class: CtxtElem::of_type(ix.class_of_heap[h.index()]),
-        };
-        let Ok(c) = self.intern(|a| a.try_merge(site, b), |a| a.merge(site, b)) else {
-            // The call edge itself needs interning: the merge phase
-            // replays the whole consequent.
-            return self.defer(Candidate::Virt(i, q, h, b));
-        };
-        self.emit(Fact::Call(i, q, c), "Virt");
-        if let Some(&y) = ix.this_of_method.get(&q) {
-            let flow = self.solver().limits_flow();
-            self.compose_pts(y, h, b, c, flow, "Virt");
         }
     }
 }
@@ -704,7 +641,8 @@ pub(super) struct MarkSink<'s, 'p, A: Abstraction> {
 
 impl<A: Abstraction> MarkSink<'_, '_, A> {
     /// Closes the marking transitively. The whole pass is timed as the
-    /// `retract` phase, so no mark delta is sampled into rule time.
+    /// `retract` phase, so no mark delta is sampled into rule time (the
+    /// solver's `sampled` flag is unset outside its delta loop).
     pub(super) fn run(mut self) -> RetractSink<A::X> {
         while let Some(delta) = self.marks.queue.pop() {
             self.solver.st.stats.events += 1;
@@ -719,39 +657,11 @@ impl<'p, A: Abstraction> Sink<'p, A> for MarkSink<'_, 'p, A> {
         self.solver
     }
 
-    fn scratch(&mut self) -> &mut Scratch<A::X> {
-        self.solver.scratch()
-    }
-
-    fn count_probes(&mut self, n: u64) {
-        self.solver.count_probes(n);
-    }
-
-    fn sampled(&self) -> bool {
-        false
-    }
-
-    fn rule_times(&mut self) -> &mut RuleTimes {
-        unreachable!("the mark sink samples no delta")
-    }
-
-    fn intern<T>(
-        &mut self,
-        ro: impl FnOnce(&A) -> Result<T, NeedsIntern>,
-        rw: impl FnOnce(&mut A) -> T,
-    ) -> Result<T, NeedsIntern> {
-        self.solver.intern(ro, rw)
-    }
-
-    fn compose(&mut self, a: A::X, b: A::X, limits: Limits) -> Result<Option<A::X>, NeedsIntern> {
-        self.solver.compose(a, b, limits)
+    fn solver_mut(&mut self) -> &mut Solver<'p, A> {
+        self.solver
     }
 
     fn emit(&mut self, fact: Fact<A::X>, _rule: &'static str) {
         self.marks.mark(&self.solver.st, fact);
-    }
-
-    fn defer(&mut self, _cand: Candidate<A::X>) {
-        unreachable!("the mark sink interns, so it never defers");
     }
 }

@@ -7,17 +7,16 @@
 //! are equal. This suite checks that equivalence pairwise over every
 //! database one program yields — from-scratch solves of the base, an
 //! additive edit and a DRed (deleting) edit, the `extend` chain through
-//! both edits, at 1 and 4 threads, under every abstraction — for the
-//! corpus and seeded random programs. Pairs with equal listings exercise
-//! the "independent of interning order, thread count and build path"
-//! half; pairs with different listings (other revisions, other
+//! both edits, under every abstraction — for the corpus and seeded
+//! random programs. Pairs with equal listings exercise the "independent
+//! of interning order and build path" half; pairs with different listings (other revisions, other
 //! abstractions) exercise the "different facts, different digest" half.
 
 use ctxform::{AnalysisConfig, AnalysisDb, ExtendOutcome};
 use ctxform_ir::Program;
 use ctxform_minijava::{compile, corpus};
 use ctxform_synth::{edit_script, random_program, retract_edit_script};
-use ctxform_testutil::{config_matrix, PARITY_THREADS};
+use ctxform_testutil::config_matrix;
 
 const RANDOM_SEEDS: u64 = 6;
 
@@ -122,36 +121,34 @@ impl Entry {
 }
 
 /// Every database one program yields under `config`: scratch solves of
-/// each revision and the extend chain, at every parity thread count.
+/// each revision and the extend chain.
 fn pool(name: &str, revisions: &[Program; 3], config: AnalysisConfig) -> Vec<Entry> {
-    let mut entries = Vec::new();
-    for threads in PARITY_THREADS {
-        let cfg = config.with_threads(threads);
-        let scratch: Vec<Entry> = revisions
-            .iter()
-            .enumerate()
-            .map(|(rev, program)| {
-                let db = AnalysisDb::solve(program.clone(), &cfg);
-                Entry::of(format!("{name} {cfg} scratch rev{rev}"), &db)
-            })
-            .collect();
-        let mut db = AnalysisDb::solve(revisions[0].clone(), &cfg);
-        let mut chain = Vec::new();
-        for (rev, expected) in [
-            (1, ExtendOutcome::Incremental),
-            (2, ExtendOutcome::Retracted),
-        ] {
-            assert_eq!(db.extend(revisions[rev].clone()), expected, "{name} {cfg}");
-            let entry = Entry::of(format!("{name} {cfg} {expected:?} rev{rev}"), &db);
-            // The build path never changes the facts, so the pool always
-            // holds listing-equal pairs built along different paths.
-            assert_eq!(entry.rendered, scratch[rev].rendered, "{}", entry.label);
-            chain.push(entry);
-        }
-        entries.extend(scratch);
-        entries.extend(chain);
+    let scratch: Vec<Entry> = revisions
+        .iter()
+        .enumerate()
+        .map(|(rev, program)| {
+            let db = AnalysisDb::solve(program.clone(), &config);
+            Entry::of(format!("{name} {config} scratch rev{rev}"), &db)
+        })
+        .collect();
+    let mut db = AnalysisDb::solve(revisions[0].clone(), &config);
+    let mut chain = Vec::new();
+    for (rev, expected) in [
+        (1, ExtendOutcome::Incremental),
+        (2, ExtendOutcome::Retracted),
+    ] {
+        assert_eq!(
+            db.extend(revisions[rev].clone()),
+            expected,
+            "{name} {config}"
+        );
+        let entry = Entry::of(format!("{name} {config} {expected:?} rev{rev}"), &db);
+        // The build path never changes the facts, so the pool always
+        // holds listing-equal pairs built along different paths.
+        assert_eq!(entry.rendered, scratch[rev].rendered, "{}", entry.label);
+        chain.push(entry);
     }
-    entries
+    scratch.into_iter().chain(chain).collect()
 }
 
 #[test]

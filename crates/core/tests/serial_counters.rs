@@ -4,21 +4,23 @@
 //! the *answers*; they say nothing about the *work* the solver does to
 //! reach them. A driver refactor that, say, probes a join index twice
 //! or composes before filtering would keep every digest and pass them
-//! all. This suite pins, at `threads = 1`, the counters the serial
-//! engine is deterministic in — events, join probes, compose calls and
-//! memo hits/misses, interned contexts, and per-rule fired/derived
-//! counts — for the corpus programs and a few seeded random programs
-//! under {cstring, tstring} × 2-object+H, plus one DRed retraction step
-//! (over-deleted and re-derived counts).
+//! all. This suite pins the counters the serial engine is deterministic
+//! in — events, join probes, compose calls and memo hits/misses,
+//! interned contexts, and per-rule fired/derived counts — for the corpus
+//! programs and a few seeded random programs under {cstring, tstring} ×
+//! 2-object+H, plus one DRed retraction step (over-deleted and
+//! re-derived counts). It also checks that a larger generated program's
+//! full non-time stats and its recorded fact log reproduce exactly
+//! run-to-run.
 //!
 //! A deliberate change to the solver's work updates the golden rows
 //! below; the failure message prints every actual row to copy from.
 
-use ctxform::{AnalysisConfig, AnalysisDb, AnalysisResult, ExtendOutcome};
+use ctxform::{analyze, AnalysisConfig, AnalysisDb, AnalysisResult, ExtendOutcome};
 use ctxform_algebra::Sensitivity;
 use ctxform_ir::Program;
 use ctxform_minijava::{compile, corpus};
-use ctxform_synth::{random_program, retract_edit_script};
+use ctxform_synth::{generate, preset, random_program, retract_edit_script};
 
 /// `(name, program)` for every pinned program: the corpus, then seeded
 /// random programs large enough to exercise every Fig. 3 rule.
@@ -40,8 +42,8 @@ fn programs() -> Vec<(String, Program)> {
 fn configs() -> [AnalysisConfig; 2] {
     let s: Sensitivity = "2-object+H".parse().unwrap();
     [
-        AnalysisConfig::context_strings(s).with_threads(1),
-        AnalysisConfig::transformer_strings(s).with_threads(1),
+        AnalysisConfig::context_strings(s),
+        AnalysisConfig::transformer_strings(s),
     ]
 }
 
@@ -109,6 +111,45 @@ fn serial_retraction_does_exactly_the_pinned_work() {
         ));
     }
     check(&actual, RETRACT_GOLDEN);
+}
+
+/// Compiles one synth preset at a test-friendly scale.
+fn preset_program(name: &str) -> Program {
+    let cfg = preset(name).expect("preset exists").scale_driver(4);
+    compile(&generate(&cfg))
+        .expect("generated programs are valid")
+        .program
+}
+
+/// Every non-time stat, fact set and fact count reproduces exactly
+/// run-to-run.
+#[test]
+fn serial_runs_are_deterministic() {
+    let program = preset_program("antlr");
+    let config = AnalysisConfig::transformer_strings("2-object+H".parse().unwrap());
+    let first = analyze(&program, &config);
+    let second = analyze(&program, &config);
+    assert_eq!(
+        first.ci, second.ci,
+        "context-insensitive projections differ"
+    );
+    let mut s1 = first.stats.clone();
+    let mut s2 = second.stats.clone();
+    s1.duration = Default::default();
+    s2.duration = Default::default();
+    assert_eq!(s1, s2, "non-time stats must reproduce exactly");
+}
+
+/// The recorded fact log (every derived fact, in derivation order)
+/// reproduces exactly run-to-run.
+#[test]
+fn recorded_logs_are_deterministic() {
+    let program = preset_program("pmd");
+    let config = AnalysisConfig::context_strings("1-call".parse().unwrap()).with_recorded_facts();
+    let first = analyze(&program, &config);
+    let second = analyze(&program, &config);
+    assert!(!first.log.is_empty(), "facts were recorded");
+    assert_eq!(first.log, second.log, "log must reproduce run-to-run");
 }
 
 const SOLVE_GOLDEN: &[&str] = &[

@@ -65,9 +65,6 @@ pub struct QueryOutcome {
     pub solver_facts: usize,
     /// Rule derivations of the gated solve (`0` for slice-only answers).
     pub solver_derivations: u64,
-    /// Worker threads the gated solve ran with (`0` for slice-only
-    /// answers).
-    pub solver_threads: usize,
 }
 
 /// A demand-driven query engine with a per-digest index cache.
@@ -140,7 +137,6 @@ impl DemandEngine {
             slice_derivations: slice.derivations,
             solver_facts: 0,
             solver_derivations: 0,
-            solver_threads: 0,
         };
         match config.abstraction {
             AbstractionKind::Insensitive => {
@@ -153,7 +149,6 @@ impl DemandEngine {
                 let result = analyze_sliced(program, config, Arc::clone(&slice));
                 outcome.solver_facts = result.stats.total();
                 outcome.solver_derivations = result.stats.rule_derived.total();
-                outcome.solver_threads = result.stats.threads_used;
                 for &var in vars {
                     outcome.answers.push((var, result.ci.points_to(var)));
                 }

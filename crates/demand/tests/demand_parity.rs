@@ -1,7 +1,7 @@
 //! Differential parity: demand-driven context-sensitive answers must
 //! equal the exhaustive solver's points-to sets exactly — across random
-//! programs × {context,transformer} strings × {call,object} sensitivity ×
-//! {1,4} solver threads — and on loosely-coupled programs the sliced
+//! programs × {context,transformer} strings × {call,object} sensitivity
+//! — and on loosely-coupled programs the sliced
 //! solve must derive strictly fewer facts than the full fixpoint.
 
 use ctxform::{analyze, analyze_sliced, demand_slice};
@@ -12,7 +12,7 @@ use ctxform_synth::random_program;
 use ctxform_testutil::cs_configs;
 
 #[test]
-fn demand_matches_exhaustive_across_seeds_configs_threads() {
+fn demand_matches_exhaustive_across_seeds_and_configs() {
     let engine = DemandEngine::new(64);
     for seed in 0..8u64 {
         let src = random_program(seed, 1);
@@ -21,18 +21,15 @@ fn demand_matches_exhaustive_across_seeds_configs_threads() {
             .step_by(9)
             .map(Var::from_index)
             .collect();
-        for base in cs_configs() {
-            for threads in [1, 4] {
-                let config = base.with_threads(threads);
-                let exhaustive = analyze(&module.program, &config);
-                let outcome = engine.query(seed, &module.program, &config, &vars);
-                for (var, heaps) in outcome.answers {
-                    assert_eq!(
-                        heaps,
-                        exhaustive.ci.points_to(var),
-                        "seed {seed} {config} threads {threads} {var}"
-                    );
-                }
+        for config in cs_configs() {
+            let exhaustive = analyze(&module.program, &config);
+            let outcome = engine.query(seed, &module.program, &config, &vars);
+            for (var, heaps) in outcome.answers {
+                assert_eq!(
+                    heaps,
+                    exhaustive.ci.points_to(var),
+                    "seed {seed} {config} {var}"
+                );
             }
         }
     }
@@ -70,23 +67,20 @@ fn loosely_coupled_islands_solve_strictly_less_context_sensitively() {
     let island1 = module.method_by_name("Main.island1").unwrap();
     let y = module.var_by_name(island1, "y").unwrap();
     let slice = std::sync::Arc::new(demand_slice(&module.program, &[y]).unwrap());
-    for base in cs_configs() {
-        for threads in [1, 4] {
-            let config = base.with_threads(threads);
-            let exhaustive = analyze(&module.program, &config);
-            let sliced = analyze_sliced(&module.program, &config, std::sync::Arc::clone(&slice));
-            assert_eq!(
-                sliced.ci.points_to(y),
-                exhaustive.ci.points_to(y),
-                "{config} threads {threads}"
-            );
-            assert_eq!(sliced.ci.points_to(y).len(), 1, "{config}");
-            assert!(
-                sliced.stats.total() < exhaustive.stats.total(),
-                "{config} threads {threads}: sliced {} facts vs exhaustive {}",
-                sliced.stats.total(),
-                exhaustive.stats.total()
-            );
-        }
+    for config in cs_configs() {
+        let exhaustive = analyze(&module.program, &config);
+        let sliced = analyze_sliced(&module.program, &config, std::sync::Arc::clone(&slice));
+        assert_eq!(
+            sliced.ci.points_to(y),
+            exhaustive.ci.points_to(y),
+            "{config}"
+        );
+        assert_eq!(sliced.ci.points_to(y).len(), 1, "{config}");
+        assert!(
+            sliced.stats.total() < exhaustive.stats.total(),
+            "{config}: sliced {} facts vs exhaustive {}",
+            sliced.stats.total(),
+            exhaustive.stats.total()
+        );
     }
 }

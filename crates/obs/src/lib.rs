@@ -2,7 +2,7 @@
 //!
 //! Three small, orthogonal pieces:
 //!
-//! * [`trace`] — hierarchical spans (analysis → phase → frontier round)
+//! * [`trace`] — hierarchical spans (request → solve)
 //!   and point events, collected into bounded thread-sharded ring
 //!   buffers (merged on export) and exportable as JSON, with explicit
 //!   [`trace::SpanContext`] handles for carrying parentage across thread

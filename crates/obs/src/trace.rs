@@ -22,8 +22,8 @@
 //!
 //! Finished records land in a small fixed set of **sharded rings**:
 //! every thread is assigned a ring round-robin on first use, so shard
-//! workers, the reader/writer threads, and the solver's scoped workers
-//! never contend on one global lock. Exports ([`snapshot`],
+//! workers and the reader/writer threads never contend on one global
+//! lock. Exports ([`snapshot`],
 //! [`take_trace`]) merge the rings and sort by start time. When a ring
 //! is full the *oldest* record is dropped and a drop counter is bumped,
 //! so a long-running process can keep tracing enabled without unbounded
@@ -205,7 +205,7 @@ pub struct Record {
     /// Id of the enclosing span (same-thread stack or explicit
     /// [`SpanContext`]), if any.
     pub parent: Option<u64>,
-    /// Static name, e.g. `"solver.round"`.
+    /// Static name, e.g. `"solver.solve"`.
     pub name: &'static str,
     /// Span or event.
     pub kind: RecordKind,

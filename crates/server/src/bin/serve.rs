@@ -1,7 +1,7 @@
 //! `ctxform-serve` — the analysis daemon.
 //!
 //! ```text
-//! ctxform-serve [--port N] [--shards N] [--threads N] [--solver-threads N]
+//! ctxform-serve [--port N] [--shards N] [--threads N] [--solver-threads 1]
 //!               [--queue N] [--max-conns N] [--replicate-hot N]
 //!               [--cache-mb N] [--deadline-ms N] [--slow-ms N]
 //!               [--trace N] [--no-profile] [--flight-file PATH]
@@ -14,10 +14,11 @@
 //! and worker pool (`--threads` workers per shard). `--replicate-hot N`
 //! copies a program to a second shard once it has served `N` read queries
 //! (0/absent = off). `--max-conns` bounds concurrent connections.
-//! `--solver-threads` sets the default frontier-parallel solver width for
-//! requests that do not pick one (`0` = auto-detect). Results are
-//! bit-identical for every shard count and solver width, so these flags
-//! only affect latency and throughput, never answers.
+//! Results are bit-identical for every shard count, so these flags only
+//! affect latency and throughput, never answers. The solver is serial:
+//! `--solver-threads` accepts only `1`, because the `ctxbench` benchmark
+//! crate passes `--solver-threads 1`; any other value exits with the usage
+//! error.
 //!
 //! Observability: `--slow-ms N` logs every request slower than `N`
 //! milliseconds (with its trace id) at `WARN`; `--trace N` enables the
@@ -40,6 +41,12 @@ use std::time::Duration;
 
 use ctxform_obs::logger::{self, Level};
 use ctxform_server::server::{start, ServerConfig};
+
+const USAGE: &str = "usage: ctxform-serve [--port N] [--shards N] [--threads N] \
+                     [--solver-threads 1] [--queue N] [--max-conns N] [--replicate-hot N] \
+                     [--cache-mb N] [--deadline-ms N] [--slow-ms N] \
+                     [--trace N] [--no-profile] [--flight-file PATH] \
+                     [--log-level LEVEL] [--port-file PATH]";
 
 fn main() {
     let mut config = ServerConfig {
@@ -69,7 +76,10 @@ fn main() {
                 }
             }
             "--solver-threads" => {
-                config.solver_threads = num(&mut args, "--solver-threads") as usize
+                if num(&mut args, "--solver-threads") != 1 {
+                    eprintln!("--solver-threads accepts only 1: the solver is serial\n{USAGE}");
+                    std::process::exit(2);
+                }
             }
             "--queue" => config.queue_depth = (num(&mut args, "--queue") as usize).max(1),
             "--cache-mb" => config.cache_bytes = (num(&mut args, "--cache-mb") as usize) << 20,
@@ -94,13 +104,7 @@ fn main() {
             }
             "--port-file" => port_file = Some(args.next().expect("--port-file needs a path")),
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: ctxform-serve [--port N] [--shards N] [--threads N] \
-                     [--solver-threads N] [--queue N] [--max-conns N] [--replicate-hot N] \
-                     [--cache-mb N] [--deadline-ms N] [--slow-ms N] \
-                     [--trace N] [--no-profile] [--flight-file PATH] \
-                     [--log-level LEVEL] [--port-file PATH]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
             other => panic!("unknown argument `{other}`"),
@@ -116,14 +120,9 @@ fn main() {
     logger::info(
         "ctxform-serve",
         format!(
-            "listening on {addr} ({} shards x {} workers, solver threads {}, queue {}/shard, cache {} MiB, deadline {:?}, slow-query {} ms, trace ring {}, profiling {}, flight {})",
+            "listening on {addr} ({} shards x {} workers, queue {}/shard, cache {} MiB, deadline {:?}, slow-query {} ms, trace ring {}, profiling {}, flight {})",
             config.shards,
             config.threads,
-            if config.solver_threads == 0 {
-                "auto".to_owned()
-            } else {
-                config.solver_threads.to_string()
-            },
             config.queue_depth,
             config.cache_bytes >> 20,
             config.deadline,

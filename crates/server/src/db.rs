@@ -183,9 +183,6 @@ pub struct DbManager {
     dbs: Mutex<DbCacheState>,
     solved: Condvar,
     budget: usize,
-    /// Default solver thread count for requests that leave `threads` at
-    /// auto (`0`); `0` defers to the analysis-level auto resolution.
-    solver_threads: usize,
     /// When set, replaces the `analyze` call — test instrumentation for
     /// injecting panics and latency into the solve path.
     solve_hook: Option<Box<SolveFn>>,
@@ -220,7 +217,6 @@ impl DbManager {
             dbs: Mutex::new(DbCacheState::default()),
             solved: Condvar::new(),
             budget,
-            solver_threads: 0,
             solve_hook: None,
             registry: None,
             profile: false,
@@ -237,32 +233,13 @@ impl DbManager {
         }
     }
 
-    /// Sets the default solver thread count applied to requests that do
-    /// not pick one explicitly (`0` keeps the per-analysis auto default).
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver_threads = threads;
-        self
-    }
-
-    /// `config` with an auto thread count (`0`) replaced by the manager's
-    /// default solver width — for every solve the manager runs, and for
-    /// demand queries answered next to it.
-    pub fn resolve_threads(&self, config: &AnalysisConfig) -> AnalysisConfig {
-        let mut config = *config;
-        if config.threads == 0 {
-            config.threads = self.solver_threads;
-        }
-        config
-    }
-
-    /// The configuration a fresh solve of `config` runs under: threads
-    /// resolved, plus profiling when enabled.
+    /// The configuration a fresh solve of `config` runs under: `config`,
+    /// plus profiling when enabled.
     fn solve_config(&self, config: &AnalysisConfig) -> AnalysisConfig {
-        let config = self.resolve_threads(config);
         if self.profile {
             config.with_profiling()
         } else {
-            config
+            *config
         }
     }
 
@@ -806,27 +783,6 @@ mod tests {
         assert!(Arc::ptr_eq(&r1, &r2));
         let snap = db.snapshot();
         assert_eq!((snap.hits, snap.misses), (1, 1));
-    }
-
-    #[test]
-    fn solve_update_and_demand_resolve_auto_threads_to_the_default() {
-        let module = compile(corpus::BOX).unwrap();
-        let db = DbManager::new(1 << 24).with_solver_threads(3);
-        let (digest, _) = db.load_program(module.program.clone());
-        let auto = config("1-call");
-        assert_eq!(auto.threads, 0, "requests default to auto");
-        let (solved, _) = db.get_or_solve(digest, &auto).unwrap();
-        assert_eq!(solved.stats.threads_used, 3, "solve");
-        let next = compile(corpus::LIST).unwrap().program;
-        let report = db.update(digest, next, &auto).unwrap();
-        assert_eq!(report.result.stats.threads_used, 3, "update");
-        let outcome = ctxform_demand::DemandEngine::new(1).query(
-            digest,
-            &module.program,
-            &db.resolve_threads(&auto),
-            &[ctxform_ir::Var(0)],
-        );
-        assert_eq!(outcome.solver_threads, 3, "demand");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every profiled solver run's [`ctxform::SolverStats`] (fresh solves and
 //! updates) is folded into one process-wide [`ProfileStore`]:
 //! per-Fig.-3-rule wall-time totals and counts, per-phase
-//! (retract/seed/eval/merge) timings, and the byte accounting of the
+//! (retract/seed/eval) timings, and the byte accounting of the
 //! most recent run's database. The `profile` server op exports
 //! the store as JSON plus a folded-stack text rendering that feeds
 //! straight into `inferno`/`flamegraph.pl`.
@@ -61,7 +61,7 @@ impl ProfileStore {
     }
 
     /// Folded-stack rendering (one `frame;frame;frame <ns>` line per
-    /// stack, flamegraph-ready): retract, seed and merge under `solver`,
+    /// stack, flamegraph-ready): retract and seed under `solver`,
     /// each rule's eval time under `solver;eval`, and the eval remainder
     /// not attributed to any rule block under `solver;eval;other`.
     pub fn folded(&self) -> String {
@@ -78,16 +78,12 @@ impl ProfileStore {
             rule_total += ns;
             out.push_str(&format!("solver;eval;{rule} {ns}\n"));
         }
-        // Parallel workers time rule blocks on their own clocks, and the
-        // sampled rule times are estimates, so the per-rule sum can
+        // The sampled rule times are estimates, so the per-rule sum can
         // exceed the wall eval time; saturate rather than emit a
         // negative remainder.
         let other = inner.phase.eval_ns.saturating_sub(rule_total);
         if other > 0 {
             out.push_str(&format!("solver;eval;other {other}\n"));
-        }
-        if inner.phase.merge_ns > 0 {
-            out.push_str(&format!("solver;merge {}\n", inner.phase.merge_ns));
         }
         out
     }
@@ -106,7 +102,6 @@ mod tests {
         stats.rule_time.observe(ctxform::rule::VIRT, 2_000);
         stats.phase_profile.seed_ns = 500;
         stats.phase_profile.eval_ns = 10_000;
-        stats.phase_profile.merge_ns = 300;
         stats.phase_profile.retract_ns = 700;
         stats.memory.rel_pts = 4096;
         stats
@@ -138,7 +133,6 @@ mod tests {
         assert!(folded.contains("solver;eval;Virt 4000\n"));
         // eval 20_000 minus 6_000 of attributed rule time.
         assert!(folded.contains("solver;eval;other 14000\n"));
-        assert!(folded.contains("solver;merge 600\n"));
         assert!(folded.contains("solver;retract 1400\n"));
         for line in folded.lines() {
             let (stack, ns) = line.rsplit_once(' ').expect("stack + value");

@@ -349,7 +349,7 @@ fn req_config(obj: &Json) -> Result<AnalysisConfig, ProtoError> {
         ),
         None => None,
     };
-    let mut config = match abstraction.as_str() {
+    let config = match abstraction.as_str() {
         "insensitive" | "ci" => AnalysisConfig::insensitive(),
         "cstring" | "context-strings" => AnalysisConfig::context_strings(
             sensitivity.ok_or_else(|| bad("`cstring` requires a `sensitivity`"))?,
@@ -364,11 +364,10 @@ fn req_config(obj: &Json) -> Result<AnalysisConfig, ProtoError> {
             "`subsumption` was removed: subsumption elimination is no longer supported",
         ));
     }
-    // Solver thread count (0 = auto). Deliberately excluded from
-    // `config_tag`: the parallel engine is bit-identical to the serial
-    // one, so every thread count shares a cache entry.
-    if let Some(threads) = obj.get("threads").and_then(Json::as_u64) {
-        config = config.with_threads(threads as usize);
+    if obj.get("threads").is_some_and(|t| t.as_u64() != Some(1)) {
+        return Err(bad(
+            "`threads` was removed: the solver is serial, so only `1` is accepted",
+        ));
     }
     Ok(config)
 }
@@ -814,23 +813,29 @@ mod tests {
         }
     }
 
-    /// `threads` tunes the solve but can never fork the cache: the tag of
-    /// a threaded request equals the tag of the untuned one.
     #[test]
-    fn threads_parses_but_does_not_affect_the_cache_tag() {
-        let (_, req) = parse_request(
-            r#"{"op": "analyze", "program": "1", "abstraction": "tstring", "sensitivity": "2-object+H", "threads": 4}"#,
-        )
-        .unwrap();
-        let Request::Analyze { config, .. } = req else {
-            panic!("wrong variant");
-        };
-        assert_eq!(config.threads, 4);
-        assert_eq!(
-            config_tag(&config),
-            config_tag(&AnalysisConfig::transformer_strings(
-                "2-object+H".parse().unwrap()
-            ))
-        );
+    fn removed_threads_field_is_rejected() {
+        for op in [
+            r#""op": "update", "base": "ff", "source": "class Main {}""#,
+            r#""op": "analyze", "program": "1""#,
+            r#""op": "points_to", "program": "1", "method": "M.m", "var": "x""#,
+            r#""op": "points_to_batch", "program": "1", "vars": [{"method": "M.m", "var": "x"}]"#,
+            r#""op": "query", "program": "1", "method": "M.m", "var": "x""#,
+            r#""op": "query_batch", "program": "1", "vars": [{"method": "M.m", "var": "x"}]"#,
+            r#""op": "may_alias", "program": "1", "method_a": "M.m", "var_a": "x", "method_b": "M.m", "var_b": "y""#,
+            r#""op": "call_edges", "program": "1""#,
+            r#""op": "reachable", "program": "1""#,
+        ] {
+            let serial = format!(
+                r#"{{{op}, "abstraction": "tstring", "sensitivity": "1-call+H", "threads": 1}}"#
+            );
+            assert!(parse_request(&serial).is_ok(), "{serial}");
+            for threads in ["4", "0"] {
+                let line = serial.replace(r#""threads": 1"#, &format!(r#""threads": {threads}"#));
+                let err = parse_request(&line).unwrap_err();
+                assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+                assert!(err.message.contains("threads"), "{line}: {}", err.message);
+            }
+        }
     }
 }

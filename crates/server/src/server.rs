@@ -84,11 +84,6 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Per-request deadline (queue wait included).
     pub deadline: Duration,
-    /// Solver threads per analysis for requests that do not pick a count
-    /// explicitly: `0` = per-analysis auto, `1` = legacy single-threaded
-    /// loop, `n > 1` = the frontier-parallel engine. Results (and cache
-    /// entries) are identical for every value — this is purely latency.
-    pub solver_threads: usize,
     /// Slow-query threshold in milliseconds: requests that take at least
     /// this long are logged at `WARN` with their endpoint, latency, and
     /// trace id. `0` disables the slow-query log.
@@ -124,7 +119,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             cache_bytes: 256 << 20,
             deadline: Duration::from_secs(30),
-            solver_threads: 0,
             slow_query_ms: 0,
             replicate_hot: None,
             profile: true,
@@ -267,7 +261,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|_| {
             Shard::new(
                 DbManager::new(per_shard_budget)
-                    .with_solver_threads(config.solver_threads)
                     .with_registry(registry.clone())
                     .with_profiling(config.profile)
                     .with_profile_store(profile.clone()),
@@ -1237,10 +1230,7 @@ fn sliced_answer(
         return Ok((fields, slots));
     }
 
-    let outcome: QueryOutcome =
-        shard
-            .demand
-            .query(digest, &program, &shard.db.resolve_threads(config), &roots);
+    let outcome: QueryOutcome = shard.demand.query(digest, &program, config, &roots);
     demand_counter(
         shared,
         "ctxform_demand_queries_total",
@@ -1787,7 +1777,6 @@ fn profile_fields(shared: &Shared) -> Fields {
             Json::obj([
                 ("seed_ns", Json::uint(phase.seed_ns)),
                 ("eval_ns", Json::uint(phase.eval_ns)),
-                ("merge_ns", Json::uint(phase.merge_ns)),
                 ("retract_ns", Json::uint(phase.retract_ns)),
             ]),
         ),

@@ -7,20 +7,12 @@
 //! `crates/demand/tests/demand_parity.rs` carried two near-identical
 //! helpers). One definition here keeps every differential oracle
 //! sweeping the same space.
-//!
-//! The helpers return *base* configurations (no thread count applied);
-//! suites layer `with_threads` on top, typically
-//! over [`PARITY_THREADS`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 use ctxform::AnalysisConfig;
 use ctxform_algebra::Sensitivity;
-
-/// The thread counts every parity suite sweeps: the legacy serial path
-/// and the scoped-thread parallel engines.
-pub const PARITY_THREADS: [usize; 2] = [1, 4];
 
 /// Both context abstractions (context strings and transformer strings)
 /// at each of the given sensitivity labels, in label order with context

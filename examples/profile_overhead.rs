@@ -44,7 +44,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = generate(&preset("antlr").ok_or("no antlr preset")?.scale_driver(20));
     let program = compile(&source)?.program;
-    let plain = AnalysisConfig::transformer_strings("2-object+H".parse()?).with_threads(1);
+    let plain = AnalysisConfig::transformer_strings("2-object+H".parse()?);
     let profiled = plain.with_profiling();
 
     let (mut plain_min, mut prof_min) = (Duration::MAX, Duration::MAX);
