@@ -69,10 +69,9 @@ pub struct QueryOutcome {
 
 /// A demand-driven query engine with a per-digest index cache.
 ///
-/// One engine per serving shard mirrors the shard's database cache: a
-/// digest's index lives exactly where its queries are routed. A digest
-/// names immutable program content, so entries never go stale; an edited
-/// program arrives under a new digest.
+/// The server keeps one engine beside its one database cache, shared by
+/// every worker. A digest names immutable program content, so entries
+/// never go stale; an edited program arrives under a new digest.
 #[derive(Debug)]
 pub struct DemandEngine {
     /// Cached indices, least recently used first.

@@ -1,23 +1,21 @@
 //! `ctxform-serve` — the analysis daemon.
 //!
 //! ```text
-//! ctxform-serve [--port N] [--shards N] [--threads N] [--solver-threads 1]
-//!               [--queue N] [--max-conns N] [--replicate-hot N]
-//!               [--cache-mb N] [--deadline-ms N] [--slow-ms N]
+//! ctxform-serve [--port N] [--shards 1] [--threads N] [--solver-threads 1]
+//!               [--queue N] [--max-conns N] [--cache-mb N]
+//!               [--deadline-ms N] [--slow-ms N]
 //!               [--trace N] [--no-profile] [--flight-file PATH]
 //!               [--log-level LEVEL] [--port-file PATH]
 //! ```
 //!
-//! `--shards` sets the number of independent serving shards (default: one
-//! per core); program digests are consistent-hashed across them, and each
-//! shard owns its own caches, bounded job queue (`--queue`, per shard),
-//! and worker pool (`--threads` workers per shard). `--replicate-hot N`
-//! copies a program to a second shard once it has served `N` read queries
-//! (0/absent = off). `--max-conns` bounds concurrent connections.
-//! Results are bit-identical for every shard count, so these flags only
-//! affect latency and throughput, never answers. The solver is serial:
-//! `--solver-threads` accepts only `1`, because the `ctxbench` benchmark
-//! crate passes `--solver-threads 1`; any other value exits with the usage
+//! `--threads` sets the worker count (default: one per core, at most 8);
+//! the workers drain one bounded job queue (`--queue`) and share one
+//! database cache of `--cache-mb` MiB. `--max-conns` bounds concurrent
+//! connections. Results are bit-identical for every worker count, so
+//! these flags only affect latency and throughput, never answers.
+//! `--shards` and `--solver-threads` accept only `1`, because the
+//! `ctxbench` benchmark crate passes them: the server has one serving
+//! tier and the solver is serial. Any other value exits with the usage
 //! error.
 //!
 //! Observability: `--slow-ms N` logs every request slower than `N`
@@ -26,7 +24,7 @@
 //! off), queryable via the `trace` op; `--no-profile` turns off the
 //! always-on solver profiling behind the `profile` op (results are
 //! bit-identical either way); `--flight-file PATH` arms the flight
-//! recorder, which dumps the trace ring and shard queue depths to `PATH`
+//! recorder, which dumps the trace ring and the queue depth to `PATH`
 //! when a request busts its deadline or the process panics;
 //! `--log-level` filters the structured stderr log
 //! (`debug`/`info`/`warn`/`error`). The `metrics` op serves a Prometheus
@@ -42,8 +40,8 @@ use std::time::Duration;
 use ctxform_obs::logger::{self, Level};
 use ctxform_server::server::{start, ServerConfig};
 
-const USAGE: &str = "usage: ctxform-serve [--port N] [--shards N] [--threads N] \
-                     [--solver-threads 1] [--queue N] [--max-conns N] [--replicate-hot N] \
+const USAGE: &str = "usage: ctxform-serve [--port N] [--shards 1] [--threads N] \
+                     [--solver-threads 1] [--queue N] [--max-conns N] \
                      [--cache-mb N] [--deadline-ms N] [--slow-ms N] \
                      [--trace N] [--no-profile] [--flight-file PATH] \
                      [--log-level LEVEL] [--port-file PATH]";
@@ -61,28 +59,33 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("{name} needs a non-negative integer"))
     }
+    // Flags kept only because `ctxbench` passes them; `1` is their one
+    // accepted value.
+    fn only_one(args: &mut impl Iterator<Item = String>, name: &str, why: &str) {
+        if num(args, name) != 1 {
+            eprintln!("{name} accepts only 1: {why}\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--port" => config.port = num(&mut args, "--port") as u16,
-            "--shards" => config.shards = (num(&mut args, "--shards") as usize).max(1),
+            "--port" => {
+                config.port = u16::try_from(num(&mut args, "--port"))
+                    .expect("--port needs an integer in 0..=65535")
+            }
+            "--shards" => only_one(&mut args, "--shards", "the server has one serving tier"),
             "--threads" => config.threads = (num(&mut args, "--threads") as usize).max(1),
             "--max-conns" => {
                 config.max_connections = (num(&mut args, "--max-conns") as usize).max(1)
             }
-            "--replicate-hot" => {
-                config.replicate_hot = match num(&mut args, "--replicate-hot") {
-                    0 => None,
-                    n => Some(n),
-                }
-            }
-            "--solver-threads" => {
-                if num(&mut args, "--solver-threads") != 1 {
-                    eprintln!("--solver-threads accepts only 1: the solver is serial\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
+            "--solver-threads" => only_one(&mut args, "--solver-threads", "the solver is serial"),
             "--queue" => config.queue_depth = (num(&mut args, "--queue") as usize).max(1),
-            "--cache-mb" => config.cache_bytes = (num(&mut args, "--cache-mb") as usize) << 20,
+            "--cache-mb" => {
+                config.cache_bytes = usize::try_from(num(&mut args, "--cache-mb"))
+                    .ok()
+                    .and_then(|mb| mb.checked_mul(1 << 20))
+                    .expect("--cache-mb is too large for this platform")
+            }
             "--deadline-ms" => {
                 config.deadline = Duration::from_millis(num(&mut args, "--deadline-ms"))
             }
@@ -120,8 +123,7 @@ fn main() {
     logger::info(
         "ctxform-serve",
         format!(
-            "listening on {addr} ({} shards x {} workers, queue {}/shard, cache {} MiB, deadline {:?}, slow-query {} ms, trace ring {}, profiling {}, flight {})",
-            config.shards,
+            "listening on {addr} ({} workers, queue {}, cache {} MiB, deadline {:?}, slow-query {} ms, trace ring {}, profiling {}, flight {})",
             config.threads,
             config.queue_depth,
             config.cache_bytes >> 20,

@@ -290,18 +290,6 @@ impl DbManager {
         (digest, arc)
     }
 
-    /// Registers an already-shared program under a known digest — the
-    /// replication path: the router copies a hot program's `Arc` from its
-    /// owning shard into a replica shard without re-emitting or re-hashing
-    /// the program text.
-    pub fn adopt_program(&self, digest: u64, program: Arc<Program>) {
-        self.programs
-            .lock()
-            .unwrap()
-            .entry(digest)
-            .or_insert(program);
-    }
-
     /// Looks up a loaded program by digest.
     pub fn program(&self, digest: u64) -> Option<Arc<Program>> {
         self.programs.lock().unwrap().get(&digest).cloned()
@@ -704,17 +692,17 @@ fn record_solve_metrics(registry: &Registry, stats: &SolverStats) {
 }
 
 /// The canonical content digest of a program: `fx_hash_one` over the
-/// [`ctxform_ir::text::emit`] rendering — the routing key of the shard
-/// ring and the wire name clients quote in queries. Computing it here
-/// (rather than only inside [`DbManager::load_program`]) lets the router
-/// pick the owning shard *before* the program is registered anywhere.
+/// [`ctxform_ir::text::emit`] rendering — the key
+/// [`DbManager::load_program`] registers a program under and the wire
+/// name clients quote in queries. Clients compute it too, to check a
+/// server-assigned digest against their own copy of a program.
 pub fn program_digest(program: &Program) -> u64 {
     fx_hash_one(&text::emit(program))
 }
 
 /// The result's CI digest, [`ctxform::CiFacts::digest`] — the same
 /// number the `BENCH_<n>.json` history records as `ci_digest`, and the
-/// oracle the integration suite uses to prove shard-served answers equal
+/// oracle the integration suite uses to prove server answers equal
 /// direct `analyze` calls.
 pub fn ci_digest(r: &AnalysisResult) -> u64 {
     r.ci.digest()

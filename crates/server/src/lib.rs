@@ -17,20 +17,19 @@
 //! The wire protocol ([`protocol`]) is newline-delimited JSON over TCP —
 //! one request object per line, one reply object per line — implemented
 //! with the in-tree reader/writer of [`json`] (the build environment is
-//! offline; no serde). The serving core ([`server`], [`shard`]) is
-//! shard-per-core: program digests are consistent-hashed across N
-//! independent shards, each owning its own caches, bounded job queue, and
-//! worker pool, with optional replication of hot digests to a second
-//! shard. Clients may pipeline many requests per connection (replies
-//! carry a verifiable `seq`) and batch thousands of points-to queries
-//! into one `points_to_batch` round-trip. Overload is rejected explicitly
-//! with an `overloaded` reply per shard rather than absorbed into
-//! unbounded growth, oversized request lines get a typed `too_large`
-//! error without unbounded buffering, every request carries a deadline,
-//! and shutdown drains in-flight requests. [`metrics`] exposes
+//! offline; no serde). The serving core ([`server`]) feeds one bounded
+//! job queue drained by a worker pool that shares one database manager
+//! and one demand engine; the manager runs concurrent solves outside its
+//! lock and coalesces duplicate ones. Clients may pipeline many requests
+//! per connection (replies carry a verifiable `seq`) and batch thousands
+//! of points-to queries into one `points_to_batch` round-trip. Overload
+//! is rejected explicitly with an `overloaded` reply rather than absorbed
+//! into unbounded growth, oversized request lines get a typed
+//! `too_large` error without unbounded buffering, every request carries a
+//! deadline, and shutdown drains in-flight requests. [`metrics`] exposes
 //! per-endpoint request counts, latency min/mean/max, bytes served, and
-//! cache hit rates via the `stats` endpoint, plus per-shard
-//! `ctxform_shard_*` Prometheus series via `metrics`.
+//! cache hit rates via the `stats` endpoint, plus Prometheus series via
+//! `metrics`.
 //!
 //! Two binaries ship with the crate: `ctxform-serve` (the daemon) and
 //! `ctxform-client` (one-shot queries plus a `loadgen` mode writing a
@@ -65,8 +64,8 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod protocol;
+mod queue;
 pub mod server;
-pub mod shard;
 pub mod tail;
 
 pub use client::{loadgen, Client, ClientError, LoadGenConfig, LoadReport, TraceSampleStats};
@@ -75,5 +74,4 @@ pub use json::Json;
 pub use profile::ProfileStore;
 pub use protocol::{ErrorCode, ProtoError, Request};
 pub use server::{start, ServerConfig, ServerHandle};
-pub use shard::{Router, Shard, ShardSnapshot};
 pub use tail::{Exemplar, ExemplarStore, FlightRecorder, EXEMPLARS_PER_ENDPOINT};

@@ -41,7 +41,7 @@ pub enum ErrorCode {
     UnknownVar,
     /// Request processing exceeded the per-request deadline.
     DeadlineExceeded,
-    /// The routed shard's queue (or the connection limit) was full;
+    /// The job queue (or the connection limit) was full;
     /// retry later.
     Overloaded,
     /// The request line exceeded the per-line byte bound.
@@ -106,7 +106,7 @@ impl std::error::Error for ProtoError {}
 
 /// Upper bound on `points_to_batch` fan-in: generous enough for "thousands
 /// of variable queries in one round-trip" while keeping one request line
-/// from monopolizing a shard worker indefinitely.
+/// from monopolizing a worker indefinitely.
 pub const MAX_BATCH_VARS: usize = 65_536;
 
 /// A `(method name, variable name)` pair addressing one program variable.
@@ -249,14 +249,11 @@ pub enum Request {
         /// with its reconstructed span subtree.
         exemplars: bool,
     },
-    /// Hold a shard worker for `ms` milliseconds (testing aid: exercises
-    /// per-shard backpressure and per-request deadlines deterministically).
+    /// Hold a worker for `ms` milliseconds (testing aid: exercises queue
+    /// backpressure and per-request deadlines deterministically).
     Sleep {
         /// How long to hold the worker.
         ms: u64,
-        /// Pin the sleep to one shard by index (round-robin when absent),
-        /// so tests can fill a specific shard's queue.
-        shard: Option<usize>,
     },
     /// Begin graceful shutdown: drain in-flight requests, then exit.
     Shutdown,
@@ -535,7 +532,6 @@ pub fn parse_request(line: &str) -> Result<(RequestMeta, Request), ProtoError> {
                 .get("ms")
                 .and_then(Json::as_u64)
                 .ok_or_else(|| bad("`sleep` needs an integer `ms`"))?,
-            shard: obj.get("shard").and_then(Json::as_u64).map(|n| n as usize),
         },
         "shutdown" => Request::Shutdown,
         other => return Err(bad(format!("unknown op `{other}`"))),

@@ -1,18 +1,18 @@
 //! The serving core: a `TcpListener` accept loop spawning one
-//! reader/writer thread pair per connection, feeding per-shard bounded job
-//! queues drained by per-shard worker pools.
+//! reader/writer thread pair per connection, feeding one bounded job
+//! queue drained by a pool of [`ServerConfig::threads`] workers.
 //!
-//! Requests carrying a program digest are routed by the consistent-hash
-//! [`Router`] to the shard that owns that digest's databases; cheap
+//! Requests carrying a program digest are queued and run by a worker
+//! against the server's one [`DbManager`] and one [`DemandEngine`]; cheap
 //! control ops (`load_*`, `stats`, `metrics`, `trace`, `shutdown`) run
 //! inline on the connection's reader thread. Clients may pipeline: many
 //! request lines can be written before any reply is read, and every reply
 //! carries the per-connection `seq` so order is verifiable. The writer
 //! thread drains an in-order slot queue, so replies come back in request
-//! order even though shard workers complete out of order.
+//! order even though workers complete out of order.
 //!
-//! Overload is rejected explicitly at two levels: a full per-shard job
-//! queue sheds that request with a typed `overloaded` reply (the
+//! Overload is rejected explicitly at two levels: a full job queue sheds
+//! that request with a typed `overloaded` reply (the
 //! connection stays usable), and past [`ServerConfig::max_connections`]
 //! new connections are rejected whole. Request lines longer than
 //! [`MAX_LINE_BYTES`] are answered with `too_large` and discarded without
@@ -21,7 +21,7 @@
 //! work that finishes past it — or that spent the whole deadline queued —
 //! is answered with `deadline_exceeded`. Shutdown (the `shutdown` op or
 //! [`ServerHandle::shutdown`]) is graceful: the accept loop stops taking
-//! new connections, shard workers finish everything already queued, and
+//! new connections, workers finish everything already queued, and
 //! [`ServerHandle::join`] returns the final metrics report.
 
 use std::collections::{HashMap, HashSet};
@@ -35,12 +35,12 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ctxform::{AnalysisConfig, AnalysisResult};
-use ctxform_demand::QueryOutcome;
+use ctxform_demand::{DemandEngine, QueryOutcome};
 use ctxform_ir::{Program, Var};
 use ctxform_obs::metrics::{PromText, Registry};
 use ctxform_obs::{self as obs, SpanContext};
 
-use crate::db::{ci_digest, program_digest, CacheSnapshot, DbError, DbManager};
+use crate::db::{ci_digest, CacheSnapshot, DbError, DbManager};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::profile::ProfileStore;
@@ -48,7 +48,7 @@ use crate::protocol::{
     digest_str, err_reply, parse_request, salvage_meta, ErrorCode, ProtoError, Request,
     RequestMeta, VarRef,
 };
-use crate::shard::{Job, Router, Shard, ShardSnapshot};
+use crate::queue::{Job, JobQueue};
 use crate::tail::{Exemplar, ExemplarStore, FlightRecorder};
 
 /// Upper bound on one request line. Big enough for a `points_to_batch`
@@ -63,24 +63,26 @@ pub const MAX_LINE_BYTES: usize = 4 << 20;
 /// reply queue).
 const PIPELINE_WINDOW: usize = 256;
 
+/// Programs whose demand index the server keeps (one index per digest);
+/// an index is a flat CI fixpoint plus reverse input rows, orders of
+/// magnitude smaller than a solved context-sensitive database, so the
+/// bound is generous.
+const DEMAND_INDEX_CAPACITY: usize = 128;
+
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// TCP port to bind on 127.0.0.1 (0 = ephemeral).
     pub port: u16,
-    /// Independent shards; each owns its own database caches, job queue,
-    /// and worker pool. Program digests are consistent-hashed across them.
-    pub shards: usize,
-    /// Worker threads *per shard* draining that shard's job queue.
+    /// Worker threads draining the job queue.
     pub threads: usize,
-    /// Maximum jobs waiting in one shard's queue before further requests
-    /// routed there are shed with `overloaded`.
+    /// Maximum jobs waiting in the queue before further requests are shed
+    /// with `overloaded`.
     pub queue_depth: usize,
     /// Maximum concurrent connections before new arrivals are rejected
     /// with `overloaded`.
     pub max_connections: usize,
-    /// Byte budget of the solved-database caches, split evenly across
-    /// shards.
+    /// Byte budget of the solved-database cache.
     pub cache_bytes: usize,
     /// Per-request deadline (queue wait included).
     pub deadline: Duration,
@@ -88,39 +90,33 @@ pub struct ServerConfig {
     /// this long are logged at `WARN` with their endpoint, latency, and
     /// trace id. `0` disables the slow-query log.
     pub slow_query_ms: u64,
-    /// When set, a digest that has served this many read queries gets its
-    /// program replicated to a second shard, and further reads alternate
-    /// between the two (`None` = replication off).
-    pub replicate_hot: Option<u64>,
     /// Solver profiling: when on (the default), every fresh solve runs
     /// with per-rule and per-phase timing enabled and feeds the
     /// process-wide [`ProfileStore`] served by the `profile` op. Results
     /// and cache entries are bit-identical either way — the flag only
     /// buys back the timing overhead.
     pub profile: bool,
-    /// When set, a [`FlightRecorder`] dumps the trace ring and shard
-    /// queue depths to this file on a deadline bust or a panic.
+    /// When set, a [`FlightRecorder`] dumps the trace ring and the queue
+    /// depth to this file on a deadline bust or a panic.
     pub flight_path: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        // Shard-per-core: each shard's caches and queue are independent,
-        // so the natural count is the core count (capped — past 8 shards
-        // routing spread beats cache locality on any box we target).
-        let shards = thread::available_parallelism()
+        // One worker per core, capped: solves are CPU-bound, and the
+        // database manager solves distinct keys concurrently outside its
+        // lock, so more workers than cores only add contention.
+        let threads = thread::available_parallelism()
             .map(|n| n.get().clamp(1, 8))
             .unwrap_or(1);
         ServerConfig {
             port: 0,
-            shards,
-            threads: 2,
+            threads,
             queue_depth: 64,
             max_connections: 64,
             cache_bytes: 256 << 20,
             deadline: Duration::from_secs(30),
             slow_query_ms: 0,
-            replicate_hot: None,
             profile: true,
             flight_path: None,
         }
@@ -128,22 +124,28 @@ impl Default for ServerConfig {
 }
 
 struct Shared {
-    router: Router,
+    /// Queued requests, drained by the workers.
+    queue: JobQueue,
+    /// Loaded programs, the solved-database LRU and the incremental
+    /// databases, shared by every worker.
+    db: DbManager,
+    /// Per-digest demand indices for cold `query` / `query_batch` ops.
+    demand: DemandEngine,
     shutdown: AtomicBool,
     /// Live connection threads (reader side), bounded by
     /// [`ServerConfig::max_connections`].
     connections: AtomicUsize,
     metrics: Metrics,
-    /// Solver-level metrics (rule counters, solve durations) fed by every
-    /// shard's database manager and rendered by the `metrics` endpoint.
+    /// Solver-level metrics (rule counters, solve durations) fed by the
+    /// database manager and rendered by the `metrics` endpoint.
     registry: Arc<Registry>,
     /// Process-unique connection ids. Combined with the per-connection
     /// `seq` they make the `srv-<conn>-<seq>` fallback trace id unique
     /// across connections (a plain shared sequence would collide the
     /// moment two connections raced it for "their" id).
     next_conn: AtomicU64,
-    /// Aggregated solver profiling, fed by every shard's database manager
-    /// and served by the `profile` op.
+    /// Aggregated solver profiling, fed by the database manager and
+    /// served by the `profile` op.
     profile: Arc<ProfileStore>,
     /// Slowest-N requests per endpoint, served by `trace {exemplars}`.
     exemplars: ExemplarStore,
@@ -156,9 +158,7 @@ struct Shared {
 impl Shared {
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            for shard in self.router.shards() {
-                shard.wake_all();
-            }
+            self.queue.wake_all();
             // Unblock the accept loop with a throwaway connection.
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
         }
@@ -199,26 +199,17 @@ impl ServerHandle {
         // Backstop for the shutdown race where a reader enqueued a job
         // after the last worker exited: answer it so the connection's
         // writer is not left waiting on a reply that will never come.
-        for shard in self.shared.router.shards() {
-            for job in shard.drain() {
-                let reply = job
-                    .meta
-                    .err_reply(&ProtoError::new(ErrorCode::ShuttingDown, "server exited"));
-                let _ = job.reply.send(reply);
-            }
+        for job in self.shared.queue.drain() {
+            let reply = job
+                .meta
+                .err_reply(&ProtoError::new(ErrorCode::ShuttingDown, "server exited"));
+            let _ = job.reply.send(reply);
         }
         while self.shared.connections.load(Ordering::SeqCst) > 0 {
             thread::sleep(Duration::from_millis(2));
         }
         let mut report = self.shared.metrics.report();
-        let snaps: Vec<ShardSnapshot> = self
-            .shared
-            .router
-            .shards()
-            .iter()
-            .map(Shard::snapshot)
-            .collect();
-        let cache = aggregate_cache(&snaps);
+        let cache = self.shared.db.snapshot();
         report.push_str(&format!(
             "cache: {} entries, {} bytes (budget {}), {} hits / {} misses, {} evictions, {} programs\n",
             cache.entries,
@@ -229,18 +220,15 @@ impl ServerHandle {
             cache.evictions,
             cache.programs,
         ));
-        for (i, snap) in snaps.iter().enumerate() {
-            report.push_str(&format!(
-                "shard {i}: {} routed, {} rejected, {} hits / {} misses, {} programs\n",
-                snap.routed, snap.rejected, snap.db.hits, snap.db.misses, snap.db.programs,
-            ));
-        }
+        report.push_str(&format!(
+            "queue: {} rejected as overloaded\n",
+            self.shared.queue.rejected()
+        ));
         report
     }
 }
 
-/// Binds a listener and starts the accept loop plus the per-shard worker
-/// pools.
+/// Binds a listener and starts the accept loop plus the worker pool.
 ///
 /// # Errors
 ///
@@ -249,27 +237,20 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     let addr = listener.local_addr()?;
     let registry = Arc::new(Registry::new());
-    let shard_count = config.shards.max(1);
-    let threads_per_shard = config.threads.max(1);
-    let per_shard_budget = (config.cache_bytes / shard_count).max(1);
+    let threads = config.threads.max(1);
     let profile = Arc::new(ProfileStore::default());
     let flight = config
         .flight_path
         .clone()
         .map(|path| Arc::new(FlightRecorder::new(path)));
-    let shards: Vec<Shard> = (0..shard_count)
-        .map(|_| {
-            Shard::new(
-                DbManager::new(per_shard_budget)
-                    .with_registry(registry.clone())
-                    .with_profiling(config.profile)
-                    .with_profile_store(profile.clone()),
-                config.queue_depth,
-            )
-        })
-        .collect();
+    let db = DbManager::new(config.cache_bytes.max(1))
+        .with_registry(registry.clone())
+        .with_profiling(config.profile)
+        .with_profile_store(profile.clone());
     let shared = Arc::new(Shared {
-        router: Router::new(shards, config.replicate_hot),
+        queue: JobQueue::new(config.queue_depth),
+        db,
+        demand: DemandEngine::new(DEMAND_INDEX_CAPACITY),
         shutdown: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
         metrics: Metrics::default(),
@@ -286,17 +267,15 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         install_panic_flight_hook(flight, Arc::downgrade(&shared));
     }
 
-    let mut workers = Vec::with_capacity(shard_count * threads_per_shard);
-    for shard in 0..shard_count {
-        for i in 0..threads_per_shard {
-            let shared = shared.clone();
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("ctxform-shard-{shard}-{i}"))
-                    .spawn(move || shard_worker(&shared, shard))
-                    .expect("spawn shard worker"),
-            );
-        }
+    let mut workers = Vec::with_capacity(threads);
+    for i in 0..threads {
+        let shared = shared.clone();
+        workers.push(
+            thread::Builder::new()
+                .name(format!("ctxform-worker-{i}"))
+                .spawn(move || worker(&shared))
+                .expect("spawn worker"),
+        );
     }
 
     let accept_shared = shared.clone();
@@ -315,15 +294,12 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 /// Chains a panic hook that dumps a flight record before the previous
 /// hook (usually the default backtrace printer) runs. The `Weak` keeps
 /// the hook from pinning the server alive after `join`; a post-shutdown
-/// panic simply dumps with no queue depths.
+/// panic dumps a queue depth of zero (the queue has drained by then).
 fn install_panic_flight_hook(flight: Arc<FlightRecorder>, shared: Weak<Shared>) {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let depths: Vec<usize> = shared
-            .upgrade()
-            .map(|s| s.router.shards().iter().map(Shard::queued).collect())
-            .unwrap_or_default();
-        flight.dump("panic", &depths);
+        let queued = shared.upgrade().map_or(0, |s| s.queue.queued());
+        flight.dump("panic", queued);
         prev(info);
     }));
 }
@@ -376,7 +352,7 @@ enum Slot {
     /// The reply line is already known (inline op, parse error, shed
     /// request).
     Ready(String),
-    /// The reply is being produced by a shard worker; the writer blocks on
+    /// The reply is being produced by a worker; the writer blocks on
     /// `rx` so reply order still matches request order.
     Pending {
         rx: Receiver<String>,
@@ -402,7 +378,7 @@ const IDLE_POLL_MAX: Duration = Duration::from_millis(500);
 /// Serves one connection: the reader (this thread) parses and routes
 /// newline-delimited requests until EOF or shutdown, while a paired writer
 /// thread drains the in-order slot queue. Pipelined requests therefore
-/// execute concurrently across shards, yet replies always come back in
+/// execute concurrently across workers, yet replies always come back in
 /// request order, each stamped with its `seq`.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, conn: u64) {
     let _ = stream.set_nodelay(true);
@@ -513,7 +489,7 @@ fn read_requests(shared: &Arc<Shared>, mut stream: TcpStream, slots: &SyncSender
 }
 
 /// The writer half of one connection: drains reply slots strictly in
-/// order, blocking on shard replies so pipelined clients always see reply
+/// order, blocking on worker replies so pipelined clients always see reply
 /// `N` before reply `N+1`.
 fn writer_loop(shared: &Shared, mut stream: TcpStream, slots: &Receiver<Slot>) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
@@ -531,7 +507,7 @@ fn writer_loop(shared: &Shared, mut stream: TcpStream, slots: &Receiver<Slot>) {
                 let line = match rx.recv() {
                     Ok(line) => line,
                     Err(_) => {
-                        // The shard worker died before replying; the fallback
+                        // The worker died before replying; the fallback
                         // internal-error reply keeps seq accounting intact.
                         shared
                             .metrics
@@ -556,40 +532,23 @@ fn writer_loop(shared: &Shared, mut stream: TcpStream, slots: &Receiver<Slot>) {
     }
 }
 
-/// Where one parsed request executes.
-enum Route {
-    /// On the connection's reader thread, immediately.
-    Inline,
-    /// Queued on the given shard.
-    Shard(usize),
-}
-
-fn route(shared: &Shared, request: &Request) -> Route {
-    match request {
+/// Whether a request runs on the connection's reader thread, immediately,
+/// rather than on a worker through the job queue.
+fn runs_inline(request: &Request) -> bool {
+    matches!(
+        request,
         Request::LoadSource { .. }
-        | Request::LoadFacts { .. }
-        | Request::Stats
-        | Request::Metrics
-        | Request::Profile
-        | Request::Trace { .. }
-        | Request::Shutdown => Route::Inline,
-        Request::Update { base, .. } => Route::Shard(shared.router.owner(*base)),
-        Request::Analyze { program, .. }
-        | Request::PointsTo { program, .. }
-        | Request::PointsToBatch { program, .. }
-        | Request::Query { program, .. }
-        | Request::QueryBatch { program, .. }
-        | Request::MayAlias { program, .. }
-        | Request::CallEdges { program, .. }
-        | Request::Reachable { program, .. } => Route::Shard(shared.router.route_query(*program)),
-        Request::Sleep { shard, .. } => Route::Shard(match shard {
-            Some(pinned) => pinned % shared.router.shards().len(),
-            None => shared.router.next_round_robin(),
-        }),
-    }
+            | Request::LoadFacts { .. }
+            | Request::Stats
+            | Request::Metrics
+            | Request::Profile
+            | Request::Trace { .. }
+            | Request::Shutdown
+    )
 }
 
-/// Parses and routes one request line; pushes exactly one reply slot.
+/// Parses and runs or queues one request line; pushes exactly one reply
+/// slot.
 /// Returns `true` when the connection should stop reading (after
 /// `shutdown` or when the writer is gone).
 fn serve_line(
@@ -611,8 +570,8 @@ fn serve_line(
     };
     meta.seq = Some(seq);
     let endpoint = request.endpoint();
-    // The request's root span. Detached, so it can ride the shard job
-    // queue and close on whichever worker thread finishes the request;
+    // The request's root span. Detached, so it can ride the job queue and
+    // close on whichever worker thread finishes the request;
     // the queue-wait / solve / serialize phases hang off it as children.
     let mut span = obs::span_detached("server.request");
     if span.is_active() {
@@ -624,78 +583,67 @@ fn serve_line(
         }
     }
     let ctx = span.context();
-    match route(shared, &request) {
-        Route::Inline => {
-            let outcome = {
-                let _solve = obs::span_under("server.solve", ctx);
-                dispatch_inline(shared, &request, started)
-            };
-            span.record("ok", outcome.is_ok());
-            let reply = finish_reply(shared, &meta, endpoint, outcome, started, conn, ctx);
-            drop(span);
-            let stop = matches!(request, Request::Shutdown);
-            slots.send(Slot::Ready(reply)).is_err() || stop
-        }
-        Route::Shard(index) => {
-            let (reply_tx, reply_rx) = sync_channel::<String>(1);
-            let fallback = meta.err_reply(&ProtoError::new(
-                ErrorCode::Internal,
-                "shard worker failed before replying",
-            ));
-            let job = Job {
-                request,
-                meta,
+    if runs_inline(&request) {
+        let outcome = {
+            let _solve = obs::span_under("server.solve", ctx);
+            dispatch_inline(shared, &request, started)
+        };
+        span.record("ok", outcome.is_ok());
+        let reply = finish_reply(shared, &meta, endpoint, outcome, started, conn, ctx);
+        drop(span);
+        let stop = matches!(request, Request::Shutdown);
+        return slots.send(Slot::Ready(reply)).is_err() || stop;
+    }
+    let (reply_tx, reply_rx) = sync_channel::<String>(1);
+    let fallback = meta.err_reply(&ProtoError::new(
+        ErrorCode::Internal,
+        "worker failed before replying",
+    ));
+    let job = Job {
+        request,
+        meta,
+        started,
+        enqueued: Instant::now(),
+        conn,
+        ctx,
+        span: Some(span),
+        reply: reply_tx,
+    };
+    match shared.queue.submit(job) {
+        Ok(()) => slots
+            .send(Slot::Pending {
+                rx: reply_rx,
+                fallback,
+                endpoint,
                 started,
-                enqueued: Instant::now(),
-                conn,
                 ctx,
-                span: Some(span),
-                reply: reply_tx,
-            };
-            match shared.router.shards()[index].submit(job) {
-                Ok(()) => slots
-                    .send(Slot::Pending {
-                        rx: reply_rx,
-                        fallback,
-                        endpoint,
-                        started,
-                        ctx,
-                    })
-                    .is_err(),
-                Err(mut job) => {
-                    let outcome = Err(ProtoError::new(
-                        ErrorCode::Overloaded,
-                        format!("shard {index} queue is full, retry later"),
-                    ));
-                    if let Some(span) = job.span.as_mut() {
-                        span.record("ok", false);
-                        span.record("shed", true);
-                    }
-                    let reply =
-                        finish_reply(shared, &job.meta, endpoint, outcome, started, conn, job.ctx);
-                    drop(job);
-                    slots.send(Slot::Ready(reply)).is_err()
-                }
+            })
+            .is_err(),
+        Err(mut job) => {
+            let outcome = Err(ProtoError::new(
+                ErrorCode::Overloaded,
+                "job queue is full, retry later",
+            ));
+            if let Some(span) = job.span.as_mut() {
+                span.record("ok", false);
+                span.record("shed", true);
             }
+            let reply = finish_reply(shared, &job.meta, endpoint, outcome, started, conn, job.ctx);
+            drop(job);
+            slots.send(Slot::Ready(reply)).is_err()
         }
     }
 }
 
-/// One shard worker: pops jobs off its shard's queue until shutdown
-/// drains it, executing each against the shard-local databases and
-/// sending the finished reply line to the owning connection's writer.
-fn shard_worker(shared: &Arc<Shared>, index: usize) {
-    let shard = &shared.router.shards()[index];
-    while let Some(mut job) = shard.next_job(|| shared.is_shutdown()) {
+/// One worker: pops jobs off the queue until shutdown drains it,
+/// executing each against the shared databases and sending the finished
+/// reply line to the owning connection's writer.
+fn worker(shared: &Arc<Shared>) {
+    while let Some(mut job) = shared.queue.next_job(|| shared.is_shutdown()) {
         // The queue-wait phase is only known at dequeue; record it
         // retroactively as a child of the request's root span.
         if job.ctx.is_some() {
-            obs::record_span_at(
-                "server.queue_wait",
-                job.ctx,
-                job.enqueued,
-                vec![("shard", index.into())],
-            );
+            obs::record_span_at("server.queue_wait", job.ctx, job.enqueued, Vec::new());
         }
         let endpoint = job.request.endpoint();
         let outcome = if job.started.elapsed() > shared.config.deadline {
@@ -703,13 +651,13 @@ fn shard_worker(shared: &Arc<Shared>, index: usize) {
             Err(ProtoError::new(
                 ErrorCode::DeadlineExceeded,
                 format!(
-                    "request spent its {:?} deadline queued on shard {index}",
+                    "request spent its {:?} deadline queued",
                     shared.config.deadline
                 ),
             ))
         } else {
             let _solve = obs::span_under("server.solve", job.ctx);
-            dispatch_shard(shared, index, &job.request, job.started)
+            dispatch_queued(shared, &job.request, job.started)
         };
         if let Some(span) = job.span.as_mut() {
             span.record("ok", outcome.is_ok());
@@ -736,7 +684,7 @@ type Fields = Vec<(&'static str, Json)>;
 
 /// Builds the reply line for one finished request and records its
 /// metrics, tail exemplar, flight dump, and slow-query log entry. Used by
-/// both the inline path (reader thread) and the shard path (worker
+/// both the inline path (reader thread) and the queued path (worker
 /// thread).
 fn finish_reply(
     shared: &Shared,
@@ -787,8 +735,7 @@ fn finish_reply(
     });
     if deadline_bust {
         if let Some(flight) = &shared.flight {
-            let depths: Vec<usize> = shared.router.shards().iter().map(Shard::queued).collect();
-            flight.dump("deadline_exceeded", &depths);
+            flight.dump("deadline_exceeded", shared.queue.queued());
         }
     }
     let slow = shared.config.slow_query_ms;
@@ -813,8 +760,8 @@ fn finish_reply(
     reply
 }
 
-/// Ops served on the connection's reader thread: program loads (routed to
-/// the owning shard's database by digest) and the control plane.
+/// Ops served on the connection's reader thread: program loads and the
+/// control plane.
 fn dispatch_inline(
     shared: &Shared,
     request: &Request,
@@ -844,15 +791,13 @@ fn dispatch_inline(
     check_deadline(shared, request, result, started)
 }
 
-/// Ops executed on a shard worker against that shard's databases.
-fn dispatch_shard(
+/// Ops executed on a worker against the shared databases.
+fn dispatch_queued(
     shared: &Shared,
-    index: usize,
     request: &Request,
     started: Instant,
 ) -> Result<Fields, ProtoError> {
-    let shard = &shared.router.shards()[index];
-    let db = &shard.db;
+    let db = &shared.db;
     let result = match request {
         Request::Update {
             base,
@@ -879,10 +824,6 @@ fn dispatch_shard(
                     ProtoError::new(ErrorCode::Internal, format!("analysis failed: {msg}"))
                 }
             })?;
-            // The edited program's database now lives here, next to its
-            // base; teach the router so follow-up queries on the new
-            // digest route to this shard instead of its ring position.
-            shared.router.record_owner(report.digest, index);
             let s = &report.result.stats;
             let outcome_name = match &report.outcome {
                 ctxform::ExtendOutcome::Incremental => "incremental",
@@ -923,7 +864,7 @@ fn dispatch_shard(
                 ("time_ms", Json::ms(s.duration.as_secs_f64() * 1000.0)),
                 ("ci_pts", Json::int(result.ci.pts.len())),
                 // The parity oracle: equal CI facts ⇔ equal digest, so a
-                // client can verify shard-served results against a direct
+                // client can verify server answers against a direct
                 // `analyze` without shipping the full sets.
                 ("ci_digest", Json::str(digest_str(ci_digest(&result)))),
             ])
@@ -933,7 +874,7 @@ fn dispatch_shard(
             config,
             var,
             demand,
-        } => points_to(shared, shard, *program, config, var, *demand),
+        } => points_to(shared, *program, config, var, *demand),
         Request::PointsToBatch {
             program,
             config,
@@ -943,19 +884,12 @@ fn dispatch_shard(
             program,
             config,
             var,
-        } => demand_query(
-            shared,
-            shard,
-            *program,
-            config,
-            std::slice::from_ref(var),
-            false,
-        ),
+        } => demand_query(shared, *program, config, std::slice::from_ref(var), false),
         Request::QueryBatch {
             program,
             config,
             vars,
-        } => demand_query(shared, shard, *program, config, vars, true),
+        } => demand_query(shared, *program, config, vars, true),
         Request::MayAlias {
             program,
             config,
@@ -1030,7 +964,7 @@ fn dispatch_shard(
             }
             Ok(fields)
         }
-        Request::Sleep { ms, .. } => {
+        Request::Sleep { ms } => {
             // Sleep in slices so shutdown and the deadline stay responsive.
             let wake = started + Duration::from_millis(*ms);
             while Instant::now() < wake {
@@ -1049,7 +983,7 @@ fn dispatch_shard(
             }
             Ok(vec![("slept_ms", Json::uint(*ms))])
         }
-        other => unreachable!("{} is not a shard op", other.endpoint()),
+        other => unreachable!("{} is not a queued op", other.endpoint()),
     };
     check_deadline(shared, request, result, started)
 }
@@ -1073,12 +1007,10 @@ fn check_deadline(
     result
 }
 
-/// Registers a program on the shard that owns its digest and describes it.
+/// Registers a program and describes it.
 fn load_fields(shared: &Shared, program: Program) -> Result<Fields, ProtoError> {
     let stats = program.stats();
-    let digest = program_digest(&program);
-    let owner = shared.router.owner(digest);
-    let (digest, _) = shared.router.shards()[owner].db.load_program(program);
+    let (digest, _) = shared.db.load_program(program);
     Ok(vec![
         ("program", Json::str(digest_str(digest))),
         ("methods", Json::int(stats.methods)),
@@ -1122,7 +1054,6 @@ fn solve_with_program(
 
 fn points_to(
     shared: &Shared,
-    shard: &Shard,
     digest: u64,
     config: &AnalysisConfig,
     var: &VarRef,
@@ -1130,18 +1061,11 @@ fn points_to(
 ) -> Result<Fields, ProtoError> {
     if demand {
         // `points_to {demand: true}` and `query` share one entry point:
-        // the shard's demand engine, which answers both the
-        // context-insensitive and the context-sensitive configurations.
-        return demand_query(
-            shared,
-            shard,
-            digest,
-            config,
-            std::slice::from_ref(var),
-            false,
-        );
+        // the demand engine, which answers both the context-insensitive
+        // and the context-sensitive configurations.
+        return demand_query(shared, digest, config, std::slice::from_ref(var), false);
     }
-    let (result, cached, program) = solve_with_program(&shard.db, digest, config)?;
+    let (result, cached, program) = solve_with_program(&shared.db, digest, config)?;
     let v = resolve_var(&program, var)?;
     let heaps: Vec<Json> = result
         .ci
@@ -1165,19 +1089,18 @@ fn demand_counter(shared: &Shared, name: &'static str, help: &'static str, mode:
 
 /// Answers a demand query (`query`, `query_batch`, or
 /// `points_to {demand: true}`): from the cached solved database when one
-/// is resident, otherwise via the shard's demand engine — never via a
+/// is resident, otherwise via the demand engine — never via a
 /// full exhaustive solve. Returns the reply fields plus the resolved
 /// per-variable answer slots (`batch` mode keeps unknown variables as
 /// per-slot error objects instead of failing the request).
 fn sliced_answer(
     shared: &Shared,
-    shard: &Shard,
     digest: u64,
     config: &AnalysisConfig,
     vars: &[VarRef],
     batch: bool,
 ) -> Result<(Fields, Vec<Json>), ProtoError> {
-    let program = shard.db.program(digest).ok_or_else(|| {
+    let program = shared.db.program(digest).ok_or_else(|| {
         ProtoError::new(
             ErrorCode::UnknownProgram,
             format!("no loaded program has digest {}", digest_str(digest)),
@@ -1212,7 +1135,7 @@ fn sliced_answer(
 
     // Fast path: a solved database for this exact configuration is
     // already resident — answer from it without any demand work.
-    if let Some(result) = shard.db.cached_result(digest, config) {
+    if let Some(result) = shared.db.cached_result(digest, config) {
         demand_counter(
             shared,
             "ctxform_demand_queries_total",
@@ -1230,7 +1153,7 @@ fn sliced_answer(
         return Ok((fields, slots));
     }
 
-    let outcome: QueryOutcome = shard.demand.query(digest, &program, config, &roots);
+    let outcome: QueryOutcome = shared.demand.query(digest, &program, config, &roots);
     demand_counter(
         shared,
         "ctxform_demand_queries_total",
@@ -1316,13 +1239,12 @@ fn unknown_var(var: &VarRef) -> ProtoError {
 /// answer as `heaps`, batches return positional `results`.
 fn demand_query(
     shared: &Shared,
-    shard: &Shard,
     digest: u64,
     config: &AnalysisConfig,
     vars: &[VarRef],
     batch: bool,
 ) -> Result<Fields, ProtoError> {
-    let (mut fields, slots) = sliced_answer(shared, shard, digest, config, vars, batch)?;
+    let (mut fields, slots) = sliced_answer(shared, digest, config, vars, batch)?;
     if batch {
         fields.push(("results", Json::Arr(slots)));
     } else {
@@ -1426,131 +1348,30 @@ fn var_index(program: &Program) -> HashMap<(&str, &str), Var> {
     index
 }
 
-/// Sums the per-shard cache snapshots into the whole-server view (the
-/// shards partition one logical cache, so counters and resident gauges
-/// add; the budget sums back to the configured total).
-fn aggregate_cache(snaps: &[ShardSnapshot]) -> CacheSnapshot {
-    let mut total = CacheSnapshot {
-        entries: 0,
-        bytes: 0,
-        budget: 0,
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        programs: 0,
-        incremental_reuse: 0,
-        incremental_noop: 0,
-        incremental_retract_reuse: 0,
-        incremental_overdeleted: 0,
-        incremental_rederived: 0,
-        incremental_fallback: 0,
-    };
-    for snap in snaps {
-        total.entries += snap.db.entries;
-        total.bytes += snap.db.bytes;
-        total.budget += snap.db.budget;
-        total.hits += snap.db.hits;
-        total.misses += snap.db.misses;
-        total.evictions += snap.db.evictions;
-        total.programs += snap.db.programs;
-        total.incremental_reuse += snap.db.incremental_reuse;
-        total.incremental_noop += snap.db.incremental_noop;
-        total.incremental_retract_reuse += snap.db.incremental_retract_reuse;
-        total.incremental_overdeleted += snap.db.incremental_overdeleted;
-        total.incremental_rederived += snap.db.incremental_rederived;
-        total.incremental_fallback += snap.db.incremental_fallback;
-    }
-    total
-}
-
 /// Builds the `metrics` reply: one Prometheus text exposition covering
 /// the serving layer (per-endpoint counters and latency histograms), the
-/// per-shard routing/queue/cache series, the aggregated database cache,
-/// and the solver registry (rule counters, solve durations) fed by the
-/// shards' [`DbManager`]s.
+/// job queue, the database cache, and the solver registry (rule counters,
+/// solve durations) fed by the [`DbManager`].
 fn metrics_fields(shared: &Shared) -> Fields {
     let mut text = PromText::new();
     shared.metrics.render_prometheus(&mut text);
-    let snaps: Vec<ShardSnapshot> = shared.router.shards().iter().map(Shard::snapshot).collect();
-    let labels: Vec<String> = (0..snaps.len()).map(|i| i.to_string()).collect();
-    let total_queued: usize = snaps.iter().map(|s| s.queued).sum();
     text.header(
         "ctxform_queue_depth",
         "gauge",
-        "Requests waiting across all shard queues.",
+        "Requests waiting in the job queue.",
     );
-    text.sample("ctxform_queue_depth", &[], total_queued as f64);
+    text.sample("ctxform_queue_depth", &[], shared.queue.queued() as f64);
     text.header(
-        "ctxform_shard_queue_depth",
-        "gauge",
-        "Requests waiting in each shard's queue.",
-    );
-    for (label, snap) in labels.iter().zip(&snaps) {
-        text.sample(
-            "ctxform_shard_queue_depth",
-            &[("shard", label)],
-            snap.queued as f64,
-        );
-    }
-    text.header(
-        "ctxform_shard_routed_total",
+        "ctxform_queue_rejected_total",
         "counter",
-        "Requests accepted onto each shard's queue.",
-    );
-    for (label, snap) in labels.iter().zip(&snaps) {
-        text.sample(
-            "ctxform_shard_routed_total",
-            &[("shard", label)],
-            snap.routed as f64,
-        );
-    }
-    text.header(
-        "ctxform_shard_rejected_total",
-        "counter",
-        "Requests shed with `overloaded` because the shard queue was full.",
-    );
-    for (label, snap) in labels.iter().zip(&snaps) {
-        text.sample(
-            "ctxform_shard_rejected_total",
-            &[("shard", label)],
-            snap.rejected as f64,
-        );
-    }
-    text.header(
-        "ctxform_shard_cache_hits_total",
-        "counter",
-        "Queries answered from each shard's database cache.",
-    );
-    for (label, snap) in labels.iter().zip(&snaps) {
-        text.sample(
-            "ctxform_shard_cache_hits_total",
-            &[("shard", label)],
-            snap.db.hits as f64,
-        );
-    }
-    text.header(
-        "ctxform_shard_cache_misses_total",
-        "counter",
-        "Queries that required a fresh solve on each shard.",
-    );
-    for (label, snap) in labels.iter().zip(&snaps) {
-        text.sample(
-            "ctxform_shard_cache_misses_total",
-            &[("shard", label)],
-            snap.db.misses as f64,
-        );
-    }
-    text.header(
-        "ctxform_shard_replicated_digests",
-        "gauge",
-        "Hot digests replicated to a second shard.",
+        "Requests shed with `overloaded` because the job queue was full.",
     );
     text.sample(
-        "ctxform_shard_replicated_digests",
+        "ctxform_queue_rejected_total",
         &[],
-        shared.router.replicated_digests() as f64,
+        shared.queue.rejected() as f64,
     );
-    render_cache_prometheus(&mut text, &aggregate_cache(&snaps));
+    render_cache_prometheus(&mut text, &shared.db.snapshot());
     render_obs_prometheus(&mut text);
     render_profile_prometheus(&mut text, &shared.profile);
     shared.registry.render_into(&mut text);
@@ -1864,42 +1685,16 @@ fn trace_fields(shared: &Shared, limit: Option<usize>, exemplars: bool) -> Field
     fields
 }
 
-/// Builds the `stats` reply. The top-level shape predates sharding and is
-/// kept for existing clients: counters are summed across shards and the
-/// resident gauges add up (the shards partition one logical cache). A
-/// `shard_detail` array exposes the per-shard split alongside.
+/// Builds the `stats` reply: worker and queue shape, per-endpoint
+/// counters, and the database cache.
 fn stats_fields(shared: &Shared) -> Fields {
-    let snaps: Vec<ShardSnapshot> = shared.router.shards().iter().map(Shard::snapshot).collect();
-    let cache = aggregate_cache(&snaps);
-    let total_queued: usize = snaps.iter().map(|s| s.queued).sum();
-    let detail: Vec<Json> = snaps
-        .iter()
-        .map(|snap| {
-            Json::obj([
-                ("queued", Json::int(snap.queued)),
-                ("routed", Json::uint(snap.routed)),
-                ("rejected", Json::uint(snap.rejected)),
-                ("cache_entries", Json::int(snap.db.entries)),
-                ("cache_bytes", Json::int(snap.db.bytes)),
-                ("hits", Json::uint(snap.db.hits)),
-                ("misses", Json::uint(snap.db.misses)),
-                ("programs", Json::int(snap.db.programs)),
-            ])
-        })
-        .collect();
+    let cache = shared.db.snapshot();
     vec![
         ("uptime_ms", Json::ms(shared.metrics.uptime_ms())),
-        ("shards", Json::int(snaps.len())),
-        (
-            "threads",
-            Json::int(snaps.len() * shared.config.threads.max(1)),
-        ),
+        ("threads", Json::int(shared.config.threads.max(1))),
         ("queue_depth", Json::int(shared.config.queue_depth)),
-        ("queued", Json::int(total_queued)),
-        (
-            "replicated_digests",
-            Json::uint(shared.router.replicated_digests()),
-        ),
+        ("queued", Json::int(shared.queue.queued())),
+        ("rejected", Json::uint(shared.queue.rejected())),
         ("endpoints", shared.metrics.to_json()),
         (
             "cache",
@@ -1931,7 +1726,6 @@ fn stats_fields(shared: &Shared) -> Fields {
                 ),
             ]),
         ),
-        ("shard_detail", Json::Arr(detail)),
     ]
 }
 

@@ -5,9 +5,9 @@
 //! requests per endpoint — trace id, latency, seq, outcome, and root span
 //! id — so `trace {exemplars: true}` can reconstruct each one's span
 //! subtree from the ring and show exactly where a tail request's time
-//! went. The [`FlightRecorder`] dumps the trace ring plus a shard
-//! queue-depth snapshot to a file when a request busts its deadline or
-//! the process panics, preserving the evidence a post-mortem needs.
+//! went. The [`FlightRecorder`] dumps the trace ring plus the job
+//! queue's depth to a file when a request busts its deadline or the
+//! process panics, preserving the evidence a post-mortem needs.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -81,7 +81,7 @@ impl ExemplarStore {
 /// the recorder into a disk-bandwidth incident of its own.
 const DUMP_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Dumps the trace ring and shard queue depths to a file on panic or
+/// Dumps the trace ring and the job queue's depth to a file on panic or
 /// deadline bust.
 pub struct FlightRecorder {
     path: PathBuf,
@@ -103,10 +103,11 @@ impl FlightRecorder {
         &self.path
     }
 
-    /// Writes `{"schema": "ctxform-flight/1", reason, queues, trace}` to
-    /// the recorder's file. Rate-limited to one dump per second; returns
-    /// whether a dump was written. `queue_depths` is indexed by shard.
-    pub fn dump(&self, reason: &str, queue_depths: &[usize]) -> bool {
+    /// Writes `{"schema": "ctxform-flight/2", reason, queued, trace}` to
+    /// the recorder's file, `queued` being the jobs waiting in the queue.
+    /// Rate-limited to one dump per second; returns whether a dump was
+    /// written.
+    pub fn dump(&self, reason: &str, queued: usize) -> bool {
         {
             let mut last = self.last_dump.lock().unwrap();
             if let Some(at) = *last {
@@ -117,17 +118,11 @@ impl FlightRecorder {
             *last = Some(Instant::now());
         }
         let trace = ctxform_obs::snapshot();
-        let queues = queue_depths
-            .iter()
-            .map(|&d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         // The trace dump is already a JSON object; splice it in as the
         // `trace` value rather than re-parsing it.
         let doc = format!(
-            "{{\"schema\": \"ctxform-flight/1\", \"reason\": {}, \"queues\": [{}], \"trace\": {}}}\n",
+            "{{\"schema\": \"ctxform-flight/2\", \"reason\": {}, \"queued\": {queued}, \"trace\": {}}}\n",
             crate::json::Json::str(reason).to_line(),
-            queues,
             trace.to_json().trim_end(),
         );
         match std::fs::write(&self.path, doc) {
@@ -190,14 +185,14 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("ctxform-flight-test-{}.json", std::process::id()));
         let recorder = FlightRecorder::new(path.clone());
-        assert!(recorder.dump("deadline_exceeded", &[3, 0]));
+        assert!(recorder.dump("deadline_exceeded", 3));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"schema\": \"ctxform-flight/1\""));
+        assert!(text.contains("\"schema\": \"ctxform-flight/2\""));
         assert!(text.contains("\"reason\": \"deadline_exceeded\""));
-        assert!(text.contains("\"queues\": [3, 0]"));
+        assert!(text.contains("\"queued\": 3"));
         assert!(text.contains("\"trace\""));
         assert!(
-            !recorder.dump("deadline_exceeded", &[0, 0]),
+            !recorder.dump("deadline_exceeded", 0),
             "second dump within a second is suppressed"
         );
         let _ = std::fs::remove_file(&path);

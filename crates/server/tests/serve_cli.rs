@@ -1,6 +1,7 @@
 //! Command-line contract of the `ctxform-serve` binary: the retired
-//! `--solver-threads` flag accepts only `1`, and the exact argument list
-//! the `ctxbench` benchmark crate starts the daemon with still serves.
+//! `--shards` and `--solver-threads` flags accept only `1`, bad numbers
+//! are rejected instead of wrapping, and the exact argument list the
+//! `ctxbench` benchmark crate starts the daemon with still serves.
 
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
@@ -10,30 +11,67 @@ use ctxform_minijava::corpus;
 use ctxform_server::client::Client;
 use ctxform_server::json::Json;
 
+/// Starts `ctxform-serve` with `args` and requires it to exit non-zero
+/// (rather than serve) with `needle` on stderr.
+fn refuses(args: &[&str], needle: &str) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ctxform-serve"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    // A server that accepted the flags would serve until shut down.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("poll child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill child");
+            let _ = child.wait();
+            panic!("{args:?} started a server");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect output");
+    assert!(!out.status.success(), "{args:?} must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
 #[test]
 fn solver_threads_other_than_one_exits_with_usage() {
     for value in ["2", "0"] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_ctxform-serve"))
-            .args(["--port", "0", "--solver-threads", value])
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("binary starts");
-        // A server that accepted the flag would serve until shut down.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while child.try_wait().expect("poll child").is_none() {
-            if Instant::now() > deadline {
-                child.kill().expect("kill child");
-                panic!("--solver-threads {value} started a server");
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let out = child.wait_with_output().expect("collect output");
-        assert!(!out.status.success(), "--solver-threads {value} must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("usage: ctxform-serve"), "{stderr}");
+        refuses(
+            &["--port", "0", "--solver-threads", value],
+            "usage: ctxform-serve",
+        );
     }
+}
+
+#[test]
+fn shards_other_than_one_exits_with_usage() {
+    for value in ["2", "0"] {
+        refuses(&["--port", "0", "--shards", value], "usage: ctxform-serve");
+    }
+}
+
+#[test]
+fn replicate_hot_is_an_unknown_argument() {
+    refuses(
+        &["--port", "0", "--replicate-hot", "4"],
+        "unknown argument `--replicate-hot`",
+    );
+}
+
+/// Numbers that do not fit their setting are rejected by flag name
+/// rather than truncated: port 70000 would wrap to 4464, and
+/// 2^44 MiB shifted to bytes would wrap to a zero cache budget.
+#[test]
+fn out_of_range_numbers_are_rejected_not_wrapped() {
+    refuses(&["--port", "70000"], "--port");
+    refuses(
+        &["--port", "0", "--cache-mb", "17592186044416"],
+        "--cache-mb",
+    );
 }
 
 #[test]

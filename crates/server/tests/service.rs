@@ -1,6 +1,6 @@
 //! End-to-end tests of the query service over real TCP connections on
 //! ephemeral ports: answer parity with direct `analyze` calls (including
-//! pipelined and batched requests), shard routing and replication, cache
+//! pipelined and batched requests), the job queue's counters, cache
 //! behaviour, malformed-input / oversized-line / overload replies,
 //! per-request deadlines, loadgen under concurrency, and graceful
 //! shutdown.
@@ -28,7 +28,6 @@ fn trace_gate() -> std::sync::MutexGuard<'static, ()> {
 fn test_server(configure: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig {
         port: 0,
-        shards: 2,
         threads: 2,
         queue_depth: 16,
         cache_bytes: 64 << 20,
@@ -349,14 +348,13 @@ fn malformed_and_invalid_requests_get_error_replies() {
     server.join();
 }
 
-/// With one shard, one worker, and a queue depth of one, pipelining
+/// With one worker and a queue depth of one, pipelining
 /// three slow requests on one connection forces at least one to be shed
 /// with a typed `overloaded` reply — deterministically, in reply order,
 /// without disturbing the work already accepted.
 #[test]
 fn overload_is_rejected_explicitly() {
     let server = test_server(|c| {
-        c.shards = 1;
         c.threads = 1;
         c.queue_depth = 1;
     });
@@ -390,16 +388,16 @@ fn overload_is_rejected_explicitly() {
         assert_eq!(r.get("slept_ms").unwrap().as_u64(), Some(400));
     }
 
-    // The connection is still usable, and the shard counted the shed.
+    // The connection is still usable, and the queue counted the shed.
     let stats = client
         .request(&Json::obj([("op", Json::str("stats"))]))
         .unwrap();
-    let detail = stats.get("shard_detail").unwrap().as_arr().unwrap();
-    let rejected: u64 = detail
-        .iter()
-        .map(|s| s.get("rejected").unwrap().as_u64().unwrap())
-        .sum();
-    assert_eq!(rejected, shed as u64, "shard rejected counter disagrees");
+    assert_eq!(
+        stats.get("rejected").and_then(Json::as_u64),
+        Some(shed as u64),
+        "queue rejected counter disagrees: {}",
+        stats.to_line()
+    );
 
     server.shutdown();
     server.join();
@@ -435,7 +433,7 @@ fn deadline_is_enforced() {
 fn loadgen_runs_clean_and_shutdown_drains() {
     let server = test_server(|c| {
         c.threads = 4;
-        // 8 connections x pipeline 4 can converge on one shard's queue.
+        // 8 connections x pipeline 4 can all be queued at once.
         c.queue_depth = 64;
     });
     let addr = server.addr();
@@ -1038,7 +1036,7 @@ fn concurrent_cold_queries_solve_once() {
 #[test]
 fn pipelined_requests_reply_in_order_with_parity() {
     // Queues must absorb the full burst: 3 connections x 64 pipelined
-    // requests can all land on one shard before its workers drain any.
+    // requests can all be queued before the workers drain any.
     let server = test_server(|c| c.queue_depth = 256);
     let addr = server.addr();
     let label = "2-object+H";
@@ -1144,7 +1142,7 @@ fn pipelined_requests_reply_in_order_with_parity() {
 }
 
 /// A 100 MB request line is answered with a typed `too_large` error while
-/// the tail is still arriving — the shard buffers at most the 4 MiB line
+/// the tail is still arriving — the server buffers at most the 4 MiB line
 /// bound plus one read chunk, never the full payload — and the connection
 /// (and its `seq` numbering) stays usable afterwards.
 #[test]
@@ -1299,89 +1297,60 @@ fn points_to_batch_matches_direct_analyze_per_slot() {
     server.join();
 }
 
-/// Shard routing is visible end to end: `stats` reports the per-shard
-/// split (summing to the aggregate the legacy fields still carry), hot
-/// digests replicate to a second shard once past the threshold, and the
-/// `metrics` exposition serves per-shard `ctxform_shard_*` series.
+/// `stats` and `metrics` describe the one serving tier: its worker count,
+/// queue depth and shed counter, and one database cache whose hits and
+/// misses count every analyze request exactly once.
 #[test]
-fn shards_report_stats_and_prometheus_series() {
-    let server = test_server(|c| {
-        c.shards = 2;
-        c.replicate_hot = Some(3);
-    });
+fn stats_and_metrics_report_the_single_tier() {
+    let server = test_server(|c| c.threads = 3);
     let mut client = Client::connect(server.addr()).unwrap();
+    let analyze_req = |digest: &str| {
+        Json::obj([
+            ("op", Json::str("analyze")),
+            ("program", Json::str(digest)),
+            ("abstraction", Json::str("tstring")),
+            ("sensitivity", Json::str("2-object+H")),
+        ])
+    };
     let mut digests = Vec::new();
     for (_, source) in corpus::all() {
         let digest = client.load_source(source).unwrap();
-        client
-            .request(&Json::obj([
-                ("op", Json::str("analyze")),
-                ("program", Json::str(digest.clone())),
-                ("abstraction", Json::str("tstring")),
-                ("sensitivity", Json::str("2-object+H")),
-            ]))
-            .unwrap();
+        client.request(&analyze_req(&digest)).unwrap();
         digests.push(digest);
     }
-    // Hammer one digest past the replication threshold; once replicated,
-    // its reads alternate between two distinct shards.
     for _ in 0..8 {
-        client
-            .request(&Json::obj([
-                ("op", Json::str("analyze")),
-                ("program", Json::str(digests[0].clone())),
-                ("abstraction", Json::str("tstring")),
-                ("sensitivity", Json::str("2-object+H")),
-            ]))
-            .unwrap();
+        let reply = client.request(&analyze_req(&digests[0])).unwrap();
+        assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(true));
     }
 
     let stats = client
         .request(&Json::obj([("op", Json::str("stats"))]))
         .unwrap();
-    assert_eq!(stats.get("shards").unwrap().as_u64(), Some(2));
-    assert!(
-        stats.get("replicated_digests").unwrap().as_u64().unwrap() >= 1,
-        "hot digest did not replicate: {}",
-        stats.to_line()
-    );
-    let detail = stats.get("shard_detail").unwrap().as_arr().unwrap();
-    assert_eq!(detail.len(), 2);
-    for (shard, snap) in detail.iter().enumerate() {
-        assert!(
-            snap.get("routed").unwrap().as_u64().unwrap() > 0,
-            "shard {shard} served nothing — replication alternation broken: {}",
-            stats.to_line()
-        );
-    }
-    // The aggregate `cache` block is the sum of the per-shard split, so
-    // pre-sharding clients keep working unchanged.
+    let field = |key: &str| stats.get(key).and_then(Json::as_u64);
+    assert_eq!(field("threads"), Some(3));
+    assert_eq!(field("queue_depth"), Some(16));
+    assert_eq!(field("queued"), Some(0));
+    assert_eq!(field("rejected"), Some(0));
     let cache = stats.get("cache").unwrap();
-    for (agg, per) in [("hits", "hits"), ("misses", "misses")] {
-        let sum: u64 = detail
-            .iter()
-            .map(|s| s.get(per).unwrap().as_u64().unwrap())
-            .sum();
-        assert_eq!(
-            cache.get(agg).unwrap().as_u64(),
-            Some(sum),
-            "aggregate `{agg}` disagrees with the shard split"
-        );
-    }
+    let count = |key: &str| cache.get(key).and_then(Json::as_u64);
+    assert_eq!(
+        count("misses"),
+        Some(digests.len() as u64),
+        "one solve each"
+    );
+    assert_eq!(count("hits"), Some(8), "every repeat answered from cache");
+    assert_eq!(count("programs"), Some(digests.len() as u64));
+    assert_eq!(count("budget"), Some(64 << 20), "the whole cache budget");
 
     let metrics = client
         .request(&Json::obj([("op", Json::str("metrics"))]))
         .unwrap();
     let text = metrics.get("exposition").unwrap().as_str().unwrap();
     for series in [
-        "ctxform_shard_queue_depth{shard=\"0\"}",
-        "ctxform_shard_queue_depth{shard=\"1\"}",
-        "ctxform_shard_routed_total{shard=\"0\"}",
-        "ctxform_shard_routed_total{shard=\"1\"}",
-        "ctxform_shard_rejected_total{shard=\"0\"}",
-        "ctxform_shard_cache_hits_total{shard=\"0\"}",
-        "ctxform_shard_cache_misses_total{shard=\"1\"}",
-        "ctxform_shard_replicated_digests 1",
+        "ctxform_queue_depth 0",
+        "ctxform_queue_rejected_total 0",
+        "ctxform_db_cache_hits_total 8",
+        &format!("ctxform_db_cache_misses_total {}", digests.len()),
     ] {
         assert!(text.contains(series), "missing `{series}` in:\n{text}");
     }
@@ -1461,25 +1430,18 @@ fn query_answers_context_sensitively_without_full_solve() {
             ("sensitivity", Json::str(label)),
         ]))
         .unwrap();
-    // Replicas on every shard: query routes by digest, so hit each var
-    // once more and require the cached-db path on the var's shard.
-    let (mut saw_cached, mut parity) = (false, true);
     for v in 0..program.var_count() {
         let reply = query(&mut client, v);
-        if reply.get("cached").unwrap().as_bool() == Some(true) {
-            saw_cached = true;
-            assert_eq!(reply.get("demand").unwrap().as_bool(), Some(false));
-        }
+        assert_eq!(reply.get("cached").unwrap().as_bool(), Some(true), "{v}");
+        assert_eq!(reply.get("demand").unwrap().as_bool(), Some(false), "{v}");
         let want: Vec<String> = direct
             .ci
             .points_to(ctxform_ir::Var::from_index(v))
             .iter()
             .map(|h| program.heap_names[h.index()].clone())
             .collect();
-        parity &= str_arr(&reply, "heaps") == want;
+        assert_eq!(str_arr(&reply, "heaps"), want, "post-solve query {v}");
     }
-    assert!(parity, "post-solve answers must still match");
-    assert!(saw_cached, "at least one query lands on the solved shard");
 
     // `"subsumption": true` names an unsupported option: a typed error
     // on every configuration-bearing op.
@@ -1605,7 +1567,7 @@ fn query_batch_mixes_answers_and_per_slot_errors() {
 }
 
 /// `--op query` loadgen drives only demand ops, cleanly, under
-/// pipelining and sharding.
+/// pipelining and several workers.
 #[test]
 fn loadgen_query_op_drives_demand_mix_cleanly() {
     let server = test_server(|c| {
@@ -1658,7 +1620,8 @@ fn loadgen_query_op_drives_demand_mix_cleanly() {
     server.join();
 }
 
-/// A pipelined batch of 64 requests across 2 shards: every reply's span
+/// A pipelined batch of 64 requests through one queue drained by four
+/// workers: every reply's span
 /// tree decomposes end-to-end latency into queue wait, solve, and
 /// serialize phases, all parented under one `server.request` root
 /// carrying that request's trace id — and traced replies carry the
@@ -1667,11 +1630,14 @@ fn loadgen_query_op_drives_demand_mix_cleanly() {
 fn request_spans_decompose_queue_solve_serialize() {
     let _gate = trace_gate();
     ctxform_obs::enable_tracing(65_536);
-    // Queues must absorb the burst: all 64 pipelined requests can land
-    // before either shard's workers drain any.
-    let server = test_server(|c| c.queue_depth = 256);
+    // The queue must absorb the burst: all 64 pipelined requests can
+    // land before the workers drain any.
+    let server = test_server(|c| {
+        c.threads = 4;
+        c.queue_depth = 256;
+    });
     let mut client = Client::connect(server.addr()).unwrap();
-    // Several corpus programs, consistent-hashed across both shards.
+    // Several corpus programs, solved concurrently by the workers.
     let digests: Vec<String> = corpus::all()
         .iter()
         .map(|(_, source)| client.load_source(source).unwrap())
@@ -1930,8 +1896,8 @@ fn trace_exemplars_attach_span_subtrees() {
     );
 }
 
-/// A deadline bust arms the flight recorder: the trace ring and shard
-/// queue depths land in the configured file for the post-mortem.
+/// A deadline bust arms the flight recorder: the trace ring and the
+/// queue depth land in the configured file for the post-mortem.
 #[test]
 fn deadline_bust_dumps_a_flight_record() {
     let path = std::env::temp_dir().join(format!(
@@ -1958,13 +1924,13 @@ fn deadline_bust_dumps_a_flight_record() {
     let doc = Json::parse(&text).expect("flight record is valid JSON");
     assert_eq!(
         doc.get("schema").unwrap().as_str(),
-        Some("ctxform-flight/1")
+        Some("ctxform-flight/2")
     );
     assert_eq!(
         doc.get("reason").unwrap().as_str(),
         Some("deadline_exceeded")
     );
-    assert!(doc.get("queues").unwrap().as_arr().is_some());
+    assert_eq!(doc.get("queued").and_then(Json::as_u64), Some(0));
     assert!(doc.get("trace").is_some());
     let _ = std::fs::remove_file(&path);
 }

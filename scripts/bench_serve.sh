@@ -1,38 +1,39 @@
 #!/usr/bin/env bash
 # Serving-tier saturation benchmark.
 #
-# Boots the daemon twice on ephemeral ports — once as the pre-sharding
-# baseline (one shard, and the loadgen holding one request in flight per
-# connection with no batching), once as the sharded tier driven with
-# pipelining and batched points-to queries — runs the *same* loadgen
-# harness against both, and merges the two reports into one artifact
-# (default BENCH_SERVE_6.json) recording the QPS ratio at saturation.
-# Exits non-zero if either run sees a protocol error or if the sharded
-# run is not at least MIN_SPEEDUP (default 2.0) times the baseline QPS.
+# Boots the same daemon configuration twice on ephemeral ports and runs
+# the *same* loadgen harness against both: once as the baseline (the
+# loadgen holding one request in flight per connection with no
+# batching), once driven with pipelining and batched points-to queries.
+# Merges the two reports into one artifact (default BENCH_SERVE_7.json)
+# recording the QPS ratio at saturation. Exits non-zero if either run
+# sees a protocol error or if the pipelined run is not at least
+# MIN_SPEEDUP (default 2.0) times the baseline QPS.
 #
-# Knobs (env): BENCH_SECONDS, BENCH_CONNECTIONS, BENCH_SHARDS,
-# BENCH_PIPELINE, BENCH_BATCH, MIN_SPEEDUP.
+# Knobs (env): BENCH_SECONDS, BENCH_CONNECTIONS, BENCH_PIPELINE,
+# BENCH_BATCH, MIN_SPEEDUP.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_SERVE_6.json}"
+OUT="${1:-BENCH_SERVE_7.json}"
 SECS="${BENCH_SECONDS:-3}"
 CONNS="${BENCH_CONNECTIONS:-8}"
-SHARDS="${BENCH_SHARDS:-2}"
 PIPELINE="${BENCH_PIPELINE:-8}"
 BATCH="${BENCH_BATCH:-32}"
 MIN_SPEEDUP="${MIN_SPEEDUP:-2.0}"
 
 cargo build --release -p ctxform-server >&2
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
 
-# run_one OUT-JSON "serve flags" "loadgen flags"
+# run_one OUT-JSON "loadgen flags"
 run_one() {
-  local out="$1" serve_flags="$2" loadgen_flags="$3"
+  local out="$1" loadgen_flags="$2"
   local port_file pid port
-  port_file="$(mktemp)"
-  # shellcheck disable=SC2086  # the flag strings are word lists on purpose
+  port_file="$WORK/port"
+  rm -f "$port_file"
   ./target/release/ctxform-serve --port 0 --port-file "$port_file" \
-    $serve_flags &
+    --queue 256 &
   pid=$!
   for _ in $(seq 1 100); do
     [ -s "$port_file" ] && break
@@ -44,42 +45,38 @@ run_one() {
     --connections "$CONNS" --seconds "$SECS" $loadgen_flags --out "$out" >&2
   ./target/release/ctxform-client --addr "127.0.0.1:$port" shutdown >&2
   wait "$pid"
-  rm -f "$port_file"
 }
 
-echo "== baseline: 1 shard, pipeline 1, no batching ==" >&2
-run_one /tmp/bench_serve_baseline.json \
-  "--shards 1 --queue 256" \
-  "--pipeline 1 --batch 0"
+echo "== baseline: pipeline 1, no batching ==" >&2
+run_one "$WORK/baseline.json" "--pipeline 1 --batch 0"
 
-echo "== sharded: $SHARDS shards, pipeline $PIPELINE, batch $BATCH ==" >&2
-run_one /tmp/bench_serve_sharded.json \
-  "--shards $SHARDS --queue 256 --replicate-hot 64" \
-  "--pipeline $PIPELINE --batch $BATCH"
+echo "== pipelined: pipeline $PIPELINE, batch $BATCH ==" >&2
+run_one "$WORK/pipelined.json" "--pipeline $PIPELINE --batch $BATCH"
 
-OUT="$OUT" MIN_SPEEDUP="$MIN_SPEEDUP" python3 - <<'EOF'
+WORK="$WORK" OUT="$OUT" MIN_SPEEDUP="$MIN_SPEEDUP" python3 - <<'EOF'
 import json, os
 
-baseline = json.load(open('/tmp/bench_serve_baseline.json'))
-sharded = json.load(open('/tmp/bench_serve_sharded.json'))
-for name, run in (('baseline', baseline), ('sharded', sharded)):
+work = os.environ['WORK']
+baseline = json.load(open(f'{work}/baseline.json'))
+pipelined = json.load(open(f'{work}/pipelined.json'))
+for name, run in (('baseline', baseline), ('pipelined', pipelined)):
     assert run['errors'] == 0, f'{name} run saw {run["errors"]} protocol errors'
 
-speedup_qps = sharded['throughput_qps'] / baseline['throughput_qps']
-speedup_rps = sharded['throughput_rps'] / baseline['throughput_rps']
+speedup_qps = pipelined['throughput_qps'] / baseline['throughput_qps']
+speedup_rps = pipelined['throughput_rps'] / baseline['throughput_rps']
 artifact = {
-    'schema': 'ctxform-serve-shard-bench/1',
+    'schema': 'ctxform-serve-bench-pair/1',
     'baseline': baseline,
-    'sharded': sharded,
+    'pipelined': pipelined,
     'speedup_qps': round(speedup_qps, 2),
     'speedup_rps': round(speedup_rps, 2),
 }
 out = os.environ['OUT']
 json.dump(artifact, open(out, 'w'), indent=2)
 print(f'{out}: baseline {baseline["throughput_qps"]:.0f} qps -> '
-      f'sharded {sharded["throughput_qps"]:.0f} qps '
+      f'pipelined {pipelined["throughput_qps"]:.0f} qps '
       f'({speedup_qps:.2f}x qps, {speedup_rps:.2f}x rps)')
 floor = float(os.environ['MIN_SPEEDUP'])
 assert speedup_qps >= floor, (
-    f'sharded tier is only {speedup_qps:.2f}x baseline QPS (floor {floor}x)')
+    f'pipelined run is only {speedup_qps:.2f}x baseline QPS (floor {floor}x)')
 EOF
