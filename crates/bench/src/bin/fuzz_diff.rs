@@ -11,9 +11,10 @@
 //! 1. **Datalog baseline** — the context-insensitive solve must derive
 //!    exactly the relations the generic Datalog engine derives from
 //!    [`ctxform::CI_RULES`].
-//! 2. **From-scratch solve** — across the shared differential matrix
-//!    ([`ctxform_testutil::incremental_configs`]: {cstring, tstring} ×
-//!    {1-call, 1-object}), the solved base revision is updated through
+//! 2. **From-scratch solve** — across the shared retraction matrix
+//!    ([`ctxform_testutil::retraction_configs`]: {cstring, tstring} ×
+//!    the paper's five sensitivities, three of them with heap contexts),
+//!    the solved base revision is updated through
 //!    `AnalysisDb::extend`, and after each update its
 //!    `AnalysisDb::fact_digest` (the multiset digest of the
 //!    context-sensitive facts, hashed by name) must equal the
@@ -38,7 +39,7 @@ use ctxform_minijava::compile;
 use ctxform_obs::logger;
 use ctxform_server::json::{hex16, Json};
 use ctxform_synth::{edit_script, random_program, retract_edit_script};
-use ctxform_testutil::incremental_configs;
+use ctxform_testutil::retraction_configs;
 
 /// One differential violation, with everything needed to replay it.
 struct Violation {
@@ -160,7 +161,7 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
         }
     }
 
-    for config in incremental_configs() {
+    for config in retraction_configs() {
         let check = |db: &AnalysisDb, property, rev: usize| {
             let expected = AnalysisDb::solve(programs[rev].clone(), &config);
             (db.fact_digest() != expected.fact_digest()).then(|| {
@@ -250,7 +251,7 @@ fn main() {
         "fuzz_diff",
         format!(
             "all {iters} seeds clean: datalog baseline + {} configs",
-            incremental_configs().len(),
+            retraction_configs().len(),
         ),
     );
 }

@@ -19,7 +19,7 @@ use ctxform_algebra::Sensitivity;
 use ctxform_ir::Program;
 use ctxform_minijava::compile;
 use ctxform_synth::{edit_script, random_program, retract_edit_script};
-use ctxform_testutil::incremental_configs as configs;
+use ctxform_testutil::{incremental_configs as configs, retraction_configs};
 
 const SEEDS: u64 = 20;
 const STEPS: usize = 3;
@@ -86,7 +86,8 @@ fn incremental_chains_are_bit_identical_to_scratch_solves() {
 /// Deleting/mutating edit scripts must resume through the DRed
 /// (delete-and-rederive) path — no from-scratch fallback — and stay
 /// bit-identical to solving every shrunken revision from scratch, across
-/// both abstractions and both sensitivities.
+/// both abstractions and all five of the paper's sensitivities (three of
+/// which keep heap contexts, so re-derived `hpts` facts carry them).
 #[test]
 fn retraction_chains_are_bit_identical_to_scratch_solves() {
     const RETRACT_SEEDS: u64 = 10;
@@ -95,7 +96,7 @@ fn retraction_chains_are_bit_identical_to_scratch_solves() {
             .unwrap_or_else(|e| panic!("seed {seed}: base fails to compile: {e}"))
             .program;
         let programs = retract_edit_script(&base, seed, STEPS, 10);
-        for config in configs() {
+        for config in retraction_configs() {
             let scratch: Vec<u64> = programs
                 .iter()
                 .map(|p| AnalysisDb::solve(p.clone(), &config).fact_digest())

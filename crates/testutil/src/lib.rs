@@ -45,6 +45,17 @@ pub fn cs_configs() -> Vec<AnalysisConfig> {
     config_matrix(&["1-call", "1-call+H", "1-object", "2-object+H"])
 }
 
+/// The retraction-parity grid: [`cs_configs`] plus 2-type+H, i.e. all
+/// five of the paper's configurations under both abstractions. Three of
+/// them keep heap contexts, so DRed's Store/Ind re-derivation is checked
+/// with informative `hpts` contexts, which the heap-level-0
+/// [`incremental_configs`] collapse.
+pub fn retraction_configs() -> Vec<AnalysisConfig> {
+    let mut configs = cs_configs();
+    configs.extend(config_matrix(&["2-type+H"]));
+    configs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,7 +67,10 @@ mod tests {
         assert_eq!(m.len(), 4);
         let wide = cs_configs();
         assert_eq!(wide.len(), 8);
-        for pair in wide.chunks(2) {
+        let retraction = retraction_configs();
+        assert_eq!(retraction.len(), 10);
+        assert_eq!(retraction[..8], wide[..]);
+        for pair in retraction.chunks(2) {
             assert_eq!(pair[0].abstraction, AbstractionKind::ContextStrings);
             assert_eq!(pair[1].abstraction, AbstractionKind::TransformerStrings);
             assert_eq!(pair[0].sensitivity, pair[1].sensitivity);
