@@ -1116,11 +1116,7 @@ fn sliced_answer(
             .collect()
     } else {
         vars.iter()
-            .map(|var| {
-                find_var(&program, var)
-                    .map(Some)
-                    .ok_or_else(|| unknown_var(var))
-            })
+            .map(|var| resolve_var(&program, var).map(Some))
             .collect::<Result<_, _>>()?
     };
     let roots: Vec<Var> = resolved.iter().filter_map(|v| *v).collect();
@@ -1316,12 +1312,13 @@ fn resolve_method(program: &Program, name: &str) -> Result<ctxform_ir::Method, P
         })
 }
 
+/// The one resolver of a single variable name for every op:
+/// `unknown_method` when no method has that name, else [`find_var`]'s
+/// answer or `unknown_var`. Batch ops resolve through [`var_index`],
+/// which agrees with [`find_var`] name for name.
 fn resolve_var(program: &Program, var: &VarRef) -> Result<Var, ProtoError> {
-    let method = resolve_method(program, &var.method)?;
-    (0..program.var_count())
-        .find(|&i| program.var_method[i] == method && program.var_names[i] == var.var)
-        .map(Var::from_index)
-        .ok_or_else(|| unknown_var(var))
+    resolve_method(program, &var.method)?;
+    find_var(program, var).ok_or_else(|| unknown_var(var))
 }
 
 /// `var` by a scan, resolving exactly as a lookup in [`var_index`] does:

@@ -1297,6 +1297,111 @@ fn points_to_batch_matches_direct_analyze_per_slot() {
     server.join();
 }
 
+/// Every op that names one variable resolves the name the same way, even
+/// where nested scopes and arity overloads repeat a (method, variable)
+/// pair: `points_to`, `query`, `points_to_batch` and `may_alias(v, v)`
+/// all answer for the last variable with that pair.
+#[test]
+fn every_op_resolves_a_repeated_name_to_the_same_variable() {
+    const SOURCE: &str = "class A {
+             Object m() { Object y = new Object(); return y; }
+             Object m(Object p) { Object y = p; return y; }
+         }
+         class Main {
+             public static void main(String[] args) {
+                 Object x = new Object();
+                 if (true) { Object y = x; }
+                 Object y = new A().m(x);
+             }
+         }";
+    let server = test_server(|_| {});
+    let mut client = Client::connect(server.addr()).unwrap();
+    let program = compile(SOURCE).unwrap().program;
+    let label = "1-call";
+    let direct = analyze(
+        &program,
+        &AnalysisConfig::transformer_strings(label.parse().unwrap()),
+    );
+    let digest = client.load_source(SOURCE).unwrap();
+    let method_of = |v: usize| program.method_names[program.var_method[v].index()].clone();
+    // Each (method, variable) pair once, with the last variable bearing it.
+    let mut names: Vec<((String, String), usize)> = Vec::new();
+    for v in 0..program.var_count() {
+        let name = (method_of(v), program.var_names[v].clone());
+        names.retain(|(n, _)| *n != name);
+        names.push((name, v));
+    }
+    assert!(
+        names.len() < program.var_count(),
+        "the program repeats (method, variable) pairs"
+    );
+    let op = |op: &str, extra: Vec<(&'static str, Json)>| {
+        let mut fields = vec![
+            ("op", Json::str(op)),
+            ("program", Json::str(digest.clone())),
+            ("abstraction", Json::str("tstring")),
+            ("sensitivity", Json::str(label)),
+        ];
+        fields.extend(extra);
+        Json::obj(fields)
+    };
+    for ((method, var), v) in &names {
+        let want: Vec<String> = direct
+            .ci
+            .points_to(ctxform_ir::Var::from_index(*v))
+            .iter()
+            .map(|h| program.heap_names[h.index()].clone())
+            .collect();
+        let named = || {
+            vec![
+                ("method", Json::str(method.as_str())),
+                ("var", Json::str(var.as_str())),
+            ]
+        };
+        // `query` first, so it is answered by the demand engine rather
+        // than from the database `points_to` leaves resident.
+        let query = client.request(&op("query", named())).unwrap();
+        let points_to = client.request(&op("points_to", named())).unwrap();
+        let batch = client
+            .request(&op(
+                "points_to_batch",
+                vec![("vars", Json::Arr(vec![Json::obj(named())]))],
+            ))
+            .unwrap();
+        let alias = client
+            .request(&op(
+                "may_alias",
+                vec![
+                    ("method_a", Json::str(method.as_str())),
+                    ("var_a", Json::str(var.as_str())),
+                    ("method_b", Json::str(method.as_str())),
+                    ("var_b", Json::str(var.as_str())),
+                ],
+            ))
+            .unwrap();
+        let slot = &batch.get("results").unwrap().as_arr().unwrap()[0];
+        assert_eq!(str_arr(&query, "heaps"), want, "query {method}::{var}");
+        assert_eq!(
+            str_arr(&points_to, "heaps"),
+            want,
+            "points_to {method}::{var}"
+        );
+        assert_eq!(
+            str_arr(slot, "heaps"),
+            want,
+            "points_to_batch {method}::{var}"
+        );
+        assert_eq!(
+            alias.get("may_alias").and_then(Json::as_bool),
+            Some(!want.is_empty()),
+            "may_alias {method}::{var}"
+        );
+    }
+
+    server.shutdown();
+    server.join();
+}
+
 /// `stats` and `metrics` describe the one serving tier: its worker count,
 /// queue depth and shed counter, and one database cache whose hits and
 /// misses count every analyze request exactly once.
