@@ -16,7 +16,10 @@
 //! Each rule driver is written once, in [`kernel`], generic over a sink
 //! that decides where consequences go: the [`Solver`] itself inserts them
 //! (the serial delta loop), and the DRed mark sink marks them for
-//! deletion.
+//! deletion. The rules' reverse direction is written once too, in
+//! [`backward`]: it enumerates the rule instances that can derive a
+//! context-insensitive head, for the demand slice and for DRed's
+//! re-derive seed.
 //!
 //! # Hot-path layout
 //!
@@ -36,12 +39,13 @@
 //! * All maps and sets use the Fx hasher ([`ctxform_hash`]) — the keys are
 //!   small trusted `Copy` tuples, the exact case Fx is built for.
 
+pub(crate) mod backward;
 mod kernel;
 
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtDigest, CtxtElem, CtxtStr, Insensitive, Levels, Limits};
+use ctxform_algebra::{Abstraction, CtxtDigest, CtxtElem, CtxtStr, Levels, Limits};
 use ctxform_hash::{
     fx_map_with_capacity, hash_str, hash_words, FxHashMap, FxHashSet, MultisetDigest,
 };
@@ -50,6 +54,7 @@ use ctxform_ir::{
     Var,
 };
 
+use self::backward::{Backward, Fixpoint, Reverse, Tuple};
 use self::kernel::{Fact, MarkSink, Queues, RetractSink, Scratch, Sink};
 use crate::bucket::Bucket;
 use crate::config::AnalysisConfig;
@@ -93,40 +98,6 @@ pub(crate) fn run_gated<A: Abstraction>(
         SolverState::new(program, abs, config).with_gate(gate),
     );
     result
-}
-
-/// The derived relations of a context-insensitive fixpoint, moved out of
-/// the solver state. `Insensitive` transformations are all `()`, so each
-/// set holds exactly the CI tuples (`hload` is the Load rule's
-/// `load ⋈ pts`); only `reach` keeps its per-method contexts.
-pub(crate) struct InsensitiveFixpoint {
-    pub(crate) pts: FxHashSet<(Var, Heap, ())>,
-    pub(crate) hpts: FxHashSet<(Heap, Field, Heap, ())>,
-    pub(crate) hload: FxHashSet<(Heap, Field, Var, ())>,
-    pub(crate) call: FxHashSet<(Inv, Method, ())>,
-    pub(crate) spts: FxHashSet<(Field, Heap, ())>,
-    pub(crate) reach: FxHashSet<(Method, CtxtStr)>,
-}
-
-/// Solves `program` context-insensitively. Unlike [`run`] it
-/// builds no [`AnalysisResult`]: the demand slice reads only the tuples,
-/// so the statistics, memory accounting and `CiFacts` projection of
-/// `finish` are skipped.
-pub(crate) fn insensitive_fixpoint(program: &Program) -> InsensitiveFixpoint {
-    let ix = program.index();
-    let state = SolverState::new(program, Insensitive::new(), AnalysisConfig::insensitive());
-    let mut solver = Solver::from_state(program, &ix, state);
-    solver.seed_entry();
-    solver.run_to_fixpoint();
-    let st = &mut solver.st;
-    InsensitiveFixpoint {
-        pts: mem::take(&mut st.pts),
-        hpts: mem::take(&mut st.hpts),
-        hload: mem::take(&mut st.hload),
-        call: mem::take(&mut st.call),
-        spts: mem::take(&mut st.spts),
-        reach: mem::take(&mut st.reach),
-    }
 }
 
 /// Solves `program` from scratch inside `state` (which must be fresh) and
@@ -207,10 +178,13 @@ pub(crate) fn extend_state<A: Abstraction>(
 ///    consequences of marked facts are marked instead of inserted.
 /// 2. **Delete**: marked facts are physically removed and every join
 ///    index is rebuilt from the sorted survivors.
-/// 3. **Re-derive**: surviving facts that can re-support a deleted head
-///    (plus the edit's added tuples) are re-queued and the ordinary
-///    monotone fixpoint runs, restoring exactly the facts with an
-///    alternative derivation in the new program.
+/// 3. **Re-derive**: the backward enumerator ([`backward`]) lists, for
+///    each deleted fact's CI projection, the rule instances of the new
+///    program that can derive it; the surviving facts of each holding
+///    instance's first premise (plus the edit's added tuples) are
+///    re-queued and the ordinary monotone fixpoint runs, restoring
+///    exactly the facts with an alternative derivation in the new
+///    program.
 ///
 /// `program` is the edited program, `base` the program `state` was solved
 /// for, and `retraction` their diff. Over-deletion is conservative (it
@@ -883,123 +857,51 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     /// Phase 3 seed: re-queues the surviving facts that can re-derive a
     /// deleted head through a rule instance of the *new* program.
     ///
+    /// The backward enumerator runs over the new program's reverse index
+    /// and the survivors' CI view, once per distinct CI projection of a
+    /// deleted fact. For every instance whose premises
+    /// all hold in that view, the surviving facts of its first premise
+    /// are re-queued; driving that premise re-fires the instance, since
+    /// the kernel drives every two-literal join from both sides.
+    ///
     /// Invariant: for every deleted head and every rule instance (over
-    /// the new program's inputs) that could re-derive it, either one of
-    /// the instance's derived body literals is queued here, or that
-    /// literal was itself deleted — in which case its own re-derivation
-    /// re-queues it through the normal `insert_*` path. Entry heads have
-    /// no derived body literal, so surviving entry points whose entry
-    /// seed was deleted are re-inserted directly.
+    /// the new program's inputs) that could re-derive it, either the
+    /// instance's first premise is queued here, or one of its premises
+    /// was itself deleted — in which case its own re-derivation queues it
+    /// through the normal `insert_*` path, and it fires the instance when
+    /// driven. Entry heads have no derived premise, so surviving entry
+    /// points whose entry seed was deleted are re-inserted directly.
     fn reseed_after_deletion(&mut self, marks: &RetractSink<A::X>) {
         if marks.len() == 0 {
             return;
         }
         let program = self.program;
-
-        let d_vars: FxHashSet<Var> = marks.pts.iter().map(|&(y, _, _)| y).collect();
-        let d_pairs: FxHashSet<(Var, Heap)> = marks.pts.iter().map(|&(y, h, _)| (y, h)).collect();
-        let d_hload_keys: FxHashSet<(Field, Var)> =
-            marks.hload.iter().map(|&(_, f, z, _)| (f, z)).collect();
-        let d_hpts_fields: FxHashSet<Field> = marks.hpts.iter().map(|&(_, f, _, _)| f).collect();
-        let d_call_invs: FxHashSet<Inv> = marks.call.iter().map(|&(i, _, _)| i).collect();
-        let d_spts_fields: FxHashSet<Field> = marks.spts.iter().map(|&(f, _, _)| f).collect();
-        let d_reach_methods: FxHashSet<Method> = marks.reach.iter().map(|&(p, _)| p).collect();
-
-        let mut vars: FxHashSet<Var> = FxHashSet::default();
-        let mut reach_methods: FxHashSet<Method> = FxHashSet::default();
-        let mut call_methods: FxHashSet<Method> = FxHashSet::default();
-        let mut call_invs: FxHashSet<Inv> = FxHashSet::default();
-        let mut spts_fields: FxHashSet<Field> = FxHashSet::default();
-
-        // Rules with a deleted pts head: Assign, New, Param, Ret, Virt,
-        // SLoad re-derive it from a surviving body literal.
-        for &(z, y) in &program.facts.assign {
-            if d_vars.contains(&y) {
-                vars.insert(z);
-            }
-        }
-        for &(h, y, p) in &program.facts.assign_new {
-            if d_pairs.contains(&(y, h)) {
-                reach_methods.insert(p);
-            }
-        }
-        for &(y, p, _) in &program.facts.formal {
-            if d_vars.contains(&y) {
-                call_methods.insert(p);
-            }
-        }
-        for &(i, y) in &program.facts.assign_return {
-            if d_vars.contains(&y) {
-                call_invs.insert(i);
-            }
-        }
-        for &(f, z) in &program.facts.static_load {
-            if d_vars.contains(&z) {
-                spts_fields.insert(f);
-            }
-        }
-        // Virt's pts head is a callee's `this` var: re-queue the
-        // receiver points-to rows of every virtual site that can
-        // dispatch there.
-        let d_this_methods: FxHashSet<Method> = program
-            .facts
-            .this_var
-            .iter()
-            .filter(|&&(y, _)| d_vars.contains(&y))
-            .map(|&(_, q)| q)
-            .collect();
-        if !d_this_methods.is_empty() {
-            let sigs: FxHashSet<MSig> = program
-                .facts
-                .implements
-                .iter()
-                .filter(|&&(q, _, _)| d_this_methods.contains(&q))
-                .map(|&(_, _, s)| s)
-                .collect();
-            for &(_, z, s) in &program.facts.virtual_invoke {
-                if sigs.contains(&s) {
-                    vars.insert(z);
+        let (rev, fix) = (Reverse::new(program), Fixpoint::of_state(program, &self.st));
+        let backward = Backward {
+            rev: &rev,
+            fix: &fix,
+            var_method: &program.var_method,
+        };
+        // Each distinct head once; the enumeration order is immaterial,
+        // since only the set of first premises is kept and the facts
+        // re-queued from it are sorted.
+        let heads: FxHashSet<Tuple> = marks.heads().collect();
+        let mut first: FxHashSet<Tuple> = FxHashSet::default();
+        for &head in &heads {
+            backward.instances(head, |instance| {
+                if instance.holds {
+                    first.insert(instance.premises()[0]);
                 }
-            }
+            });
         }
-        // Deleted hload heads (Load) and hpts heads (Store).
-        for &(w, f, z) in &program.facts.load {
-            if d_hload_keys.contains(&(f, z)) {
-                vars.insert(w);
-            }
-        }
-        for &(x, f, _) in &program.facts.store {
-            if d_hpts_fields.contains(&f) {
-                vars.insert(x);
-            }
-        }
-        // Deleted call heads (Static via reach, Virt via receiver pts).
-        for &(i, _, p) in &program.facts.static_invoke {
-            if d_call_invs.contains(&i) {
-                reach_methods.insert(p);
-            }
-        }
-        for &(i, z, _) in &program.facts.virtual_invoke {
-            if d_call_invs.contains(&i) {
-                vars.insert(z);
-            }
-        }
-        // Deleted spts heads (SStore).
-        for &(x, f) in &program.facts.static_store {
-            if d_spts_fields.contains(&f) {
-                vars.insert(x);
-            }
-        }
-        // Deleted reach heads: Reach re-derives from surviving call
-        // edges (queued below); Entry heads of surviving entry points
-        // are re-inserted directly.
-        if !d_reach_methods.is_empty() {
+
+        if !marks.reach.is_empty() {
             let entry_ctx = {
                 let interner = self.st.abs.interner_mut();
                 interner.from_slice(&[CtxtElem::entry()])
             };
-            for idx in 0..self.program.entry_points.len() {
-                let p = self.program.entry_points[idx];
+            for idx in 0..program.entry_points.len() {
+                let p = program.entry_points[idx];
                 if marks.reach.contains(&(p, entry_ctx)) {
                     self.insert_reach(p, entry_ctx, "Entry");
                 }
@@ -1007,21 +909,21 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         }
 
         let st = &mut self.st;
-        st.queue
-            .pts
-            .extend(sorted(&st.pts, |&(y, _, _)| vars.contains(&y)));
-        st.queue
-            .reach
-            .extend(sorted(&st.reach, |(p, _)| reach_methods.contains(p)));
-        st.queue.call.extend(sorted(&st.call, |&(i, q, _)| {
-            call_methods.contains(&q) || call_invs.contains(&i) || d_reach_methods.contains(&q)
+        st.queue.pts.extend(sorted(&st.pts, |&(y, h, _)| {
+            first.contains(&Tuple::Pts(y, h))
         }));
-        st.queue
-            .hload
-            .extend(sorted(&st.hload, |(_, _, y, _)| d_vars.contains(y)));
-        st.queue
-            .spts
-            .extend(sorted(&st.spts, |(f, _, _)| spts_fields.contains(f)));
+        st.queue.reach.extend(sorted(&st.reach, |&(p, _)| {
+            first.contains(&Tuple::Reach(p))
+        }));
+        st.queue.call.extend(sorted(&st.call, |&(i, q, _)| {
+            first.contains(&Tuple::Call(i, q))
+        }));
+        st.queue.hload.extend(sorted(&st.hload, |&(g, f, y, _)| {
+            first.contains(&Tuple::Hload(g, f, y))
+        }));
+        st.queue.spts.extend(sorted(&st.spts, |&(f, h, _)| {
+            first.contains(&Tuple::Spts(f, h))
+        }));
     }
 
     /// How many over-deleted facts the re-derive phase restored.

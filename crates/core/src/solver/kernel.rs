@@ -12,7 +12,10 @@
 //!   derived) instead of inserting it.
 //!
 //! Both sinks intern and compose through the same solver state, so the
-//! rule bodies exist once.
+//! rule bodies exist once. Every two-literal join is driven from both
+//! sides, so re-driving any one premise of a rule instance re-fires it;
+//! DRed's re-derive seed relies on that when it re-queues only the first
+//! premise the backward enumerator ([`super::backward`]) lists.
 
 use std::mem;
 use std::time::Instant;
@@ -21,6 +24,7 @@ use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite};
 use ctxform_hash::FxHashSet;
 use ctxform_ir::{Field, Heap, Inv, Method, ProgramIndex, Var};
 
+use super::backward::Tuple;
 use super::{Solver, SolverState};
 use crate::bucket::Bucket;
 use crate::result::{elapsed_ns, rule, PROFILE_STRIDE};
@@ -42,6 +46,20 @@ pub(super) enum Fact<X> {
     Hpts(Heap, Field, Heap, X),
     Hload(Heap, Field, Var, X),
     Spts(Field, Heap, X),
+}
+
+impl<X> Fact<X> {
+    /// The context-insensitive projection.
+    pub(super) fn ci(self) -> Tuple {
+        match self {
+            Fact::Reach(p, _) => Tuple::Reach(p),
+            Fact::Pts(y, h, _) => Tuple::Pts(y, h),
+            Fact::Call(i, q, _) => Tuple::Call(i, q),
+            Fact::Hpts(g, f, h, _) => Tuple::Hpts(g, f, h),
+            Fact::Hload(g, f, y, _) => Tuple::Hload(g, f, y),
+            Fact::Spts(f, h, _) => Tuple::Spts(f, h),
+        }
+    }
 }
 
 /// One LIFO queue per derived relation.
@@ -608,6 +626,26 @@ impl<X: Copy + Eq + std::hash::Hash> RetractSink<X> {
             + self.call.len()
             + self.spts.len()
             + self.reach.len()
+    }
+
+    /// The context-insensitive projection of every marked fact, once
+    /// per marked fact (so a tuple marked in several contexts repeats).
+    pub(super) fn heads(&self) -> impl Iterator<Item = Tuple> + '_ {
+        let pts = self.pts.iter().map(|&(y, h, x)| Fact::Pts(y, h, x));
+        let hpts = self.hpts.iter().map(|&(g, f, h, x)| Fact::Hpts(g, f, h, x));
+        let hload = self
+            .hload
+            .iter()
+            .map(|&(g, f, y, x)| Fact::Hload(g, f, y, x));
+        let call = self.call.iter().map(|&(i, q, x)| Fact::Call(i, q, x));
+        let spts = self.spts.iter().map(|&(f, h, x)| Fact::Spts(f, h, x));
+        let reach = self.reach.iter().map(|&(p, m)| Fact::Reach(p, m));
+        pts.chain(hpts)
+            .chain(hload)
+            .chain(call)
+            .chain(spts)
+            .chain(reach)
+            .map(Fact::ci)
     }
 
     /// Marks `fact` for deletion if it is currently derived and not yet

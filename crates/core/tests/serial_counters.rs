@@ -172,6 +172,6 @@ const SOLVE_GOLDEN: &[&str] = &[
 ];
 
 const RETRACT_GOLDEN: &[&str] = &[
-        "retract5 cstring ev=453 pr=269 cc=344 mh=344 mm=0 ic=97 fired=[New:45,Assign:3,Load:13,Store:40,Param:18,Ret:28,Virt:94,Ind:13,Reach:41] derived=[] od=271 rd=0",
-        "retract5 tstring ev=258 pr=137 cc=178 mh=178 mm=0 ic=41 fired=[New:23,Assign:3,Load:7,Store:12,Param:3,Ret:8,Virt:50,Ind:12,Reach:19] derived=[New:7,Assign:2,Load:3,Store:6,Ret:4,Virt:8,Ind:7,Reach:4] od=157 rd=41",
+        "retract5 cstring ev=391 pr=246 cc=285 mh=285 mm=0 ic=97 fired=[New:45,Assign:2,Load:9,Store:18,Param:18,Ret:27,Virt:22,Ind:13,Reach:40] derived=[] od=271 rd=0",
+        "retract5 tstring ev=224 pr=127 cc=147 mh=147 mm=0 ic=41 fired=[New:23,Assign:2,Load:3,Store:7,Param:3,Ret:7,Virt:8,Ind:8,Reach:18] derived=[New:7,Assign:2,Load:3,Store:6,Ret:4,Virt:8,Ind:7,Reach:4] od=157 rd=41",
 ];
