@@ -4,8 +4,17 @@
 //! ```text
 //! cargo run --release -p ctxform-bench --bin regress -- \
 //!     [--scale N] [--repeat N] [--bench NAME] [--out PATH] \
-//!     [--trace-json PATH] [--profile-folded PATH]
+//!     [--trace-json PATH] [--profile-folded PATH] [--check BENCH_n.json]
 //! ```
+//!
+//! `--check BENCH_n.json` re-runs the baseline's matrix at the baseline's
+//! scale and compares every non-time value of each cell both runs share
+//! (digests, fact counts, event/probe/compose/interned-context counters,
+//! per-rule counts, over-delete and re-derive counts; keys ending in
+//! `_ms` and `speedup` are wall time and are skipped). It prints each
+//! differing value as `cell key: old → new` and exits 1 if there is any.
+//! Values only the new run has (a newer schema) are counted, not compared.
+//! It writes a trajectory point only when `--out` is given.
 //!
 //! `--profile-folded PATH` runs the `cstring`/`tstring` cells with solver
 //! profiling enabled and writes the aggregated per-rule/per-phase wall
@@ -26,7 +35,8 @@
 //! deleting edit removes one input tuple and the edited program is
 //! solved by DRed retraction over the cached database versus from
 //! scratch, recording both times, the speedup, and the
-//! over-delete/re-derive counts, after asserting the outcome was
+//! over-delete/re-derive counts and the update's event, probe and compose
+//! counters, after asserting the outcome was
 //! `Retracted` and the digests are bit-identical), and a demand-driven
 //! query cell (`tstring_demand`: a cold
 //! `pts(v0, ·)` query answered through the demand engine, which builds
@@ -211,7 +221,7 @@ fn incr_cell(
     );
     let incr_ms = incr_time.as_secs_f64() * 1000.0;
     let scratch_ms = scratch_time.as_secs_f64() * 1000.0;
-    Json::obj([
+    let cell = [
         ("time_ms", Json::ms(incr_ms)),
         ("scratch_ms", Json::ms(scratch_ms)),
         (
@@ -226,7 +236,22 @@ fn incr_cell(
         ("derived_scratch", Json::uint(scratch_derived)),
         ("total", Json::int(incr_db.result().stats.total())),
         ("fact_digest", Json::Str(hex16(incr_db.fact_digest()))),
-    ])
+    ]
+    .into_iter()
+    .chain(update_counters(incr_db.result()))
+    .collect::<Vec<_>>();
+    Json::obj(cell)
+}
+
+/// The exact work counters of an `extend` (its stats count only the
+/// update's own work).
+fn update_counters(r: &AnalysisResult) -> [(&'static str, Json); 3] {
+    let s = &r.stats;
+    [
+        ("events", Json::int(s.events)),
+        ("probes", Json::uint(s.probes)),
+        ("compose_calls", Json::uint(s.compose_calls)),
+    ]
 }
 
 /// The incremental deletion cell: the deleted-edit program is solved by
@@ -295,7 +320,7 @@ fn incr_del_cell(
     );
     let incr_ms = incr_time.as_secs_f64() * 1000.0;
     let scratch_ms = scratch_time.as_secs_f64() * 1000.0;
-    Json::obj([
+    let cell = [
         ("time_ms", Json::ms(incr_ms)),
         ("scratch_ms", Json::ms(scratch_ms)),
         (
@@ -318,7 +343,11 @@ fn incr_del_cell(
         ),
         ("total", Json::int(stats.total())),
         ("fact_digest", Json::Str(hex16(incr_db.fact_digest()))),
-    ])
+    ]
+    .into_iter()
+    .chain(update_counters(incr_db.result()))
+    .collect::<Vec<_>>();
+    Json::obj(cell)
 }
 
 /// The demand-driven query cell: answers `pts(v0, ·)` cold through the
@@ -422,6 +451,101 @@ fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: u
     ])
 }
 
+/// Whether a cell key holds a wall time, or a ratio of two, which
+/// `--check` never compares.
+fn is_time(key: &str) -> bool {
+    key.ends_with("_ms") || key == "speedup"
+}
+
+/// Every cell of a `ctxform-regress` document, named
+/// `bench/config/cell` (`bench/program` for the program's statistics).
+fn cells(doc: &Json) -> Vec<(String, &Json)> {
+    let mut out = Vec::new();
+    let Some(Json::Obj(benches)) = doc.get("benchmarks") else {
+        return out;
+    };
+    for (bench, configs) in benches {
+        let Json::Obj(configs) = configs else {
+            continue;
+        };
+        for (config, config_cells) in configs {
+            match config_cells {
+                Json::Obj(pairs) if config != "program" => {
+                    for (cell, obj) in pairs {
+                        out.push((format!("{bench}/{config}/{cell}"), obj));
+                    }
+                }
+                _ => out.push((format!("{bench}/{config}"), config_cells)),
+            }
+        }
+    }
+    out
+}
+
+/// The comparison of a run against a baseline trajectory point.
+#[derive(Default)]
+struct Check {
+    /// `cell key: old → new`, one per differing value.
+    diffs: Vec<String>,
+    /// Cells both documents hold.
+    cells: usize,
+    /// Non-time values compared.
+    compared: usize,
+    /// Non-time values only the run holds (a newer schema's additions).
+    added: usize,
+}
+
+impl Check {
+    /// Compares the cells `run` shares with `baseline`.
+    fn new(baseline: &Json, run: &Json) -> Self {
+        let ran: std::collections::HashMap<String, &Json> = cells(run).into_iter().collect();
+        let mut check = Check::default();
+        for (cell, old) in cells(baseline) {
+            let Some(&new) = ran.get(&cell) else {
+                continue;
+            };
+            check.cells += 1;
+            check.leaves(&cell, "", old, Some(new));
+            check.added += added_leaves(new, Some(old));
+        }
+        check
+    }
+
+    /// Compares every non-time leaf under `old` with the value at the
+    /// same key under `new`.
+    fn leaves(&mut self, cell: &str, key: &str, old: &Json, new: Option<&Json>) {
+        if let Json::Obj(pairs) = old {
+            for (k, v) in pairs.iter().filter(|(k, _)| !is_time(k)) {
+                let key = if key.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{key}.{k}")
+                };
+                self.leaves(cell, &key, v, new.and_then(|n| n.get(k)));
+            }
+            return;
+        }
+        self.compared += 1;
+        if new != Some(old) {
+            let new = new.map_or_else(|| "(absent)".to_owned(), Json::to_line);
+            self.diffs
+                .push(format!("{cell} {key}: {} → {new}", old.to_line()));
+        }
+    }
+}
+
+/// The non-time leaves under `new` that `old` lacks.
+fn added_leaves(new: &Json, old: Option<&Json>) -> usize {
+    match new {
+        Json::Obj(pairs) => pairs
+            .iter()
+            .filter(|(k, _)| !is_time(k))
+            .map(|(k, v)| added_leaves(v, old.and_then(|o| o.get(k))))
+            .sum(),
+        _ => usize::from(old.is_none()),
+    }
+}
+
 fn next_bench_path() -> String {
     let mut max = 0u32;
     if let Ok(entries) = std::fs::read_dir(".") {
@@ -447,6 +571,7 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut trace_json: Option<String> = None;
     let mut profile_folded: Option<String> = None;
+    let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -469,16 +594,29 @@ fn main() {
             "--profile-folded" => {
                 profile_folded = Some(args.next().expect("--profile-folded needs a path"))
             }
+            "--check" => check_path = Some(args.next().expect("--check needs a path")),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: regress [--scale N] [--repeat N] [--bench NAME] \
-                     [--out PATH] [--trace-json PATH] [--profile-folded PATH]"
+                     [--out PATH] [--trace-json PATH] [--profile-folded PATH] \
+                     [--check BENCH_n.json]"
                 );
                 return;
             }
             other => panic!("unknown argument `{other}`"),
         }
     }
+    let baseline = check_path.as_ref().map(|path| {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
+        // The baseline's matrix is re-run at the baseline's scale.
+        scale = doc
+            .get("scale")
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{path} has no `scale`")) as usize;
+        doc
+    });
 
     if trace_json.is_some() {
         ctxform_obs::enable_tracing(ctxform_obs::trace::DEFAULT_CAPACITY);
@@ -580,10 +718,9 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let path = out_path.unwrap_or_else(next_bench_path);
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/14")),
+        ("schema", Json::str("ctxform-regress/15")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
         (
@@ -594,7 +731,16 @@ fn main() {
         ("tstring_2objH_total_ms", Json::ms(tstring_2objh_ms)),
         ("benchmarks", Json::Obj(bench_objs)),
     ]);
-    std::fs::write(&path, doc.to_pretty()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    // A check writes a trajectory point only when asked to.
+    let path = match (out_path, &baseline) {
+        (Some(path), _) => Some(path),
+        (None, None) => Some(next_bench_path()),
+        (None, Some(_)) => None,
+    };
+    if let Some(path) = &path {
+        std::fs::write(path, doc.to_pretty())
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    }
     if let Some(profile_path) = &profile_folded {
         let folded = profile_store.folded();
         std::fs::write(profile_path, &folded)
@@ -622,10 +768,32 @@ fn main() {
             ),
         );
     }
-    logger::info(
-        "regress",
-        format!(
-            "wrote {path} ({benchmark_count} benchmarks, tstring 2-object+H total {tstring_2objh_ms:.1}ms)"
-        ),
-    );
+    if let Some(path) = &path {
+        logger::info(
+            "regress",
+            format!(
+                "wrote {path} ({benchmark_count} benchmarks, tstring 2-object+H total {tstring_2objh_ms:.1}ms)"
+            ),
+        );
+    }
+    if let (Some(baseline), Some(check_path)) = (&baseline, &check_path) {
+        let check = Check::new(baseline, &doc);
+        for diff in &check.diffs {
+            println!("{diff}");
+        }
+        let summary = format!(
+            "{} of {} non-time values differ from {check_path} across {} shared cells \
+             ({} values are new in this run)",
+            check.diffs.len(),
+            check.compared,
+            check.cells,
+            check.added
+        );
+        if check.diffs.is_empty() && check.cells > 0 {
+            logger::info("regress", summary);
+        } else {
+            logger::error("regress", summary);
+            std::process::exit(1);
+        }
+    }
 }
