@@ -13,8 +13,8 @@
 //! per-rule counts, over-delete and re-derive counts; keys ending in
 //! `_ms` and `speedup` are wall time and are skipped). It prints each
 //! differing value as `cell key: old → new` and exits 1 if there is any.
-//! Values only the new run has (a newer schema) are counted, not compared.
-//! It writes a trajectory point only when `--out` is given.
+//! Values only the new run has (a newer schema's) are not compared. It
+//! writes a trajectory point only when `--out` is given.
 //!
 //! `--profile-folded PATH` runs the `cstring`/`tstring` cells with solver
 //! profiling enabled and writes the aggregated per-rule/per-phase wall
@@ -62,7 +62,7 @@
 
 use std::time::{Duration, Instant};
 
-use ctxform::{analyze, AnalysisConfig, AnalysisDb, AnalysisResult};
+use ctxform::{analyze, AnalysisConfig, AnalysisDb, AnalysisResult, ExtendOutcome};
 use ctxform_algebra::Sensitivity;
 use ctxform_bench::benchmark_source;
 use ctxform_hash::fx_hash_one;
@@ -125,103 +125,104 @@ fn run_json(r: &AnalysisResult) -> Json {
     ])
 }
 
-/// Solves `program` under `config` `repeat` times and returns the run
-/// with the smallest solver wall time, panicking if any two repeats
-/// disagree on the CI facts or context-sensitive fact counts (a
-/// nondeterminism bug the harness must not average away).
-fn best_of(
-    program: &ctxform_ir::Program,
-    config: &AnalysisConfig,
+/// Runs `run`, which times itself, `repeat` times (at least once) and
+/// keeps the fastest result; `same` holds each later result to the
+/// fastest so far (a nondeterminism bug the harness must not average
+/// away).
+fn fastest<T>(
     repeat: usize,
-) -> AnalysisResult {
-    let mut best = analyze(program, config);
-    let (digest, total) = (best.ci.digest(), best.stats.total());
+    mut run: impl FnMut() -> (Duration, T),
+    same: impl Fn(&T, &T),
+) -> (Duration, T) {
+    let mut best = run();
     for _ in 1..repeat {
-        let r = analyze(program, config);
-        assert_eq!(
-            r.ci.digest(),
-            digest,
-            "{config}: CI facts differ across repeats"
-        );
-        assert_eq!(
-            r.stats.total(),
-            total,
-            "{config}: cs-fact counts differ across repeats"
-        );
-        if r.stats.duration < best.stats.duration {
-            best = r;
+        let next = run();
+        same(&best.1, &next.1);
+        if next.0 < best.0 {
+            best = next;
         }
     }
     best
 }
 
-/// The incremental re-analysis cell: the edited program is solved by
-/// extending the base program's database (`repeat` times over fresh
-/// clones; min time kept) and from scratch (`repeat` times; min time
-/// kept). Panics unless every extension is incremental, all repeats and
-/// both paths agree on the fact digest, and the extension re-derived
-/// strictly fewer facts than the from-scratch solve.
-fn incr_cell(
+/// `f`'s result and its wall time.
+fn timed<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+    let started = Instant::now();
+    let result = f();
+    (started.elapsed(), result)
+}
+
+/// Solves `program` under `config` `repeat` times and returns the run
+/// with the smallest solver wall time, panicking if any two repeats
+/// disagree on the CI facts or context-sensitive fact counts.
+fn best_of(
+    program: &ctxform_ir::Program,
+    config: &AnalysisConfig,
+    repeat: usize,
+) -> AnalysisResult {
+    let run = || {
+        let r = analyze(program, config);
+        (r.stats.duration, r)
+    };
+    let same = |a: &AnalysisResult, b: &AnalysisResult| {
+        assert_eq!(
+            a.ci.digest(),
+            b.ci.digest(),
+            "{config}: CI facts differ across repeats"
+        );
+        assert_eq!(
+            a.stats.total(),
+            b.stats.total(),
+            "{config}: cs-fact counts differ across repeats"
+        );
+    };
+    fastest(repeat, run, same).1
+}
+
+/// Solves `edited` by extending the base program's database (`repeat`
+/// times over fresh clones) and from scratch (`repeat` times), keeping
+/// the fastest run of each. Panics unless every extension's outcome
+/// passes `expected`, and all repeats and both paths agree on the fact
+/// digest. Returns both databases and the cell's time fields.
+fn extend_vs_scratch(
     base: &ctxform_ir::Program,
     edited: &ctxform_ir::Program,
     config: &AnalysisConfig,
     repeat: usize,
-) -> Json {
+    expected: fn(&ExtendOutcome) -> bool,
+) -> (AnalysisDb, AnalysisDb, [(&'static str, Json); 3]) {
     let base_db = AnalysisDb::solve(base.clone(), config);
-    let mut incr_time = Duration::MAX;
-    let mut incr_db = None;
-    for _ in 0..repeat {
+    let update = || {
         let mut db = base_db.clone();
         let next = edited.clone();
-        let started = Instant::now();
-        let outcome = db.extend(next);
-        let elapsed = started.elapsed();
+        let (elapsed, outcome) = timed(|| db.extend(next));
         assert!(
-            outcome.is_incremental(),
-            "{config}: appended driver class must extend incrementally, got {outcome:?}"
+            expected(&outcome),
+            "{config}: unexpected update outcome {outcome:?}"
         );
-        if let Some(prev) = &incr_db {
-            let prev: &AnalysisDb = prev;
-            assert_eq!(
-                db.fact_digest(),
-                prev.fact_digest(),
-                "{config}: incremental repeats disagree on the fact digest"
-            );
-        }
-        if elapsed < incr_time || incr_db.is_none() {
-            incr_time = elapsed;
-            incr_db = Some(db);
-        }
-    }
-    let incr_db = incr_db.expect("repeat >= 1");
-    let mut scratch_time = Duration::MAX;
-    let mut scratch_db = None;
-    for _ in 0..repeat {
+        (elapsed, db)
+    };
+    let same = |a: &AnalysisDb, b: &AnalysisDb| {
+        assert_eq!(
+            a.fact_digest(),
+            b.fact_digest(),
+            "{config}: update repeats disagree on the fact digest"
+        );
+    };
+    let (incr_time, incr_db) = fastest(repeat, update, same);
+    let solve = || {
         let next = edited.clone();
-        let started = Instant::now();
-        let db = AnalysisDb::solve(next, config);
-        let elapsed = started.elapsed();
-        if elapsed < scratch_time || scratch_db.is_none() {
-            scratch_time = elapsed;
-            scratch_db = Some(db);
-        }
-    }
-    let scratch_db = scratch_db.expect("repeat >= 1");
+        timed(|| AnalysisDb::solve(next, config))
+    };
+    let (scratch_time, scratch_db) = fastest(repeat, solve, |_, _| {});
     assert_eq!(
         incr_db.fact_digest(),
         scratch_db.fact_digest(),
-        "{config}: incremental result is not bit-identical to the from-scratch solve"
-    );
-    let incr_derived = incr_db.result().stats.rule_derived.total();
-    let scratch_derived = scratch_db.result().stats.rule_derived.total();
-    assert!(
-        incr_derived < scratch_derived,
-        "{config}: extension re-derived {incr_derived} facts, not fewer than \
-         the from-scratch {scratch_derived}"
+        "{config}: the updated database is not bit-identical to the from-scratch solve"
     );
     let incr_ms = incr_time.as_secs_f64() * 1000.0;
     let scratch_ms = scratch_time.as_secs_f64() * 1000.0;
-    let cell = [
+    let times = [
         ("time_ms", Json::ms(incr_ms)),
         ("scratch_ms", Json::ms(scratch_ms)),
         (
@@ -232,15 +233,8 @@ fn incr_cell(
                 0.0
             }),
         ),
-        ("derived_incremental", Json::uint(incr_derived)),
-        ("derived_scratch", Json::uint(scratch_derived)),
-        ("total", Json::int(incr_db.result().stats.total())),
-        ("fact_digest", Json::Str(hex16(incr_db.fact_digest()))),
-    ]
-    .into_iter()
-    .chain(update_counters(incr_db.result()))
-    .collect::<Vec<_>>();
-    Json::obj(cell)
+    ];
+    (incr_db, scratch_db, times)
 }
 
 /// The exact work counters of an `extend` (its stats count only the
@@ -254,83 +248,59 @@ fn update_counters(r: &AnalysisResult) -> [(&'static str, Json); 3] {
     ]
 }
 
-/// The incremental deletion cell: the deleted-edit program is solved by
-/// DRed retraction over the base program's database (`repeat` times over
-/// fresh clones; min time kept) and from scratch (`repeat` times; min
-/// time kept). Panics unless every extension took the `Retracted` path,
-/// all repeats and both paths agree on the fact digest, and the re-derive
-/// pass restored no more facts than the over-delete pass removed.
+/// The incremental re-analysis cell ([`extend_vs_scratch`] over an
+/// additive edit). Panics unless every extension is incremental and
+/// re-derived strictly fewer facts than the from-scratch solve.
+fn incr_cell(
+    base: &ctxform_ir::Program,
+    edited: &ctxform_ir::Program,
+    config: &AnalysisConfig,
+    repeat: usize,
+) -> Json {
+    let (db, scratch, times) =
+        extend_vs_scratch(base, edited, config, repeat, ExtendOutcome::is_incremental);
+    let derived = db.result().stats.rule_derived.total();
+    let scratch_derived = scratch.result().stats.rule_derived.total();
+    assert!(
+        derived < scratch_derived,
+        "{config}: extension re-derived {derived} facts, not fewer than \
+         the from-scratch {scratch_derived}"
+    );
+    let cell = [
+        ("derived_incremental", Json::uint(derived)),
+        ("derived_scratch", Json::uint(scratch_derived)),
+        ("total", Json::int(db.result().stats.total())),
+        ("fact_digest", Json::Str(hex16(db.fact_digest()))),
+    ];
+    Json::obj(
+        times
+            .into_iter()
+            .chain(cell)
+            .chain(update_counters(db.result())),
+    )
+}
+
+/// The incremental deletion cell ([`extend_vs_scratch`] over a deleting
+/// edit). Panics unless every extension took the DRed retraction path
+/// and the re-derive pass restored no more facts than the over-delete
+/// pass removed.
 fn incr_del_cell(
     base: &ctxform_ir::Program,
     deleted: &ctxform_ir::Program,
     config: &AnalysisConfig,
     repeat: usize,
 ) -> Json {
-    let base_db = AnalysisDb::solve(base.clone(), config);
-    let mut incr_time = Duration::MAX;
-    let mut incr_db = None;
-    for _ in 0..repeat {
-        let mut db = base_db.clone();
-        let next = deleted.clone();
-        let started = Instant::now();
-        let outcome = db.extend(next);
-        let elapsed = started.elapsed();
-        assert!(
-            matches!(outcome, ctxform::ExtendOutcome::Retracted),
-            "{config}: deleting edit must take the retraction path, got {outcome:?}"
-        );
-        if let Some(prev) = &incr_db {
-            let prev: &AnalysisDb = prev;
-            assert_eq!(
-                db.fact_digest(),
-                prev.fact_digest(),
-                "{config}: retraction repeats disagree on the fact digest"
-            );
-        }
-        if elapsed < incr_time || incr_db.is_none() {
-            incr_time = elapsed;
-            incr_db = Some(db);
-        }
-    }
-    let incr_db = incr_db.expect("repeat >= 1");
-    let mut scratch_time = Duration::MAX;
-    let mut scratch_db = None;
-    for _ in 0..repeat {
-        let next = deleted.clone();
-        let started = Instant::now();
-        let db = AnalysisDb::solve(next, config);
-        let elapsed = started.elapsed();
-        if elapsed < scratch_time || scratch_db.is_none() {
-            scratch_time = elapsed;
-            scratch_db = Some(db);
-        }
-    }
-    let scratch_db = scratch_db.expect("repeat >= 1");
-    assert_eq!(
-        incr_db.fact_digest(),
-        scratch_db.fact_digest(),
-        "{config}: DRed result is not bit-identical to the from-scratch solve"
-    );
-    let stats = &incr_db.result().stats;
+    let (db, scratch, times) = extend_vs_scratch(base, deleted, config, repeat, |outcome| {
+        matches!(outcome, ExtendOutcome::Retracted)
+    });
+    let stats = &db.result().stats;
     assert!(
         stats.rederived <= stats.overdeleted,
         "{config}: re-derived {} facts but only {} were over-deleted",
         stats.rederived,
         stats.overdeleted
     );
-    let incr_ms = incr_time.as_secs_f64() * 1000.0;
-    let scratch_ms = scratch_time.as_secs_f64() * 1000.0;
     let cell = [
-        ("time_ms", Json::ms(incr_ms)),
-        ("scratch_ms", Json::ms(scratch_ms)),
-        (
-            "speedup",
-            Json::ms(if incr_ms > 0.0 {
-                scratch_ms / incr_ms
-            } else {
-                0.0
-            }),
-        ),
         ("overdeleted", Json::uint(stats.overdeleted)),
         ("rederived", Json::uint(stats.rederived)),
         (
@@ -339,15 +309,17 @@ fn incr_del_cell(
         ),
         (
             "derived_scratch",
-            Json::uint(scratch_db.result().stats.rule_derived.total()),
+            Json::uint(scratch.result().stats.rule_derived.total()),
         ),
         ("total", Json::int(stats.total())),
-        ("fact_digest", Json::Str(hex16(incr_db.fact_digest()))),
-    ]
-    .into_iter()
-    .chain(update_counters(incr_db.result()))
-    .collect::<Vec<_>>();
-    Json::obj(cell)
+        ("fact_digest", Json::Str(hex16(db.fact_digest()))),
+    ];
+    Json::obj(
+        times
+            .into_iter()
+            .chain(cell)
+            .chain(update_counters(db.result())),
+    )
 }
 
 /// The demand-driven query cell: answers `pts(v0, ·)` cold through the
@@ -360,50 +332,36 @@ fn incr_del_cell(
 fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: usize) -> Json {
     let var = ctxform_ir::Var::from_index(0);
     let warm_var = ctxform_ir::Var::from_index(1.min(program.var_count() - 1));
-    let mut query_time = Duration::MAX;
     let mut warm_time = Duration::MAX;
-    let mut outcome = None;
     let mut warm = None;
-    for _ in 0..repeat {
+    let query = || {
         let engine = ctxform_demand::DemandEngine::new(1);
-        let started = Instant::now();
-        let got = engine.query(0, program, config, &[var]);
-        let elapsed = started.elapsed();
-        let started = Instant::now();
-        let got_warm = engine.query(0, program, config, &[warm_var]);
-        warm_time = warm_time.min(started.elapsed());
+        let cold = timed(|| engine.query(0, program, config, &[var]));
+        let (elapsed, got_warm) = timed(|| engine.query(0, program, config, &[warm_var]));
+        warm_time = warm_time.min(elapsed);
         assert!(
             got_warm.slice_reused,
             "{config}: a second root must reuse the index"
         );
-        if let Some(prev) = &outcome {
-            let prev: &ctxform_demand::QueryOutcome = prev;
-            assert_eq!(
-                got.answers, prev.answers,
-                "{config}: demand repeats disagree on the answer"
-            );
-        }
-        if elapsed < query_time || outcome.is_none() {
-            query_time = elapsed;
-            outcome = Some(got);
-        }
         warm = Some(got_warm);
-    }
+        cold
+    };
+    let same = |a: &ctxform_demand::QueryOutcome, b: &ctxform_demand::QueryOutcome| {
+        assert_eq!(
+            a.answers, b.answers,
+            "{config}: demand repeats disagree on the answer"
+        );
+    };
+    let (query_time, outcome) = fastest(repeat, query, same);
     let warm = warm.expect("repeat >= 1");
-    let outcome = outcome.expect("repeat >= 1");
-    let mut solve_time = Duration::MAX;
-    let mut exhaustive = None;
-    for _ in 0..repeat {
-        let started = Instant::now();
-        let r = analyze(program, config);
-        let _ = r.ci.points_to(var);
-        let elapsed = started.elapsed();
-        if elapsed < solve_time || exhaustive.is_none() {
-            solve_time = elapsed;
-            exhaustive = Some(r);
-        }
-    }
-    let exhaustive = exhaustive.expect("repeat >= 1");
+    let solve = || {
+        timed(|| {
+            let r = analyze(program, config);
+            let _ = r.ci.points_to(var);
+            r
+        })
+    };
+    let (solve_time, exhaustive) = fastest(repeat, solve, |_, _| {});
     assert_eq!(
         outcome.answers[0].1,
         exhaustive.ci.points_to(var),
@@ -457,93 +415,35 @@ fn is_time(key: &str) -> bool {
     key.ends_with("_ms") || key == "speedup"
 }
 
-/// Every cell of a `ctxform-regress` document, named
-/// `bench/config/cell` (`bench/program` for the program's statistics).
-fn cells(doc: &Json) -> Vec<(String, &Json)> {
-    let mut out = Vec::new();
-    let Some(Json::Obj(benches)) = doc.get("benchmarks") else {
-        return out;
-    };
-    for (bench, configs) in benches {
-        let Json::Obj(configs) = configs else {
-            continue;
-        };
-        for (config, config_cells) in configs {
-            match config_cells {
-                Json::Obj(pairs) if config != "program" => {
-                    for (cell, obj) in pairs {
-                        out.push((format!("{bench}/{config}/{cell}"), obj));
-                    }
-                }
-                _ => out.push((format!("{bench}/{config}"), config_cells)),
-            }
-        }
-    }
-    out
-}
-
-/// The comparison of a run against a baseline trajectory point.
-#[derive(Default)]
-struct Check {
-    /// `cell key: old → new`, one per differing value.
-    diffs: Vec<String>,
-    /// Cells both documents hold.
-    cells: usize,
-    /// Non-time values compared.
-    compared: usize,
-    /// Non-time values only the run holds (a newer schema's additions).
-    added: usize,
-}
-
-impl Check {
-    /// Compares the cells `run` shares with `baseline`.
-    fn new(baseline: &Json, run: &Json) -> Self {
-        let ran: std::collections::HashMap<String, &Json> = cells(run).into_iter().collect();
-        let mut check = Check::default();
-        for (cell, old) in cells(baseline) {
-            let Some(&new) = ran.get(&cell) else {
-                continue;
-            };
-            check.cells += 1;
-            check.leaves(&cell, "", old, Some(new));
-            check.added += added_leaves(new, Some(old));
-        }
-        check
-    }
-
-    /// Compares every non-time leaf under `old` with the value at the
-    /// same key under `new`.
-    fn leaves(&mut self, cell: &str, key: &str, old: &Json, new: Option<&Json>) {
-        if let Json::Obj(pairs) = old {
-            for (k, v) in pairs.iter().filter(|(k, _)| !is_time(k)) {
-                let key = if key.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{key}.{k}")
-                };
-                self.leaves(cell, &key, v, new.and_then(|n| n.get(k)));
-            }
-            return;
-        }
-        self.compared += 1;
+/// Compares every non-time value under `old`, a baseline's `benchmarks`
+/// object, with the value at the same path under `new`, the run's, and
+/// appends `cell key: old → new` to `diffs` for each difference (the
+/// cell is the path's first three segments, `bench/config/cell`).
+/// Returns how many values it compared. A cell the run lacks (one it did
+/// not run, or one a newer schema dropped) is skipped; a value missing
+/// inside a cell the run has is a difference.
+fn check(path: &[&str], old: &Json, new: Option<&Json>, diffs: &mut Vec<String>) -> usize {
+    let Json::Obj(pairs) = old else {
         if new != Some(old) {
+            let (cell, key) = path.split_at(path.len().saturating_sub(1).min(3));
             let new = new.map_or_else(|| "(absent)".to_owned(), Json::to_line);
-            self.diffs
-                .push(format!("{cell} {key}: {} → {new}", old.to_line()));
+            let old = old.to_line();
+            diffs.push(format!(
+                "{} {}: {old} → {new}",
+                cell.join("/"),
+                key.join(".")
+            ));
         }
+        return 1;
+    };
+    if new.is_none() && path.len() <= 3 {
+        return 0;
     }
-}
-
-/// The non-time leaves under `new` that `old` lacks.
-fn added_leaves(new: &Json, old: Option<&Json>) -> usize {
-    match new {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .filter(|(k, _)| !is_time(k))
-            .map(|(k, v)| added_leaves(v, old.and_then(|o| o.get(k))))
-            .sum(),
-        _ => usize::from(old.is_none()),
-    }
+    pairs
+        .iter()
+        .filter(|(k, _)| !is_time(k))
+        .map(|(k, v)| check(&[path, &[k]].concat(), v, new.and_then(|n| n.get(k)), diffs))
+        .sum()
 }
 
 fn next_bench_path() -> String {
@@ -777,19 +677,19 @@ fn main() {
         );
     }
     if let (Some(baseline), Some(check_path)) = (&baseline, &check_path) {
-        let check = Check::new(baseline, &doc);
-        for diff in &check.diffs {
+        let old = baseline
+            .get("benchmarks")
+            .unwrap_or_else(|| panic!("{check_path} has no `benchmarks`"));
+        let mut diffs = Vec::new();
+        let compared = check(&[], old, doc.get("benchmarks"), &mut diffs);
+        for diff in &diffs {
             println!("{diff}");
         }
         let summary = format!(
-            "{} of {} non-time values differ from {check_path} across {} shared cells \
-             ({} values are new in this run)",
-            check.diffs.len(),
-            check.compared,
-            check.cells,
-            check.added
+            "{} of {compared} non-time values differ from {check_path}",
+            diffs.len()
         );
-        if check.diffs.is_empty() && check.cells > 0 {
+        if diffs.is_empty() && compared > 0 {
             logger::info("regress", summary);
         } else {
             logger::error("regress", summary);
