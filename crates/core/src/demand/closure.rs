@@ -73,10 +73,10 @@ impl DemandIndex {
         while !next.is_empty() {
             slice.rounds += 1;
             for head in std::mem::take(&mut next) {
-                backward.instances(head, |instance| {
+                backward.instances(head, |holds, premises| {
                     slice.derivations += 1;
-                    if instance.holds {
-                        for &t in instance.premises() {
+                    if holds {
+                        for &t in premises {
                             demand(&mut slice, &mut next, t);
                         }
                     }

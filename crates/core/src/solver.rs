@@ -888,9 +888,9 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         let heads: FxHashSet<Tuple> = marks.heads().collect();
         let mut first: FxHashSet<Tuple> = FxHashSet::default();
         for &head in &heads {
-            backward.instances(head, |instance| {
-                if instance.holds {
-                    first.insert(instance.premises()[0]);
+            backward.instances(head, |holds, premises| {
+                if holds {
+                    first.insert(premises[0]);
                 }
             });
         }

@@ -290,36 +290,6 @@ pub(crate) enum Tuple {
     Reach(Method),
 }
 
-/// One rule instance that can derive a head.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Instance {
-    /// Whether every premise holds: the derived ones in the [`Fixpoint`],
-    /// and Virt's `implements` check on the call-edge side.
-    pub(crate) holds: bool,
-    premises: [Tuple; 2],
-    len: u8,
-}
-
-impl Instance {
-    fn new(holds: bool, premises: &[Tuple]) -> Self {
-        let mut all = [premises[0]; 2];
-        all[..premises.len()].copy_from_slice(premises);
-        Instance {
-            holds,
-            premises: all,
-            len: premises.len() as u8,
-        }
-    }
-
-    /// The derived premises, in the fixed order: Param/Ret and Reach list
-    /// `call` first, Ind `hload`, SLoad `spts`, Store the value-side
-    /// `pts`, Virt the receiver `pts`, New/Static `reach`; single-premise
-    /// rules list their one premise.
-    pub(crate) fn premises(&self) -> &[Tuple] {
-        &self.premises[..self.len as usize]
-    }
-}
-
 /// The backward enumerator over a program's [`Reverse`] input index and
 /// a [`Fixpoint`] view. `var_method` is the program's variable → method
 /// table (SLoad's `reach` premise is the loading variable's method).
@@ -330,12 +300,18 @@ pub(crate) struct Backward<'a> {
 }
 
 impl Backward<'_> {
-    /// Visits every rule instance (rules as in [`crate::CI_RULES`], plus
-    /// the static-field rules) whose head is `head`. The `entry` rule has
-    /// no premise and is not visited.
-    pub(crate) fn instances(&self, head: Tuple, mut visit: impl FnMut(Instance)) {
+    /// Calls `instance(holds, premises)` for every rule instance (rules
+    /// as in [`crate::CI_RULES`], plus the static-field rules) whose head
+    /// is `head`. The `entry` rule has no premise and is not visited.
+    ///
+    /// `holds` is whether every premise holds: the derived ones in the
+    /// [`Fixpoint`], and Virt's `implements` check on the call-edge side.
+    /// `premises` lists the derived premises in a fixed order: `call`
+    /// first for Param, Ret and Reach, `hload` for Ind, `spts` for SLoad,
+    /// the value-side `pts` for Store, the receiver `pts` for Virt,
+    /// `reach` for New and Static; a one-premise rule lists its premise.
+    pub(crate) fn instances(&self, head: Tuple, mut instance: impl FnMut(bool, &[Tuple])) {
         let (fix, rev) = (self.fix, self.rev);
-        let mut instance = |holds, premises: &[Tuple]| visit(Instance::new(holds, premises));
         match head {
             Tuple::Pts(y, h) => {
                 // New.
@@ -456,7 +432,19 @@ mod tests {
         }
 
         fn emit(&mut self, fact: Fact<()>, _rule: &'static str) {
-            self.emitted.insert(fact.ci());
+            self.emitted.insert(ci(fact));
+        }
+    }
+
+    /// The context-insensitive projection of a fact.
+    fn ci(fact: Fact<()>) -> Tuple {
+        match fact {
+            Fact::Reach(p, _) => Tuple::Reach(p),
+            Fact::Pts(y, h, ()) => Tuple::Pts(y, h),
+            Fact::Call(i, q, ()) => Tuple::Call(i, q),
+            Fact::Hpts(g, f, h, ()) => Tuple::Hpts(g, f, h),
+            Fact::Hload(g, f, y, ()) => Tuple::Hload(g, f, y),
+            Fact::Spts(f, h, ()) => Tuple::Spts(f, h),
         }
     }
 
@@ -505,7 +493,7 @@ mod tests {
             .chain(st.call.iter().map(|&(i, q, x)| Fact::Call(i, q, x)))
             .chain(st.spts.iter().map(|&(f, h, x)| Fact::Spts(f, h, x)))
             .chain(st.reach.iter().map(|&(p, m)| Fact::Reach(p, m)))
-            .map(Fact::ci)
+            .map(ci)
             .collect();
         heads.sort_unstable();
         heads.dedup();
@@ -517,10 +505,10 @@ mod tests {
 
         let mut firsts = Vec::new();
         for head in heads {
-            let mut holding = Vec::new();
-            backward.instances(head, |instance| {
-                if instance.holds {
-                    holding.push(instance);
+            let mut holding: Vec<Vec<Tuple>> = Vec::new();
+            backward.instances(head, |holds, premises| {
+                if holds {
+                    holding.push(premises.to_vec());
                 }
             });
             let entry = matches!(head, Tuple::Reach(p) if program.entry_points.contains(&p));
@@ -529,11 +517,8 @@ mod tests {
                 "{name}: {head:?} has no holding instance"
             );
             for instance in holding {
-                let premises: Vec<Vec<Fact<()>>> = instance
-                    .premises()
-                    .iter()
-                    .map(|&t| facts_of(&solver.st, t))
-                    .collect();
+                let premises: Vec<Vec<Fact<()>>> =
+                    instance.iter().map(|&t| facts_of(&solver.st, t)).collect();
                 assert!(
                     premises.iter().all(|facts| !facts.is_empty()),
                     "{name}: a premise of {instance:?} for {head:?} is not in the fixpoint"
@@ -549,7 +534,7 @@ mod tests {
                     sink.emitted.contains(&head),
                     "{name}: driving the first premise of {instance:?} does not emit {head:?}"
                 );
-                firsts.push(instance.premises()[0]);
+                firsts.push(instance[0]);
             }
         }
         firsts

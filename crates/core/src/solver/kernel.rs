@@ -48,20 +48,6 @@ pub(super) enum Fact<X> {
     Spts(Field, Heap, X),
 }
 
-impl<X> Fact<X> {
-    /// The context-insensitive projection.
-    pub(super) fn ci(self) -> Tuple {
-        match self {
-            Fact::Reach(p, _) => Tuple::Reach(p),
-            Fact::Pts(y, h, _) => Tuple::Pts(y, h),
-            Fact::Call(i, q, _) => Tuple::Call(i, q),
-            Fact::Hpts(g, f, h, _) => Tuple::Hpts(g, f, h),
-            Fact::Hload(g, f, y, _) => Tuple::Hload(g, f, y),
-            Fact::Spts(f, h, _) => Tuple::Spts(f, h),
-        }
-    }
-}
-
 /// One LIFO queue per derived relation.
 #[derive(Clone)]
 pub(super) struct Queues<X> {
@@ -631,21 +617,17 @@ impl<X: Copy + Eq + std::hash::Hash> RetractSink<X> {
     /// The context-insensitive projection of every marked fact, once
     /// per marked fact (so a tuple marked in several contexts repeats).
     pub(super) fn heads(&self) -> impl Iterator<Item = Tuple> + '_ {
-        let pts = self.pts.iter().map(|&(y, h, x)| Fact::Pts(y, h, x));
-        let hpts = self.hpts.iter().map(|&(g, f, h, x)| Fact::Hpts(g, f, h, x));
-        let hload = self
-            .hload
-            .iter()
-            .map(|&(g, f, y, x)| Fact::Hload(g, f, y, x));
-        let call = self.call.iter().map(|&(i, q, x)| Fact::Call(i, q, x));
-        let spts = self.spts.iter().map(|&(f, h, x)| Fact::Spts(f, h, x));
-        let reach = self.reach.iter().map(|&(p, m)| Fact::Reach(p, m));
+        let pts = self.pts.iter().map(|&(y, h, _)| Tuple::Pts(y, h));
+        let hpts = self.hpts.iter().map(|&(g, f, h, _)| Tuple::Hpts(g, f, h));
+        let hload = self.hload.iter().map(|&(g, f, y, _)| Tuple::Hload(g, f, y));
+        let call = self.call.iter().map(|&(i, q, _)| Tuple::Call(i, q));
+        let spts = self.spts.iter().map(|&(f, h, _)| Tuple::Spts(f, h));
+        let reach = self.reach.iter().map(|&(p, _)| Tuple::Reach(p));
         pts.chain(hpts)
             .chain(hload)
             .chain(call)
             .chain(spts)
             .chain(reach)
-            .map(Fact::ci)
     }
 
     /// Marks `fact` for deletion if it is currently derived and not yet
