@@ -859,10 +859,10 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     ///
     /// The backward enumerator runs over the new program's reverse index
     /// and the survivors' CI view, once per distinct CI projection of a
-    /// deleted fact. For every instance whose premises
-    /// all hold in that view, the surviving facts of its first premise
-    /// are re-queued; driving that premise re-fires the instance, since
-    /// the kernel drives every two-literal join from both sides.
+    /// deleted fact. For every instance whose premises all hold in that
+    /// view, the surviving facts of its first premise are re-queued;
+    /// driving that premise re-fires the instance, since the kernel
+    /// drives every two-literal join from both sides.
     ///
     /// Invariant: for every deleted head and every rule instance (over
     /// the new program's inputs) that could re-derive it, either the
