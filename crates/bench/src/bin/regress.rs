@@ -183,14 +183,15 @@ fn best_of(
 /// times over fresh clones) and from scratch (`repeat` times), keeping
 /// the fastest run of each. Panics unless every extension's outcome
 /// passes `expected`, and all repeats and both paths agree on the fact
-/// digest. Returns both databases and the cell's time fields.
+/// digest. Returns both databases and the fields the two update cells
+/// share: the times and the update's exact work counters.
 fn extend_vs_scratch(
     base: &ctxform_ir::Program,
     edited: &ctxform_ir::Program,
     config: &AnalysisConfig,
     repeat: usize,
     expected: fn(&ExtendOutcome) -> bool,
-) -> (AnalysisDb, AnalysisDb, [(&'static str, Json); 3]) {
+) -> (AnalysisDb, AnalysisDb, [(&'static str, Json); 6]) {
     let base_db = AnalysisDb::solve(base.clone(), config);
     let update = || {
         let mut db = base_db.clone();
@@ -222,7 +223,9 @@ fn extend_vs_scratch(
     );
     let incr_ms = incr_time.as_secs_f64() * 1000.0;
     let scratch_ms = scratch_time.as_secs_f64() * 1000.0;
-    let times = [
+    // An extension's stats count only the update's own work.
+    let s = &incr_db.result().stats;
+    let fields = [
         ("time_ms", Json::ms(incr_ms)),
         ("scratch_ms", Json::ms(scratch_ms)),
         (
@@ -233,19 +236,11 @@ fn extend_vs_scratch(
                 0.0
             }),
         ),
-    ];
-    (incr_db, scratch_db, times)
-}
-
-/// The exact work counters of an `extend` (its stats count only the
-/// update's own work).
-fn update_counters(r: &AnalysisResult) -> [(&'static str, Json); 3] {
-    let s = &r.stats;
-    [
         ("events", Json::int(s.events)),
         ("probes", Json::uint(s.probes)),
         ("compose_calls", Json::uint(s.compose_calls)),
-    ]
+    ];
+    (incr_db, scratch_db, fields)
 }
 
 /// The incremental re-analysis cell ([`extend_vs_scratch`] over an
@@ -257,7 +252,7 @@ fn incr_cell(
     config: &AnalysisConfig,
     repeat: usize,
 ) -> Json {
-    let (db, scratch, times) =
+    let (db, scratch, shared) =
         extend_vs_scratch(base, edited, config, repeat, ExtendOutcome::is_incremental);
     let derived = db.result().stats.rule_derived.total();
     let scratch_derived = scratch.result().stats.rule_derived.total();
@@ -272,12 +267,7 @@ fn incr_cell(
         ("total", Json::int(db.result().stats.total())),
         ("fact_digest", Json::Str(hex16(db.fact_digest()))),
     ];
-    Json::obj(
-        times
-            .into_iter()
-            .chain(cell)
-            .chain(update_counters(db.result())),
-    )
+    Json::obj(shared.into_iter().chain(cell))
 }
 
 /// The incremental deletion cell ([`extend_vs_scratch`] over a deleting
@@ -290,7 +280,7 @@ fn incr_del_cell(
     config: &AnalysisConfig,
     repeat: usize,
 ) -> Json {
-    let (db, scratch, times) = extend_vs_scratch(base, deleted, config, repeat, |outcome| {
+    let (db, scratch, shared) = extend_vs_scratch(base, deleted, config, repeat, |outcome| {
         matches!(outcome, ExtendOutcome::Retracted)
     });
     let stats = &db.result().stats;
@@ -314,12 +304,7 @@ fn incr_del_cell(
         ("total", Json::int(stats.total())),
         ("fact_digest", Json::Str(hex16(db.fact_digest()))),
     ];
-    Json::obj(
-        times
-            .into_iter()
-            .chain(cell)
-            .chain(update_counters(db.result())),
-    )
+    Json::obj(shared.into_iter().chain(cell))
 }
 
 /// The demand-driven query cell: answers `pts(v0, ·)` cold through the
@@ -632,14 +617,15 @@ fn main() {
         ("benchmarks", Json::Obj(bench_objs)),
     ]);
     // A check writes a trajectory point only when asked to.
-    let path = match (out_path, &baseline) {
-        (Some(path), _) => Some(path),
-        (None, None) => Some(next_bench_path()),
-        (None, Some(_)) => None,
-    };
-    if let Some(path) = &path {
-        std::fs::write(path, doc.to_pretty())
+    if let Some(path) = out_path.or_else(|| baseline.is_none().then(next_bench_path)) {
+        std::fs::write(&path, doc.to_pretty())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        logger::info(
+            "regress",
+            format!(
+                "wrote {path} ({benchmark_count} benchmarks, tstring 2-object+H total {tstring_2objh_ms:.1}ms)"
+            ),
+        );
     }
     if let Some(profile_path) = &profile_folded {
         let folded = profile_store.folded();
@@ -665,14 +651,6 @@ fn main() {
                 "wrote {} trace records to {trace_path} ({} dropped)",
                 dump.records.len(),
                 dump.dropped
-            ),
-        );
-    }
-    if let Some(path) = &path {
-        logger::info(
-            "regress",
-            format!(
-                "wrote {path} ({benchmark_count} benchmarks, tstring 2-object+H total {tstring_2objh_ms:.1}ms)"
             ),
         );
     }

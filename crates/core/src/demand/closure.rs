@@ -1,25 +1,19 @@
-//! The native demand slice, in two halves: a per-program
-//! [`DemandIndex`] (one serial context-insensitive solve on the
-//! specialized solver, plus the reverse index of the input relations),
-//! and a per-query backward closure from the query roots
-//! ([`DemandIndex::slice`]).
-//!
-//! The closure walks the Fig. 3 rules backwards through the solver's one
-//! backward enumerator ([`crate::solver::backward`]): a head in the
-//! closure demands the premises of every rule instance that derives it
-//! and whose premises all hold in the fixpoint. Starting from the roots'
-//! full `pts(v, ·)`, the closure is therefore exactly the union of the
-//! nodes of every CI derivation tree of the roots: unique, free of magic
-//! or adorned bookkeeping, and a subset of what magic sets demand (they
-//! must demand every such node).
-//!
-//! Nothing in the index depends on the roots, so one index serves every
-//! query against its program.
+//! The native demand slice: a per-program [`DemandIndex`] (one serial
+//! context-insensitive solve plus the reverse index of the input
+//! relations) and the per-query backward closure from the roots
+//! ([`DemandIndex::slice`]). The closure walks the Fig. 3 rules
+//! backwards through the solver's one backward enumerator
+//! ([`crate::solver::backward`]), demanding the premises of every rule
+//! instance that derives a demanded head and whose premises all hold in
+//! the fixpoint. That is exactly the union of the nodes of the roots' CI
+//! derivation trees (DESIGN.md §11, "Exactness"). Nothing in the index
+//! depends on the roots, so one index serves every query against its
+//! program.
 
 use ctxform_ir::{Program, Var};
 
 use super::DemandSlice;
-use crate::solver::backward::{Backward, Fixpoint, Reverse, Tuple};
+use crate::solver::backward::{Fixpoint, Reverse, Tuple};
 
 /// The root-independent half of the native demand slice: the program's
 /// serial CI fixpoint and the reverse index of its input relations.
@@ -53,11 +47,6 @@ impl DemandIndex {
             program.var_count(),
             "index built from another program"
         );
-        let backward = Backward {
-            rev: &self.rev,
-            fix: &self.fix,
-            var_method: &program.var_method,
-        };
         let mut slice = DemandSlice {
             derived_tuples: self.fix.size(),
             ..DemandSlice::default()
@@ -73,7 +62,7 @@ impl DemandIndex {
         while !next.is_empty() {
             slice.rounds += 1;
             for head in std::mem::take(&mut next) {
-                backward.instances(head, |holds, premises| {
+                self.rev.instances(&self.fix, head, |holds, premises| {
                     slice.derivations += 1;
                     if holds {
                         for &t in premises {

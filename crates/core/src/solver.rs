@@ -54,7 +54,7 @@ use ctxform_ir::{
     Var,
 };
 
-use self::backward::{Backward, Fixpoint, Reverse, Tuple};
+use self::backward::{Fixpoint, Reverse, Tuple};
 use self::kernel::{Fact, MarkSink, Queues, RetractSink, Scratch, Sink};
 use crate::bucket::Bucket;
 use crate::config::AnalysisConfig;
@@ -877,18 +877,13 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         }
         let program = self.program;
         let (rev, fix) = (Reverse::new(program), Fixpoint::of_state(program, &self.st));
-        let backward = Backward {
-            rev: &rev,
-            fix: &fix,
-            var_method: &program.var_method,
-        };
         // Each distinct head once; the enumeration order is immaterial,
         // since only the set of first premises is kept and the facts
         // re-queued from it are sorted.
         let heads: FxHashSet<Tuple> = marks.heads().collect();
         let mut first: FxHashSet<Tuple> = FxHashSet::default();
         for &head in &heads {
-            backward.instances(head, |holds, premises| {
+            rev.instances(&fix, head, |holds, premises| {
                 if holds {
                     first.insert(premises[0]);
                 }

@@ -2,7 +2,7 @@
 //! context-insensitive head tuple, every rule instance that can derive
 //! it, with the instance's derived premises and whether they hold.
 //!
-//! The enumerator ([`Backward::instances`]) runs over two flat views:
+//! The enumerator ([`Reverse::instances`]) runs over two flat views:
 //!
 //! * [`Reverse`] — the program's input relations keyed by the columns a
 //!   rule's head binds (a program-level index, built once per program);
@@ -127,6 +127,8 @@ pub(crate) struct Reverse {
     static_stores_of: Rows<Var>,
     /// `static_load(F, Z)` under `Z`.
     static_loads_into: Rows<Field>,
+    /// The method declaring each variable: SLoad's `parent(Z)`.
+    parent: Vec<Method>,
 }
 
 impl Reverse {
@@ -184,6 +186,7 @@ impl Reverse {
                 vars,
                 f.static_load.iter().map(|&(fld, z)| (z.index(), fld)),
             ),
+            parent: program.var_method.clone(),
         }
     }
 }
@@ -290,19 +293,11 @@ pub(crate) enum Tuple {
     Reach(Method),
 }
 
-/// The backward enumerator over a program's [`Reverse`] input index and
-/// a [`Fixpoint`] view. `var_method` is the program's variable → method
-/// table (SLoad's `reach` premise is the loading variable's method).
-pub(crate) struct Backward<'a> {
-    pub(crate) rev: &'a Reverse,
-    pub(crate) fix: &'a Fixpoint,
-    pub(crate) var_method: &'a [Method],
-}
-
-impl Backward<'_> {
-    /// Calls `instance(holds, premises)` for every rule instance (rules
-    /// as in [`crate::CI_RULES`], plus the static-field rules) whose head
-    /// is `head`. The `entry` rule has no premise and is not visited.
+impl Reverse {
+    /// The backward enumerator: calls `instance(holds, premises)` for
+    /// every rule instance (rules as in [`crate::CI_RULES`], plus the
+    /// static-field rules) whose head is `head`. The `entry` rule has no
+    /// premise and is not visited.
     ///
     /// `holds` is whether every premise holds: the derived ones in the
     /// [`Fixpoint`], and Virt's `implements` check on the call-edge side.
@@ -310,8 +305,13 @@ impl Backward<'_> {
     /// first for Param, Ret and Reach, `hload` for Ind, `spts` for SLoad,
     /// the value-side `pts` for Store, the receiver `pts` for Virt,
     /// `reach` for New and Static; a one-premise rule lists its premise.
-    pub(crate) fn instances(&self, head: Tuple, mut instance: impl FnMut(bool, &[Tuple])) {
-        let (fix, rev) = (self.fix, self.rev);
+    pub(crate) fn instances(
+        &self,
+        fix: &Fixpoint,
+        head: Tuple,
+        mut instance: impl FnMut(bool, &[Tuple]),
+    ) {
+        let rev = self;
         match head {
             Tuple::Pts(y, h) => {
                 // New.
@@ -356,7 +356,7 @@ impl Backward<'_> {
                     }
                 }
                 // SLoad.
-                let p = self.var_method[y.index()];
+                let p = rev.parent[y.index()];
                 for &f in rev.static_loads_into.row(y.index()) {
                     let holds = fix.spts(f, h) && fix.reach(p);
                     instance(holds, &[Tuple::Spts(f, h), Tuple::Reach(p)]);
@@ -478,11 +478,6 @@ mod tests {
             Fixpoint::of_state(program, &solver.st),
             Reverse::new(program),
         );
-        let backward = Backward {
-            rev: &rev,
-            fix: &fix,
-            var_method: &program.var_method,
-        };
         let st = &solver.st;
         let mut heads: Vec<Tuple> = st
             .pts
@@ -506,7 +501,7 @@ mod tests {
         let mut firsts = Vec::new();
         for head in heads {
             let mut holding: Vec<Vec<Tuple>> = Vec::new();
-            backward.instances(head, |holds, premises| {
+            rev.instances(&fix, head, |holds, premises| {
                 if holds {
                     holding.push(premises.to_vec());
                 }

@@ -45,15 +45,11 @@ pub fn cs_configs() -> Vec<AnalysisConfig> {
     config_matrix(&["1-call", "1-call+H", "1-object", "2-object+H"])
 }
 
-/// The retraction-parity grid: [`cs_configs`] plus 2-type+H, i.e. all
-/// five of the paper's configurations under both abstractions. Three of
-/// them keep heap contexts, so DRed's Store/Ind re-derivation is checked
-/// with informative `hpts` contexts, which the heap-level-0
-/// [`incremental_configs`] collapse.
+/// The retraction-parity grid: [`cs_configs`] plus 2-type+H, all five of
+/// the paper's configurations under both abstractions. Three keep heap
+/// contexts, which the heap-level-0 [`incremental_configs`] collapse.
 pub fn retraction_configs() -> Vec<AnalysisConfig> {
-    let mut configs = cs_configs();
-    configs.extend(config_matrix(&["2-type+H"]));
-    configs
+    config_matrix(&["1-call", "1-call+H", "1-object", "2-object+H", "2-type+H"])
 }
 
 #[cfg(test)]
