@@ -283,7 +283,7 @@ impl Fixpoint {
 }
 
 /// A derived CI tuple, in the argument orders of [`crate::DemandSlice`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Tuple {
     Pts(Var, Heap),
     Hpts(Heap, Field, Heap),
@@ -479,7 +479,7 @@ mod tests {
             Reverse::new(program),
         );
         let st = &solver.st;
-        let mut heads: Vec<Tuple> = st
+        let heads: FxHashSet<Tuple> = st
             .pts
             .iter()
             .map(|&(y, h, x)| Fact::Pts(y, h, x))
@@ -490,8 +490,6 @@ mod tests {
             .chain(st.reach.iter().map(|&(p, m)| Fact::Reach(p, m)))
             .map(ci)
             .collect();
-        heads.sort_unstable();
-        heads.dedup();
         assert_eq!(
             heads.len(),
             fix.size(),
