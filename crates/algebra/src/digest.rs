@@ -3,7 +3,7 @@
 //! A [`CtxtStr`] handle, and the entity ids packed into a
 //! [`CtxtElem`](crate::CtxtElem), depend on the order in which one solve
 //! happened to intern them: a from-scratch solve, an incremental
-//! extension and a DRed retraction of the same program number the same
+//! extension and a retraction of the same program number the same
 //! context differently. A digest that must agree across all of them
 //! therefore hashes what a handle *denotes* — the sequence of its
 //! elements' names ([`CtxtElem::name`](crate::CtxtElem::name)) — and

@@ -22,7 +22,7 @@
 //!    * **extend parity** — one seeded additive edit reaches the scratch
 //!      digest of the edited revision;
 //!    * **retract parity** — one seeded deleting edit of that revision
-//!      (DRed) reaches the scratch digest of the shrunken revision.
+//!      (re-solved) reaches the scratch digest of the shrunken revision.
 //!
 //! On the first violated property the harness writes a reproducer to
 //! `ctxform-fuzz-repro/1` — a JSON object (schema `ctxform-fuzz-repro/4`)

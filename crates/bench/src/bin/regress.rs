@@ -10,7 +10,7 @@
 //! `--check BENCH_n.json` re-runs the baseline's matrix at the baseline's
 //! scale and compares every non-time value of each cell both runs share
 //! (digests, fact counts, event/probe/compose/interned-context counters,
-//! per-rule counts, over-delete and re-derive counts; keys ending in
+//! per-rule counts; keys ending in
 //! `_ms` and `speedup` are wall time and are skipped). It prints each
 //! differing value as `cell key: old → new` and exits 1 if there is any.
 //! Values only the new run has (a newer schema's) are not compared. It
@@ -31,13 +31,8 @@
 //! program's cached database and once from scratch — recording both times,
 //! the speedup, and the derivation counts, after asserting the two fact
 //! digests are bit-identical and the extension re-derived strictly fewer
-//! facts), an incremental *deletion* cell (`tstring_incr_del`: a seeded
-//! deleting edit removes one input tuple and the edited program is
-//! solved by DRed retraction over the cached database versus from
-//! scratch, recording both times, the speedup, and the
-//! over-delete/re-derive counts and the update's event, probe and compose
-//! counters, after asserting the outcome was
-//! `Retracted` and the digests are bit-identical), and a demand-driven
+//! facts; the update's event, probe and compose counters are recorded
+//! too), and a demand-driven
 //! query cell (`tstring_demand`: a cold
 //! `pts(v0, ·)` query answered through the demand engine, which builds
 //! the program's demand index, is timed against a full solve followed by
@@ -69,7 +64,7 @@ use ctxform_hash::fx_hash_one;
 use ctxform_minijava::compile;
 use ctxform_obs::logger;
 use ctxform_server::json::{hex16, Json};
-use ctxform_synth::{append_edit, dacapo_like, retract_edit_script};
+use ctxform_synth::{append_edit, dacapo_like};
 
 /// Serializes one analysis run as a JSON object.
 fn run_json(r: &AnalysisResult) -> Json {
@@ -179,28 +174,24 @@ fn best_of(
     fastest(repeat, run, same).1
 }
 
-/// Solves `edited` by extending the base program's database (`repeat`
-/// times over fresh clones) and from scratch (`repeat` times), keeping
-/// the fastest run of each. Panics unless every extension's outcome
-/// passes `expected`, and all repeats and both paths agree on the fact
-/// digest. Returns both databases and the fields the two update cells
-/// share: the times and the update's exact work counters.
-fn extend_vs_scratch(
+/// The incremental re-analysis cell: solves the additively `edited`
+/// program by extending the base program's database (`repeat` times over
+/// fresh clones) and from scratch (`repeat` times), keeping the fastest
+/// run of each. Panics unless every extension is incremental, all repeats
+/// and both paths agree on the fact digest, and the extension re-derived
+/// strictly fewer facts than the from-scratch solve.
+fn incr_cell(
     base: &ctxform_ir::Program,
     edited: &ctxform_ir::Program,
     config: &AnalysisConfig,
     repeat: usize,
-    expected: fn(&ExtendOutcome) -> bool,
-) -> (AnalysisDb, AnalysisDb, [(&'static str, Json); 6]) {
+) -> Json {
     let base_db = AnalysisDb::solve(base.clone(), config);
     let update = || {
         let mut db = base_db.clone();
         let next = edited.clone();
         let (elapsed, outcome) = timed(|| db.extend(next));
-        assert!(
-            expected(&outcome),
-            "{config}: unexpected update outcome {outcome:?}"
-        );
+        assert_eq!(outcome, ExtendOutcome::Incremental, "{config}");
         (elapsed, db)
     };
     let same = |a: &AnalysisDb, b: &AnalysisDb| {
@@ -210,22 +201,29 @@ fn extend_vs_scratch(
             "{config}: update repeats disagree on the fact digest"
         );
     };
-    let (incr_time, incr_db) = fastest(repeat, update, same);
+    let (incr_time, db) = fastest(repeat, update, same);
     let solve = || {
         let next = edited.clone();
         timed(|| AnalysisDb::solve(next, config))
     };
-    let (scratch_time, scratch_db) = fastest(repeat, solve, |_, _| {});
+    let (scratch_time, scratch) = fastest(repeat, solve, |_, _| {});
     assert_eq!(
-        incr_db.fact_digest(),
-        scratch_db.fact_digest(),
+        db.fact_digest(),
+        scratch.fact_digest(),
         "{config}: the updated database is not bit-identical to the from-scratch solve"
     );
     let incr_ms = incr_time.as_secs_f64() * 1000.0;
     let scratch_ms = scratch_time.as_secs_f64() * 1000.0;
     // An extension's stats count only the update's own work.
-    let s = &incr_db.result().stats;
-    let fields = [
+    let s = &db.result().stats;
+    let derived = s.rule_derived.total();
+    let scratch_derived = scratch.result().stats.rule_derived.total();
+    assert!(
+        derived < scratch_derived,
+        "{config}: extension re-derived {derived} facts, not fewer than \
+         the from-scratch {scratch_derived}"
+    );
+    Json::obj([
         ("time_ms", Json::ms(incr_ms)),
         ("scratch_ms", Json::ms(scratch_ms)),
         (
@@ -239,72 +237,11 @@ fn extend_vs_scratch(
         ("events", Json::int(s.events)),
         ("probes", Json::uint(s.probes)),
         ("compose_calls", Json::uint(s.compose_calls)),
-    ];
-    (incr_db, scratch_db, fields)
-}
-
-/// The incremental re-analysis cell ([`extend_vs_scratch`] over an
-/// additive edit). Panics unless every extension is incremental and
-/// re-derived strictly fewer facts than the from-scratch solve.
-fn incr_cell(
-    base: &ctxform_ir::Program,
-    edited: &ctxform_ir::Program,
-    config: &AnalysisConfig,
-    repeat: usize,
-) -> Json {
-    let (db, scratch, shared) =
-        extend_vs_scratch(base, edited, config, repeat, ExtendOutcome::is_incremental);
-    let derived = db.result().stats.rule_derived.total();
-    let scratch_derived = scratch.result().stats.rule_derived.total();
-    assert!(
-        derived < scratch_derived,
-        "{config}: extension re-derived {derived} facts, not fewer than \
-         the from-scratch {scratch_derived}"
-    );
-    let cell = [
         ("derived_incremental", Json::uint(derived)),
         ("derived_scratch", Json::uint(scratch_derived)),
-        ("total", Json::int(db.result().stats.total())),
+        ("total", Json::int(s.total())),
         ("fact_digest", Json::Str(hex16(db.fact_digest()))),
-    ];
-    Json::obj(shared.into_iter().chain(cell))
-}
-
-/// The incremental deletion cell ([`extend_vs_scratch`] over a deleting
-/// edit). Panics unless every extension took the DRed retraction path
-/// and the re-derive pass restored no more facts than the over-delete
-/// pass removed.
-fn incr_del_cell(
-    base: &ctxform_ir::Program,
-    deleted: &ctxform_ir::Program,
-    config: &AnalysisConfig,
-    repeat: usize,
-) -> Json {
-    let (db, scratch, shared) = extend_vs_scratch(base, deleted, config, repeat, |outcome| {
-        matches!(outcome, ExtendOutcome::Retracted)
-    });
-    let stats = &db.result().stats;
-    assert!(
-        stats.rederived <= stats.overdeleted,
-        "{config}: re-derived {} facts but only {} were over-deleted",
-        stats.rederived,
-        stats.overdeleted
-    );
-    let cell = [
-        ("overdeleted", Json::uint(stats.overdeleted)),
-        ("rederived", Json::uint(stats.rederived)),
-        (
-            "derived_incremental",
-            Json::uint(stats.rule_derived.total()),
-        ),
-        (
-            "derived_scratch",
-            Json::uint(scratch.result().stats.rule_derived.total()),
-        ),
-        ("total", Json::int(stats.total())),
-        ("fact_digest", Json::Str(hex16(db.fact_digest()))),
-    ];
-    Json::obj(shared.into_iter().chain(cell))
+    ])
 }
 
 /// The demand-driven query cell: answers `pts(v0, ·)` cold through the
@@ -539,14 +476,6 @@ fn main() {
         let edited = compile(&edited_source)
             .expect("edited programs are valid")
             .program;
-        // Single-tuple deleting edit for the DRed deletion cell: with a
-        // 0% removal rate the script's guaranteed-retractive fallback
-        // removes exactly one `assign` tuple — the canonical "small
-        // edit". (Percentage-scale removals over-delete most of the
-        // database through the coarse seeding and lose to a re-solve.)
-        let deleted = retract_edit_script(&program, fx_hash_one(&name), 1, 0)
-            .pop()
-            .expect("script has steps+1 revisions");
         let stats = program.stats();
         let mut pairs: Vec<(String, Json)> = vec![(
             "program".into(),
@@ -575,7 +504,6 @@ fn main() {
                 tstring_2objh_ms += t.stats.duration.as_secs_f64() * 1000.0;
             }
             let t_incr = incr_cell(&program, &edited, &tstring, repeat);
-            let t_incr_del = incr_del_cell(&program, &deleted, &tstring, repeat);
             let t_demand = demand_cell(&program, &tstring, repeat);
             pairs.push((
                 s.to_string(),
@@ -583,7 +511,6 @@ fn main() {
                     ("cstring", run_json(&c)),
                     ("tstring", run_json(&t)),
                     ("tstring_incr", t_incr),
-                    ("tstring_incr_del", t_incr_del),
                     ("tstring_demand", t_demand),
                 ]),
             ));
@@ -605,7 +532,7 @@ fn main() {
     }
     let benchmark_count = bench_objs.len();
     let doc = Json::obj([
-        ("schema", Json::str("ctxform-regress/15")),
+        ("schema", Json::str("ctxform-regress/16")),
         ("scale", Json::int(scale)),
         ("repeat", Json::int(repeat)),
         (

@@ -9,27 +9,35 @@
 //! exactly the least model a from-scratch solve of the edited program
 //! would — bit-identically.
 //!
-//! Edits that *remove* input tuples or entry points over prefix-stable
-//! entity tables (classified [`ProgramDiff::Retractive`]) also resume
-//! incrementally, via DRed (delete-and-rederive): an over-delete phase
-//! transitively retracts every fact whose derivations depend on a removed
-//! input, then the ordinary monotone fixpoint restores what the new
-//! program still supports — again bit-identical to from-scratch. Edits that rewrite something structural (classified by
-//! [`ProgramDiff::between`] as non-monotone) fall back to a from-scratch
-//! solve; either way the database ends up describing the new program, and
-//! [`AnalysisDb::fact_digest`] is identical across both paths.
+//! Every other edit re-solves the edited program from scratch. An edit
+//! that *removes* input tuples or entry points over prefix-stable entity
+//! tables (classified [`ProgramDiff::Retractive`]) reports
+//! [`ExtendOutcome::Retracted`]; an edit that rewrites something
+//! structural reports [`ExtendOutcome::Fallback`] with the reason
+//! [`ProgramDiff::between`] gave. A retraction is not resumed: a
+//! delete-and-rederive pass over the saved state over-deleted most of the
+//! benchmarked edit workload's database and took 1.7× as long as the
+//! re-solve (EXPERIMENTS.md, "Retract by re-solving"). On every path the
+//! database ends up describing the new program, and
+//! [`AnalysisDb::fact_digest`] is identical across all paths.
 //!
 //! That digest is the parity oracle every incremental path is checked
 //! against, and the server computes it on every `update`, so it costs one
 //! hash per fact: an order-independent multiset hash over the fact
 //! tuples, canonical because it hashes entities and contexts by program
 //! *name*, never by id or interner handle (which differ between a
-//! from-scratch solve, an extension and a retraction of the same
-//! program). [`AnalysisDb::rendered_facts`] lists the same facts as
-//! sorted strings for diagnostics.
+//! from-scratch solve and a chain of extensions of the same program).
+//! [`AnalysisDb::rendered_facts`] lists the same facts as sorted strings
+//! for diagnostics.
+//!
+//! [`AnalysisDb::extend`] updates a database in place.
+//! [`AnalysisDb::extended`] leaves it untouched and returns the updated
+//! copy: it clones the saved state only when the edit resumes it, so a
+//! caller that shares a resident database (the server's snapshot cache)
+//! pays no clone for a re-solve. Both run one diff-and-dispatch.
 
 use ctxform_algebra::{CStrings, Insensitive, TStrings};
-use ctxform_ir::{Program, ProgramDelta, ProgramDiff, ProgramRetraction};
+use ctxform_ir::{Program, ProgramDelta, ProgramDiff};
 
 use crate::config::{AbstractionKind, AnalysisConfig};
 use crate::result::AnalysisResult;
@@ -51,8 +59,8 @@ pub enum ExtendOutcome {
     Noop,
     /// The edit was additive; the fixpoint resumed from the saved state.
     Incremental,
-    /// The edit removed input tuples; a DRed (delete-and-rederive) pass
-    /// updated the saved state in place.
+    /// The edit removed input tuples (a [`ProgramDiff::Retractive`]
+    /// edit); the database was re-solved from scratch.
     Retracted,
     /// The edit was not monotone; the database was re-solved from
     /// scratch. The payload says why.
@@ -63,11 +71,17 @@ impl ExtendOutcome {
     /// `true` whenever the saved state was reused instead of re-solved
     /// (including the trivial no-op reuse).
     pub fn is_incremental(&self) -> bool {
-        matches!(
-            self,
-            ExtendOutcome::Noop | ExtendOutcome::Incremental | ExtendOutcome::Retracted
-        )
+        matches!(self, ExtendOutcome::Noop | ExtendOutcome::Incremental)
     }
+}
+
+/// What an edit does to the saved state (see [`AnalysisDb::plan`]).
+enum Plan {
+    /// Reuse the state: `None` for an identical edit, else the additive
+    /// delta to resume from.
+    Resume(Option<Box<ProgramDelta>>),
+    /// Re-solve the edited program from scratch.
+    Resolve(ExtendOutcome),
 }
 
 /// A solved program plus the saved solver state, ready to be extended.
@@ -112,43 +126,67 @@ impl AnalysisDb {
 
     /// Brings the database up to date with `next`.
     ///
-    /// Additive edits resume the saved fixpoint seeded with the delta;
-    /// retractive edits run a DRed delete-and-rederive pass over the
-    /// saved state; a non-monotone edit re-solves from scratch. The
-    /// resulting fact sets are identical in every case; only the work
-    /// differs.
+    /// An additive edit resumes the saved fixpoint seeded with the delta;
+    /// every other edit (retractive or non-monotone) re-solves `next`
+    /// from scratch. The resulting fact sets are identical either way;
+    /// only the work differs.
     pub fn extend(&mut self, next: Program) -> ExtendOutcome {
-        match ProgramDiff::between(&self.program, &next) {
-            ProgramDiff::Identical => {
-                // The database is already up to date, and the no-op did
-                // no derivation work — report the standing fact counts
-                // with zeroed run counters instead of re-reporting the
-                // previous run's work.
-                self.result.stats.clear_run_work();
-                self.result.log.clear();
-                ExtendOutcome::Noop
-            }
-            ProgramDiff::Additive(delta) => {
-                self.extend_additive(next, &delta);
-                ExtendOutcome::Incremental
-            }
-            ProgramDiff::Retractive(retraction) => {
-                self.extend_retractive(next, &retraction);
-                ExtendOutcome::Retracted
-            }
-            ProgramDiff::NonMonotone { reason } => {
-                self.resolve_from_scratch(next);
-                ExtendOutcome::Fallback(reason)
+        match self.plan(&next) {
+            Plan::Resume(delta) => self.resume(next, delta.as_deref()),
+            Plan::Resolve(outcome) => {
+                *self = AnalysisDb::solve(next, &self.config);
+                outcome
             }
         }
+    }
+
+    /// [`extend`](Self::extend) into a new database, leaving this one
+    /// untouched: the state is cloned only when the edit resumes it (an
+    /// identical or additive edit); a re-solve clones nothing.
+    pub fn extended(&self, next: Program) -> (AnalysisDb, ExtendOutcome) {
+        match self.plan(&next) {
+            Plan::Resume(delta) => {
+                let mut db = self.clone();
+                let outcome = db.resume(next, delta.as_deref());
+                (db, outcome)
+            }
+            Plan::Resolve(outcome) => (AnalysisDb::solve(next, &self.config), outcome),
+        }
+    }
+
+    /// The one diff-and-dispatch behind [`extend`](Self::extend) and
+    /// [`extended`](Self::extended).
+    fn plan(&self, next: &Program) -> Plan {
+        match ProgramDiff::between(&self.program, next) {
+            ProgramDiff::Identical => Plan::Resume(None),
+            ProgramDiff::Additive(delta) => Plan::Resume(Some(delta)),
+            ProgramDiff::Retractive(_) => Plan::Resolve(ExtendOutcome::Retracted),
+            ProgramDiff::NonMonotone { reason } => Plan::Resolve(ExtendOutcome::Fallback(reason)),
+        }
+    }
+
+    /// Resumes the saved state: with the additive `delta`, or, for an
+    /// identical edit (`None`), by reporting the standing database.
+    fn resume(&mut self, next: Program, delta: Option<&ProgramDelta>) -> ExtendOutcome {
+        let Some(delta) = delta else {
+            // The database is already up to date, and the no-op did no
+            // derivation work — report the standing fact counts with
+            // zeroed run counters instead of re-reporting the previous
+            // run's work.
+            self.result.stats.clear_run_work();
+            self.result.log.clear();
+            return ExtendOutcome::Noop;
+        };
+        self.extend_additive(next, delta);
+        ExtendOutcome::Incremental
     }
 
     /// A canonical digest of every derived fact: an order-independent
     /// multiset hash over the fact tuples, with every entity and context
     /// hashed by its program *name*, never by id or interner handle. It is
     /// therefore independent of interning order and of
-    /// whether the database was built by one solve, a chain of
-    /// extensions or a DRed retraction; two databases digest equal
+    /// whether the database was built by one solve or a chain of
+    /// extensions; two databases digest equal
     /// exactly when their [`rendered_facts`](Self::rendered_facts) are
     /// equal (up to 64-bit hash collisions). Renders no string and sorts
     /// nothing: the cost is one hash per fact.
@@ -203,38 +241,6 @@ impl AnalysisDb {
                 (DbState::Ts(st), r)
             }
         };
-        self.state = state;
-        self.result = result;
-        self.program = next;
-    }
-
-    fn extend_retractive(&mut self, next: Program, retraction: &ProgramRetraction) {
-        let state = self.take_state();
-        let base = &self.program;
-        let (state, result) = match state {
-            DbState::Ins(mut st) => {
-                st.reset_run_counters();
-                let (st, r) = solver::retract_state(&next, base, st, retraction);
-                (DbState::Ins(st), r)
-            }
-            DbState::Cs(mut st) => {
-                st.reset_run_counters();
-                let (st, r) = solver::retract_state(&next, base, st, retraction);
-                (DbState::Cs(st), r)
-            }
-            DbState::Ts(mut st) => {
-                st.reset_run_counters();
-                let (st, r) = solver::retract_state(&next, base, st, retraction);
-                (DbState::Ts(st), r)
-            }
-        };
-        self.state = state;
-        self.result = result;
-        self.program = next;
-    }
-
-    fn resolve_from_scratch(&mut self, next: Program) {
-        let (state, result) = solve_fresh(&next, &self.config);
         self.state = state;
         self.result = result;
         self.program = next;
@@ -371,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn retractive_edit_extends_incrementally_and_matches_scratch() {
+    fn retractive_edit_re_solves_and_matches_scratch() {
         let base = compile(EDITED).unwrap().program;
         let mut next = base.clone();
         // Drop an input tuple (a field store) without touching the
@@ -383,11 +389,37 @@ mod tests {
         let mut db = AnalysisDb::solve(base, &config);
         let outcome = db.extend(next.clone());
         assert_eq!(outcome, ExtendOutcome::Retracted);
-        assert!(db.result().stats.overdeleted > 0);
+        assert!(!outcome.is_incremental());
 
+        // A re-solve does exactly a scratch solve's work.
         let scratch = AnalysisDb::solve(next, &config);
         assert_eq!(db.fact_digest(), scratch.fact_digest());
         assert_eq!(db.result().ci.pts, scratch.result().ci.pts);
+        assert_eq!(db.result().stats.events, scratch.result().stats.events);
+    }
+
+    #[test]
+    fn extended_leaves_the_base_untouched_on_every_path() {
+        let base = compile(BASE).unwrap().program;
+        let edited = compile(EDITED).unwrap().program;
+        let mut retracted = edited.clone();
+        retracted.facts.store.remove(0);
+        let config = cfg("1-object");
+        for (from, to, want) in [
+            (&edited, &edited, "Noop"),
+            (&base, &edited, "Incremental"),
+            (&edited, &retracted, "Retracted"),
+            (&edited, &base, "Fallback"),
+        ] {
+            let db = AnalysisDb::solve(from.clone(), &config);
+            let digest = db.fact_digest();
+            let (copy, outcome) = db.extended(to.clone());
+            assert!(format!("{outcome:?}").starts_with(want), "{outcome:?}");
+            let scratch = AnalysisDb::solve(to.clone(), &config);
+            assert_eq!(copy.fact_digest(), scratch.fact_digest(), "{want}");
+            assert_eq!(db.fact_digest(), digest, "{want} changed the base");
+            assert_eq!(db.program(), from);
+        }
     }
 
     #[test]

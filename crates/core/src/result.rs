@@ -267,33 +267,23 @@ pub struct PhaseProfile {
     /// the `ctxbench` benchmark crate reads it for `core.merge_ms`;
     /// remove it with the next change to that crate.
     pub merge_ns: u64,
-    /// A DRed update's over-delete pass: seeding the marks, closing
-    /// them through the mark sink, deleting the marked facts and
-    /// rebuilding the join indices (retractive updates only).
-    pub retract_ns: u64,
 }
 
 impl PhaseProfile {
     /// Sum over all phases.
     pub fn total_ns(&self) -> u64 {
-        self.seed_ns + self.eval_ns + self.retract_ns
+        self.seed_ns + self.eval_ns
     }
 
-    /// `(name, ns)` for every phase, in the order a solve runs them
-    /// (`retract` before `seed`).
-    pub fn phases(&self) -> [(&'static str, u64); 3] {
-        [
-            ("retract", self.retract_ns),
-            ("seed", self.seed_ns),
-            ("eval", self.eval_ns),
-        ]
+    /// `(name, ns)` for every phase, in the order a solve runs them.
+    pub fn phases(&self) -> [(&'static str, u64); 2] {
+        [("seed", self.seed_ns), ("eval", self.eval_ns)]
     }
 
     /// Fold another run's phase timings into this one.
     pub fn merge(&mut self, other: &PhaseProfile) {
         self.seed_ns += other.seed_ns;
         self.eval_ns += other.eval_ns;
-        self.retract_ns += other.retract_ns;
     }
 }
 
@@ -405,11 +395,12 @@ pub struct SolverStats {
     /// Distinct context strings interned by the end of the run
     /// (including ε).
     pub interned_contexts: usize,
-    /// Derived facts transitively retracted by the over-delete phase of a
-    /// DRed update (0 outside retraction runs).
+    /// Always 0: a retractive edit re-solves, so no fact is over-deleted.
+    /// Kept only because the `ctxbench` benchmark crate reads it for
+    /// `core.overdeleted`; remove it with the next change to that crate.
     pub overdeleted: u64,
-    /// Over-deleted facts restored by the re-derive phase because an
-    /// alternative derivation survived the deletion.
+    /// Always 0, like [`overdeleted`](Self::overdeleted), which it is kept
+    /// for (`ctxbench`'s `core.rederive_ratio`).
     pub rederived: u64,
     /// Wall-clock solving time.
     pub duration: Duration,
@@ -422,7 +413,7 @@ pub struct SolverStats {
     pub profiled: bool,
     /// Per-rule wall-time totals and histograms (profiling only).
     pub rule_time: RuleTimes,
-    /// Aggregate retract/seed/eval phase timings (profiling only).
+    /// Aggregate seed/eval phase timings (profiling only).
     pub phase_profile: PhaseProfile,
     /// Estimated resident bytes of relations, join indices, and memo
     /// tables at the end of the run (always populated).
@@ -448,8 +439,6 @@ impl SolverStats {
         self.compose_memo_misses = 0;
         self.rule_fired = RuleCounts::default();
         self.rule_derived = RuleCounts::default();
-        self.overdeleted = 0;
-        self.rederived = 0;
         self.duration = Duration::default();
         self.rule_time = RuleTimes::default();
         self.phase_profile = PhaseProfile::default();
@@ -487,12 +476,6 @@ impl SolverStats {
                 .collect();
             out.push_str(&format!("  rule derived:     {}\n", derived.join(", ")));
         }
-        if self.overdeleted > 0 {
-            out.push_str(&format!(
-                "  retraction:       {} over-deleted / {} re-derived\n",
-                self.overdeleted, self.rederived
-            ));
-        }
         out.push_str(&format!("  interned ctxts:   {}\n", self.interned_contexts));
         if self.profiled && self.rule_time.total_ns() > 0 {
             let timed: Vec<String> = self
@@ -505,7 +488,6 @@ impl SolverStats {
                 .phase_profile
                 .phases()
                 .iter()
-                .filter(|&&(name, ns)| name != "retract" || ns > 0)
                 .map(|&(name, ns)| format!("{name} {}µs", ns / 1_000))
                 .collect();
             out.push_str(&format!("  phases:           {}\n", phases.join(", ")));
@@ -719,16 +701,15 @@ mod tests {
     }
 
     #[test]
-    fn phase_profiles_merge_and_list_retract() {
+    fn phase_profiles_merge_and_list_in_run_order() {
         let mut p = PhaseProfile {
             seed_ns: 1,
             eval_ns: 2,
-            retract_ns: 4,
             ..Default::default()
         };
         p.merge(&p.clone());
-        assert_eq!(p.total_ns(), 14);
-        assert_eq!(p.phases()[0], ("retract", 8));
+        assert_eq!(p.total_ns(), 6);
+        assert_eq!(p.phases(), [("seed", 2), ("eval", 4)]);
         assert_eq!(
             p.phases().iter().map(|&(_, ns)| ns).sum::<u64>(),
             p.total_ns()

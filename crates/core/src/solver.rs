@@ -14,12 +14,15 @@
 //! fixpoint.
 //!
 //! Each rule driver is written once, in [`kernel`], generic over a sink
-//! that decides where consequences go: the [`Solver`] itself inserts them
-//! (the serial delta loop), and the DRed mark sink marks them for
-//! deletion. The rules' reverse direction is written once too, in
-//! [`backward`]: it enumerates the rule instances that can derive a
-//! context-insensitive head, for the demand slice and for DRed's
-//! re-derive seed.
+//! that decides where consequences go; the [`Solver`] itself inserts them
+//! in the serial delta loop. The rules' reverse direction is written once
+//! too, in [`backward`]: it enumerates the rule instances that can derive
+//! a context-insensitive head, for the demand slice.
+//!
+//! A solved state can resume after a purely additive edit
+//! ([`extend_state`]). There is no deletion path: a retractive edit is
+//! re-solved from scratch by [`crate::AnalysisDb`], which on the
+//! benchmarked edit workloads is faster than delete-and-rederive was.
 //!
 //! # Hot-path layout
 //!
@@ -49,13 +52,9 @@ use ctxform_algebra::{Abstraction, CtxtDigest, CtxtElem, CtxtStr, Levels, Limits
 use ctxform_hash::{
     fx_map_with_capacity, hash_str, hash_words, FxHashMap, FxHashSet, MultisetDigest,
 };
-use ctxform_ir::{
-    Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, ProgramRetraction,
-    Var,
-};
+use ctxform_ir::{Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, Var};
 
-use self::backward::{Fixpoint, Reverse, Tuple};
-use self::kernel::{Fact, MarkSink, Queues, RetractSink, Scratch, Sink};
+use self::kernel::{Fact, Queues, Scratch, Sink};
 use crate::bucket::Bucket;
 use crate::config::AnalysisConfig;
 use crate::result::{
@@ -166,70 +165,6 @@ pub(crate) fn extend_state<A: Abstraction>(
     (solver.into_state(), result)
 }
 
-/// Resumes a solved database after a retractive edit via DRed
-/// (delete-and-rederive).
-///
-/// The update runs in three phases over the saved state:
-///
-/// 1. **Over-delete**: every derived fact with a one-step derivation from
-///    a removed input tuple is marked for deletion (coarsely, over all
-///    contexts of the affected head), and the marking is closed
-///    transitively by running the rule drivers through the mark sink —
-///    consequences of marked facts are marked instead of inserted.
-/// 2. **Delete**: marked facts are physically removed and every join
-///    index is rebuilt from the sorted survivors.
-/// 3. **Re-derive**: the backward enumerator ([`backward`]) lists, for
-///    each deleted fact's CI projection, the rule instances of the new
-///    program that can derive it; the surviving facts of each holding
-///    instance's first premise (plus the edit's added tuples) are
-///    re-queued and the ordinary monotone fixpoint runs, restoring
-///    exactly the facts with an alternative derivation in the new
-///    program.
-///
-/// `program` is the edited program, `base` the program `state` was solved
-/// for, and `retraction` their diff. Over-deletion is conservative (it
-/// may mark facts whose other derivations survive), which is sound
-/// because phase 3 restores anything the new least model contains —
-/// so the final database is bit-identical to a from-scratch solve.
-pub(crate) fn retract_state<A: Abstraction>(
-    program: &Program,
-    base: &Program,
-    state: SolverState<A>,
-    retraction: &ProgramRetraction,
-) -> (SolverState<A>, AnalysisResult) {
-    let config = state.config;
-    let ix = program.index();
-    let mut solver = Solver::from_state(program, &ix, state);
-    let mut span = ctxform_obs::span("solver.retract");
-    if span.is_active() {
-        span.record("config", format!("{config}"));
-        span.record("removed_facts", retraction.removed_len());
-        span.record("added_facts", retraction.added_len());
-    }
-    let start = Instant::now();
-    solver.st.stats.profiled = config.profile;
-    let t = solver.phase_start();
-    let marks = solver.seed_overdelete(base, retraction);
-    let marks = MarkSink {
-        solver: &mut solver,
-        marks,
-    }
-    .run();
-    solver.apply_deletions(&marks);
-    solver.st.stats.phase_profile.retract_ns += phase_ns(t);
-    let t = solver.phase_start();
-    solver.reseed_after_deletion(&marks);
-    solver.reseed_for_delta(&retraction.added, &retraction.added_entry_points);
-    solver.st.stats.phase_profile.seed_ns += phase_ns(t);
-    solver.run_to_fixpoint();
-    solver.st.stats.rederived = solver.count_rederived(&marks);
-    let result = solver.finish(start);
-    span.record("facts_total", result.stats.total());
-    span.record("overdeleted", result.stats.overdeleted);
-    span.record("rederived", result.stats.rederived);
-    (solver.into_state(), result)
-}
-
 /// A join index: facts grouped per key, boundary-indexed within each
 /// [`Bucket`].
 type BucketMap<K, V> = FxHashMap<K, Bucket<V>>;
@@ -335,18 +270,6 @@ impl<A: Abstraction> SolverState<A> {
         self
     }
 
-    /// `true` iff `fact` is currently derived.
-    fn contains(&self, fact: Fact<A::X>) -> bool {
-        match fact {
-            Fact::Reach(p, m) => self.reach.contains(&(p, m)),
-            Fact::Pts(y, h, x) => self.pts.contains(&(y, h, x)),
-            Fact::Call(i, q, x) => self.call.contains(&(i, q, x)),
-            Fact::Hpts(g, f, h, x) => self.hpts.contains(&(g, f, h, x)),
-            Fact::Hload(g, f, y, x) => self.hload.contains(&(g, f, y, x)),
-            Fact::Spts(f, h, x) => self.spts.contains(&(f, h, x)),
-        }
-    }
-
     /// Zeroes the per-run counters and the fact log so the next
     /// [`extend_state`] reports only the work the extension itself did
     /// (the fact-count fields are recomputed from the full sets at
@@ -365,8 +288,8 @@ impl<A: Abstraction> SolverState<A> {
     /// string); the per-fact hashes are summed. No id or interner handle
     /// is ever hashed, so the digest is a function of the
     /// [`rendered_facts`](Self::rendered_facts) listing alone: independent
-    /// of interning order and of whether the state came from a solve, an
-    /// extension or a retraction.
+    /// of interning order and of whether the state came from a solve or
+    /// an extension.
     pub(crate) fn fact_digest(&self, program: &Program) -> u64 {
         fn names(table: &[String]) -> Vec<u64> {
             table.iter().map(|n| hash_str(n)).collect()
@@ -637,300 +560,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         st.queue.call.extend(sorted(&st.call, |&(i, q, _)| {
             call_methods.contains(&q) || call_invs.contains(&i)
         }));
-    }
-
-    // ------------------------------------------------------------------
-    // DRed over-delete phase
-    // ------------------------------------------------------------------
-
-    /// Marks the immediate heads of every rule instance that mentions a
-    /// removed input tuple (phase 1 seed). Marking is *coarse*: when a
-    /// removed tuple can contribute to `pts(y, ·, ·)` we mark every
-    /// context of `y` — over-deletion is sound because the re-derive
-    /// phase restores whatever the new program still supports, and
-    /// coarseness keeps the seed independent of which contexts the
-    /// removed tuple actually flowed through.
-    ///
-    /// `base` is the pre-edit program: companion lookups (formals,
-    /// `this` variables, return bindings) must resolve against the
-    /// relations the retracted derivations actually used.
-    fn seed_overdelete(&mut self, base: &Program, r: &ProgramRetraction) -> RetractSink<A::X> {
-        let entry_ctx = {
-            let interner = self.st.abs.interner_mut();
-            interner.from_slice(&[CtxtElem::entry()])
-        };
-        let removed = &r.removed;
-
-        // Per-callee and per-pair views of the current call graph, built
-        // once; removed `actual`/`ret`/`virtual_invoke` tuples need to
-        // know which callees their invocation sites reached.
-        let needs_call_targets = !removed.actual.is_empty()
-            || !removed.ret.is_empty()
-            || !removed.virtual_invoke.is_empty();
-        let mut call_targets: FxHashMap<Inv, Vec<Method>> = FxHashMap::default();
-        if needs_call_targets {
-            for &(i, q, _) in &self.st.call {
-                let targets = call_targets.entry(i).or_default();
-                if !targets.contains(&q) {
-                    targets.push(q);
-                }
-            }
-        }
-        // Companion lookups over the *base* program's relations.
-        let base_formal_of: FxHashMap<(Method, u32), Var> = base
-            .facts
-            .formal
-            .iter()
-            .map(|&(y, p, o)| ((p, o), y))
-            .collect();
-        let base_this_of: FxHashMap<Method, Var> =
-            base.facts.this_var.iter().map(|&(y, q)| (q, y)).collect();
-
-        // Variables whose whole `pts` row dies, plus exact (var, heap)
-        // pairs from removed allocations.
-        let mut vars: FxHashSet<Var> = FxHashSet::default();
-        let mut pairs: FxHashSet<(Var, Heap)> = FxHashSet::default();
-        vars.extend(removed.assign.iter().map(|&(_, y)| y));
-        vars.extend(removed.formal.iter().map(|&(y, _, _)| y));
-        vars.extend(removed.assign_return.iter().map(|&(_, y)| y));
-        vars.extend(removed.this_var.iter().map(|&(y, _)| y));
-        vars.extend(removed.static_load.iter().map(|&(_, z)| z));
-        pairs.extend(removed.assign_new.iter().map(|&(h, y, _)| (y, h)));
-        // Param: a removed actual(Z, I, O) kills the formal of slot O in
-        // every callee I dispatched to.
-        for &(_, i, o) in &removed.actual {
-            for &q in call_targets.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                if let Some(&y) = base_formal_of.get(&(q, o)) {
-                    vars.insert(y);
-                }
-            }
-        }
-        // Ret: a removed return(Z, P) kills the assign_return targets of
-        // every invocation that called P.
-        if !removed.ret.is_empty() {
-            let ret_methods: FxHashSet<Method> = removed.ret.iter().map(|&(_, p)| p).collect();
-            for &(i, y) in &base.facts.assign_return {
-                let reaches = call_targets
-                    .get(&i)
-                    .is_some_and(|qs| qs.iter().any(|q| ret_methods.contains(q)));
-                if reaches {
-                    vars.insert(y);
-                }
-            }
-        }
-        // Virt: a removed virtual_invoke(I, Z, S) kills every call edge
-        // of I and the `this`-var bindings of its former callees.
-        let mut call_invs: FxHashSet<Inv> = FxHashSet::default();
-        for &(i, _, _) in &removed.virtual_invoke {
-            call_invs.insert(i);
-            for &q in call_targets.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                if let Some(&y) = base_this_of.get(&q) {
-                    vars.insert(y);
-                }
-            }
-        }
-        // Static: a removed static_invoke(I, Q, P) kills call(I, Q, ·).
-        let call_pairs: FxHashSet<(Inv, Method)> = removed
-            .static_invoke
-            .iter()
-            .map(|&(i, q, _)| (i, q))
-            .collect();
-        // Load / Store / SStore heads.
-        let hload_keys: FxHashSet<(Field, Var)> =
-            removed.load.iter().map(|&(_, f, z)| (f, z)).collect();
-        let hpts_fields: FxHashSet<Field> = removed.store.iter().map(|&(_, f, _)| f).collect();
-        let spts_fields: FxHashSet<Field> = removed.static_store.iter().map(|&(_, f)| f).collect();
-
-        // Mark the seeds, sorted per relation so the over-delete
-        // worklists (and everything downstream) are deterministic.
-        let st = &self.st;
-        let mut marks = RetractSink::new();
-        for (y, h, x) in sorted(&st.pts, |&(y, h, _)| {
-            vars.contains(&y) || pairs.contains(&(y, h))
-        }) {
-            marks.mark(st, Fact::Pts(y, h, x));
-        }
-        for (g, f, z, x) in sorted(&st.hload, |&(_, f, z, _)| hload_keys.contains(&(f, z))) {
-            marks.mark(st, Fact::Hload(g, f, z, x));
-        }
-        for (g, f, h, x) in sorted(&st.hpts, |&(_, f, _, _)| hpts_fields.contains(&f)) {
-            marks.mark(st, Fact::Hpts(g, f, h, x));
-        }
-        for (i, q, x) in sorted(&st.call, |&(i, q, _)| {
-            call_invs.contains(&i) || call_pairs.contains(&(i, q))
-        }) {
-            marks.mark(st, Fact::Call(i, q, x));
-        }
-        for (f, h, x) in sorted(&st.spts, |&(f, _, _)| spts_fields.contains(&f)) {
-            marks.mark(st, Fact::Spts(f, h, x));
-        }
-        // Entry: a removed entry point loses exactly its entry seed.
-        for &p in &r.removed_entry_points {
-            marks.mark(st, Fact::Reach(p, entry_ctx));
-        }
-        marks
-    }
-
-    /// Phase 2: physically removes every marked fact, records the
-    /// over-delete count, and rebuilds all join indices from the sorted
-    /// survivors.
-    fn apply_deletions(&mut self, marks: &RetractSink<A::X>) {
-        self.st.stats.overdeleted = marks.len() as u64;
-        if marks.len() == 0 {
-            return;
-        }
-        self.st.pts.retain(|t| !marks.pts.contains(t));
-        self.st.hpts.retain(|t| !marks.hpts.contains(t));
-        self.st.hload.retain(|t| !marks.hload.contains(t));
-        self.st.call.retain(|t| !marks.call.contains(t));
-        self.st.spts.retain(|t| !marks.spts.contains(t));
-        self.st.reach.retain(|t| !marks.reach.contains(t));
-        self.rebuild_join_indices();
-    }
-
-    /// Rebuilds every join index from the (post-deletion) fact sets.
-    /// [`Bucket`] has no removal API — and rebuilding from sorted
-    /// survivors keeps the index contents deterministic regardless of
-    /// the deletion order.
-    fn rebuild_join_indices(&mut self) {
-        let strategy = self.st.config.join_strategy;
-        let mode = self.st.mode;
-
-        self.st.pts_by_var.clear();
-        for (y, h, x) in sorted(&self.st.pts, |_| true) {
-            let boundary = self.st.abs.dst_boundary(x);
-            self.st
-                .pts_by_var
-                .entry(y)
-                .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(boundary, (h, x), self.st.abs.interner());
-        }
-
-        self.st.hpts_by_gf.clear();
-        for (g, f, h, x) in sorted(&self.st.hpts, |_| true) {
-            let boundary = self.st.abs.dst_boundary(x);
-            self.st
-                .hpts_by_gf
-                .entry((g, f))
-                .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(boundary, (h, x), self.st.abs.interner());
-        }
-
-        self.st.hload_by_gf.clear();
-        for (g, f, y, x) in sorted(&self.st.hload, |_| true) {
-            let boundary = self.st.abs.src_boundary(x);
-            self.st
-                .hload_by_gf
-                .entry((g, f))
-                .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(boundary, (y, x), self.st.abs.interner());
-        }
-
-        self.st.call_by_inv.clear();
-        self.st.call_by_method.clear();
-        for (i, q, x) in sorted(&self.st.call, |_| true) {
-            let src = self.st.abs.src_boundary(x);
-            self.st
-                .call_by_inv
-                .entry(i)
-                .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(src, (q, x), self.st.abs.interner());
-            let dst = self.st.abs.dst_boundary(x);
-            self.st
-                .call_by_method
-                .entry(q)
-                .or_insert_with(|| Bucket::new(strategy, mode))
-                .insert(dst, (i, x), self.st.abs.interner());
-        }
-
-        self.st.spts_by_field.clear();
-        for (f, h, x) in sorted(&self.st.spts, |_| true) {
-            self.st.spts_by_field.entry(f).or_default().push((h, x));
-        }
-
-        self.st.reach_by_method.clear();
-        for (p, m) in sorted(&self.st.reach, |_| true) {
-            self.st.reach_by_method.entry(p).or_default().push(m);
-        }
-    }
-
-    /// Phase 3 seed: re-queues the surviving facts that can re-derive a
-    /// deleted head through a rule instance of the *new* program.
-    ///
-    /// The backward enumerator runs over the new program's reverse index
-    /// and the survivors' CI view, once per distinct CI projection of a
-    /// deleted fact. For every instance whose premises all hold in that
-    /// view, the surviving facts of its first premise are re-queued;
-    /// driving that premise re-fires the instance, since the kernel
-    /// drives every two-literal join from both sides.
-    ///
-    /// Invariant: for every deleted head and every rule instance (over
-    /// the new program's inputs) that could re-derive it, either the
-    /// instance's first premise is queued here, or one of its premises
-    /// was itself deleted — in which case its own re-derivation queues it
-    /// through the normal `insert_*` path, and it fires the instance when
-    /// driven. Entry heads have no derived premise, so surviving entry
-    /// points whose entry seed was deleted are re-inserted directly.
-    fn reseed_after_deletion(&mut self, marks: &RetractSink<A::X>) {
-        if marks.len() == 0 {
-            return;
-        }
-        let program = self.program;
-        let (rev, fix) = (Reverse::new(program), Fixpoint::of_state(program, &self.st));
-        // Each distinct head once; the enumeration order is immaterial,
-        // since only the set of first premises is kept and the facts
-        // re-queued from it are sorted.
-        let heads: FxHashSet<Tuple> = marks.heads().collect();
-        let mut first: FxHashSet<Tuple> = FxHashSet::default();
-        for &head in &heads {
-            rev.instances(&fix, head, |holds, premises| {
-                if holds {
-                    first.insert(premises[0]);
-                }
-            });
-        }
-
-        if !marks.reach.is_empty() {
-            let entry_ctx = {
-                let interner = self.st.abs.interner_mut();
-                interner.from_slice(&[CtxtElem::entry()])
-            };
-            for idx in 0..program.entry_points.len() {
-                let p = program.entry_points[idx];
-                if marks.reach.contains(&(p, entry_ctx)) {
-                    self.insert_reach(p, entry_ctx, "Entry");
-                }
-            }
-        }
-
-        let st = &mut self.st;
-        st.queue.pts.extend(sorted(&st.pts, |&(y, h, _)| {
-            first.contains(&Tuple::Pts(y, h))
-        }));
-        st.queue.reach.extend(sorted(&st.reach, |&(p, _)| {
-            first.contains(&Tuple::Reach(p))
-        }));
-        st.queue.call.extend(sorted(&st.call, |&(i, q, _)| {
-            first.contains(&Tuple::Call(i, q))
-        }));
-        st.queue.hload.extend(sorted(&st.hload, |&(g, f, y, _)| {
-            first.contains(&Tuple::Hload(g, f, y))
-        }));
-        st.queue.spts.extend(sorted(&st.spts, |&(f, h, _)| {
-            first.contains(&Tuple::Spts(f, h))
-        }));
-    }
-
-    /// How many over-deleted facts the re-derive phase restored.
-    fn count_rederived(&self, marks: &RetractSink<A::X>) -> u64 {
-        let st = &self.st;
-        let n = marks.pts.iter().filter(|t| st.pts.contains(*t)).count()
-            + marks.hpts.iter().filter(|t| st.hpts.contains(*t)).count()
-            + marks.hload.iter().filter(|t| st.hload.contains(*t)).count()
-            + marks.call.iter().filter(|t| st.call.contains(*t)).count()
-            + marks.spts.iter().filter(|t| st.spts.contains(*t)).count()
-            + marks.reach.iter().filter(|t| st.reach.contains(*t)).count();
-        n as u64
     }
 
     /// Starts a phase clock when the run is profiled.

@@ -6,19 +6,16 @@
 //!
 //! * [`Reverse`] — the program's input relations keyed by the columns a
 //!   rule's head binds (a program-level index, built once per program);
-//! * [`Fixpoint`] — a set of CI tuples keyed for premise checks: either a
-//!   context-insensitive solve ([`Fixpoint::solve`]) or the projection of
-//!   a solver state's facts ([`Fixpoint::of_state`]).
+//! * [`Fixpoint`] — the tuples of a context-insensitive solve
+//!   ([`Fixpoint::solve`]), keyed for premise checks.
 //!
-//! Two consumers read it. The demand slice ([`crate::DemandIndex`])
-//! demands the premises of every holding instance from the query roots
-//! down. DRed's re-derive seed re-queues the surviving facts of each
-//! holding instance's *first* premise: the premises are listed in a
-//! fixed order, and driving the first one through the forward kernel
-//! re-fires the instance, because the kernel drives every two-literal
-//! join from both sides.
+//! The demand slice ([`crate::DemandIndex`]) reads it: it demands the
+//! premises of every holding instance from the query roots down. The
+//! property test below holds the enumerator to the forward kernel:
+//! driving a holding instance's first premise re-fires the instance,
+//! because the kernel drives every two-literal join from both sides.
 
-use ctxform_algebra::{Abstraction, Insensitive};
+use ctxform_algebra::Insensitive;
 use ctxform_ir::{Field, Heap, Inv, MSig, Method, Program, Type, Var};
 
 use super::{Solver, SolverState};
@@ -40,20 +37,6 @@ impl<T: Copy + Ord> Rows<T> {
     fn new(keys: usize, pairs: impl Iterator<Item = (usize, T)>) -> Self {
         let mut pairs: Vec<(usize, T)> = pairs.collect();
         pairs.sort_unstable();
-        Self::from_sorted(keys, pairs)
-    }
-
-    /// Like [`Rows::new`], but each distinct pair is stored once: the
-    /// projection of context-sensitive facts repeats a CI tuple once per
-    /// context.
-    fn set(keys: usize, pairs: impl Iterator<Item = (usize, T)>) -> Self {
-        let mut pairs: Vec<(usize, T)> = pairs.collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        Self::from_sorted(keys, pairs)
-    }
-
-    fn from_sorted(keys: usize, pairs: Vec<(usize, T)>) -> Self {
         let mut off = vec![0u32; keys + 1];
         for &(k, _) in &pairs {
             off[k + 1] += 1;
@@ -223,9 +206,9 @@ impl Fixpoint {
         Self::of_state(program, &solver.st)
     }
 
-    /// The context-insensitive projection of `st`'s facts: one tuple per
-    /// distinct CI projection, whatever the contexts.
-    pub(crate) fn of_state<A: Abstraction>(program: &Program, st: &SolverState<A>) -> Self {
+    /// Indexes a solved context-insensitive state. The demand closure
+    /// (through [`Fixpoint::solve`]) is its only user outside tests.
+    pub(crate) fn of_state(program: &Program, st: &SolverState<Insensitive>) -> Self {
         let (vars, invs, methods) = (
             program.var_count(),
             program.inv_count(),
@@ -236,21 +219,21 @@ impl Fixpoint {
             reach[p.index()] = true;
         }
         Fixpoint {
-            pts: Rows::set(vars, st.pts.iter().map(|&(v, h, _)| (v.index(), h))),
-            hpts: Rows::set(
+            pts: Rows::new(vars, st.pts.iter().map(|&(v, h, _)| (v.index(), h))),
+            hpts: Rows::new(
                 program.heap_count(),
                 st.hpts.iter().map(|&(g, f, h, _)| (g.index(), (f, h))),
             ),
-            spts: Rows::set(
+            spts: Rows::new(
                 program.field_count(),
                 st.spts.iter().map(|&(f, h, _)| (f.index(), h)),
             ),
-            hloads_into: Rows::set(
+            hloads_into: Rows::new(
                 vars,
                 st.hload.iter().map(|&(g, f, z, _)| (z.index(), (g, f))),
             ),
-            callees: Rows::set(invs, st.call.iter().map(|&(i, q, _)| (i.index(), q))),
-            callers: Rows::set(methods, st.call.iter().map(|&(i, q, _)| (q.index(), i))),
+            callees: Rows::new(invs, st.call.iter().map(|&(i, q, _)| (i.index(), q))),
+            callers: Rows::new(methods, st.call.iter().map(|&(i, q, _)| (q.index(), i))),
             reach,
         }
     }
@@ -448,7 +431,8 @@ mod tests {
         }
     }
 
-    /// The facts of a CI state whose projection is `t`: one per context.
+    /// The facts of a CI state whose projection is `t`: one per context
+    /// (the `reach` row lists only derived facts; the others are checked).
     fn facts_of(st: &SolverState<Insensitive>, t: Tuple) -> Vec<Fact<()>> {
         match t {
             Tuple::Reach(p) => st.reach_by_method.get(&p).map_or(Vec::new(), |ms| {
@@ -461,7 +445,14 @@ mod tests {
             Tuple::Spts(f, h) => vec![Fact::Spts(f, h, ())],
         }
         .into_iter()
-        .filter(|&fact| st.contains(fact))
+        .filter(|&fact| match fact {
+            Fact::Reach(..) => true,
+            Fact::Pts(y, h, x) => st.pts.contains(&(y, h, x)),
+            Fact::Call(i, q, x) => st.call.contains(&(i, q, x)),
+            Fact::Hpts(g, f, h, x) => st.hpts.contains(&(g, f, h, x)),
+            Fact::Hload(g, f, y, x) => st.hload.contains(&(g, f, y, x)),
+            Fact::Spts(f, h, x) => st.spts.contains(&(f, h, x)),
+        })
         .collect()
     }
 
@@ -535,8 +526,8 @@ mod tests {
 
     /// Every CI fixpoint tuple but an entry `reach` has a holding
     /// instance, and driving a holding instance's first premise through
-    /// the forward kernel emits its head — the property DRed's re-derive
-    /// seed relies on.
+    /// the forward kernel emits its head: the backward rules and the
+    /// forward kernel describe the same instances.
     #[test]
     fn first_premises_re_derive_their_heads() {
         let mut firsts = Vec::new();

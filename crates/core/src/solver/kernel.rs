@@ -2,29 +2,24 @@
 //! over where its consequences go.
 //!
 //! A driver joins one delta against the solver's indices and hands each
-//! consequence to a [`Sink`]. Two sinks implement the trait, and they
-//! differ only in [`Sink::emit`]:
+//! consequence to a [`Sink`], whose [`Sink::emit`] decides where it goes.
+//! The [`Solver`] itself is the sink of every solve: `emit` inserts
+//! (dedup, index, log, queue), and the serial delta loop drives every
+//! delta through it. The backward enumerator's property test
+//! ([`super::backward`]) drives premises through a sink that only
+//! collects what is emitted.
 //!
-//! * **direct** — the [`Solver`] itself: `emit` inserts (dedup, index,
-//!   log, queue). The serial delta loop drives every delta through it.
-//! * **mark** — [`MarkSink`], the over-delete phase of a DRed update:
-//!   `emit` marks the consequence for deletion (when it is currently
-//!   derived) instead of inserting it.
-//!
-//! Both sinks intern and compose through the same solver state, so the
-//! rule bodies exist once. Every two-literal join is driven from both
-//! sides, so re-driving any one premise of a rule instance re-fires it;
-//! DRed's re-derive seed relies on that when it re-queues only the first
-//! premise the backward enumerator ([`super::backward`]) lists.
+//! Every two-literal join is driven from both sides, so re-driving any
+//! one premise of a rule instance re-fires it; an additive extension's
+//! seed relies on that when it re-queues existing facts that join a new
+//! input tuple.
 
 use std::mem;
 use std::time::Instant;
 
 use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite};
-use ctxform_hash::FxHashSet;
 use ctxform_ir::{Field, Heap, Inv, Method, ProgramIndex, Var};
 
-use super::backward::Tuple;
 use super::{Solver, SolverState};
 use crate::bucket::Bucket;
 use crate::result::{elapsed_ns, rule, PROFILE_STRIDE};
@@ -36,8 +31,8 @@ pub(super) fn sampled(profile: bool, event: usize) -> bool {
     profile && (event as u64).is_multiple_of(PROFILE_STRIDE)
 }
 
-/// One fact of a derived relation: a queued delta, an emitted
-/// consequence, or a fact marked for deletion.
+/// One fact of a derived relation: a queued delta or an emitted
+/// consequence.
 #[derive(Clone, Copy)]
 pub(super) enum Fact<X> {
     Reach(Method, CtxtStr),
@@ -73,17 +68,6 @@ impl<X> Default for Queues<X> {
 }
 
 impl<X: Copy> Queues<X> {
-    pub(super) fn push(&mut self, fact: Fact<X>) {
-        match fact {
-            Fact::Reach(p, m) => self.reach.push((p, m)),
-            Fact::Pts(y, h, x) => self.pts.push((y, h, x)),
-            Fact::Call(i, q, x) => self.call.push((i, q, x)),
-            Fact::Hpts(g, f, h, x) => self.hpts.push((g, f, h, x)),
-            Fact::Hload(g, f, y, x) => self.hload.push((g, f, y, x)),
-            Fact::Spts(f, h, x) => self.spts.push((f, h, x)),
-        }
-    }
-
     /// Pops the next delta: relations in a fixed priority order
     /// (reach, pts, call, hpts, hload, spts), each queue LIFO.
     pub(super) fn pop(&mut self) -> Option<Fact<X>> {
@@ -131,8 +115,8 @@ impl<X> Default for Scratch<X> {
 }
 
 /// Where the rule drivers send their work. [`Sink::emit`] is the only
-/// behaviour that differs between the direct and mark sinks; the
-/// provided methods are the Fig. 3 rules, written once.
+/// behaviour a sink supplies; the provided methods are the Fig. 3 rules,
+/// written once.
 pub(super) trait Sink<'p, A: Abstraction> {
     /// The solver whose facts and join indices the drivers read.
     fn solver(&self) -> &Solver<'p, A>;
@@ -196,9 +180,9 @@ pub(super) trait Sink<'p, A: Abstraction> {
     }
 
     // Profiling hooks: plain untaken branches (no clock reads) unless
-    // the delta being driven is sampled (see [`sampled`]; the mark sink
-    // runs with it unset); the timings land only in the solver's rule
-    // times, never in a derivation decision.
+    // the delta being driven is sampled (see [`sampled`]); the timings
+    // land only in the solver's rule times, never in a derivation
+    // decision.
 
     #[inline]
     fn prof_start(&self) -> Option<Instant> {
@@ -545,7 +529,7 @@ pub(super) trait Sink<'p, A: Abstraction> {
 
     /// `hpts(G, F, H, A;B)` unless the composition is ⊥. Under the
     /// insensitive-heap collapse the context is stored uninformative, so
-    /// both sinks dedup and mark the stored form.
+    /// the sink dedups the stored form.
     #[allow(clippy::too_many_arguments)]
     fn compose_hpts(
         &mut self,
@@ -576,112 +560,5 @@ pub(super) trait Sink<'p, A: Abstraction> {
                 self.emit(Fact::Pts(y, h, a), "Ret");
             }
         }
-    }
-}
-
-/// The over-delete phase's marks: one set per derived relation, plus the
-/// worklist of marked facts whose consequences are still to be marked.
-pub(super) struct RetractSink<X> {
-    pub(super) pts: FxHashSet<(Var, Heap, X)>,
-    pub(super) hpts: FxHashSet<(Heap, Field, Heap, X)>,
-    pub(super) hload: FxHashSet<(Heap, Field, Var, X)>,
-    pub(super) call: FxHashSet<(Inv, Method, X)>,
-    pub(super) spts: FxHashSet<(Field, Heap, X)>,
-    pub(super) reach: FxHashSet<(Method, CtxtStr)>,
-    queue: Queues<X>,
-}
-
-impl<X: Copy + Eq + std::hash::Hash> RetractSink<X> {
-    pub(super) fn new() -> Self {
-        RetractSink {
-            pts: FxHashSet::default(),
-            hpts: FxHashSet::default(),
-            hload: FxHashSet::default(),
-            call: FxHashSet::default(),
-            spts: FxHashSet::default(),
-            reach: FxHashSet::default(),
-            queue: Queues::default(),
-        }
-    }
-
-    /// Total marked facts across all six derived relations.
-    pub(super) fn len(&self) -> usize {
-        self.pts.len()
-            + self.hpts.len()
-            + self.hload.len()
-            + self.call.len()
-            + self.spts.len()
-            + self.reach.len()
-    }
-
-    /// The context-insensitive projection of every marked fact, once
-    /// per marked fact (so a tuple marked in several contexts repeats).
-    pub(super) fn heads(&self) -> impl Iterator<Item = Tuple> + '_ {
-        let pts = self.pts.iter().map(|&(y, h, _)| Tuple::Pts(y, h));
-        let hpts = self.hpts.iter().map(|&(g, f, h, _)| Tuple::Hpts(g, f, h));
-        let hload = self.hload.iter().map(|&(g, f, y, _)| Tuple::Hload(g, f, y));
-        let call = self.call.iter().map(|&(i, q, _)| Tuple::Call(i, q));
-        let spts = self.spts.iter().map(|&(f, h, _)| Tuple::Spts(f, h));
-        let reach = self.reach.iter().map(|&(p, _)| Tuple::Reach(p));
-        pts.chain(hpts)
-            .chain(hload)
-            .chain(call)
-            .chain(spts)
-            .chain(reach)
-    }
-
-    /// Marks `fact` for deletion if it is currently derived and not yet
-    /// marked (the mark sets double as the worklist's seen-set).
-    pub(super) fn mark<A: Abstraction<X = X>>(&mut self, st: &SolverState<A>, fact: Fact<X>) {
-        if !st.contains(fact) {
-            return;
-        }
-        let fresh = match fact {
-            Fact::Reach(p, m) => self.reach.insert((p, m)),
-            Fact::Pts(y, h, x) => self.pts.insert((y, h, x)),
-            Fact::Call(i, q, x) => self.call.insert((i, q, x)),
-            Fact::Hpts(g, f, h, x) => self.hpts.insert((g, f, h, x)),
-            Fact::Hload(g, f, y, x) => self.hload.insert((g, f, y, x)),
-            Fact::Spts(f, h, x) => self.spts.insert((f, h, x)),
-        };
-        if fresh {
-            self.queue.push(fact);
-        }
-    }
-}
-
-/// The mark sink: runs the rule drivers over marked facts, marking every
-/// currently derived consequence instead of inserting it. Join partners
-/// come from the intact indices, so every one-step consequence of a
-/// marked fact is found.
-pub(super) struct MarkSink<'s, 'p, A: Abstraction> {
-    pub(super) solver: &'s mut Solver<'p, A>,
-    pub(super) marks: RetractSink<A::X>,
-}
-
-impl<A: Abstraction> MarkSink<'_, '_, A> {
-    /// Closes the marking transitively. The whole pass is timed as the
-    /// `retract` phase, so no mark delta is sampled into rule time (the
-    /// solver's `sampled` flag is unset outside its delta loop).
-    pub(super) fn run(mut self) -> RetractSink<A::X> {
-        while let Some(delta) = self.marks.queue.pop() {
-            self.solver.st.stats.events += 1;
-            self.drive(delta);
-        }
-        self.marks
-    }
-}
-
-impl<'p, A: Abstraction> Sink<'p, A> for MarkSink<'_, 'p, A> {
-    fn solver(&self) -> &Solver<'p, A> {
-        self.solver
-    }
-
-    fn solver_mut(&mut self) -> &mut Solver<'p, A> {
-        self.solver
-    }
-
-    fn emit(&mut self, fact: Fact<A::X>, _rule: &'static str) {
-        self.marks.mark(&self.solver.st, fact);
     }
 }

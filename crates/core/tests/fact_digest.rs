@@ -6,7 +6,7 @@
 //! databases digest equal exactly when their sorted `rendered_facts()`
 //! are equal. This suite checks that equivalence pairwise over every
 //! database one program yields — from-scratch solves of the base, an
-//! additive edit and a DRed (deleting) edit, the `extend` chain through
+//! additive edit and a deleting edit, the `extend` chain through
 //! both edits, under every abstraction — for the corpus and seeded
 //! random programs. Pairs with equal listings exercise the "independent
 //! of interning order and build path" half; pairs with different listings (other revisions, other

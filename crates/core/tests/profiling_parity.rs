@@ -1,8 +1,8 @@
 //! Profiling must be result-neutral: enabling per-rule/per-phase timing
 //! may not change a single derived fact — the clocks only ever feed the timing fields of `SolverStats`. Rule blocks
 //! are sampled (one popped delta in `PROFILE_STRIDE`, chosen by event
-//! index), so the sampled counts are deterministic too, and a DRed
-//! update's over-delete pass is timed as its own `retract` phase.
+//! index), so the sampled counts are deterministic too, and a
+//! retractive update, which re-solves, is profiled as a fresh solve.
 
 use ctxform::{
     analyze, AnalysisConfig, AnalysisDb, ExtendOutcome, RuleTimes, PROFILE_STRIDE, RULE_NAMES,
@@ -29,9 +29,9 @@ fn sampled_deltas(times: &RuleTimes) -> u64 {
         / PROFILE_STRIDE
 }
 
-/// Event indices in `lo..hi` that are multiples of the stride.
-fn multiples_of_stride(lo: usize, hi: usize) -> u64 {
-    (hi as u64).div_ceil(PROFILE_STRIDE) - (lo as u64).div_ceil(PROFILE_STRIDE)
+/// Event indices in `0..events` that are multiples of the stride.
+fn multiples_of_stride(events: usize) -> u64 {
+    (events as u64).div_ceil(PROFILE_STRIDE)
 }
 
 /// Corpus cell × both abstractions: runs with profiling enabled derive
@@ -109,7 +109,7 @@ fn profiling_is_result_neutral() {
         }
         assert_eq!(
             sampled_deltas(&profiled.stats.rule_time),
-            multiples_of_stride(0, profiled.stats.events),
+            multiples_of_stride(profiled.stats.events),
             "{what}: one popped delta in PROFILE_STRIDE is sampled"
         );
         // Memory footprint is populated either way and covers the
@@ -126,12 +126,12 @@ fn profiling_is_result_neutral() {
     }
 }
 
-/// A profiled DRed update derives the same database as an unprofiled
-/// one, times its over-delete pass as the `retract` phase, and samples
-/// only the re-derive fixpoint's deltas into rule time: the mark sink's
-/// drives (one per over-deleted fact, popped first) are never sampled.
+/// A profiled retractive update re-solves: it derives the same database
+/// as an unprofiled one and as a scratch solve, does the scratch solve's
+/// work, times its seed and eval phases, and samples one popped delta in
+/// `PROFILE_STRIDE` from the first, as a fresh solve does.
 #[test]
-fn profiled_retraction_is_result_neutral_and_times_the_over_delete() {
+fn profiled_retraction_is_result_neutral_and_profiled_as_a_solve() {
     let base = corpus_program("luindex");
     let mut edited = base.clone();
     edited.facts.store.clear();
@@ -147,26 +147,33 @@ fn profiled_retraction_is_result_neutral_and_times_the_over_delete() {
             "{what}: dropping every store is a retraction, got {outcome:?}"
         );
     }
+    let scratch = AnalysisDb::solve(edited, &config);
     assert_eq!(
         plain.fact_digest(),
         profiled.fact_digest(),
         "{what}: profiling changed the retracted database"
     );
+    assert_eq!(plain.fact_digest(), scratch.fact_digest(), "{what}");
     let (plain, profiled) = (&plain.result().stats, &profiled.result().stats);
     assert_eq!(plain.phase_profile.total_ns(), 0, "{what}: no clocks read");
     assert_eq!(
-        (plain.events, plain.overdeleted, plain.rederived),
-        (profiled.events, profiled.overdeleted, profiled.rederived),
-        "{what}: profiling changed the DRed work"
+        (plain.events, plain.rule_derived),
+        (profiled.events, profiled.rule_derived),
+        "{what}: profiling changed the work"
     );
-    assert!(profiled.overdeleted > 0, "{what}: the edit over-deletes");
+    assert_eq!(
+        plain.events,
+        scratch.result().stats.events,
+        "{what}: a retraction does a scratch solve's work"
+    );
+    let phases = profiled.phase_profile;
     assert!(
-        profiled.phase_profile.retract_ns > 0,
-        "{what}: retract timed"
+        phases.seed_ns > 0 && phases.eval_ns > 0,
+        "{what}: phases timed"
     );
     assert_eq!(
         sampled_deltas(&profiled.rule_time),
-        multiples_of_stride(profiled.overdeleted as usize, profiled.events),
-        "{what}: only re-derive deltas are sampled"
+        multiples_of_stride(profiled.events),
+        "{what}: one popped delta in PROFILE_STRIDE is sampled"
     );
 }

@@ -16,9 +16,10 @@
 //!
 //! Edits that *remove* input tuples (or entry points) over prefix-stable
 //! entity tables are classified as [`ProgramDiff::Retractive`]: the
-//! derived database is no longer a subset of the new least model, but a
-//! DRed (delete-and-rederive) pass can repair it incrementally — see
-//! `ctxform::AnalysisDb::extend`. Two removals stay out of scope and are
+//! derived database is no longer a subset of the new least model, so
+//! `ctxform::AnalysisDb::extend` re-solves it (on the benchmarked edit
+//! workload a re-solve beat delete-and-rederive). Two removals stay out
+//! of scope and are
 //! reported [`ProgramDiff::NonMonotone`]: `heap_type` and `implements`
 //! removals rewrite the dispatch structure the solver's static indices
 //! are built around. True table shrinkage — a removed entity, a renamed
@@ -42,8 +43,8 @@ pub enum ProgramDiff {
     /// dwarf the other variants.
     Additive(Box<ProgramDelta>),
     /// The edit removes (and possibly also adds) input tuples or entry
-    /// points while keeping every entity table prefix-stable; a
-    /// delete-and-rederive pass can update the database incrementally.
+    /// points while keeping every entity table prefix-stable; the derived
+    /// database is no longer a subset of the new least model.
     Retractive(Box<ProgramRetraction>),
     /// The edit rewrites something structural; incremental update is not
     /// sound and the caller must re-solve from scratch.
@@ -80,9 +81,7 @@ impl ProgramDelta {
 }
 
 /// A mixed edit over prefix-stable entity tables: the tuples the next
-/// program dropped alongside the ones it gained. The removed half drives
-/// the over-delete phase of a DRed update; the added half seeds the
-/// ordinary monotone resume afterwards.
+/// program dropped alongside the ones it gained.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramRetraction {
     /// Input tuples present in the next program but not the base.
@@ -124,8 +123,8 @@ impl ProgramDiff {
             return ProgramDiff::NonMonotone { reason };
         }
 
-        // Entry points: removing one removes Entry-rule seeds, which a
-        // DRed pass can retract.
+        // Entry points: removing one removes Entry-rule seeds, a
+        // retraction.
         let base_entries: HashSet<Method> = base.entry_points.iter().copied().collect();
         let next_entries: HashSet<Method> = next.entry_points.iter().copied().collect();
         let removed_entry_points: Vec<Method> = base

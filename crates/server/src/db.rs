@@ -114,9 +114,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Extendable databases kept alive for the `update` op, keyed like the
 /// result cache and bounded by entry count (full solver state is much
 /// heavier than a projected result, so the bound is deliberately small).
+/// Each snapshot is shared: an update copies it outside the lock, and
+/// only when the edit resumes it.
 #[derive(Default)]
 struct DbCacheState {
-    entries: HashMap<Key, (AnalysisDb, u64)>,
+    entries: HashMap<Key, (Arc<AnalysisDb>, u64)>,
     tick: u64,
 }
 
@@ -161,14 +163,9 @@ pub struct CacheSnapshot {
     /// `update` requests whose edited program was identical to the base
     /// (no work performed, cached result re-served).
     pub incremental_noop: u64,
-    /// `update` requests satisfied by resuming a cached database through
-    /// the DRed (delete-and-rederive) retraction path.
-    pub incremental_retract_reuse: u64,
-    /// Facts transitively over-deleted across all retraction updates.
-    pub incremental_overdeleted: u64,
-    /// Over-deleted facts restored by the re-derive pass across all
-    /// retraction updates.
-    pub incremental_rederived: u64,
+    /// `update` requests whose edit removed input tuples and was
+    /// therefore re-solved from scratch.
+    pub incremental_retracted: u64,
     /// `update` requests that fell back to a from-scratch solve.
     pub incremental_fallback: u64,
 }
@@ -202,9 +199,7 @@ pub struct DbManager {
     evictions: AtomicU64,
     incremental_reuse: AtomicU64,
     incremental_noop: AtomicU64,
-    incremental_retract_reuse: AtomicU64,
-    incremental_overdeleted: AtomicU64,
-    incremental_rederived: AtomicU64,
+    incremental_retracted: AtomicU64,
     incremental_fallback: AtomicU64,
 }
 
@@ -226,9 +221,7 @@ impl DbManager {
             evictions: AtomicU64::new(0),
             incremental_reuse: AtomicU64::new(0),
             incremental_noop: AtomicU64::new(0),
-            incremental_retract_reuse: AtomicU64::new(0),
-            incremental_overdeleted: AtomicU64::new(0),
-            incremental_rederived: AtomicU64::new(0),
+            incremental_retracted: AtomicU64::new(0),
             incremental_fallback: AtomicU64::new(0),
         }
     }
@@ -431,13 +424,14 @@ impl DbManager {
 
     /// Brings the analysis of `base` up to date with the edited program
     /// `next`: loads `next` under its own digest, then — when an
-    /// extendable database for `(base, config)` is resident — clones it
-    /// and resumes the fixpoint incrementally: purely-additive edits
-    /// reseed the frontier, deleting/mutating edits go through the DRed
-    /// (delete-and-rederive) retraction path, and anything else falls
-    /// back to a from-scratch solve with a typed reason. The produced
-    /// database is cached for further updates and its result enters the
-    /// ordinary result cache, so follow-up queries on the new digest hit.
+    /// extendable database for `(base, config)` is resident — runs
+    /// [`AnalysisDb::extended`] on it outside the snapshot lock. An
+    /// identical or purely-additive edit copies the snapshot and resumes
+    /// the fixpoint; a retractive or non-monotone edit solves `next` from
+    /// scratch and copies nothing. The resident snapshot itself is never
+    /// mutated. The produced database is cached for further updates and
+    /// its result enters the ordinary result cache, so follow-up queries
+    /// on the new digest hit.
     ///
     /// # Errors
     ///
@@ -456,10 +450,7 @@ impl DbManager {
         let cached_db = self.db_cache_get(&(base, tag.clone()));
         let base_cached = cached_db.is_some();
         let solved = catch_unwind(AssertUnwindSafe(|| match cached_db {
-            Some(mut db) => {
-                let outcome = db.extend((*next_arc).clone());
-                (db, outcome)
-            }
+            Some(db) => db.extended((*next_arc).clone()),
             None => {
                 let db = AnalysisDb::solve((*next_arc).clone(), &solve_config);
                 let reason = "no cached database for the base program".to_owned();
@@ -488,24 +479,21 @@ impl DbManager {
                 self.incremental_noop.fetch_add(1, Ordering::Relaxed);
             }
             ExtendOutcome::Retracted => {
-                self.incremental_retract_reuse
-                    .fetch_add(1, Ordering::Relaxed);
-                self.incremental_overdeleted
-                    .fetch_add(result.stats.overdeleted, Ordering::Relaxed);
-                self.incremental_rederived
-                    .fetch_add(result.stats.rederived, Ordering::Relaxed);
+                self.incremental_retracted.fetch_add(1, Ordering::Relaxed);
             }
             ExtendOutcome::Fallback(_) => {
                 self.incremental_fallback.fetch_add(1, Ordering::Relaxed);
-                // Only the fallback performed a *fresh* solve; incremental
-                // extensions are accounted by the reuse counter instead.
-                if let Some(registry) = &self.registry {
-                    record_solve_metrics(registry, &result.stats);
-                }
             }
         };
+        // Only a re-solve is a *fresh* solve; incremental extensions are
+        // accounted by the reuse counter instead.
+        if !outcome.is_incremental() {
+            if let Some(registry) = &self.registry {
+                record_solve_metrics(registry, &result.stats);
+            }
+        }
         let fact_digest = db.fact_digest();
-        self.db_cache_put((digest, tag.clone()), db);
+        self.db_cache_put((digest, tag.clone()), Arc::new(db));
         self.cache_result((digest, tag), result.clone());
         Ok(UpdateReport {
             digest,
@@ -516,9 +504,9 @@ impl DbManager {
         })
     }
 
-    /// Fetches (and LRU-touches) an extendable database, cloning it so
-    /// the cached snapshot survives the caller's extension.
-    fn db_cache_get(&self, key: &Key) -> Option<AnalysisDb> {
+    /// Fetches (and LRU-touches) an extendable database. Only the `Arc`
+    /// is copied under the lock; the caller never mutates the snapshot.
+    fn db_cache_get(&self, key: &Key) -> Option<Arc<AnalysisDb>> {
         let mut state = self.dbs.lock().unwrap();
         state.tick += 1;
         let tick = state.tick;
@@ -530,7 +518,7 @@ impl DbManager {
 
     /// Caches an extendable database, evicting the least-recently-used
     /// entry past [`DB_CACHE_CAP`].
-    fn db_cache_put(&self, key: Key, db: AnalysisDb) {
+    fn db_cache_put(&self, key: Key, db: Arc<AnalysisDb>) {
         let mut state = self.dbs.lock().unwrap();
         state.tick += 1;
         let tick = state.tick;
@@ -564,7 +552,7 @@ impl DbManager {
                 if let Some(store) = &self.profile_store {
                     store.record(&db.result().stats);
                 }
-                self.db_cache_put(key, db);
+                self.db_cache_put(key, Arc::new(db));
                 Ok(())
             }
             Err(payload) => Err(DbError::SolveFailed(panic_message(payload.as_ref()))),
@@ -622,9 +610,7 @@ impl DbManager {
             programs: self.programs.lock().unwrap().len(),
             incremental_reuse: self.incremental_reuse.load(Ordering::Relaxed),
             incremental_noop: self.incremental_noop.load(Ordering::Relaxed),
-            incremental_retract_reuse: self.incremental_retract_reuse.load(Ordering::Relaxed),
-            incremental_overdeleted: self.incremental_overdeleted.load(Ordering::Relaxed),
-            incremental_rederived: self.incremental_rederived.load(Ordering::Relaxed),
+            incremental_retracted: self.incremental_retracted.load(Ordering::Relaxed),
             incremental_fallback: self.incremental_fallback.load(Ordering::Relaxed),
         }
     }

@@ -3,7 +3,7 @@
 //! Every profiled solver run's [`ctxform::SolverStats`] (fresh solves and
 //! updates) is folded into one process-wide [`ProfileStore`]:
 //! per-Fig.-3-rule wall-time totals and counts, per-phase
-//! (retract/seed/eval) timings, and the byte accounting of the
+//! (seed/eval) timings, and the byte accounting of the
 //! most recent run's database. The `profile` server op exports
 //! the store as JSON plus a folded-stack text rendering that feeds
 //! straight into `inferno`/`flamegraph.pl`.
@@ -14,8 +14,7 @@ use ctxform::{MemoryFootprint, PhaseProfile, RuleTimes, SolverStats};
 
 #[derive(Default)]
 struct ProfileInner {
-    /// Profiled solver runs (solves, extensions, retractions) folded in
-    /// so far.
+    /// Profiled solver runs (solves and extensions) folded in so far.
     solves: u64,
     /// Per-rule wall-time totals/counts/histograms, summed across solves.
     rule: RuleTimes,
@@ -61,15 +60,12 @@ impl ProfileStore {
     }
 
     /// Folded-stack rendering (one `frame;frame;frame <ns>` line per
-    /// stack, flamegraph-ready): retract and seed under `solver`,
+    /// stack, flamegraph-ready): seed under `solver`,
     /// each rule's eval time under `solver;eval`, and the eval remainder
     /// not attributed to any rule block under `solver;eval;other`.
     pub fn folded(&self) -> String {
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
-        if inner.phase.retract_ns > 0 {
-            out.push_str(&format!("solver;retract {}\n", inner.phase.retract_ns));
-        }
         if inner.phase.seed_ns > 0 {
             out.push_str(&format!("solver;seed {}\n", inner.phase.seed_ns));
         }
@@ -102,7 +98,6 @@ mod tests {
         stats.rule_time.observe(ctxform::rule::VIRT, 2_000);
         stats.phase_profile.seed_ns = 500;
         stats.phase_profile.eval_ns = 10_000;
-        stats.phase_profile.retract_ns = 700;
         stats.memory.rel_pts = 4096;
         stats
     }
@@ -133,7 +128,6 @@ mod tests {
         assert!(folded.contains("solver;eval;Virt 4000\n"));
         // eval 20_000 minus 6_000 of attributed rule time.
         assert!(folded.contains("solver;eval;other 14000\n"));
-        assert!(folded.contains("solver;retract 1400\n"));
         for line in folded.lines() {
             let (stack, ns) = line.rsplit_once(' ').expect("stack + value");
             assert!(stack.starts_with("solver"));

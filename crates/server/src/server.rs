@@ -842,10 +842,6 @@ fn dispatch_queued(
                 ("facts_derived", Json::uint(s.rule_derived.total())),
                 ("time_ms", Json::ms(s.duration.as_secs_f64() * 1000.0)),
             ];
-            if matches!(report.outcome, ctxform::ExtendOutcome::Retracted) {
-                fields.push(("overdeleted", Json::uint(s.overdeleted)));
-                fields.push(("rederived", Json::uint(s.rederived)));
-            }
             if let ctxform::ExtendOutcome::Fallback(reason) = &report.outcome {
                 fields.push(("reason", Json::str(reason.as_str())));
             }
@@ -1483,7 +1479,7 @@ fn render_profile_prometheus(text: &mut PromText, profile: &ProfileStore) {
 }
 
 fn render_cache_prometheus(text: &mut PromText, cache: &CacheSnapshot) {
-    let counters: [(&str, &str, u64); 9] = [
+    let counters: [(&str, &str, u64); 7] = [
         (
             "ctxform_db_cache_hits_total",
             "Analysis requests answered from the database cache.",
@@ -1510,19 +1506,9 @@ fn render_cache_prometheus(text: &mut PromText, cache: &CacheSnapshot) {
             cache.incremental_noop,
         ),
         (
-            "ctxform_db_incremental_retract_reuse_total",
-            "Update requests satisfied through the delete-and-rederive path.",
-            cache.incremental_retract_reuse,
-        ),
-        (
-            "ctxform_db_incremental_overdeleted_total",
-            "Facts transitively over-deleted by retraction updates.",
-            cache.incremental_overdeleted,
-        ),
-        (
-            "ctxform_db_incremental_rederived_total",
-            "Over-deleted facts restored by the re-derive pass.",
-            cache.incremental_rederived,
+            "ctxform_db_incremental_retracted_total",
+            "Update requests whose edit removed input tuples, re-solved from scratch.",
+            cache.incremental_retracted,
         ),
         (
             "ctxform_db_incremental_fallback_total",
@@ -1595,7 +1581,6 @@ fn profile_fields(shared: &Shared) -> Fields {
             Json::obj([
                 ("seed_ns", Json::uint(phase.seed_ns)),
                 ("eval_ns", Json::uint(phase.eval_ns)),
-                ("retract_ns", Json::uint(phase.retract_ns)),
             ]),
         ),
         ("rules", Json::Obj(rules)),
@@ -1706,16 +1691,8 @@ fn stats_fields(shared: &Shared) -> Fields {
                 ("incremental_reuse", Json::uint(cache.incremental_reuse)),
                 ("incremental_noop", Json::uint(cache.incremental_noop)),
                 (
-                    "incremental_retract_reuse",
-                    Json::uint(cache.incremental_retract_reuse),
-                ),
-                (
-                    "incremental_overdeleted",
-                    Json::uint(cache.incremental_overdeleted),
-                ),
-                (
-                    "incremental_rederived",
-                    Json::uint(cache.incremental_rederived),
+                    "incremental_retracted",
+                    Json::uint(cache.incremental_retracted),
                 ),
                 (
                     "incremental_fallback",

@@ -845,11 +845,10 @@ fn update_endpoint_reuses_cached_databases() {
 }
 
 /// The `update` endpoint's deletion path: an identical edit is a noop
-/// that performs no solver work, a deleting edit over the fact wire
-/// resumes through DRed with a bit-identical digest, the retraction
-/// counters reach `stats` and the Prometheus exposition, and demand
-/// slices cached for the base digest are never served for the edited
-/// program.
+/// that performs no solver work, a deleting edit over the fact wire is
+/// re-solved with a bit-identical digest, the retraction counter reaches
+/// `stats` and the Prometheus exposition, and demand slices cached for
+/// the base digest are never served for the edited program.
 #[test]
 fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
     let server = test_server(|_| {});
@@ -932,12 +931,8 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
         ]))
         .unwrap();
     assert_eq!(r3.get("outcome").unwrap().as_str(), Some("retracted"));
-    assert_eq!(r3.get("incremental").unwrap().as_bool(), Some(true));
+    assert_eq!(r3.get("incremental").unwrap().as_bool(), Some(false));
     assert_eq!(r3.get("base_cached").unwrap().as_bool(), Some(true));
-    assert!(
-        r3.get("overdeleted").unwrap().as_u64().unwrap() > 0,
-        "dropping the store must over-delete its consequences"
-    );
     let dr = r3.get("program").unwrap().as_str().unwrap().to_owned();
     assert_ne!(dr, d1);
     let config = AnalysisConfig::transformer_strings("2-object+H".parse().unwrap());
@@ -945,7 +940,7 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
     assert_eq!(
         r3.get("fact_digest").unwrap().as_str().unwrap(),
         format!("{:016x}", scratch.fact_digest()),
-        "DRed update diverged from a from-scratch solve"
+        "retractive update diverged from a from-scratch solve"
     );
 
     // Freshness across the edit: the same query on the new digest must be
@@ -968,16 +963,8 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
     let cache = stats.get("cache").unwrap();
     assert_eq!(cache.get("incremental_noop").unwrap().as_u64(), Some(1));
     assert_eq!(
-        cache.get("incremental_retract_reuse").unwrap().as_u64(),
+        cache.get("incremental_retracted").unwrap().as_u64(),
         Some(1)
-    );
-    assert!(
-        cache
-            .get("incremental_overdeleted")
-            .unwrap()
-            .as_u64()
-            .unwrap()
-            > 0
     );
     let metrics = client
         .request(&Json::obj([("op", Json::str("metrics"))]))
@@ -985,13 +972,62 @@ fn update_endpoint_retracts_and_keeps_demand_slices_fresh() {
     let text = metrics.get("exposition").unwrap().as_str().unwrap();
     for needle in [
         "ctxform_db_incremental_noop_total 1",
-        "ctxform_db_incremental_retract_reuse_total 1",
-        "ctxform_db_incremental_overdeleted_total",
-        "ctxform_db_incremental_rederived_total",
+        "ctxform_db_incremental_retracted_total 1",
     ] {
         assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
     }
 
+    server.shutdown();
+    server.join();
+}
+
+/// A retractive `update` re-solves without touching the resident
+/// snapshot it was based on: an additive `update` of the same base digest
+/// still resumes that snapshot, doing exactly the work it did before the
+/// retraction.
+#[test]
+fn retractive_update_leaves_the_base_snapshot_untouched() {
+    let server = test_server(|_| {});
+    let mut client = Client::connect(server.addr()).unwrap();
+    let d0 = client.load_source(UPD_V0).unwrap();
+    // Seed the database chain (a fallback solve of V1).
+    let r1 = client.request(&update_req(&d0, &upd_v1())).unwrap();
+    let d1 = r1.get("program").unwrap().as_str().unwrap().to_owned();
+    let additive = |client: &mut Client| {
+        let reply = client.request(&update_req(&d1, &upd_v2())).unwrap();
+        assert_eq!(reply.get("outcome").unwrap().as_str(), Some("incremental"));
+        assert_eq!(reply.get("incremental").unwrap().as_bool(), Some(true));
+        let digest = reply
+            .get("fact_digest")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_owned();
+        (
+            reply.get("facts_derived").unwrap().as_u64().unwrap(),
+            digest,
+        )
+    };
+    let before = additive(&mut client);
+
+    let mut retracted = compile(&upd_v1()).unwrap().program;
+    retracted.facts.store.clear();
+    let r2 = client
+        .request(&Json::obj([
+            ("op", Json::str("update")),
+            ("base", Json::str(d1.clone())),
+            ("facts", Json::str(ctxform_ir::text::emit(&retracted))),
+            ("abstraction", Json::str("tstring")),
+            ("sensitivity", Json::str("2-object+H")),
+        ]))
+        .unwrap();
+    assert_eq!(r2.get("outcome").unwrap().as_str(), Some("retracted"));
+
+    assert_eq!(
+        additive(&mut client),
+        before,
+        "the retraction changed the base snapshot"
+    );
     server.shutdown();
     server.join();
 }
@@ -1878,8 +1914,8 @@ fn profile_op_reports_rules_phases_and_folded_stacks() {
 
 /// The `profile` op covers the updates the server runs, not only fresh
 /// solves: one additive and one retractive `update` against a resident
-/// database each fold one profiled run into the store, and the
-/// retractive one shows up as the `retract` phase.
+/// database each fold one profiled run into the store. The retractive
+/// one re-solves, so it adds seed and eval time and no other phase.
 #[test]
 fn profile_op_counts_incremental_and_retractive_updates() {
     let server = test_server(|_| {});
@@ -1889,6 +1925,13 @@ fn profile_op_counts_incremental_and_retractive_updates() {
             .request(&Json::obj([("op", Json::str("profile"))]))
             .unwrap()
     };
+    let phase = |reply: &Json, name: &str| {
+        reply
+            .get("phases")
+            .unwrap()
+            .get(name)
+            .and_then(Json::as_u64)
+    };
     let d0 = client.load_source(UPD_V0).unwrap();
     // Seed the database chain (a fallback solve of V1).
     let r1 = client.request(&update_req(&d0, &upd_v1())).unwrap();
@@ -1896,16 +1939,6 @@ fn profile_op_counts_incremental_and_retractive_updates() {
     let d1 = r1.get("program").unwrap().as_str().unwrap().to_owned();
     let before = profile(&mut client);
     let solves_before = before.get("solves").unwrap().as_u64().unwrap();
-    assert_eq!(
-        before
-            .get("phases")
-            .unwrap()
-            .get("retract_ns")
-            .unwrap()
-            .as_u64(),
-        Some(0),
-        "no retraction has run yet"
-    );
 
     let r2 = client.request(&update_req(&d1, &upd_v2())).unwrap();
     assert_eq!(r2.get("outcome").unwrap().as_str(), Some("incremental"));
@@ -1929,18 +1962,20 @@ fn profile_op_counts_incremental_and_retractive_updates() {
         "both updates are profiled runs: {}",
         after.to_line()
     );
-    let retract_ns = after
-        .get("phases")
-        .unwrap()
-        .get("retract_ns")
-        .unwrap()
-        .as_u64()
-        .unwrap();
-    assert!(retract_ns > 0, "the DRed over-delete is its own phase");
+    for name in ["seed_ns", "eval_ns"] {
+        assert!(
+            phase(&after, name) > phase(&before, name),
+            "{name} grew: {}",
+            after.to_line()
+        );
+    }
+    assert_eq!(phase(&after, "retract_ns"), None, "no retract phase");
     let folded = after.get("folded").unwrap().as_str().unwrap();
     assert!(
-        folded.lines().any(|l| l.starts_with("solver;retract ")),
-        "folded stacks must include the retract frame:\n{folded}"
+        folded
+            .lines()
+            .all(|l| l.starts_with("solver;seed ") || l.starts_with("solver;eval;")),
+        "folded stacks hold only seed and eval frames:\n{folded}"
     );
     server.shutdown();
     server.join();

@@ -81,7 +81,7 @@ pub fn edit_script(source: &str, seed: u64, steps: usize) -> Vec<String> {
 /// previous step removed (the "mutation" flavor — the step both removes
 /// and adds). Entity tables, entry points, `heap_type`, and `implements`
 /// are never touched, so every step diffs as `ProgramDiff::Retractive`
-/// and exercises the DRed path of `AnalysisDb::extend`.
+/// and exercises the retraction path of `AnalysisDb::extend`.
 ///
 /// The result has `steps + 1` entries, the unedited base first.
 /// Deterministic in `(seed, steps, removal_percent)`; every revision

@@ -133,7 +133,7 @@ fn incrementally_extended_databases_stay_sound_under_edits() {
     }
 }
 
-/// Soundness must survive retractions: drive a database through a DRed
+/// Soundness must survive retractions: drive a database through a
 /// deletion chain, then restore the full program with a final additive
 /// extension, and check the result against a concrete execution of the
 /// full module. The VM interprets instruction streams, so only the full
