@@ -22,7 +22,7 @@ use crate::digest::CtxtDigest;
 use crate::elem::CtxtElem;
 use crate::flavour::{Flavour, MergeSite, Sensitivity};
 use crate::interner::{CtxtInterner, CtxtStr};
-use crate::tstring::TStr;
+use crate::tstring::{Configuration, TStr};
 
 /// How the solver may index facts for composition joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +127,10 @@ pub trait Abstraction {
     /// SLoad rule.
     fn load_global(&mut self, b: Self::X, m: CtxtStr) -> Self::X;
 
-    /// Configuration tag of `x` in the `x*w?e*` sense of §7 (empty for
-    /// abstractions without configurations).
-    fn configuration(&self, _x: Self::X) -> String {
-        String::new()
+    /// The §7 configuration of `x` (the empty `x*w?e*` tag, the
+    /// default key, for abstractions without configurations).
+    fn configuration(&self, _x: Self::X) -> Configuration {
+        Configuration::default()
     }
 
     /// Renders `x` with entity names from `program`.
@@ -393,7 +393,7 @@ impl Abstraction for TStrings {
         a.subsumes(&self.interner, b)
     }
 
-    fn configuration(&self, x: TStr) -> String {
+    fn configuration(&self, x: TStr) -> Configuration {
         x.configuration(&self.interner)
     }
 

@@ -54,5 +54,5 @@ pub use digest::CtxtDigest;
 pub use elem::CtxtElem;
 pub use flavour::{Flavour, Levels, MergeSite, Sensitivity, SensitivityError};
 pub use interner::{CtxtInterner, CtxtStr, RevElems};
-pub use tstring::TStr;
+pub use tstring::{Configuration, TStr};
 pub use word::{Letter, Sem, Word};

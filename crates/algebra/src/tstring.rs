@@ -24,8 +24,41 @@
 //! > `X ; Y ≠ ⊥`  iff  one of `X.entries`, `Y.exits` is a prefix of the
 //! > other.
 
+use std::fmt::{self, Write as _};
+
 use crate::elem::CtxtElem;
 use crate::interner::{CtxtInterner, CtxtStr};
+
+/// The shape of a transformer string that §7 specializes relations by:
+/// how many exits, whether a wildcard, how many entries. A small `Copy`
+/// key, so a solver can count facts per configuration without rendering;
+/// its [`Display`](fmt::Display) is the paper's `x*w?e*` tag, e.g. `xe`
+/// for one exit and one entry, `xxwe` for two exits, a wildcard and one
+/// entry, and the empty tag for the identity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Configuration {
+    /// Number of exits.
+    pub exits: u32,
+    /// Whether a wildcard separates exits from entries.
+    pub wild: bool,
+    /// Number of entries.
+    pub entries: u32,
+}
+
+impl fmt::Display for Configuration {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for _ in 0..self.exits {
+            f.write_char('x')?;
+        }
+        if self.wild {
+            f.write_char('w')?;
+        }
+        for _ in 0..self.entries {
+            f.write_char('e')?;
+        }
+        Ok(())
+    }
+}
 
 /// A canonical transformer string `exits · wild? · entries`.
 ///
@@ -221,21 +254,14 @@ impl TStr {
         )
     }
 
-    /// Configuration tag in the paper's `x*w?e*` notation (§7), e.g. `xe`
-    /// for one exit and one entry, `xxwe` for two exits, a wildcard, and
-    /// one entry. The identity is the empty tag.
-    pub fn configuration(self, interner: &CtxtInterner) -> String {
-        let mut s = String::new();
-        for _ in 0..interner.len(self.exits) {
-            s.push('x');
+    /// The transformer's §7 configuration: its exit count, wildcard and
+    /// entry count (rendered `x*w?e*`; the identity's is empty).
+    pub fn configuration(self, interner: &CtxtInterner) -> Configuration {
+        Configuration {
+            exits: interner.len(self.exits) as u32,
+            wild: self.wild,
+            entries: interner.len(self.entries) as u32,
         }
-        if self.wild {
-            s.push('w');
-        }
-        for _ in 0..interner.len(self.entries) {
-            s.push('e');
-        }
-        s
     }
 
     /// Formats the transformer with a custom element renderer; exits are
@@ -521,14 +547,24 @@ mod tests {
     #[test]
     fn configuration_tags_follow_section7() {
         let (mut it, a, b, _) = setup();
-        assert_eq!(TStr::IDENTITY.configuration(&it), "");
-        assert_eq!(TStr::WILD.configuration(&it), "w");
+        assert_eq!(TStr::IDENTITY.configuration(&it), Configuration::default());
+        assert_eq!(TStr::IDENTITY.configuration(&it).to_string(), "");
+        assert_eq!(TStr::WILD.configuration(&it).to_string(), "w");
         let t = TStr {
             exits: it.from_slice(&[a, b]),
             wild: true,
             entries: it.from_slice(&[a]),
         };
-        assert_eq!(t.configuration(&it), "xxwe");
+        let key = t.configuration(&it);
+        assert_eq!(
+            key,
+            Configuration {
+                exits: 2,
+                wild: true,
+                entries: 1
+            }
+        );
+        assert_eq!(key.to_string(), "xxwe");
     }
 
     #[test]

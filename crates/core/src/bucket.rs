@@ -19,6 +19,8 @@
 //!   composition itself filters. This is the strawman implementation §7
 //!   warns about, kept for the ablation benchmarks.
 
+use std::ops::AddAssign;
+
 use ctxform_algebra::{BoundaryMode, CtxtInterner, CtxtStr};
 use ctxform_hash::FxHashMap;
 
@@ -34,6 +36,34 @@ pub enum JoinStrategy {
     /// No boundary index; probe every candidate (the naive scheme whose
     /// "drastically increased cost" §7 reports).
     Naive,
+}
+
+/// Distinct boundary keys across a bucket's maps and stored value slots
+/// (a `Prefix` bucket stores one slot per proper prefix, so `stored` can
+/// exceed the fact count): what one [`Bucket::insert`] added, or a
+/// running total over a join index. Feeds the
+/// [`crate::MemoryFootprint`] byte estimates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Occupancy {
+    /// Distinct boundary keys.
+    pub keys: usize,
+    /// Stored value slots.
+    pub stored: usize,
+}
+
+impl AddAssign for Occupancy {
+    fn add_assign(&mut self, other: Occupancy) {
+        self.keys += other.keys;
+        self.stored += other.stored;
+    }
+}
+
+/// Appends `value` under `key`; 1 if that created the key, else 0 (a
+/// key's list is never empty once created).
+fn push<V: Copy>(map: &mut FxHashMap<CtxtStr, CompactVec<V>>, key: CtxtStr, value: V) -> usize {
+    let list = map.entry(key).or_default();
+    list.push(value);
+    usize::from(list.len() == 1)
 }
 
 /// A container of facts indexed by a boundary context string.
@@ -65,18 +95,31 @@ impl<V: Copy> Bucket<V> {
         }
     }
 
-    /// Inserts a fact with the given boundary string.
-    pub fn insert(&mut self, boundary: CtxtStr, value: V, interner: &CtxtInterner) {
+    /// Inserts a fact with the given boundary string and reports what
+    /// that added: the boundary keys it created and the value slots it
+    /// stored (one, plus one per proper prefix under `Prefix`).
+    pub fn insert(&mut self, boundary: CtxtStr, value: V, interner: &CtxtInterner) -> Occupancy {
         match self {
-            Bucket::Naive(all) => all.push(value),
-            Bucket::Exact(map) => map.entry(boundary).or_default().push(value),
+            Bucket::Naive(all) => {
+                all.push(value);
+                Occupancy { keys: 0, stored: 1 }
+            }
+            Bucket::Exact(map) => Occupancy {
+                keys: push(map, boundary, value),
+                stored: 1,
+            },
             Bucket::Prefix { exact, proper } => {
-                exact.entry(boundary).or_default().push(value);
+                let mut added = Occupancy {
+                    keys: push(exact, boundary, value),
+                    stored: 1,
+                };
                 let mut p = boundary;
                 while !interner.is_empty(p) {
                     p = interner.parent(p);
-                    proper.entry(p).or_default().push(value);
+                    added.keys += push(proper, p, value);
+                    added.stored += 1;
                 }
+                added
             }
         }
     }
@@ -131,22 +174,27 @@ impl<V: Copy> Bucket<V> {
         probes
     }
 
-    /// `(keys, stored)` — distinct boundary keys across the bucket's
-    /// maps and total stored value slots (a `Prefix` bucket stores one
-    /// slot per proper prefix, so `stored` can exceed the fact count).
-    /// Feeds the [`crate::MemoryFootprint`] byte estimates.
-    pub fn entry_counts(&self) -> (usize, usize) {
+    /// The bucket's occupancy recounted from its maps: the oracle for
+    /// the running totals [`insert`](Self::insert) reports.
+    #[cfg(test)]
+    pub(crate) fn occupancy(&self) -> Occupancy {
         match self {
-            Bucket::Naive(all) => (0, all.len()),
-            Bucket::Exact(map) => (map.len(), map.values().map(|vs| vs.as_slice().len()).sum()),
-            Bucket::Prefix { exact, proper } => (
-                exact.len() + proper.len(),
-                exact
+            Bucket::Naive(all) => Occupancy {
+                keys: 0,
+                stored: all.len(),
+            },
+            Bucket::Exact(map) => Occupancy {
+                keys: map.len(),
+                stored: map.values().map(CompactVec::len).sum(),
+            },
+            Bucket::Prefix { exact, proper } => Occupancy {
+                keys: exact.len() + proper.len(),
+                stored: exact
                     .values()
                     .chain(proper.values())
-                    .map(|vs| vs.as_slice().len())
+                    .map(CompactVec::len)
                     .sum(),
-            ),
+            },
         }
     }
 
@@ -239,18 +287,31 @@ mod tests {
     }
 
     #[test]
-    fn entry_counts_account_for_prefix_slots() {
+    fn occupancy_accounts_for_prefix_slots() {
         let mut it = CtxtInterner::new();
         let (eps, a, ab, _) = strings(&mut it);
         let mut bucket: Bucket<u32> = Bucket::new(JoinStrategy::Specialized, BoundaryMode::Prefix);
-        bucket.insert(eps, 0, &it); // exact[ε]
-        bucket.insert(a, 1, &it); // exact[a], proper[ε]
-        bucket.insert(ab, 2, &it); // exact[ab], proper[a], proper[ε]
-        let (keys, stored) = bucket.entry_counts();
-        assert_eq!(keys, 3 + 2, "3 exact keys, proper keys ε and a");
-        assert_eq!(stored, 3 + 3, "3 exact slots + 3 proper-prefix slots");
+        let mut total = Occupancy::default();
+        // exact[ε]
+        total += bucket.insert(eps, 0, &it);
+        // exact[a], proper[ε]
+        let added = bucket.insert(a, 1, &it);
+        assert_eq!(added, Occupancy { keys: 2, stored: 2 });
+        total += added;
+        // exact[ab], proper[a], proper[ε] (proper[ε] already exists)
+        let added = bucket.insert(ab, 2, &it);
+        assert_eq!(added, Occupancy { keys: 2, stored: 3 });
+        total += added;
+        let recount = bucket.occupancy();
+        assert_eq!(recount.keys, 3 + 2, "3 exact keys, proper keys ε and a");
+        assert_eq!(
+            recount.stored,
+            3 + 3,
+            "3 exact slots + 3 proper-prefix slots"
+        );
+        assert_eq!(total, recount, "the reported additions sum to the recount");
         let naive: Bucket<u32> = Bucket::Naive(vec![1, 2, 3]);
-        assert_eq!(naive.entry_counts(), (0, 3));
+        assert_eq!(naive.occupancy(), Occupancy { keys: 0, stored: 3 });
     }
 
     #[test]

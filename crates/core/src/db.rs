@@ -36,6 +36,8 @@
 //! caller that shares a resident database (the server's snapshot cache)
 //! pays no clone for a re-solve. Both run one diff-and-dispatch.
 
+use std::mem;
+
 use ctxform_algebra::{CStrings, Insensitive, TStrings};
 use ctxform_ir::{Program, ProgramDelta, ProgramDiff};
 
@@ -120,6 +122,15 @@ impl AnalysisDb {
     /// *whole* database while the event/derivation counters cover only
     /// the extension's work (that asymmetry is what lets callers assert
     /// an extension re-derived strictly less than a fresh solve).
+    ///
+    /// The database-wide parts — the CI projection, the fact counts, the
+    /// configuration histogram and the memory estimate — are carried
+    /// across runs rather than recomputed: the solver keeps them up per
+    /// inserted fact, and the CI projection lives here between runs (an
+    /// extension moves it into the resumed solver and back out), so the
+    /// database holds it once. Each of them equals a from-scratch solve's
+    /// of the same program, except the compose memo's and the interner's
+    /// sizes, which also cover what earlier runs memoized and interned.
     pub fn result(&self) -> &AnalysisResult {
         &self.result
     }
@@ -222,21 +233,25 @@ impl AnalysisDb {
         }
     }
 
+    /// Resumes the saved state with `delta`. The standing result's CI
+    /// projection moves into the resumed solver, which extends it and
+    /// hands it back in the new result: one copy, never re-projected.
     fn extend_additive(&mut self, next: Program, delta: &ProgramDelta) {
         let state = self.take_state();
+        let ci = mem::take(&mut self.result.ci);
         let (state, result) = match state {
             DbState::Ins(mut st) => {
-                st.reset_run_counters();
+                st.resume_with(ci);
                 let (st, r) = solver::extend_state(&next, st, delta);
                 (DbState::Ins(st), r)
             }
             DbState::Cs(mut st) => {
-                st.reset_run_counters();
+                st.resume_with(ci);
                 let (st, r) = solver::extend_state(&next, st, delta);
                 (DbState::Cs(st), r)
             }
             DbState::Ts(mut st) => {
-                st.reset_run_counters();
+                st.resume_with(ci);
                 let (st, r) = solver::extend_state(&next, st, delta);
                 (DbState::Ts(st), r)
             }
@@ -254,7 +269,7 @@ impl AnalysisDb {
             Insensitive::new(),
             AnalysisConfig::insensitive(),
         ));
-        std::mem::replace(&mut self.state, placeholder)
+        mem::replace(&mut self.state, placeholder)
     }
 }
 
@@ -293,7 +308,10 @@ fn solve_fresh(program: &Program, config: &AnalysisConfig) -> (DbState, Analysis
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctxform_minijava::compile;
+    use crate::{demand_slice, CiFacts, MemoryFootprint};
+    use ctxform_algebra::Abstraction;
+    use ctxform_minijava::{compile, corpus};
+    use ctxform_synth::{edit_script, random_program};
 
     const BASE: &str = "
         class Box { Object item;
@@ -432,5 +450,138 @@ mod tests {
         assert!(matches!(outcome, ExtendOutcome::Fallback(_)), "{outcome:?}");
         let scratch = AnalysisDb::solve(next, &config);
         assert_eq!(db.fact_digest(), scratch.fact_digest());
+    }
+
+    /// The solver's running bookkeeping recounted from a solved state.
+    struct Recount {
+        ci: CiFacts,
+        pts_configurations: Vec<(String, usize)>,
+        memory: MemoryFootprint,
+    }
+
+    impl Recount {
+        fn of<A: Abstraction>(st: &SolverState<A>) -> Recount {
+            Recount {
+                ci: st.recount_ci(),
+                pts_configurations: st.recount_configurations(),
+                memory: st.recount_memory(),
+            }
+        }
+
+        fn of_db(db: &AnalysisDb) -> Recount {
+            match &db.state {
+                DbState::Ins(st) => Recount::of(st),
+                DbState::Cs(st) => Recount::of(st),
+                DbState::Ts(st) => Recount::of(st),
+            }
+        }
+    }
+
+    /// Insensitive, context strings and transformer strings, each under
+    /// both join strategies.
+    fn bookkeeping_configs() -> Vec<AnalysisConfig> {
+        let mut configs = vec![AnalysisConfig::insensitive()];
+        for label in ["1-call+H", "2-object+H"] {
+            let s = label.parse().unwrap();
+            configs.push(AnalysisConfig::context_strings(s));
+            configs.push(AnalysisConfig::transformer_strings(s));
+        }
+        let naive: Vec<AnalysisConfig> = configs.iter().map(|c| c.with_naive_joins()).collect();
+        configs.extend(naive);
+        configs
+    }
+
+    /// The result's carried CI projection, configuration histogram and
+    /// footprint equal an O(database) recount of the same state.
+    fn assert_matches_recount(db: &AnalysisDb, what: &str) {
+        let recount = Recount::of_db(db);
+        let stats = &db.result().stats;
+        assert_eq!(db.result().ci, recount.ci, "{what}: ci");
+        assert_eq!(
+            stats.pts_configurations, recount.pts_configurations,
+            "{what}: pts_configurations"
+        );
+        assert_eq!(stats.memory, recount.memory, "{what}: memory");
+    }
+
+    /// Everything but the compose memo, whose entries also cover what
+    /// earlier runs memoized.
+    fn without_memo(memory: MemoryFootprint) -> MemoryFootprint {
+        MemoryFootprint {
+            memo_compose: 0,
+            ..memory
+        }
+    }
+
+    #[test]
+    fn carried_bookkeeping_matches_recounts_on_the_corpus() {
+        for (name, src) in corpus::all() {
+            let program = compile(src).unwrap().program;
+            for config in bookkeeping_configs() {
+                let db = AnalysisDb::solve(program.clone(), &config);
+                assert_matches_recount(&db, &format!("{name} {config}"));
+            }
+        }
+    }
+
+    #[test]
+    fn carried_bookkeeping_survives_additive_chains() {
+        for seed in 0..8 {
+            let steps = 3 + (seed % 3) as usize;
+            let revisions: Vec<Program> = edit_script(&random_program(seed, 1), seed, steps)
+                .iter()
+                .map(|src| compile(src).unwrap().program)
+                .collect();
+            for config in bookkeeping_configs() {
+                let mut db = AnalysisDb::solve(revisions[0].clone(), &config);
+                assert_matches_recount(&db, &format!("seed {seed} {config} base"));
+                for (step, next) in revisions.iter().enumerate().skip(1) {
+                    let what = format!("seed {seed} {config} step {step}");
+                    assert_eq!(
+                        db.extend(next.clone()),
+                        ExtendOutcome::Incremental,
+                        "{what}"
+                    );
+                    assert_matches_recount(&db, &what);
+                    let scratch = AnalysisDb::solve(next.clone(), &config);
+                    let (got, want) = (db.result(), scratch.result());
+                    assert_eq!(got.ci, want.ci, "{what}: ci");
+                    assert_eq!(
+                        got.stats.pts_configurations, want.stats.pts_configurations,
+                        "{what}: pts_configurations"
+                    );
+                    assert_eq!(
+                        without_memo(got.stats.memory),
+                        without_memo(want.stats.memory),
+                        "{what}: memory"
+                    );
+                    assert_eq!(db.fact_digest(), scratch.fact_digest(), "{what}: digest");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn carried_bookkeeping_matches_recounts_under_a_demand_gate() {
+        let program = compile(&random_program(3, 1)).unwrap().program;
+        let vars: Vec<ctxform_ir::Var> = (0..program.var_count() as u32)
+            .step_by(3)
+            .map(ctxform_ir::Var)
+            .collect();
+        let slice = std::sync::Arc::new(demand_slice(&program, &vars).unwrap());
+        let config = cfg("2-object+H");
+        let state = SolverState::new(&program, TStrings::new(config.sensitivity.unwrap()), config)
+            .with_gate(slice.clone());
+        let (st, result) = solver::solve_state(&program, state);
+        let recount = Recount::of(&st);
+        // The same run as the public entry point's.
+        assert_eq!(
+            crate::analyze_sliced(&program, &config, slice).ci,
+            result.ci
+        );
+        assert!(result.stats.pts < AnalysisDb::solve(program, &config).result().stats.pts);
+        assert_eq!(result.ci, recount.ci);
+        assert_eq!(result.stats.pts_configurations, recount.pts_configurations);
+        assert_eq!(result.stats.memory, recount.memory);
     }
 }

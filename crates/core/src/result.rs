@@ -405,7 +405,11 @@ pub struct SolverStats {
     /// Wall-clock solving time.
     pub duration: Duration,
     /// Transformer-configuration histogram (`x*w?e*` tags of §7) over the
-    /// `pts` relation; empty for non-transformer abstractions.
+    /// whole `pts` relation, sorted by tag; empty for non-transformer
+    /// abstractions. The solver counts each new `pts` fact under its
+    /// configuration as it inserts it and renders one tag per distinct
+    /// configuration when the run ends, so the histogram covers the
+    /// database after an extension without re-reading it.
     pub pts_configurations: Vec<(String, usize)>,
     /// `true` iff this run collected wall-time profiling
     /// ([`AnalysisConfig::profile`]); the timing fields below are zero
@@ -416,7 +420,12 @@ pub struct SolverStats {
     /// Aggregate seed/eval phase timings (profiling only).
     pub phase_profile: PhaseProfile,
     /// Estimated resident bytes of relations, join indices, and memo
-    /// tables at the end of the run (always populated).
+    /// tables at the end of the run (always populated). Priced from
+    /// container lengths and the join indices' running entry totals,
+    /// which the solver keeps up per inserted fact, so it describes the
+    /// whole database after an extension too; only the compose memo's
+    /// section can differ from a from-scratch solve's, since it also
+    /// holds what earlier runs memoized.
     pub memory: MemoryFootprint,
 }
 
@@ -519,6 +528,14 @@ impl SolverStats {
 
 /// Context-insensitive projections of the derived relations (the paper's
 /// `ptsci` etc. in §6).
+///
+/// The solver builds it fact by fact: each newly admitted fact adds its
+/// projection, so the set is never re-projected from the relations. A
+/// run's result takes it out of the solver state, and an
+/// [`crate::AnalysisDb`] hands it back to the state when an additive
+/// edit resumes, so a database holds one copy. The sets are std
+/// `HashSet`s, so callers can compare them with other std sets (the VM's
+/// dynamic facts, say) directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CiFacts {
     /// `∃A. pts(Y, H, A)`.

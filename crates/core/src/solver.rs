@@ -45,17 +45,21 @@
 pub(crate) mod backward;
 mod kernel;
 
+use std::collections::HashSet;
+use std::hash::Hash;
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtDigest, CtxtElem, CtxtStr, Levels, Limits};
+use ctxform_algebra::{
+    Abstraction, BoundaryMode, Configuration, CtxtDigest, CtxtElem, CtxtStr, Levels, Limits,
+};
 use ctxform_hash::{
-    fx_map_with_capacity, hash_str, hash_words, FxHashMap, FxHashSet, MultisetDigest,
+    fx_hash_one, fx_map_with_capacity, hash_str, hash_words, FxHashMap, FxHashSet, MultisetDigest,
 };
 use ctxform_ir::{Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, Var};
 
 use self::kernel::{Fact, Queues, Scratch, Sink};
-use crate::bucket::Bucket;
+use crate::bucket::{Bucket, Occupancy};
 use crate::config::AnalysisConfig;
 use crate::result::{
     elapsed_ns, rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, SolverStats,
@@ -188,7 +192,7 @@ pub(crate) struct SolverState<A: Abstraction> {
     abs: A,
     config: AnalysisConfig,
     levels: Levels,
-    mode: ctxform_algebra::BoundaryMode,
+    mode: BoundaryMode,
     pts: FxHashSet<(Var, Heap, A::X)>,
     /// `pts` keyed by variable, boundary-indexed on the destination side.
     pts_by_var: BucketMap<Var, (Heap, A::X)>,
@@ -222,6 +226,18 @@ pub(crate) struct SolverState<A: Abstraction> {
     scratch: Scratch<A::X>,
     stats: SolverStats,
     log: Vec<LoggedFact>,
+    /// The context-insensitive projection of every fact, kept up by the
+    /// `insert_*` methods. [`Solver::finish`] moves it into the run's
+    /// result, and an [`crate::AnalysisDb`] moves it back in before
+    /// resuming ([`SolverState::resume_with`]), so it exists once and is
+    /// never rebuilt from the relations.
+    ci: CiFacts,
+    /// `pts` facts per §7 configuration, for
+    /// [`SolverStats::pts_configurations`].
+    configurations: FxHashMap<Configuration, usize>,
+    /// Running entry totals of the join indices, for
+    /// [`SolverStats::memory`].
+    occupancy: IndexOccupancy,
     /// Optional demand gate: when set, every insertion is dropped unless
     /// its context-insensitive projection was demanded by the slice (see
     /// [`crate::analyze_sliced`]).
@@ -259,6 +275,9 @@ impl<A: Abstraction> SolverState<A> {
             scratch: Scratch::default(),
             stats: SolverStats::default(),
             log: Vec::new(),
+            ci: CiFacts::default(),
+            configurations: FxHashMap::default(),
+            occupancy: IndexOccupancy::default(),
             gate: None,
         }
     }
@@ -270,13 +289,16 @@ impl<A: Abstraction> SolverState<A> {
         self
     }
 
-    /// Zeroes the per-run counters and the fact log so the next
-    /// [`extend_state`] reports only the work the extension itself did
-    /// (the fact-count fields are recomputed from the full sets at
-    /// finish time either way).
-    pub(crate) fn reset_run_counters(&mut self) {
+    /// Readies a solved state for [`extend_state`]: zeroes the per-run
+    /// counters and the fact log, so the extension reports only its own
+    /// work, and takes back `ci`, the projection of this state's facts
+    /// that the previous run's result carried out of it. The fact
+    /// counts, configuration counts and index totals describe the whole
+    /// database and carry over as they are.
+    pub(crate) fn resume_with(&mut self, ci: CiFacts) {
         self.stats = SolverStats::default();
         self.log.clear();
+        self.ci = ci;
     }
 
     /// An order-independent multiset digest of every derived fact,
@@ -424,6 +446,9 @@ struct Solver<'p, A: Abstraction> {
     st: SolverState<A>,
     /// Whether the serial loop is driving a sampled delta.
     sampled: bool,
+    /// Filters in front of the three largest sets of `st.ci` (see
+    /// [`Recent`]). They live for one run, so a saved state carries none.
+    recent_ci: RecentCi,
 }
 
 impl<'p, A: Abstraction> Solver<'p, A> {
@@ -434,6 +459,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             ix,
             st,
             sampled: false,
+            recent_ci: RecentCi::default(),
         }
     }
 
@@ -611,10 +637,14 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         }
         self.st.stats.rule_derived.bump(rule);
+        self.recent_ci.pts.project(&mut self.st.ci.pts, (y, h));
+        let configuration = self.st.abs.configuration(x);
+        *self.st.configurations.entry(configuration).or_insert(0) += 1;
         let boundary = self.st.abs.dst_boundary(x);
         let strategy = self.st.config.join_strategy;
         let mode = self.st.mode;
-        self.st
+        self.st.occupancy.pts_by_var += self
+            .st
             .pts_by_var
             .entry(y)
             .or_insert_with(|| Bucket::new(strategy, mode))
@@ -646,10 +676,12 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         }
         self.st.stats.rule_derived.bump(rule);
+        self.recent_ci.hpts.project(&mut self.st.ci.hpts, (g, f, h));
         let boundary = self.st.abs.dst_boundary(x);
         let strategy = self.st.config.join_strategy;
         let mode = self.st.mode;
-        self.st
+        self.st.occupancy.hpts_by_gf += self
+            .st
             .hpts_by_gf
             .entry((g, f))
             .or_insert_with(|| Bucket::new(strategy, mode))
@@ -685,7 +717,8 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         let boundary = self.st.abs.src_boundary(x);
         let strategy = self.st.config.join_strategy;
         let mode = self.st.mode;
-        self.st
+        self.st.occupancy.hload_by_gf += self
+            .st
             .hload_by_gf
             .entry((g, f))
             .or_insert_with(|| Bucket::new(strategy, mode))
@@ -718,16 +751,19 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         }
         self.st.stats.rule_derived.bump(rule);
+        self.recent_ci.call.project(&mut self.st.ci.call, (i, q));
         let strategy = self.st.config.join_strategy;
         let mode = self.st.mode;
         let src = self.st.abs.src_boundary(x);
-        self.st
+        self.st.occupancy.call_by_inv += self
+            .st
             .call_by_inv
             .entry(i)
             .or_insert_with(|| Bucket::new(strategy, mode))
             .insert(src, (q, x), self.st.abs.interner());
         let dst = self.st.abs.dst_boundary(x);
-        self.st
+        self.st.occupancy.call_by_method += self
+            .st
             .call_by_method
             .entry(q)
             .or_insert_with(|| Bucket::new(strategy, mode))
@@ -759,6 +795,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         }
         self.st.stats.rule_derived.bump(rule);
+        self.st.ci.spts.insert((f, h));
         self.st.spts_by_field.entry(f).or_default().push((h, x));
         if self.st.config.record_facts {
             let text = format!(
@@ -787,6 +824,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         }
         self.st.stats.rule_derived.bump(rule);
+        self.st.ci.reach.insert(p);
         self.st.reach_by_method.entry(p).or_default().push(m);
         if self.st.config.record_facts {
             let text = format!(
@@ -810,11 +848,188 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     // Result assembly
     // ------------------------------------------------------------------
 
+    /// Assembles the run's result from what the `insert_*` methods kept
+    /// up: relation sizes, the configuration counts, the index totals and
+    /// the CI projection, which moves out of the state. Nothing here
+    /// walks the database, so a run that derives little finishes fast.
+    fn finish(&mut self, start: Instant) -> AnalysisResult {
+        let st = &mut self.st;
+        st.stats.duration = start.elapsed();
+        st.stats.memory = st.memory_footprint();
+        st.stats.pts = st.pts.len();
+        st.stats.hpts = st.hpts.len();
+        st.stats.hload = st.hload.len();
+        st.stats.call = st.call.len();
+        st.stats.spts = st.spts.len();
+        st.stats.reach = st.reach.len();
+        st.stats.interned_contexts = st.abs.interner().interned_count();
+        st.stats.compose_memo_entries = st.compose_memo.len();
+        st.stats.pts_configurations = st.pts_configurations();
+        AnalysisResult {
+            config: st.config,
+            stats: st.stats.clone(),
+            ci: mem::take(&mut st.ci),
+            log: mem::take(&mut st.log),
+        }
+    }
+}
+
+/// Bits of a CI tuple's hash that pick its slot in a [`Recent`] filter.
+const RECENT_BITS: u32 = 10;
+
+/// A direct-mapped memory of the CI tuples a relation projected lately,
+/// consulted before the std `HashSet` insert. A context-sensitive
+/// relation derives the same CI tuple under many contexts in quick
+/// succession: under context strings at 2-object+H on xalan (synth scale
+/// 40), 611k of the 672k new `pts`, `hpts` and `call` facts find their
+/// tuple here (73% under transformer strings), and a hit skips the
+/// SipHash insert, which mid-solve cost more than the same inserts did
+/// in one burst at the end of the run. A slot only holds a tuple already
+/// in the set, and the set only grows while the run lasts, so a hit is
+/// never wrong.
+struct Recent<T>(Box<[Option<T>]>);
+
+impl<T: Copy> Default for Recent<T> {
+    fn default() -> Self {
+        Recent(vec![None; 1 << RECENT_BITS].into_boxed_slice())
+    }
+}
+
+impl<T: Copy + Eq + Hash> Recent<T> {
+    /// Inserts `t` into `set` unless this filter remembers it.
+    #[inline]
+    fn project(&mut self, set: &mut HashSet<T>, t: T) {
+        let slot = &mut self.0[(fx_hash_one(&t) >> (64 - RECENT_BITS)) as usize];
+        if *slot != Some(t) {
+            *slot = Some(t);
+            set.insert(t);
+        }
+    }
+}
+
+/// The [`Recent`] filters of the three relations whose CI projection
+/// repeats most (`spts` and `reach` are small).
+#[derive(Default)]
+struct RecentCi {
+    pts: Recent<(Var, Heap)>,
+    hpts: Recent<(Heap, Field, Heap)>,
+    call: Recent<(Inv, Method)>,
+}
+
+/// Running totals of the bucket indices' boundary keys and value slots.
+/// The vector indices need none: they hold one entry per fact of their
+/// relation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct IndexOccupancy {
+    pts_by_var: Occupancy,
+    hpts_by_gf: Occupancy,
+    hload_by_gf: Occupancy,
+    call_by_inv: Occupancy,
+    call_by_method: Occupancy,
+}
+
+impl<A: Abstraction> SolverState<A> {
     /// Deterministic byte estimates of the resident relations, join
     /// indices, and memo tables (see [`MemoryFootprint`]): entry counts
     /// times entry sizes plus [`HASH_SLOT_OVERHEAD`] per hash slot, so
-    /// the numbers are identical across runs of the same database.
+    /// the numbers are identical across runs of the same database. The
+    /// counts are the containers' lengths and the running
+    /// [`IndexOccupancy`] totals; a vector index holds as many entries as
+    /// its relation holds facts.
     fn memory_footprint(&self) -> MemoryFootprint {
+        use mem::size_of;
+        fn set_bytes<T>(set: &FxHashSet<T>) -> usize {
+            set.len() * (size_of::<T>() + HASH_SLOT_OVERHEAD)
+        }
+        fn bucket_map_bytes<K, V: Copy>(map: &BucketMap<K, V>, occupancy: Occupancy) -> usize {
+            map.len() * (size_of::<K>() + HASH_SLOT_OVERHEAD)
+                + occupancy.keys * (size_of::<CtxtStr>() + HASH_SLOT_OVERHEAD)
+                + occupancy.stored * size_of::<V>()
+        }
+        fn vec_map_bytes<K, V>(map: &FxHashMap<K, Vec<V>>, entries: usize) -> usize {
+            map.len() * (size_of::<K>() + size_of::<Vec<V>>() + HASH_SLOT_OVERHEAD)
+                + entries * size_of::<V>()
+        }
+        let occ = &self.occupancy;
+        MemoryFootprint {
+            rel_pts: set_bytes(&self.pts),
+            rel_hpts: set_bytes(&self.hpts),
+            rel_hload: set_bytes(&self.hload),
+            rel_call: set_bytes(&self.call),
+            rel_spts: set_bytes(&self.spts),
+            rel_reach: set_bytes(&self.reach),
+            ix_pts_by_var: bucket_map_bytes(&self.pts_by_var, occ.pts_by_var),
+            ix_hpts_by_gf: bucket_map_bytes(&self.hpts_by_gf, occ.hpts_by_gf),
+            ix_hload_by_gf: bucket_map_bytes(&self.hload_by_gf, occ.hload_by_gf),
+            ix_spts_by_field: vec_map_bytes(&self.spts_by_field, self.spts.len()),
+            ix_call_by_inv: bucket_map_bytes(&self.call_by_inv, occ.call_by_inv),
+            ix_call_by_method: bucket_map_bytes(&self.call_by_method, occ.call_by_method),
+            ix_reach_by_method: vec_map_bytes(&self.reach_by_method, self.reach.len()),
+            memo_compose: self.compose_memo.len()
+                * (size_of::<(A::X, A::X, Limits)>()
+                    + size_of::<Option<A::X>>()
+                    + HASH_SLOT_OVERHEAD),
+        }
+    }
+
+    /// The `pts` configuration histogram, one rendered `x*w?e*` tag per
+    /// distinct configuration, sorted. Under prefix boundaries
+    /// (transformer strings) the empty tag names the identity and is
+    /// listed; under the other abstractions every fact has it, so it is
+    /// left out.
+    fn pts_configurations(&self) -> Vec<(String, usize)> {
+        let mut out: Vec<(String, usize)> = self
+            .configurations
+            .iter()
+            .map(|(configuration, &n)| (configuration.to_string(), n))
+            .filter(|(tag, _)| !tag.is_empty() || self.mode == BoundaryMode::Prefix)
+            .collect();
+        out.sort();
+        out
+    }
+}
+
+/// The O(database) recounts of what the solver keeps running: oracles
+/// for the bookkeeping tests, never compiled into the solver.
+#[cfg(test)]
+impl<A: Abstraction> SolverState<A> {
+    /// The CI projection, re-projected from the relations.
+    pub(crate) fn recount_ci(&self) -> CiFacts {
+        let mut ci = CiFacts::default();
+        for &(y, h, _) in &self.pts {
+            ci.pts.insert((y, h));
+        }
+        for &(g, f, h, _) in &self.hpts {
+            ci.hpts.insert((g, f, h));
+        }
+        for &(i, q, _) in &self.call {
+            ci.call.insert((i, q));
+        }
+        for &(f, h, _) in &self.spts {
+            ci.spts.insert((f, h));
+        }
+        for &(p, _) in &self.reach {
+            ci.reach.insert(p);
+        }
+        ci
+    }
+
+    /// The configuration histogram, re-rendered tag by tag from `pts`.
+    pub(crate) fn recount_configurations(&self) -> Vec<(String, usize)> {
+        let mut histogram: FxHashMap<String, usize> = FxHashMap::default();
+        for &(_, _, x) in &self.pts {
+            let tag = self.abs.configuration(x).to_string();
+            if !tag.is_empty() || matches!(self.mode, BoundaryMode::Prefix) {
+                *histogram.entry(tag).or_insert(0) += 1;
+            }
+        }
+        let mut pts_configurations: Vec<(String, usize)> = histogram.into_iter().collect();
+        pts_configurations.sort();
+        pts_configurations
+    }
+
+    /// The footprint, re-measured by walking every bucket and vector.
+    pub(crate) fn recount_memory(&self) -> MemoryFootprint {
         use mem::size_of;
         fn set_bytes<T>(set: &FxHashSet<T>) -> usize {
             set.len() * (size_of::<T>() + HASH_SLOT_OVERHEAD)
@@ -822,7 +1037,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         fn bucket_map_bytes<K, V: Copy>(map: &FxHashMap<K, Bucket<V>>) -> usize {
             let mut bytes = map.len() * (size_of::<K>() + HASH_SLOT_OVERHEAD);
             for bucket in map.values() {
-                let (keys, stored) = bucket.entry_counts();
+                let Occupancy { keys, stored } = bucket.occupancy();
                 bytes += keys * (size_of::<CtxtStr>() + HASH_SLOT_OVERHEAD);
                 bytes += stored * size_of::<V>();
             }
@@ -836,69 +1051,23 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                     .sum::<usize>()
         }
         MemoryFootprint {
-            rel_pts: set_bytes(&self.st.pts),
-            rel_hpts: set_bytes(&self.st.hpts),
-            rel_hload: set_bytes(&self.st.hload),
-            rel_call: set_bytes(&self.st.call),
-            rel_spts: set_bytes(&self.st.spts),
-            rel_reach: set_bytes(&self.st.reach),
-            ix_pts_by_var: bucket_map_bytes(&self.st.pts_by_var),
-            ix_hpts_by_gf: bucket_map_bytes(&self.st.hpts_by_gf),
-            ix_hload_by_gf: bucket_map_bytes(&self.st.hload_by_gf),
-            ix_spts_by_field: vec_map_bytes(&self.st.spts_by_field),
-            ix_call_by_inv: bucket_map_bytes(&self.st.call_by_inv),
-            ix_call_by_method: bucket_map_bytes(&self.st.call_by_method),
-            ix_reach_by_method: vec_map_bytes(&self.st.reach_by_method),
-            memo_compose: self.st.compose_memo.len()
+            rel_pts: set_bytes(&self.pts),
+            rel_hpts: set_bytes(&self.hpts),
+            rel_hload: set_bytes(&self.hload),
+            rel_call: set_bytes(&self.call),
+            rel_spts: set_bytes(&self.spts),
+            rel_reach: set_bytes(&self.reach),
+            ix_pts_by_var: bucket_map_bytes(&self.pts_by_var),
+            ix_hpts_by_gf: bucket_map_bytes(&self.hpts_by_gf),
+            ix_hload_by_gf: bucket_map_bytes(&self.hload_by_gf),
+            ix_spts_by_field: vec_map_bytes(&self.spts_by_field),
+            ix_call_by_inv: bucket_map_bytes(&self.call_by_inv),
+            ix_call_by_method: bucket_map_bytes(&self.call_by_method),
+            ix_reach_by_method: vec_map_bytes(&self.reach_by_method),
+            memo_compose: self.compose_memo.len()
                 * (size_of::<(A::X, A::X, Limits)>()
                     + size_of::<Option<A::X>>()
                     + HASH_SLOT_OVERHEAD),
-        }
-    }
-
-    fn finish(&mut self, start: Instant) -> AnalysisResult {
-        self.st.stats.duration = start.elapsed();
-        self.st.stats.memory = self.memory_footprint();
-        self.st.stats.pts = self.st.pts.len();
-        self.st.stats.hpts = self.st.hpts.len();
-        self.st.stats.hload = self.st.hload.len();
-        self.st.stats.call = self.st.call.len();
-        self.st.stats.spts = self.st.spts.len();
-        self.st.stats.reach = self.st.reach.len();
-        self.st.stats.interned_contexts = self.st.abs.interner().interned_count();
-        self.st.stats.compose_memo_entries = self.st.compose_memo.len();
-        let mut histogram: FxHashMap<String, usize> = FxHashMap::default();
-        for &(_, _, x) in &self.st.pts {
-            let tag = self.st.abs.configuration(x);
-            if !tag.is_empty() || matches!(self.st.mode, ctxform_algebra::BoundaryMode::Prefix) {
-                *histogram.entry(tag).or_insert(0) += 1;
-            }
-        }
-        let mut pts_configurations: Vec<(String, usize)> = histogram.into_iter().collect();
-        pts_configurations.sort();
-        self.st.stats.pts_configurations = pts_configurations;
-
-        let mut ci = CiFacts::default();
-        for &(y, h, _) in &self.st.pts {
-            ci.pts.insert((y, h));
-        }
-        for &(g, f, h, _) in &self.st.hpts {
-            ci.hpts.insert((g, f, h));
-        }
-        for &(i, q, _) in &self.st.call {
-            ci.call.insert((i, q));
-        }
-        for &(f, h, _) in &self.st.spts {
-            ci.spts.insert((f, h));
-        }
-        for &(p, _) in &self.st.reach {
-            ci.reach.insert(p);
-        }
-        AnalysisResult {
-            config: self.st.config,
-            stats: self.st.stats.clone(),
-            ci,
-            log: mem::take(&mut self.st.log),
         }
     }
 }

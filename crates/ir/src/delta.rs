@@ -26,8 +26,9 @@
 //! entity, a reordered table — is also [`ProgramDiff::NonMonotone`] and
 //! callers fall back to a from-scratch solve.
 
-use std::collections::HashSet;
 use std::hash::Hash;
+
+use ctxform_hash::FxHashSet;
 
 use crate::facts::Facts;
 use crate::ids::Method;
@@ -45,7 +46,7 @@ pub enum ProgramDiff {
     /// The edit removes (and possibly also adds) input tuples or entry
     /// points while keeping every entity table prefix-stable; the derived
     /// database is no longer a subset of the new least model.
-    Retractive(Box<ProgramRetraction>),
+    Retractive(ProgramRetraction),
     /// The edit rewrites something structural; incremental update is not
     /// sound and the caller must re-solve from scratch.
     NonMonotone {
@@ -80,30 +81,18 @@ impl ProgramDelta {
     }
 }
 
-/// A mixed edit over prefix-stable entity tables: the tuples the next
-/// program dropped alongside the ones it gained.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The size of a mixed edit over prefix-stable entity tables: how many
+/// tuples the next program gained and dropped. Only counts, since a
+/// retractive edit is re-solved from scratch and nothing reads the
+/// tuples themselves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramRetraction {
     /// Input tuples present in the next program but not the base.
-    pub added: Facts,
+    pub added: usize,
     /// Input tuples present in the base program but not the next.
-    pub removed: Facts,
-    /// Entry points of the next program that the base lacked.
-    pub added_entry_points: Vec<Method>,
+    pub removed: usize,
     /// Entry points of the base program that the next one dropped.
-    pub removed_entry_points: Vec<Method>,
-}
-
-impl ProgramRetraction {
-    /// Total number of removed input tuples (not counting entry points).
-    pub fn removed_len(&self) -> usize {
-        self.removed.len()
-    }
-
-    /// Total number of added input tuples (not counting entry points).
-    pub fn added_len(&self) -> usize {
-        self.added.len()
-    }
+    pub removed_entry_points: usize,
 }
 
 impl ProgramDiff {
@@ -125,41 +114,32 @@ impl ProgramDiff {
 
         // Entry points: removing one removes Entry-rule seeds, a
         // retraction.
-        let base_entries: HashSet<Method> = base.entry_points.iter().copied().collect();
-        let next_entries: HashSet<Method> = next.entry_points.iter().copied().collect();
-        let removed_entry_points: Vec<Method> = base
-            .entry_points
-            .iter()
-            .copied()
-            .filter(|m| !next_entries.contains(m))
-            .collect();
-        let added_entry_points: Vec<Method> = next
-            .entry_points
-            .iter()
-            .copied()
-            .filter(|m| !base_entries.contains(m))
-            .collect();
+        let (added_entry_points, removed_entry_points) =
+            split(&base.entry_points, &next.entry_points);
 
-        // Input relations: added = next ∖ base, removed = base ∖ next.
+        // Input relations: added = next ∖ base, and how many tuples
+        // base ∖ next holds.
         let mut added = Facts::new();
-        let mut removed = Facts::new();
+        let mut removed = 0;
         macro_rules! diff_relation {
             ($($field:ident),*) => {
                 $(
                     let (extra, lost) = split(&base.facts.$field, &next.facts.$field);
                     added.$field = extra;
-                    removed.$field = lost;
+                    removed += lost;
                 )*
             };
         }
+        let (extra, lost_heap_type) = split(&base.facts.heap_type, &next.facts.heap_type);
+        added.heap_type = extra;
+        let (extra, lost_implements) = split(&base.facts.implements, &next.facts.implements);
+        added.implements = extra;
         diff_relation!(
             actual,
             assign,
             assign_new,
             assign_return,
             formal,
-            heap_type,
-            implements,
             load,
             ret,
             static_invoke,
@@ -170,7 +150,7 @@ impl ProgramDiff {
             virtual_invoke
         );
 
-        if removed.is_empty() && removed_entry_points.is_empty() {
+        if removed + lost_heap_type + lost_implements == 0 && removed_entry_points == 0 {
             return ProgramDiff::Additive(Box::new(ProgramDelta {
                 added,
                 added_entry_points,
@@ -180,49 +160,42 @@ impl ProgramDiff {
         // Removals the retraction pass does not support: `heap_type` and
         // `implements` tuples define the dispatch structure (Virt's
         // resolve step) that the solver's static indices encode.
-        if !removed.heap_type.is_empty() {
+        if lost_heap_type > 0 {
             return ProgramDiff::NonMonotone {
                 reason: format!(
-                    "relation `heap_type` lost {} tuple(s); heap typing must stay \
-                     stable for retraction",
-                    removed.heap_type.len()
+                    "relation `heap_type` lost {lost_heap_type} tuple(s); heap typing must \
+                     stay stable for retraction"
                 ),
             };
         }
-        if !removed.implements.is_empty() {
+        if lost_implements > 0 {
             return ProgramDiff::NonMonotone {
                 reason: format!(
-                    "relation `implements` lost {} tuple(s); dispatch edges must stay \
-                     stable for retraction",
-                    removed.implements.len()
+                    "relation `implements` lost {lost_implements} tuple(s); dispatch edges \
+                     must stay stable for retraction"
                 ),
             };
         }
 
-        ProgramDiff::Retractive(Box::new(ProgramRetraction {
-            added,
+        ProgramDiff::Retractive(ProgramRetraction {
+            added: added.len(),
             removed,
-            added_entry_points,
             removed_entry_points,
-        }))
+        })
     }
 }
 
-/// Splits the symmetric difference of one relation: `(next ∖ base,
-/// base ∖ next)`, each half in its own program's order.
-fn split<T: Copy + Eq + Hash>(base: &[T], next: &[T]) -> (Vec<T>, Vec<T>) {
-    let next_set: HashSet<T> = next.iter().copied().collect();
-    let base_set: HashSet<T> = base.iter().copied().collect();
+/// Splits the symmetric difference of one relation: `next ∖ base` in
+/// the next program's order, and the size of `base ∖ next`.
+fn split<T: Copy + Eq + Hash>(base: &[T], next: &[T]) -> (Vec<T>, usize) {
+    let next_set: FxHashSet<T> = next.iter().copied().collect();
+    let base_set: FxHashSet<T> = base.iter().copied().collect();
     let added = next
         .iter()
         .copied()
         .filter(|t| !base_set.contains(t))
         .collect();
-    let removed = base
-        .iter()
-        .copied()
-        .filter(|t| !next_set.contains(t))
-        .collect();
+    let removed = base.iter().filter(|t| !next_set.contains(t)).count();
     (added, removed)
 }
 
@@ -326,10 +299,10 @@ mod tests {
         next.facts.assign_new.clear();
         match ProgramDiff::between(&base, &next) {
             ProgramDiff::Retractive(r) => {
-                assert_eq!(r.removed.assign_new, dropped);
-                assert_eq!(r.removed_len(), dropped.len());
-                assert_eq!(r.added_len(), 0);
-                assert!(r.removed_entry_points.is_empty());
+                assert!(!dropped.is_empty());
+                assert_eq!(r.removed, dropped.len());
+                assert_eq!(r.added, 0);
+                assert_eq!(r.removed_entry_points, 0);
             }
             other => panic!("expected retractive, got {other:?}"),
         }
@@ -400,9 +373,9 @@ mod tests {
         next.entry_points.clear();
         match ProgramDiff::between(&base, &next) {
             ProgramDiff::Retractive(r) => {
-                assert_eq!(r.removed_entry_points, vec![Method(0)]);
-                assert_eq!(r.removed_len(), 0);
-                assert!(r.added.is_empty());
+                assert_eq!(r.removed_entry_points, 1);
+                assert_eq!(r.removed, 0);
+                assert_eq!(r.added, 0);
             }
             other => panic!("expected retractive, got {other:?}"),
         }

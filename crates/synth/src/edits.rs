@@ -200,10 +200,10 @@ mod tests {
                 match ProgramDiff::between(&pair[0], &pair[1]) {
                     ProgramDiff::Retractive(r) => {
                         assert!(
-                            r.removed_len() > 0,
+                            r.removed > 0,
                             "seed {seed} step {step}: retractive step removed nothing"
                         );
-                        assert!(r.removed_entry_points.is_empty());
+                        assert_eq!(r.removed_entry_points, 0);
                     }
                     other => {
                         panic!("seed {seed} step {step}: expected a retractive edit, got {other:?}")
@@ -222,7 +222,7 @@ mod tests {
             let base = compile(&random_program(seed, 1)).expect("compiles").program;
             for pair in retract_edit_script(&base, seed, 3, 10).windows(2) {
                 if let ProgramDiff::Retractive(r) = ProgramDiff::between(&pair[0], &pair[1]) {
-                    if r.added_len() > 0 {
+                    if r.added > 0 {
                         mutated = true;
                     }
                 }

@@ -13,7 +13,10 @@
 //!   incremental `extend` of a clone of the plain and of the profiled
 //!   database, and as a from-scratch solve of the edited program. This is
 //!   the one path that resumes a saved state: a retractive edit re-solves,
-//!   so it costs what the scratch solve costs.
+//!   so it costs what the scratch solve costs. For each profiled extend it
+//!   prints the remainder outside the `seed` and `eval` phases (the
+//!   program diff, the index build and assembling the result) next to
+//!   the diff alone, so a tail that grows with the database shows here.
 //!
 //! ```text
 //! cargo run --release --example profile_overhead
@@ -22,6 +25,7 @@
 use std::time::{Duration, Instant};
 
 use ctxform::{analyze, AnalysisConfig, AnalysisDb, ExtendOutcome};
+use ctxform_ir::ProgramDiff;
 use ctxform_minijava::compile;
 use ctxform_synth::{append_edit, generate, preset};
 
@@ -77,21 +81,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let facts = st.pts + st.hpts + st.hload + st.call + st.spts + st.reach;
     println!("\nadditive extend vs from-scratch solve ({facts} facts in the base):");
     let (mut ext_plain, mut ext_prof, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+    let mut remainders = Vec::new();
     for seed in 1..=EDIT_SEEDS {
         let edited = compile(&append_edit(&source, seed, 0))?.program;
+        let (_, diff) = timed(|| ProgramDiff::between(&program, &edited));
         let mut runs = [0.0; 2];
         for (i, base) in [&base_plain, &base_prof].into_iter().enumerate() {
             let mut db = base.clone();
-            let (outcome, d) = timed(|| db.extend(edited.clone()));
+            let next = edited.clone();
+            let (outcome, d) = timed(|| db.extend(next));
             assert_eq!(outcome, ExtendOutcome::Incremental);
             runs[i] = ms(d);
             if i == 1 {
                 let p = db.result().stats.phase_profile;
+                let remainder = ms(d) - (p.seed_ns + p.eval_ns) as f64 / 1e6;
+                remainders.push(remainder);
                 println!(
-                    "  seed {seed}: events {}, profiled phases seed {:.2} / eval {:.2} ms",
+                    "  seed {seed}: events {}, profiled phases seed {:.2} / eval {:.2} ms, \
+                     remainder {remainder:.2} ms (diff alone {:.2} ms)",
                     db.result().stats.events,
                     p.seed_ns as f64 / 1e6,
-                    p.eval_ns as f64 / 1e6
+                    p.eval_ns as f64 / 1e6,
+                    ms(diff)
                 );
             }
         }
@@ -107,9 +118,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scratch.push(ms(d));
     }
     println!(
-        "medians: extend plain {:.2} ms, profiled {:.2} ms; from-scratch solve {:.1} ms",
+        "medians: extend plain {:.2} ms, profiled {:.2} ms (remainder outside seed and eval \
+         {:.2} ms); from-scratch solve {:.1} ms",
         median(ext_plain),
         median(ext_prof),
+        median(remainders),
         median(scratch)
     );
     Ok(())

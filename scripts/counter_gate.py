@@ -5,15 +5,21 @@ Run from the repository root after capturing, for each workload W,
 
     python3 ctxbench/run.py --workload W --seed 1 --seconds 2 --trace 1 \\
         --check-counters > counters-W.txt
-    python3 ctxbench/run.py --workload edit-session --seed 1 --seconds 2 \\
-        --trace 1 > layers-edit-session.txt
+
+and, for W in fig6-batch and edit-session,
+
+    python3 ctxbench/run.py --workload W --seed 1 --seconds 2 \\
+        --trace 1 > layers-W.txt
 
 then `python3 scripts/counter_gate.py`. It reads the last (JSON) line of each
 capture and exits 1 when
 
 * an exact work counter of a workload exceeds its checked-in seed-1 value
   (a change that is not meant to alter solver work reproduces these exactly;
-  one that lowers them updates BASELINE), or
+  one that lowers them updates BASELINE),
+* the traced run's estimated footprint per fact, `core.bytes_per_fact`,
+  exceeds its checked-in seed-1 value in MAX_BYTES_PER_FACT (the traced
+  prefix is fixed, so the estimate is as deterministic as the counters), or
 * the traced edit-session update spends more than MAX_DIGEST_SHARE of its
   end-to-end time in `core.digest_ms`. Both numbers come from one run, so
   the ratio does not depend on machine speed.
@@ -36,6 +42,7 @@ BASELINE = {
         "demand.slice_derivations": 11_891,
     },
 }
+MAX_BYTES_PER_FACT = {"fig6-batch": 77.4960, "edit-session": 103.2055}
 MAX_DIGEST_SHARE = 0.2
 
 
@@ -54,6 +61,13 @@ def main():
             ok = value <= limit
             failed |= not ok
             print(f"{workload} {name} {value:.0f} (max {limit}){'' if ok else '  FAIL'}")
+    for workload, limit in MAX_BYTES_PER_FACT.items():
+        value = metrics(f"layers-{workload}.txt")["core.bytes_per_fact"]["value"]
+        ok = value <= limit
+        failed |= not ok
+        print(
+            f"{workload} core.bytes_per_fact {value:.4f} (max {limit}){'' if ok else '  FAIL'}"
+        )
     m = metrics("layers-edit-session.txt")
     digest, update = m["core.digest_ms"]["value"], m["e2e.traced_ms"]["value"]
     share = digest / update
