@@ -34,10 +34,9 @@
 //! facts; the update's event, probe and compose counters are recorded
 //! too), and a demand-driven
 //! query cell (`tstring_demand`: a cold
-//! `pts(v0, ·)` query answered through the demand engine, which builds
-//! the program's demand index, is timed against a full solve followed by
-//! a lookup, and a warm `pts(v1, ·)` query on the same engine, which
-//! reuses the index, is timed as `query_warm_ms`, after asserting both
+//! `pts(v0, ·)` query, which builds the program's demand index, is timed
+//! against a full solve followed by a lookup, and a warm `pts(v1, ·)`
+//! query on the same index is timed as `query_warm_ms`, after asserting both
 //! demanded answers are byte-identical and the gated solve derived no
 //! more facts than the exhaustive one):
 //! context-sensitive fact counts, solver wall time, the
@@ -244,29 +243,29 @@ fn incr_cell(
     ])
 }
 
-/// The demand-driven query cell: answers `pts(v0, ·)` cold through the
-/// demand engine, which builds the program's index, then `pts(v1, ·)`
-/// warm on the same engine, which reuses it (`repeat` times over fresh
-/// engines, min time of each kept), and `pts(v0, ·)` by a full solve
-/// followed by a lookup (`repeat` times; min time kept). Panics unless
-/// both demanded answers are byte-identical to the exhaustive ones and
-/// the gated solve derived no more facts than the exhaustive solve.
+/// The demand-driven query cell: answers `pts(v0, ·)` cold, building the
+/// program's demand index, then `pts(v1, ·)` warm on the same index
+/// (`repeat` times over fresh indices, min time of each kept), and
+/// `pts(v0, ·)` by a full solve followed by a lookup (`repeat` times; min
+/// time kept). Panics unless both demanded answers are byte-identical to
+/// the exhaustive ones and the gated solve derived no more facts than the
+/// exhaustive solve.
 fn demand_cell(program: &ctxform_ir::Program, config: &AnalysisConfig, repeat: usize) -> Json {
     let var = ctxform_ir::Var::from_index(0);
     let warm_var = ctxform_ir::Var::from_index(1.min(program.var_count() - 1));
     let mut warm_time = Duration::MAX;
     let mut warm = None;
     let query = || {
-        let engine = ctxform_demand::DemandEngine::new(1);
-        let cold = timed(|| engine.query(0, program, config, &[var]));
-        let (elapsed, got_warm) = timed(|| engine.query(0, program, config, &[warm_var]));
-        warm_time = warm_time.min(elapsed);
-        assert!(
-            got_warm.slice_reused,
-            "{config}: a second root must reuse the index"
-        );
+        let (elapsed, (index, cold)) = timed(|| {
+            let index = ctxform::DemandIndex::new(program);
+            let cold = ctxform_demand::query(&index, program, config, &[var]);
+            (index, cold)
+        });
+        let (warm_elapsed, got_warm) =
+            timed(|| ctxform_demand::query(&index, program, config, &[warm_var]));
+        warm_time = warm_time.min(warm_elapsed);
         warm = Some(got_warm);
-        cold
+        (elapsed, cold)
     };
     let same = |a: &ctxform_demand::QueryOutcome, b: &ctxform_demand::QueryOutcome| {
         assert_eq!(

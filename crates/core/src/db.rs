@@ -33,8 +33,8 @@
 //! [`AnalysisDb::extend`] updates a database in place.
 //! [`AnalysisDb::extended`] leaves it untouched and returns the updated
 //! copy: it clones the saved state only when the edit resumes it, so a
-//! caller that shares a resident database (the server's snapshot cache)
-//! pays no clone for a re-solve. Both run one diff-and-dispatch.
+//! caller that shares a resident database (the server's program cache
+//! holds it behind `Arc`) pays no clone for a re-solve. Both run one diff-and-dispatch.
 
 use std::mem;
 

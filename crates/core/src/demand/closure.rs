@@ -37,6 +37,11 @@ impl DemandIndex {
         }
     }
 
+    /// Bytes the index holds, by the capacities of its CSR vectors.
+    pub fn bytes(&self) -> usize {
+        self.fix.bytes() + self.rev.bytes()
+    }
+
     /// The demanded fragment for the roots `vars`: every tuple of every
     /// CI derivation tree of a root's `pts(v, ·)`.
     ///

@@ -64,6 +64,11 @@ impl<T: Copy + Ord> Rows<T> {
     pub(crate) fn keys(&self) -> usize {
         self.off.len() - 1
     }
+
+    /// Bytes the two vectors hold, by capacity.
+    fn bytes(&self) -> usize {
+        self.off.capacity() * size_of::<u32>() + self.vals.capacity() * size_of::<T>()
+    }
 }
 
 /// The entries of a sorted row of pairs whose first column is `k`.
@@ -172,6 +177,27 @@ impl Reverse {
             parent: program.var_method.clone(),
         }
     }
+
+    /// Bytes the index holds, by the capacities of its vectors.
+    pub(crate) fn bytes(&self) -> usize {
+        self.allocs.bytes()
+            + self.assigns_into.bytes()
+            + self.loads_into.bytes()
+            + self.stores_of.bytes()
+            + self.statics_at.bytes()
+            + self.virtuals_at.bytes()
+            + self.receivers_of.bytes()
+            + self.types_of.bytes()
+            + self.implements.bytes()
+            + self.this_of.bytes()
+            + self.formals.bytes()
+            + self.actuals.bytes()
+            + self.returns_into.bytes()
+            + self.returns_of.bytes()
+            + self.static_stores_of.bytes()
+            + self.static_loads_into.bytes()
+            + self.parent.capacity() * size_of::<Method>()
+    }
 }
 
 /// A set of CI tuples of the six derived relations, indexed for the
@@ -246,6 +272,17 @@ impl Fixpoint {
             + self.callees.vals.len()
             + self.spts.vals.len()
             + self.reach.iter().filter(|&&r| r).count()
+    }
+
+    /// Bytes the fixpoint holds, by the capacities of its vectors.
+    pub(crate) fn bytes(&self) -> usize {
+        self.pts.bytes()
+            + self.hpts.bytes()
+            + self.spts.bytes()
+            + self.hloads_into.bytes()
+            + self.callees.bytes()
+            + self.callers.bytes()
+            + self.reach.capacity()
     }
 
     fn pts(&self, v: Var, h: Heap) -> bool {

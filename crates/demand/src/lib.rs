@@ -31,17 +31,17 @@
 //! far higher cost; [`ctxform::demand_points_to`] keeps it for
 //! comparison.)
 //!
-//! [`DemandEngine`] keeps the index of each program in an LRU keyed by
-//! program digest, so every query after the first against a program,
-//! whatever its roots, pays only the walk and the gated solve. It answers
-//! context-insensitive queries directly from the slice (phase 1 alone is
-//! already the full CI answer) and context-sensitive ones via the gated
-//! solve.
+//! [`query`] takes the program's index from its caller, so every query
+//! after the first against a program, whatever its roots, pays only the
+//! walk and the gated solve when the caller keeps the index (the server
+//! keeps it in the program's cache entry). It answers context-insensitive
+//! queries directly from the slice (phase 1 alone is already the full CI
+//! answer) and context-sensitive ones via the gated solve.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ctxform::{analyze_sliced, AbstractionKind, AnalysisConfig, DemandIndex};
 use ctxform_ir::{Heap, Program, Var};
@@ -52,9 +52,6 @@ pub struct QueryOutcome {
     /// Per queried variable, its points-to set under the requested
     /// configuration, sorted. Root order follows the request.
     pub answers: Vec<(Var, Vec<Heap>)>,
-    /// `true` when the program's [`DemandIndex`] came from the cache
-    /// instead of a fresh build (the slice itself is always cut anew).
-    pub slice_reused: bool,
     /// Demanded tuples across the six derived CI relations — the
     /// numerator of the demanded-vs-exhaustive ratio.
     pub slice_tuples: usize,
@@ -63,98 +60,41 @@ pub struct QueryOutcome {
     /// Facts the gated context-sensitive solve derived (`0` when the
     /// query was answered from the slice alone).
     pub solver_facts: usize,
-    /// Rule derivations of the gated solve (`0` for slice-only answers).
-    pub solver_derivations: u64,
 }
 
-/// A demand-driven query engine with a per-digest index cache.
+/// Answers `pts(v, ·)` for every root in `vars` under `config`,
+/// deriving only the transitively demanded facts.
 ///
-/// The server keeps one engine beside its one database cache, shared by
-/// every worker. A digest names immutable program content, so entries
-/// never go stale; an edited program arrives under a new digest.
-#[derive(Debug)]
-pub struct DemandEngine {
-    /// Cached indices, least recently used first.
-    lru: Mutex<Vec<(u64, Arc<DemandIndex>)>>,
-    capacity: usize,
-}
-
-impl DemandEngine {
-    /// Creates an engine whose cache holds the indices of at most
-    /// `capacity` programs.
-    pub fn new(capacity: usize) -> Self {
-        DemandEngine {
-            lru: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
+/// `index` must be the [`DemandIndex`] of `program`.
+pub fn query(
+    index: &DemandIndex,
+    program: &Program,
+    config: &AnalysisConfig,
+    vars: &[Var],
+) -> QueryOutcome {
+    let slice = Arc::new(index.slice(program, vars));
+    let mut outcome = QueryOutcome {
+        answers: Vec::with_capacity(vars.len()),
+        slice_tuples: slice.demanded(),
+        slice_derivations: slice.derivations,
+        solver_facts: 0,
+    };
+    match config.abstraction {
+        AbstractionKind::Insensitive => {
+            // The slice already is the full CI answer for its roots.
+            for &var in vars {
+                outcome.answers.push((var, slice.points_to(var)));
+            }
+        }
+        AbstractionKind::ContextStrings | AbstractionKind::TransformerStrings => {
+            let result = analyze_sliced(program, config, Arc::clone(&slice));
+            outcome.solver_facts = result.stats.total();
+            for &var in vars {
+                outcome.answers.push((var, result.ci.points_to(var)));
+            }
         }
     }
-
-    /// The index of the program with `digest`, building it from `program`
-    /// on a miss. The boolean is `true` when it came from the cache.
-    fn index(&self, digest: u64, program: &Program) -> (Arc<DemandIndex>, bool) {
-        {
-            let mut lru = self.lru.lock().expect("demand index cache poisoned");
-            if let Some(pos) = lru.iter().position(|(d, _)| *d == digest) {
-                let entry = lru.remove(pos);
-                let index = Arc::clone(&entry.1);
-                lru.push(entry);
-                return (index, true);
-            }
-        }
-        // Build outside the lock; a racing duplicate build is harmless
-        // (both produce the same index) and only one is kept.
-        let index = Arc::new(DemandIndex::new(program));
-        let mut lru = self.lru.lock().expect("demand index cache poisoned");
-        if !lru.iter().any(|(d, _)| *d == digest) {
-            if lru.len() >= self.capacity {
-                lru.remove(0);
-            }
-            lru.push((digest, Arc::clone(&index)));
-        }
-        (index, false)
-    }
-
-    /// Answers `pts(v, ·)` for every root in `vars` under `config`,
-    /// deriving only the transitively demanded facts.
-    ///
-    /// `digest` keys the index cache; callers must pass a value that
-    /// uniquely identifies `program` (the serving tier uses the program's
-    /// content digest).
-    pub fn query(
-        &self,
-        digest: u64,
-        program: &Program,
-        config: &AnalysisConfig,
-        vars: &[Var],
-    ) -> QueryOutcome {
-        let (index, slice_reused) = self.index(digest, program);
-        let slice = Arc::new(index.slice(program, vars));
-        let mut outcome = QueryOutcome {
-            answers: Vec::with_capacity(vars.len()),
-            slice_reused,
-            slice_tuples: slice.demanded(),
-            slice_derivations: slice.derivations,
-            solver_facts: 0,
-            solver_derivations: 0,
-        };
-        match config.abstraction {
-            AbstractionKind::Insensitive => {
-                // The slice already is the full CI answer for its roots.
-                for &var in vars {
-                    outcome.answers.push((var, slice.points_to(var)));
-                }
-            }
-            AbstractionKind::ContextStrings | AbstractionKind::TransformerStrings => {
-                let result = analyze_sliced(program, config, Arc::clone(&slice));
-                outcome.solver_facts = result.stats.total();
-                outcome.solver_derivations = result.stats.rule_derived.total();
-                for &var in vars {
-                    outcome.answers.push((var, result.ci.points_to(var)));
-                }
-            }
-        }
-        outcome
-    }
+    outcome
 }
 
 #[cfg(test)]
@@ -175,16 +115,16 @@ mod tests {
 
     #[test]
     fn answers_match_exhaustive_on_corpus() {
-        let engine = DemandEngine::new(8);
-        for (digest, (name, src)) in corpus::all().iter().enumerate() {
+        for (name, src) in corpus::all() {
             let module = compile(src).unwrap();
+            let index = DemandIndex::new(&module.program);
             for config in configs() {
                 let exhaustive = analyze(&module.program, &config);
                 let vars: Vec<Var> = (0..module.program.var_count())
                     .step_by(3)
                     .map(Var::from_index)
                     .collect();
-                let outcome = engine.query(digest as u64, &module.program, &config, &vars);
+                let outcome = query(&index, &module.program, &config, &vars);
                 for (var, heaps) in outcome.answers {
                     assert_eq!(heaps, exhaustive.ci.points_to(var), "{name} {config} {var}");
                 }
@@ -193,54 +133,31 @@ mod tests {
     }
 
     #[test]
-    fn index_cache_is_shared_across_configs() {
-        let engine = DemandEngine::new(8);
+    fn one_index_serves_every_config() {
         let module = compile(corpus::BOX).unwrap();
+        let index = DemandIndex::new(&module.program);
         let vars = [Var(0)];
         let ci = AnalysisConfig::insensitive();
         let ts = AnalysisConfig::transformer_strings("1-call".parse().unwrap());
-        let first = engine.query(7, &module.program, &ci, &vars);
-        assert!(!first.slice_reused);
-        // Same digest: the index is config-independent.
-        let second = engine.query(7, &module.program, &ts, &vars);
-        assert!(second.slice_reused);
+        let first = query(&index, &module.program, &ci, &vars);
+        let second = query(&index, &module.program, &ts, &vars);
         assert!(second.solver_facts > 0, "context-sensitive path solves");
         assert_eq!(first.solver_facts, 0, "insensitive path answers from slice");
+        assert_eq!(first.answers, second.answers);
     }
 
     #[test]
-    fn index_cache_hits_across_roots_of_one_digest() {
-        let engine = DemandEngine::new(8);
+    fn one_index_serves_every_root() {
         let module = compile(corpus::LIST).unwrap();
         let program = &module.program;
+        let index = DemandIndex::new(program);
         let config = AnalysisConfig::transformer_strings("1-call".parse().unwrap());
         let exhaustive = analyze(program, &config);
         for v in 0..program.var_count() {
             let var = Var::from_index(v);
-            let outcome = engine.query(3, program, &config, &[var]);
-            assert_eq!(outcome.slice_reused, v > 0, "root {var}");
+            let outcome = query(&index, program, &config, &[var]);
             assert_eq!(outcome.answers, vec![(var, exhaustive.ci.points_to(var))]);
         }
-        let all: Vec<Var> = (0..program.var_count()).map(Var::from_index).collect();
-        assert!(engine.query(3, program, &config, &all).slice_reused);
-    }
-
-    #[test]
-    fn index_cache_evicts_the_least_recently_used_digest() {
-        let engine = DemandEngine::new(2);
-        let module = compile(corpus::BOX).unwrap();
-        let ci = AnalysisConfig::insensitive();
-        let reused = |digest: u64, v: usize| {
-            engine
-                .query(digest, &module.program, &ci, &[Var::from_index(v)])
-                .slice_reused
-        };
-        assert!(!reused(1, 0));
-        assert!(!reused(2, 0));
-        // Touch digest 1 under another root: digest 2 is now the oldest.
-        assert!(reused(1, 1));
-        assert!(!reused(3, 0), "a third digest overflows capacity 2");
-        assert!(reused(1, 2), "the recently used digest survives");
-        assert!(!reused(2, 0), "the least recently used digest was evicted");
+        assert!(index.bytes() > 0);
     }
 }

@@ -4,8 +4,7 @@
 //! — and on loosely-coupled programs the sliced
 //! solve must derive strictly fewer facts than the full fixpoint.
 
-use ctxform::{analyze, analyze_sliced, demand_slice};
-use ctxform_demand::DemandEngine;
+use ctxform::{analyze, analyze_sliced, demand_slice, DemandIndex};
 use ctxform_ir::Var;
 use ctxform_minijava::compile;
 use ctxform_synth::random_program;
@@ -13,17 +12,17 @@ use ctxform_testutil::cs_configs;
 
 #[test]
 fn demand_matches_exhaustive_across_seeds_and_configs() {
-    let engine = DemandEngine::new(64);
     for seed in 0..8u64 {
         let src = random_program(seed, 1);
         let module = compile(&src).unwrap();
+        let index = DemandIndex::new(&module.program);
         let vars: Vec<Var> = (0..module.program.var_count())
             .step_by(9)
             .map(Var::from_index)
             .collect();
         for config in cs_configs() {
             let exhaustive = analyze(&module.program, &config);
-            let outcome = engine.query(seed, &module.program, &config, &vars);
+            let outcome = ctxform_demand::query(&index, &module.program, &config, &vars);
             for (var, heaps) in outcome.answers {
                 assert_eq!(
                     heaps,

@@ -4,13 +4,17 @@
 //! ctxform-serve [--port N] [--shards 1] [--threads N] [--solver-threads 1]
 //!               [--queue N] [--max-conns N] [--cache-mb N]
 //!               [--deadline-ms N] [--slow-ms N]
-//!               [--trace N] [--no-profile] [--flight-file PATH]
+//!               [--trace N] [--flight-file PATH]
 //!               [--log-level LEVEL] [--port-file PATH]
 //! ```
 //!
 //! `--threads` sets the worker count (default: one per core, at most 8);
 //! the workers drain one bounded job queue (`--queue`) and share one
-//! database cache of `--cache-mb` MiB. `--max-conns` bounds concurrent
+//! program cache of `--cache-mb` MiB (default 48). The cache holds one
+//! entry per program digest — the program, its demand index, and its
+//! solved results and extendable databases — and evicts whole entries,
+//! least recently used first, past the budget; an evicted digest answers
+//! `unknown_program` until it is loaded again. `--max-conns` bounds concurrent
 //! connections. Results are bit-identical for every worker count, so
 //! these flags only affect latency and throughput, never answers.
 //! `--shards` and `--solver-threads` accept only `1`, because the
@@ -21,9 +25,9 @@
 //! Observability: `--slow-ms N` logs every request slower than `N`
 //! milliseconds (with its trace id) at `WARN`; `--trace N` enables the
 //! in-process trace ring with capacity `N` records (`0` keeps tracing
-//! off), queryable via the `trace` op; `--no-profile` turns off the
-//! always-on solver profiling behind the `profile` op (results are
-//! bit-identical either way); `--flight-file PATH` arms the flight
+//! off), queryable via the `trace` op; every solve is profiled for the
+//! `profile` op (results are bit-identical to an unprofiled solve);
+//! `--flight-file PATH` arms the flight
 //! recorder, which dumps the trace ring and the queue depth to `PATH`
 //! when a request busts its deadline or the process panics;
 //! `--log-level` filters the structured stderr log
@@ -43,7 +47,7 @@ use ctxform_server::server::{start, ServerConfig};
 const USAGE: &str = "usage: ctxform-serve [--port N] [--shards 1] [--threads N] \
                      [--solver-threads 1] [--queue N] [--max-conns N] \
                      [--cache-mb N] [--deadline-ms N] [--slow-ms N] \
-                     [--trace N] [--no-profile] [--flight-file PATH] \
+                     [--trace N] [--flight-file PATH] \
                      [--log-level LEVEL] [--port-file PATH]";
 
 fn main() {
@@ -91,7 +95,6 @@ fn main() {
             }
             "--slow-ms" => config.slow_query_ms = num(&mut args, "--slow-ms"),
             "--trace" => trace_capacity = num(&mut args, "--trace") as usize,
-            "--no-profile" => config.profile = false,
             "--flight-file" => {
                 config.flight_path = Some(args.next().expect("--flight-file needs a path").into())
             }
@@ -123,7 +126,7 @@ fn main() {
     logger::info(
         "ctxform-serve",
         format!(
-            "listening on {addr} ({} workers, queue {}, cache {} MiB, deadline {:?}, slow-query {} ms, trace ring {}, profiling {}, flight {})",
+            "listening on {addr} ({} workers, queue {}, cache {} MiB, deadline {:?}, slow-query {} ms, trace ring {}, flight {})",
             config.threads,
             config.queue_depth,
             config.cache_bytes >> 20,
@@ -134,7 +137,6 @@ fn main() {
             } else {
                 format!("{trace_capacity} records")
             },
-            if config.profile { "on" } else { "off" },
             match &config.flight_path {
                 Some(path) => path.display().to_string(),
                 None => "off".to_owned(),

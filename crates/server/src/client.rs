@@ -515,7 +515,7 @@ fn query_mix(
 /// The demand-only mix (`--op query`): per program one `query` per
 /// variable (cycled), plus — when `batch > 0` — one `query_batch`
 /// carrying `batch` variables. No `analyze` warm-up, so every answer
-/// exercises the demand engine rather than a cached database.
+/// exercises the demand slice rather than a cached database.
 fn demand_mix(
     digests: &[String],
     vars_by_digest: &HashMap<String, Vec<(String, String)>>,

@@ -1,23 +1,31 @@
-//! The analysis database manager: loaded programs plus an LRU cache of
-//! solved [`AnalysisResult`]s.
+//! The analysis database manager: one byte-budgeted cache holding every
+//! loaded program and everything derived from it.
 //!
 //! Programs are keyed by a content digest ([`ctxform_hash::fx_hash_one`]
 //! over the canonical [`ctxform_ir::text::emit`] rendering), so the same
 //! program loaded from MiniJava source or from a fact file lands on the
-//! same key. Solved databases are keyed by `(program digest, config tag)`
-//! and held behind `Arc` so concurrent readers share one solution; an
-//! explicit byte budget bounds resident results with least-recently-used
-//! eviction. Concurrent requests for the same uncached key coalesce: one
-//! thread solves while the rest wait on a condvar, so a thundering herd
-//! performs exactly one solve.
+//! same key. Each digest owns one entry: the program, its demand index
+//! (built on the first demand query) and, per config tag, what that
+//! configuration was solved to — a projected result from `analyze`, or an
+//! extendable database from `update` ([`Solved`]). Everything is held
+//! behind `Arc`, so concurrent readers share one solution. One LRU evicts
+//! whole entries under one byte budget that counts every part; the entry
+//! an operation just inserted or touched is never its victim, and an
+//! evicted digest is unknown until it is loaded again. Concurrent
+//! requests for the same unsolved key coalesce: one thread solves while
+//! the rest wait on a condvar, so a thundering herd performs exactly one
+//! solve.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use ctxform::{analyze, AnalysisConfig, AnalysisDb, AnalysisResult, ExtendOutcome, SolverStats};
+use ctxform::{
+    analyze, AnalysisConfig, AnalysisDb, AnalysisResult, DemandIndex, ExtendOutcome, SolverStats,
+};
 use ctxform_hash::fx_hash_one;
 use ctxform_ir::{text, Program};
 use ctxform_obs::metrics::{Registry, LATENCY_BUCKETS_S};
@@ -25,6 +33,10 @@ use ctxform_obs::metrics::{Registry, LATENCY_BUCKETS_S};
 use crate::protocol::config_tag;
 
 type Key = (u64, String);
+
+/// Solves run outside the cache lock and under `catch_unwind`, so no
+/// thread panics while holding it.
+const POISONED: &str = "the cache lock is never held across a panic";
 
 /// Why [`DbManager::get_or_solve`] could not produce a database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,16 +58,53 @@ impl fmt::Display for DbError {
     }
 }
 
-/// One resident solved database.
+/// What one configuration of a program is solved to.
+#[derive(Clone)]
+pub enum Solved {
+    /// A projected result, from `analyze`.
+    Result(Arc<AnalysisResult>),
+    /// An extendable database, from `update`; reads see its result.
+    Db(Arc<AnalysisDb>),
+}
+
+impl Deref for Solved {
+    type Target = AnalysisResult;
+
+    fn deref(&self) -> &AnalysisResult {
+        match self {
+            Solved::Result(result) => result,
+            Solved::Db(db) => db.result(),
+        }
+    }
+}
+
+impl Solved {
+    /// Estimated resident bytes: the result, plus the solver state of a
+    /// database by its [`ctxform::MemoryFootprint`].
+    fn bytes(&self) -> usize {
+        let state = match self {
+            Solved::Result(_) => 0,
+            Solved::Db(db) => db.result().stats.memory.total(),
+        };
+        state + approx_result_bytes(self)
+    }
+}
+
+/// Everything resident for one program digest.
 struct Entry {
-    result: Arc<AnalysisResult>,
+    program: Arc<Program>,
+    /// Built by the first demand query against the program.
+    index: Option<Arc<DemandIndex>>,
+    /// Per config tag.
+    solved: HashMap<String, Solved>,
+    /// Estimated bytes of all the parts above.
     bytes: usize,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct CacheState {
-    entries: HashMap<Key, Entry>,
+    entries: HashMap<u64, Entry>,
     /// Keys currently being solved by some thread.
     pending: HashSet<Key>,
     /// Keys whose last solve panicked: the tick it failed at plus the
@@ -65,6 +114,56 @@ struct CacheState {
     failed: HashMap<Key, (u64, String)>,
     bytes: usize,
     tick: u64,
+}
+
+impl CacheState {
+    /// The entry of `digest`, stamped most recently used.
+    fn touch(&mut self, digest: u64) -> Option<&mut Entry> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.entries.get_mut(&digest)?;
+        entry.last_used = tick;
+        Some(entry)
+    }
+
+    /// The entry of `digest`, stamped most recently used, created for
+    /// `program` when absent (never loaded, or evicted while a part of it
+    /// was built outside the lock).
+    fn entry(&mut self, digest: u64, program: impl FnOnce() -> Arc<Program>) -> &mut Entry {
+        if !self.entries.contains_key(&digest) {
+            let program = program();
+            let bytes = approx_program_bytes(&program);
+            self.bytes += bytes;
+            let entry = Entry {
+                program,
+                index: None,
+                solved: HashMap::new(),
+                bytes,
+                last_used: 0,
+            };
+            self.entries.insert(digest, entry);
+        }
+        self.touch(digest).expect("just ensured")
+    }
+
+    /// Moves the size of the resident entry `digest`, and the total, by
+    /// `added - removed` bytes.
+    fn resize(&mut self, digest: u64, added: usize, removed: usize) {
+        let entry = self.entries.get_mut(&digest).expect("resident");
+        entry.bytes = entry.bytes + added - removed;
+        self.bytes = self.bytes + added - removed;
+    }
+
+    /// Stores what `(digest, tag)` is solved to, replacing a previous one.
+    fn put(&mut self, digest: u64, program: &Arc<Program>, tag: String, solved: Solved) {
+        let added = solved.bytes();
+        let entry = self.entry(digest, || program.clone());
+        let removed = entry
+            .solved
+            .insert(tag, solved)
+            .map_or(0, |old| old.bytes());
+        self.resize(digest, added, removed);
+    }
 }
 
 /// Removes `key` from `pending` on drop, records the failure, and wakes
@@ -111,31 +210,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Extendable databases kept alive for the `update` op, keyed like the
-/// result cache and bounded by entry count (full solver state is much
-/// heavier than a projected result, so the bound is deliberately small).
-/// Each snapshot is shared: an update copies it outside the lock, and
-/// only when the edit resumes it.
-#[derive(Default)]
-struct DbCacheState {
-    entries: HashMap<Key, (Arc<AnalysisDb>, u64)>,
-    tick: u64,
-}
-
-/// Resident [`AnalysisDb`] snapshots retained for incremental updates.
-const DB_CACHE_CAP: usize = 8;
-
 /// What [`DbManager::update`] did and produced.
 pub struct UpdateReport {
-    /// Digest the edited program was loaded (and its solution cached) under.
+    /// Digest the edited program was loaded (and its database cached) under.
     pub digest: u64,
     /// Whether a database for the base key was resident when the update
     /// arrived (`false` forces the from-scratch path).
     pub base_cached: bool,
     /// How the edit was satisfied: incremental resume or fallback.
     pub outcome: ExtendOutcome,
-    /// The solution of the edited program.
-    pub result: Arc<AnalysisResult>,
+    /// The database of the edited program.
+    pub db: Arc<AnalysisDb>,
     /// Canonical digest of the database's derived facts.
     pub fact_digest: u64,
 }
@@ -143,7 +228,7 @@ pub struct UpdateReport {
 /// A point-in-time view of the cache counters (for the `stats` endpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// Resident solved databases.
+    /// Resident programs, each with everything derived from it.
     pub entries: usize,
     /// Estimated resident bytes.
     pub bytes: usize,
@@ -153,10 +238,8 @@ pub struct CacheSnapshot {
     pub hits: u64,
     /// Queries that had to solve.
     pub misses: u64,
-    /// Databases evicted to stay under budget.
+    /// Programs evicted to stay under budget.
     pub evictions: u64,
-    /// Loaded programs.
-    pub programs: usize,
     /// `update` requests satisfied by resuming a cached database over a
     /// purely-additive edit.
     pub incremental_reuse: u64,
@@ -175,9 +258,7 @@ type SolveFn = dyn Fn(&Program, &AnalysisConfig) -> AnalysisResult + Send + Sync
 
 /// The concurrent database manager.
 pub struct DbManager {
-    programs: Mutex<HashMap<u64, Arc<Program>>>,
     cache: Mutex<CacheState>,
-    dbs: Mutex<DbCacheState>,
     solved: Condvar,
     budget: usize,
     /// When set, replaces the `analyze` call — test instrumentation for
@@ -187,12 +268,8 @@ pub struct DbManager {
     /// totals, and interner gauge into this registry (the `metrics`
     /// endpoint's solver section).
     registry: Option<Arc<Registry>>,
-    /// When `true`, fresh solves run with per-rule/per-phase profiling
-    /// enabled (result-neutral; timing fields only).
-    profile: bool,
-    /// When set, every profiled solver run's stats (fresh solves and
-    /// updates) are folded into this store (the `profile` endpoint's
-    /// data source).
+    /// When set, every solver run's stats (fresh solves and updates) are
+    /// folded into this store (the `profile` endpoint's data source).
     profile_store: Option<Arc<crate::profile::ProfileStore>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -204,17 +281,16 @@ pub struct DbManager {
 }
 
 impl DbManager {
-    /// Creates a manager whose solved-result cache targets `budget` bytes.
+    /// Creates a manager whose cache targets `budget` bytes. Every solve
+    /// it runs is profiled: profiling is result-neutral and costs about
+    /// 1–2%.
     pub fn new(budget: usize) -> Self {
         DbManager {
-            programs: Mutex::new(HashMap::new()),
             cache: Mutex::new(CacheState::default()),
-            dbs: Mutex::new(DbCacheState::default()),
             solved: Condvar::new(),
             budget,
             solve_hook: None,
             registry: None,
-            profile: false,
             profile_store: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -226,16 +302,6 @@ impl DbManager {
         }
     }
 
-    /// The configuration a fresh solve of `config` runs under: `config`,
-    /// plus profiling when enabled.
-    fn solve_config(&self, config: &AnalysisConfig) -> AnalysisConfig {
-        if self.profile {
-            config.with_profiling()
-        } else {
-            *config
-        }
-    }
-
     /// Attaches a metrics registry: every fresh solve records its rule
     /// counters, fact totals, duration, and interner size there.
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
@@ -243,16 +309,7 @@ impl DbManager {
         self
     }
 
-    /// Enables (or disables) per-rule/per-phase solver profiling on every
-    /// fresh solve. Deliberately *not* part of the cache key: profiling
-    /// is result-neutral, so profiled and unprofiled requests share one
-    /// cache entry.
-    pub fn with_profiling(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Attaches a profile store: every profiled solve folds its rule and
+    /// Attaches a profile store: every solver run folds its rule and
     /// phase timings there.
     pub fn with_profile_store(mut self, store: Arc<crate::profile::ProfileStore>) -> Self {
         self.profile_store = Some(store);
@@ -269,77 +326,118 @@ impl DbManager {
         self.solve_hook = Some(Box::new(hook));
     }
 
+    /// The locked cache state.
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.cache.lock().expect(POISONED)
+    }
+
+    /// Evicts least-recently-used entries other than `keep` until the
+    /// cache is within its budget.
+    fn evict(&self, state: &mut CacheState, keep: &[u64]) {
+        while state.bytes > self.budget {
+            let Some(victim) = state
+                .entries
+                .iter()
+                .filter(|(digest, _)| !keep.contains(digest))
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(&digest, _)| digest)
+            else {
+                break;
+            };
+            state.bytes -= state.entries.remove(&victim).expect("present").bytes;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Registers a validated program, returning its content digest.
     ///
     /// Loading the same program twice is idempotent and cheap (the second
     /// copy is dropped).
     pub fn load_program(&self, program: Program) -> (u64, Arc<Program>) {
         let digest = program_digest(&program);
-        let mut programs = self.programs.lock().unwrap();
-        let arc = programs
-            .entry(digest)
-            .or_insert_with(|| Arc::new(program))
-            .clone();
+        let mut state = self.state();
+        let arc = state.entry(digest, || Arc::new(program)).program.clone();
+        self.evict(&mut state, &[digest]);
         (digest, arc)
     }
 
-    /// Looks up a loaded program by digest.
+    /// Looks up a resident program by digest.
     pub fn program(&self, digest: u64) -> Option<Arc<Program>> {
-        self.programs.lock().unwrap().get(&digest).cloned()
+        let mut state = self.state();
+        state.touch(digest).map(|entry| entry.program.clone())
     }
 
-    /// Peeks the result cache for `(digest, config)` without ever
-    /// solving: `Some` (bumping the LRU stamp and the hit counter) when a
-    /// solved database is resident, `None` otherwise — the demand-query
-    /// path uses this to fall back to an already-solved database while
-    /// guaranteeing a cache miss never triggers an exhaustive solve.
-    pub fn cached_result(
-        &self,
-        digest: u64,
-        config: &AnalysisConfig,
-    ) -> Option<Arc<AnalysisResult>> {
-        let key = (digest, config_tag(config));
-        let mut state = self.cache.lock().unwrap();
-        state.tick += 1;
-        let tick = state.tick;
-        let entry = state.entries.get_mut(&key)?;
-        entry.last_used = tick;
-        let result = entry.result.clone();
+    /// Peeks the cache for `(digest, config)` without ever solving:
+    /// `Some` (counting a hit) when it is solved, `None` otherwise — the
+    /// demand-query path uses this to fall back to an already-solved
+    /// database while guaranteeing a cache miss never triggers an
+    /// exhaustive solve.
+    pub fn cached_result(&self, digest: u64, config: &AnalysisConfig) -> Option<Solved> {
+        let mut state = self.state();
+        let solved = state
+            .touch(digest)?
+            .solved
+            .get(&config_tag(config))?
+            .clone();
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(result)
+        Some(solved)
     }
 
-    /// Returns the solved database for `(digest, config)`, solving at most
-    /// once per key across all threads. The boolean is `true` when the
-    /// answer came from cache.
+    /// The demand index of the resident program `digest`, building it
+    /// outside the lock on the first request. The boolean is `true` when
+    /// it was already resident.
+    pub fn demand_index(&self, digest: u64, program: &Arc<Program>) -> (Arc<DemandIndex>, bool) {
+        if let Some(index) = self
+            .state()
+            .touch(digest)
+            .and_then(|entry| entry.index.clone())
+        {
+            return (index, true);
+        }
+        // A racing duplicate build is harmless (both produce the same
+        // index); the first one stored is kept.
+        let built = Arc::new(DemandIndex::new(program));
+        let mut state = self.state();
+        let entry = state.entry(digest, || program.clone());
+        if let Some(index) = &entry.index {
+            return (index.clone(), false);
+        }
+        entry.index = Some(built.clone());
+        state.resize(digest, built.bytes(), 0);
+        self.evict(&mut state, &[digest]);
+        (built, false)
+    }
+
+    /// Returns what `(digest, config)` is solved to, solving at most once
+    /// per key across all threads. The boolean is `true` when the answer
+    /// came from cache.
     ///
     /// # Errors
     ///
-    /// [`DbError::UnknownProgram`] when no program with `digest` is loaded;
-    /// [`DbError::SolveFailed`] when the solve for this key panicked —
-    /// returned both by the solving caller and by every coalesced waiter
-    /// (which would previously block on the condvar forever, because the
-    /// panicking thread never cleared its pending claim).
+    /// [`DbError::UnknownProgram`] when no program with `digest` is
+    /// resident; [`DbError::SolveFailed`] when the solve for this key
+    /// panicked — returned both by the solving caller and by every
+    /// coalesced waiter (which would otherwise block on the condvar
+    /// forever, because the panicking thread never cleared its pending
+    /// claim).
     pub fn get_or_solve(
         &self,
         digest: u64,
         config: &AnalysisConfig,
-    ) -> Result<(Arc<AnalysisResult>, bool), DbError> {
-        let program = self.program(digest).ok_or(DbError::UnknownProgram)?;
+    ) -> Result<(Solved, bool), DbError> {
         let key = (digest, config_tag(config));
-        {
-            let mut state = self.cache.lock().unwrap();
+        let program = {
+            let mut state = self.state();
             state.tick += 1;
             let entered = state.tick;
             loop {
-                state.tick += 1;
-                let tick = state.tick;
-                if let Some(entry) = state.entries.get_mut(&key) {
-                    entry.last_used = tick;
-                    let result = entry.result.clone();
+                let entry = state.touch(digest).ok_or(DbError::UnknownProgram)?;
+                if let Some(solved) = entry.solved.get(&key.1) {
+                    let solved = solved.clone();
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((result, true));
+                    return Ok((solved, true));
                 }
+                let program = entry.program.clone();
                 if let Some(&(failed_at, ref msg)) = state.failed.get(&key) {
                     // Only failures that happened while this request was
                     // already waiting count: a stale record from before we
@@ -349,14 +447,14 @@ impl DbManager {
                     }
                 }
                 if state.pending.contains(&key) {
-                    state = self.solved.wait(state).unwrap();
+                    state = self.solved.wait(state).expect(POISONED);
                 } else {
                     state.failed.remove(&key);
                     state.pending.insert(key.clone());
-                    break;
+                    break program;
                 }
             }
-        }
+        };
         self.misses.fetch_add(1, Ordering::Relaxed);
         // From here until the cache insert below, this thread owns the
         // pending claim; the guard turns any unwind into a recorded
@@ -366,10 +464,10 @@ impl DbManager {
             key: Some(key.clone()),
             message: String::new(),
         };
-        let solve_config = self.solve_config(config);
+        let profiled = config.with_profiling();
         let solved = catch_unwind(AssertUnwindSafe(|| match &self.solve_hook {
-            Some(hook) => hook(&program, &solve_config),
-            None => analyze(&program, &solve_config),
+            Some(hook) => hook(&program, &profiled),
+            None => analyze(&program, &profiled),
         }));
         let result = match solved {
             Ok(result) => Arc::new(result),
@@ -386,73 +484,60 @@ impl DbManager {
         if let Some(store) = &self.profile_store {
             store.record(&result.stats);
         }
-        let bytes = approx_result_bytes(&result);
-        let mut state = self.cache.lock().unwrap();
-        state.tick += 1;
-        let tick = state.tick;
-        state.bytes += bytes;
-        state.entries.insert(
-            key.clone(),
-            Entry {
-                result: result.clone(),
-                bytes,
-                last_used: tick,
-            },
-        );
-        // Evict least-recently-used entries (never the one just inserted:
-        // it has the freshest tick) until back under budget.
-        while state.bytes > self.budget && state.entries.len() > 1 {
-            let victim = state
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty");
-            if victim == key {
-                break;
-            }
-            let evicted = state.entries.remove(&victim).expect("present");
-            state.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let solved = Solved::Result(result);
+        let mut state = self.state();
+        state.put(digest, &program, key.1.clone(), solved.clone());
+        self.evict(&mut state, &[digest]);
         state.pending.remove(&key);
         drop(state);
         guard.disarm();
         self.solved.notify_all();
-        Ok((result, false))
+        Ok((solved, false))
     }
 
     /// Brings the analysis of `base` up to date with the edited program
     /// `next`: loads `next` under its own digest, then — when an
     /// extendable database for `(base, config)` is resident — runs
-    /// [`AnalysisDb::extended`] on it outside the snapshot lock. An
-    /// identical or purely-additive edit copies the snapshot and resumes
-    /// the fixpoint; a retractive or non-monotone edit solves `next` from
-    /// scratch and copies nothing. The resident snapshot itself is never
-    /// mutated. The produced database is cached for further updates and
-    /// its result enters the ordinary result cache, so follow-up queries
-    /// on the new digest hit.
+    /// [`AnalysisDb::extended`] on it outside the lock. An identical or
+    /// purely-additive edit copies the database and resumes the fixpoint;
+    /// a retractive or non-monotone edit solves `next` from scratch and
+    /// copies nothing. The resident database itself is never mutated. The
+    /// produced database is cached under the new digest for further
+    /// updates and reads; both the base and the new entry survive the
+    /// eviction that follows.
     ///
     /// # Errors
     ///
     /// [`DbError::UnknownProgram`] when no program with digest `base` is
-    /// loaded; [`DbError::SolveFailed`] when the solve panicked.
+    /// resident; [`DbError::SolveFailed`] when the solve panicked.
     pub fn update(
         &self,
         base: u64,
         next: Program,
         config: &AnalysisConfig,
     ) -> Result<UpdateReport, DbError> {
-        self.program(base).ok_or(DbError::UnknownProgram)?;
-        let (digest, next_arc) = self.load_program(next);
+        let digest = program_digest(&next);
         let tag = config_tag(config);
-        let solve_config = self.solve_config(config);
-        let cached_db = self.db_cache_get(&(base, tag.clone()));
-        let base_cached = cached_db.is_some();
-        let solved = catch_unwind(AssertUnwindSafe(|| match cached_db {
-            Some(db) => db.extended((*next_arc).clone()),
+        let (next, base_db) = {
+            let mut state = self.state();
+            let base_db = match state
+                .touch(base)
+                .ok_or(DbError::UnknownProgram)?
+                .solved
+                .get(&tag)
+            {
+                Some(Solved::Db(db)) => Some(db.clone()),
+                _ => None,
+            };
+            let next = state.entry(digest, || Arc::new(next)).program.clone();
+            self.evict(&mut state, &[base, digest]);
+            (next, base_db)
+        };
+        let base_cached = base_db.is_some();
+        let solved = catch_unwind(AssertUnwindSafe(|| match base_db {
+            Some(db) => db.extended((*next).clone()),
             None => {
-                let db = AnalysisDb::solve((*next_arc).clone(), &solve_config);
+                let db = AnalysisDb::solve((*next).clone(), &config.with_profiling());
                 let reason = "no cached database for the base program".to_owned();
                 (db, ExtendOutcome::Fallback(reason))
             }
@@ -461,145 +546,48 @@ impl DbManager {
             Ok(pair) => pair,
             Err(payload) => return Err(DbError::SolveFailed(panic_message(payload.as_ref()))),
         };
-        let result = Arc::new(db.result().clone());
+        let stats = &db.result().stats;
         // Every run that did solver work is profiled like a fresh solve;
         // a noop reports cleared run counters and is not a run.
         if !matches!(outcome, ExtendOutcome::Noop) {
             if let Some(store) = &self.profile_store {
-                store.record(&result.stats);
+                store.record(stats);
             }
         }
-        match outcome {
-            ExtendOutcome::Incremental => {
-                self.incremental_reuse.fetch_add(1, Ordering::Relaxed);
-            }
-            ExtendOutcome::Noop => {
-                // An identical edit does no solver work; counting it as
-                // reuse used to overstate incremental coverage.
-                self.incremental_noop.fetch_add(1, Ordering::Relaxed);
-            }
-            ExtendOutcome::Retracted => {
-                self.incremental_retracted.fetch_add(1, Ordering::Relaxed);
-            }
-            ExtendOutcome::Fallback(_) => {
-                self.incremental_fallback.fetch_add(1, Ordering::Relaxed);
-            }
+        let counter = match outcome {
+            ExtendOutcome::Incremental => &self.incremental_reuse,
+            // An identical edit does no solver work; counting it as
+            // reuse used to overstate incremental coverage.
+            ExtendOutcome::Noop => &self.incremental_noop,
+            ExtendOutcome::Retracted => &self.incremental_retracted,
+            ExtendOutcome::Fallback(_) => &self.incremental_fallback,
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         // Only a re-solve is a *fresh* solve; incremental extensions are
         // accounted by the reuse counter instead.
         if !outcome.is_incremental() {
             if let Some(registry) = &self.registry {
-                record_solve_metrics(registry, &result.stats);
+                record_solve_metrics(registry, stats);
             }
         }
         let fact_digest = db.fact_digest();
-        self.db_cache_put((digest, tag.clone()), Arc::new(db));
-        self.cache_result((digest, tag), result.clone());
+        let db = Arc::new(db);
+        let mut state = self.state();
+        state.put(digest, &next, tag, Solved::Db(db.clone()));
+        self.evict(&mut state, &[base, digest]);
+        drop(state);
         Ok(UpdateReport {
             digest,
             base_cached,
             outcome,
-            result,
+            db,
             fact_digest,
         })
     }
 
-    /// Fetches (and LRU-touches) an extendable database. Only the `Arc`
-    /// is copied under the lock; the caller never mutates the snapshot.
-    fn db_cache_get(&self, key: &Key) -> Option<Arc<AnalysisDb>> {
-        let mut state = self.dbs.lock().unwrap();
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.get_mut(key).map(|(db, last_used)| {
-            *last_used = tick;
-            db.clone()
-        })
-    }
-
-    /// Caches an extendable database, evicting the least-recently-used
-    /// entry past [`DB_CACHE_CAP`].
-    fn db_cache_put(&self, key: Key, db: Arc<AnalysisDb>) {
-        let mut state = self.dbs.lock().unwrap();
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.insert(key, (db, tick));
-        while state.entries.len() > DB_CACHE_CAP {
-            let victim = state
-                .entries
-                .iter()
-                .min_by_key(|(_, &(_, last_used))| last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty");
-            state.entries.remove(&victim);
-        }
-    }
-
-    /// Seeds an extendable database for `(digest, config)` by solving from
-    /// scratch while keeping the state (used by callers that know updates
-    /// will follow; `update` itself seeds the edited program's database).
-    pub fn prime_db(&self, digest: u64, config: &AnalysisConfig) -> Result<(), DbError> {
-        let program = self.program(digest).ok_or(DbError::UnknownProgram)?;
-        let key = (digest, config_tag(config));
-        if self.dbs.lock().unwrap().entries.contains_key(&key) {
-            return Ok(());
-        }
-        let solve_config = self.solve_config(config);
-        let solved = catch_unwind(AssertUnwindSafe(|| {
-            AnalysisDb::solve((*program).clone(), &solve_config)
-        }));
-        match solved {
-            Ok(db) => {
-                if let Some(store) = &self.profile_store {
-                    store.record(&db.result().stats);
-                }
-                self.db_cache_put(key, Arc::new(db));
-                Ok(())
-            }
-            Err(payload) => Err(DbError::SolveFailed(panic_message(payload.as_ref()))),
-        }
-    }
-
-    /// Inserts a result produced outside `get_or_solve` (the `update`
-    /// path) into the result cache, with the same byte accounting and
-    /// LRU eviction as a coalesced solve.
-    fn cache_result(&self, key: Key, result: Arc<AnalysisResult>) {
-        let bytes = approx_result_bytes(&result);
-        let mut state = self.cache.lock().unwrap();
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(old) = state.entries.remove(&key) {
-            state.bytes -= old.bytes;
-        }
-        state.bytes += bytes;
-        state.entries.insert(
-            key.clone(),
-            Entry {
-                result,
-                bytes,
-                last_used: tick,
-            },
-        );
-        while state.bytes > self.budget && state.entries.len() > 1 {
-            let victim = state
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty");
-            if victim == key {
-                break;
-            }
-            let evicted = state.entries.remove(&victim).expect("present");
-            state.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(state);
-        self.solved.notify_all();
-    }
-
     /// Current cache counters.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let state = self.cache.lock().unwrap();
+        let state = self.state();
         CacheSnapshot {
             entries: state.entries.len(),
             bytes: state.bytes,
@@ -607,7 +595,6 @@ impl DbManager {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            programs: self.programs.lock().unwrap().len(),
             incremental_reuse: self.incremental_reuse.load(Ordering::Relaxed),
             incremental_noop: self.incremental_noop.load(Ordering::Relaxed),
             incremental_retracted: self.incremental_retracted.load(Ordering::Relaxed),
@@ -694,7 +681,7 @@ pub fn ci_digest(r: &AnalysisResult) -> u64 {
     r.ci.digest()
 }
 
-/// Estimates the resident size of a solved database: the dominant cost is
+/// Estimates the resident size of a solved result: the dominant cost is
 /// the context-insensitive projection sets plus the optional rendered log;
 /// fixed per-result overhead is folded into a constant.
 pub fn approx_result_bytes(r: &AnalysisResult) -> usize {
@@ -712,6 +699,15 @@ pub fn approx_result_bytes(r: &AnalysisResult) -> usize {
         .map(|(tag, _)| tag.len() + 32)
         .sum();
     sets + log + configs + 512
+}
+
+/// Estimates the resident size of a program from its table lengths: 12
+/// bytes per input tuple (three `u32` columns at most) and 48 per entity
+/// (a name `String` with a short name, plus its id columns).
+pub fn approx_program_bytes(p: &Program) -> usize {
+    let s = p.stats();
+    let entities = s.vars + s.heaps + s.invs + s.methods + s.fields + s.types + p.msig_count();
+    s.input_facts * 12 + entities * 48 + 512
 }
 
 #[cfg(test)]
@@ -742,7 +738,7 @@ mod tests {
         let reparsed = text::parse(&text).unwrap();
         let (d2, _) = db.load_program(reparsed);
         assert_eq!(d1, d2);
-        assert_eq!(db.snapshot().programs, 1);
+        assert_eq!(db.snapshot().entries, 1);
     }
 
     #[test]
@@ -754,7 +750,7 @@ mod tests {
         let (r2, cached2) = db.get_or_solve(digest, &config("1-call")).unwrap();
         assert!(!cached1);
         assert!(cached2);
-        assert!(Arc::ptr_eq(&r1, &r2));
+        assert!(std::ptr::eq(&*r1, &*r2));
         let snap = db.snapshot();
         assert_eq!((snap.hits, snap.misses), (1, 1));
     }
@@ -769,18 +765,48 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_least_recently_used() {
+    fn byte_budget_evicts_whole_least_recently_used_programs() {
         let db = DbManager::new(1); // everything over budget
-        let module = compile(corpus::BOX).unwrap();
-        let (digest, _) = db.load_program(module.program);
-        db.get_or_solve(digest, &config("1-call")).unwrap();
-        db.get_or_solve(digest, &config("1-object")).unwrap();
+        let (d1, _) = db.load_program(compile(corpus::BOX).unwrap().program);
+        db.get_or_solve(d1, &config("1-call")).unwrap();
+        // Both configurations live in the entry just touched.
+        db.get_or_solve(d1, &config("1-object")).unwrap();
+        assert_eq!(db.snapshot().entries, 1);
+        assert_eq!(db.snapshot().evictions, 0);
+        // A second program evicts the first, results and all.
+        let (d2, _) = db.load_program(compile(corpus::LIST).unwrap().program);
         let snap = db.snapshot();
-        assert_eq!(snap.entries, 1, "older entry evicted");
-        assert!(snap.evictions >= 1);
-        // The evicted config re-solves (a miss, not a hit).
-        db.get_or_solve(digest, &config("1-call")).unwrap();
-        assert_eq!(db.snapshot().misses, 3);
+        assert_eq!((snap.entries, snap.evictions), (1, 1));
+        assert!(db.program(d2).is_some());
+        assert!(matches!(
+            db.get_or_solve(d1, &config("1-call")),
+            Err(DbError::UnknownProgram)
+        ));
+    }
+
+    #[test]
+    fn accounted_bytes_cover_every_part_of_an_entry() {
+        let db = DbManager::new(1 << 30);
+        let program = compile(corpus::LIST).unwrap().program;
+        let (digest, program) = db.load_program(program);
+        let mut want = approx_program_bytes(&program);
+        assert_eq!(db.snapshot().bytes, want);
+        let (result, _) = db.get_or_solve(digest, &config("1-call")).unwrap();
+        want += approx_result_bytes(&result);
+        assert_eq!(db.snapshot().bytes, want);
+        let (index, reused) = db.demand_index(digest, &program);
+        assert!(!reused);
+        want += index.bytes();
+        assert_eq!(db.snapshot().bytes, want);
+        assert!(db.demand_index(digest, &program).1, "the index is kept");
+        // An update to the same program replaces the result with an
+        // extendable database, which also counts its solver state.
+        let report = db
+            .update(digest, (*program).clone(), &config("1-call"))
+            .unwrap();
+        want -= approx_result_bytes(&result);
+        want += report.db.result().stats.memory.total() + approx_result_bytes(report.db.result());
+        assert_eq!(db.snapshot().bytes, want);
     }
 
     /// The hang this PR fixes: a panicking solve used to leave its key in
@@ -831,10 +857,16 @@ mod tests {
                 Err(DbError::SolveFailed(msg)) => {
                     assert!(msg.contains("injected solve failure"), "message: {msg}")
                 }
-                other => panic!("expected SolveFailed, got {other:?}"),
+                other => panic!(
+                    "expected SolveFailed, got {:?}",
+                    other.map(|(_, cached)| cached)
+                ),
             }
         }
-        assert_eq!(db.snapshot().entries, 0, "failed solves cache nothing");
+        assert!(
+            db.cached_result(digest, &config("1-call")).is_none(),
+            "failed solves cache nothing"
+        );
 
         // The failure is not sticky: once the fault is cleared, a fresh
         // request reclaims the key, retries, and the cache works again
@@ -871,30 +903,26 @@ mod tests {
     fn profiled_solves_feed_the_store_and_cache_hits_do_not() {
         let module = compile(corpus::BOX).unwrap();
         let store = Arc::new(crate::profile::ProfileStore::default());
-        let db = DbManager::new(1 << 20)
-            .with_profiling(true)
-            .with_profile_store(store.clone());
-        let (digest, _) = db.load_program(module.program);
+        let db = DbManager::new(1 << 20).with_profile_store(store.clone());
+        let (digest, program) = db.load_program(module.program);
         let (r, _) = db.get_or_solve(digest, &config("1-call")).unwrap();
-        assert!(
-            r.stats.profiled,
-            "manager-level profiling reached the solve"
-        );
+        assert!(r.stats.profiled, "every manager solve is profiled");
         assert_eq!(store.solves(), 1);
         assert!(store.folded().contains("solver;eval;"));
         // A cache hit performs no solve and must not re-fold the stats.
         db.get_or_solve(digest, &config("1-call")).unwrap();
         assert_eq!(store.solves(), 1);
-        // Priming an extendable database is a profiled solve too; a
-        // resident one is not re-solved.
-        db.prime_db(digest, &config("1-call")).unwrap();
+        // Priming an extendable database (an update of the program to
+        // itself) is a profiled solve too; once it is resident, the same
+        // update is a noop and not a run.
+        let update = || {
+            db.update(digest, (*program).clone(), &config("1-call"))
+                .unwrap()
+                .outcome
+        };
+        assert!(matches!(update(), ExtendOutcome::Fallback(_)));
         assert_eq!(store.solves(), 2);
-        db.prime_db(digest, &config("1-call")).unwrap();
-        assert_eq!(store.solves(), 2);
-        // An unprofiled manager sharing the store never feeds it.
-        let plain = DbManager::new(1 << 20).with_profile_store(store.clone());
-        let (digest, _) = plain.load_program(compile(corpus::LIST).unwrap().program);
-        plain.get_or_solve(digest, &config("1-call")).unwrap();
+        assert_eq!(update(), ExtendOutcome::Noop);
         assert_eq!(store.solves(), 2);
     }
 

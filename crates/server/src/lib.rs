@@ -6,9 +6,10 @@
 //! This crate makes the analysis resident. A long-running daemon
 //! ([`server::start`]) compiles MiniJava or parses fact files into program
 //! databases keyed by content digest, solves them on demand under any
-//! [`ctxform::AnalysisConfig`], and caches the solved
-//! [`ctxform::AnalysisResult`]s behind `Arc` in a byte-budgeted LRU
-//! ([`db::DbManager`]) — the serving-side analogue of value-context reuse:
+//! [`ctxform::AnalysisConfig`], and keeps each program with everything
+//! derived from it — solved results, extendable databases, its demand
+//! index — behind `Arc` in one byte-budgeted LRU ([`db::DbManager`]) —
+//! the serving-side analogue of value-context reuse:
 //! answer repeated queries from previously computed results instead of
 //! recomputing them. Cold context-insensitive queries can bypass the
 //! exhaustive solver entirely through the demand-driven slice path
@@ -18,8 +19,8 @@
 //! one request object per line, one reply object per line — implemented
 //! with the in-tree reader/writer of [`json`] (the build environment is
 //! offline; no serde). The serving core ([`server`]) feeds one bounded
-//! job queue drained by a worker pool that shares one database manager
-//! and one demand engine; the manager runs concurrent solves outside its
+//! job queue drained by a worker pool that shares one database manager;
+//! the manager runs concurrent solves outside its
 //! lock and coalesces duplicate ones. Clients may pipeline many requests
 //! per connection (replies carry a verifiable `seq`) and batch thousands
 //! of points-to queries into one `points_to_batch` round-trip. Overload

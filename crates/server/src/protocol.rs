@@ -181,8 +181,8 @@ pub enum Request {
         vars: Vec<VarRef>,
     },
     /// Demand-driven points-to query: answered from the cached solved
-    /// database when one is resident, otherwise via the demand engine
-    /// (native CI derivation slice + gated context-sensitive solve) *without*
+    /// database when one is resident, otherwise via the program's demand
+    /// index (native CI derivation slice + gated context-sensitive solve) *without*
     /// triggering a full exhaustive solve.
     Query {
         /// Program digest.

@@ -3,7 +3,7 @@
 //! queue drained by a pool of [`ServerConfig::threads`] workers.
 //!
 //! Requests carrying a program digest are queued and run by a worker
-//! against the server's one [`DbManager`] and one [`DemandEngine`]; cheap
+//! against the server's one [`DbManager`] cache; cheap
 //! control ops (`load_*`, `stats`, `metrics`, `trace`, `shutdown`) run
 //! inline on the connection's reader thread. Clients may pipeline: many
 //! request lines can be written before any reply is read, and every reply
@@ -34,13 +34,13 @@ use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ctxform::{AnalysisConfig, AnalysisResult};
-use ctxform_demand::{DemandEngine, QueryOutcome};
+use ctxform::AnalysisConfig;
+use ctxform_demand::QueryOutcome;
 use ctxform_ir::{Program, Var};
 use ctxform_obs::metrics::{PromText, Registry};
 use ctxform_obs::{self as obs, SpanContext};
 
-use crate::db::{ci_digest, CacheSnapshot, DbError, DbManager};
+use crate::db::{ci_digest, CacheSnapshot, DbError, DbManager, Solved};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::profile::ProfileStore;
@@ -63,12 +63,6 @@ pub const MAX_LINE_BYTES: usize = 4 << 20;
 /// reply queue).
 const PIPELINE_WINDOW: usize = 256;
 
-/// Programs whose demand index the server keeps (one index per digest);
-/// an index is a flat CI fixpoint plus reverse input rows, orders of
-/// magnitude smaller than a solved context-sensitive database, so the
-/// bound is generous.
-const DEMAND_INDEX_CAPACITY: usize = 128;
-
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -82,7 +76,10 @@ pub struct ServerConfig {
     /// Maximum concurrent connections before new arrivals are rejected
     /// with `overloaded`.
     pub max_connections: usize,
-    /// Byte budget of the solved-database cache.
+    /// Byte budget of the one program cache: every resident program with
+    /// its demand index, solved results and extendable databases, each
+    /// part sized by its own estimate. Past it, least-recently-used
+    /// programs are evicted whole.
     pub cache_bytes: usize,
     /// Per-request deadline (queue wait included).
     pub deadline: Duration,
@@ -90,12 +87,6 @@ pub struct ServerConfig {
     /// this long are logged at `WARN` with their endpoint, latency, and
     /// trace id. `0` disables the slow-query log.
     pub slow_query_ms: u64,
-    /// Solver profiling: when on (the default), every fresh solve runs
-    /// with per-rule and per-phase timing enabled and feeds the
-    /// process-wide [`ProfileStore`] served by the `profile` op. Results
-    /// and cache entries are bit-identical either way — the flag only
-    /// buys back the timing overhead.
-    pub profile: bool,
     /// When set, a [`FlightRecorder`] dumps the trace ring and the queue
     /// depth to this file on a deadline bust or a panic.
     pub flight_path: Option<PathBuf>,
@@ -114,10 +105,11 @@ impl Default for ServerConfig {
             threads,
             queue_depth: 64,
             max_connections: 64,
-            cache_bytes: 256 << 20,
+            // About the base plus five extendable tstring 2-object+H
+            // databases of the `edit-session` benchmark program.
+            cache_bytes: 48 << 20,
             deadline: Duration::from_secs(30),
             slow_query_ms: 0,
-            profile: true,
             flight_path: None,
         }
     }
@@ -126,11 +118,8 @@ impl Default for ServerConfig {
 struct Shared {
     /// Queued requests, drained by the workers.
     queue: JobQueue,
-    /// Loaded programs, the solved-database LRU and the incremental
-    /// databases, shared by every worker.
+    /// The program cache, shared by every worker.
     db: DbManager,
-    /// Per-digest demand indices for cold `query` / `query_batch` ops.
-    demand: DemandEngine,
     shutdown: AtomicBool,
     /// Live connection threads (reader side), bounded by
     /// [`ServerConfig::max_connections`].
@@ -211,14 +200,8 @@ impl ServerHandle {
         let mut report = self.shared.metrics.report();
         let cache = self.shared.db.snapshot();
         report.push_str(&format!(
-            "cache: {} entries, {} bytes (budget {}), {} hits / {} misses, {} evictions, {} programs\n",
-            cache.entries,
-            cache.bytes,
-            cache.budget,
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.programs,
+            "cache: {} entries, {} bytes (budget {}), {} hits / {} misses, {} evictions\n",
+            cache.entries, cache.bytes, cache.budget, cache.hits, cache.misses, cache.evictions,
         ));
         report.push_str(&format!(
             "queue: {} rejected as overloaded\n",
@@ -245,12 +228,10 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .map(|path| Arc::new(FlightRecorder::new(path)));
     let db = DbManager::new(config.cache_bytes.max(1))
         .with_registry(registry.clone())
-        .with_profiling(config.profile)
         .with_profile_store(profile.clone());
     let shared = Arc::new(Shared {
         queue: JobQueue::new(config.queue_depth),
         db,
-        demand: DemandEngine::new(DEMAND_INDEX_CAPACITY),
         shutdown: AtomicBool::new(false),
         connections: AtomicUsize::new(0),
         metrics: Metrics::default(),
@@ -815,16 +796,10 @@ fn dispatch_queued(
                     .map_err(|e| ProtoError::new(ErrorCode::FactError, e.to_string()))?,
                 (None, None) => unreachable!("parser requires one of source/facts"),
             };
-            let report = db.update(*base, next, config).map_err(|e| match e {
-                DbError::UnknownProgram => ProtoError::new(
-                    ErrorCode::UnknownProgram,
-                    format!("no loaded program has digest {}", digest_str(*base)),
-                ),
-                DbError::SolveFailed(msg) => {
-                    ProtoError::new(ErrorCode::Internal, format!("analysis failed: {msg}"))
-                }
-            })?;
-            let s = &report.result.stats;
+            let report = db
+                .update(*base, next, config)
+                .map_err(|e| db_error(e, *base))?;
+            let s = &report.db.result().stats;
             let outcome_name = match &report.outcome {
                 ctxform::ExtendOutcome::Incremental => "incremental",
                 ctxform::ExtendOutcome::Noop => "noop",
@@ -1017,12 +992,9 @@ fn load_fields(shared: &Shared, program: Program) -> Result<Fields, ProtoError> 
     ])
 }
 
-fn solve(
-    db: &DbManager,
-    digest: u64,
-    config: &AnalysisConfig,
-) -> Result<(Arc<AnalysisResult>, bool), ProtoError> {
-    db.get_or_solve(digest, config).map_err(|e| match e {
+/// The wire error for a [`DbError`] about the program `digest`.
+fn db_error(e: DbError, digest: u64) -> ProtoError {
+    match e {
         DbError::UnknownProgram => ProtoError::new(
             ErrorCode::UnknownProgram,
             format!("no loaded program has digest {}", digest_str(digest)),
@@ -1030,20 +1002,29 @@ fn solve(
         DbError::SolveFailed(msg) => {
             ProtoError::new(ErrorCode::Internal, format!("analysis failed: {msg}"))
         }
-    })
+    }
+}
+
+fn program(db: &DbManager, digest: u64) -> Result<Arc<Program>, ProtoError> {
+    db.program(digest)
+        .ok_or_else(|| db_error(DbError::UnknownProgram, digest))
+}
+
+fn solve(
+    db: &DbManager,
+    digest: u64,
+    config: &AnalysisConfig,
+) -> Result<(Solved, bool), ProtoError> {
+    db.get_or_solve(digest, config)
+        .map_err(|e| db_error(e, digest))
 }
 
 fn solve_with_program(
     db: &DbManager,
     digest: u64,
     config: &AnalysisConfig,
-) -> Result<(Arc<AnalysisResult>, bool, Arc<Program>), ProtoError> {
-    let program = db.program(digest).ok_or_else(|| {
-        ProtoError::new(
-            ErrorCode::UnknownProgram,
-            format!("no loaded program has digest {}", digest_str(digest)),
-        )
-    })?;
+) -> Result<(Solved, bool, Arc<Program>), ProtoError> {
+    let program = program(db, digest)?;
     let (result, cached) = solve(db, digest, config)?;
     Ok((result, cached, program))
 }
@@ -1057,8 +1038,9 @@ fn points_to(
 ) -> Result<Fields, ProtoError> {
     if demand {
         // `points_to {demand: true}` and `query` share one entry point:
-        // the demand engine, which answers both the context-insensitive
-        // and the context-sensitive configurations.
+        // the demand query over the program's index, which answers both
+        // the context-insensitive and the context-sensitive
+        // configurations.
         return demand_query(shared, digest, config, std::slice::from_ref(var), false);
     }
     let (result, cached, program) = solve_with_program(&shared.db, digest, config)?;
@@ -1085,7 +1067,7 @@ fn demand_counter(shared: &Shared, name: &'static str, help: &'static str, mode:
 
 /// Answers a demand query (`query`, `query_batch`, or
 /// `points_to {demand: true}`): from the cached solved database when one
-/// is resident, otherwise via the demand engine — never via a
+/// is resident, otherwise from the program's demand index — never via a
 /// full exhaustive solve. Returns the reply fields plus the resolved
 /// per-variable answer slots (`batch` mode keeps unknown variables as
 /// per-slot error objects instead of failing the request).
@@ -1096,12 +1078,7 @@ fn sliced_answer(
     vars: &[VarRef],
     batch: bool,
 ) -> Result<(Fields, Vec<Json>), ProtoError> {
-    let program = shared.db.program(digest).ok_or_else(|| {
-        ProtoError::new(
-            ErrorCode::UnknownProgram,
-            format!("no loaded program has digest {}", digest_str(digest)),
-        )
-    })?;
+    let program = program(&shared.db, digest)?;
     // Resolve names positionally; in batch mode failures become per-slot
     // error objects (mirroring `points_to_batch`). A single root is found
     // by a scan, without building the name index.
@@ -1145,7 +1122,8 @@ fn sliced_answer(
         return Ok((fields, slots));
     }
 
-    let outcome: QueryOutcome = shared.demand.query(digest, &program, config, &roots);
+    let (index, slice_reused) = shared.db.demand_index(digest, &program);
+    let outcome: QueryOutcome = ctxform_demand::query(&index, &program, config, &roots);
     demand_counter(
         shared,
         "ctxform_demand_queries_total",
@@ -1158,7 +1136,7 @@ fn sliced_answer(
         .counter(
             "ctxform_demand_slice_reuse_total",
             "Demand-index cache lookups, by outcome.",
-            &[("outcome", if outcome.slice_reused { "hit" } else { "miss" })],
+            &[("outcome", if slice_reused { "hit" } else { "miss" })],
         )
         .inc();
     shared
@@ -1189,7 +1167,7 @@ fn sliced_answer(
         ("demand", Json::Bool(true)),
         ("count", Json::int(vars.len())),
         ("found", Json::int(roots.len())),
-        ("slice_reused", Json::Bool(outcome.slice_reused)),
+        ("slice_reused", Json::Bool(slice_reused)),
         ("derived_tuples", Json::int(outcome.slice_tuples)),
         ("derivations", Json::int(outcome.slice_derivations)),
         ("solver_facts", Json::int(outcome.solver_facts)),
@@ -1520,26 +1498,21 @@ fn render_cache_prometheus(text: &mut PromText, cache: &CacheSnapshot) {
         text.header(name, "counter", help);
         text.sample(name, &[], value as f64);
     }
-    let gauges: [(&str, &str, f64); 4] = [
+    let gauges: [(&str, &str, f64); 3] = [
         (
             "ctxform_db_cache_entries",
-            "Solved databases currently cached.",
+            "Programs resident in the cache, each with everything derived from it.",
             cache.entries as f64,
         ),
         (
             "ctxform_db_cache_bytes",
-            "Approximate bytes held by cached databases.",
+            "Estimated bytes held by the cache.",
             cache.bytes as f64,
         ),
         (
             "ctxform_db_cache_budget_bytes",
-            "Byte budget of the database cache.",
+            "Byte budget of the cache.",
             cache.budget as f64,
-        ),
-        (
-            "ctxform_db_programs",
-            "Programs loaded and addressable by digest.",
-            cache.programs as f64,
         ),
     ];
     for (name, help, value) in gauges {
@@ -1574,7 +1547,8 @@ fn profile_fields(shared: &Shared) -> Fields {
         })
         .collect();
     vec![
-        ("enabled", Json::Bool(shared.config.profile)),
+        // Every solve is profiled.
+        ("enabled", Json::Bool(true)),
         ("solves", Json::uint(solves)),
         (
             "phases",
@@ -1687,7 +1661,6 @@ fn stats_fields(shared: &Shared) -> Fields {
                 ("hits", Json::uint(cache.hits)),
                 ("misses", Json::uint(cache.misses)),
                 ("evictions", Json::uint(cache.evictions)),
-                ("programs", Json::int(cache.programs)),
                 ("incremental_reuse", Json::uint(cache.incremental_reuse)),
                 ("incremental_noop", Json::uint(cache.incremental_noop)),
                 (

@@ -131,3 +131,12 @@ fn ctxbench_argument_list_starts_and_serves() {
     assert!(child.wait().expect("child exits").success());
     let _ = std::fs::remove_file(&port_file);
 }
+
+/// Every solve is profiled; the opt-out flag is gone.
+#[test]
+fn no_profile_is_an_unknown_argument() {
+    refuses(
+        &["--port", "0", "--no-profile"],
+        "unknown argument `--no-profile`",
+    );
+}

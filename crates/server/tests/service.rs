@@ -9,9 +9,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ctxform::{analyze, AnalysisConfig};
+use ctxform_hash::SplitMix64;
 use ctxform_minijava::{compile, corpus};
 use ctxform_server::client::{loadgen, Client, LoadGenConfig};
-use ctxform_server::db::ci_digest;
+use ctxform_server::db::{approx_program_bytes, ci_digest};
 use ctxform_server::json::Json;
 use ctxform_server::protocol::digest_str;
 use ctxform_server::server::{start, ServerConfig, ServerHandle};
@@ -1480,7 +1481,12 @@ fn stats_and_metrics_report_the_single_tier() {
         "one solve each"
     );
     assert_eq!(count("hits"), Some(8), "every repeat answered from cache");
-    assert_eq!(count("programs"), Some(digests.len() as u64));
+    assert_eq!(
+        count("entries"),
+        Some(digests.len() as u64),
+        "one entry per program, results included"
+    );
+    assert!(cache.get("programs").is_none(), "entries is the one count");
     assert_eq!(count("budget"), Some(64 << 20), "the whole cache budget");
 
     let metrics = client
@@ -1492,9 +1498,14 @@ fn stats_and_metrics_report_the_single_tier() {
         "ctxform_queue_rejected_total 0",
         "ctxform_db_cache_hits_total 8",
         &format!("ctxform_db_cache_misses_total {}", digests.len()),
+        &format!("ctxform_db_cache_entries {}", digests.len()),
     ] {
         assert!(text.contains(series), "missing `{series}` in:\n{text}");
     }
+    assert!(
+        !text.contains("ctxform_db_programs"),
+        "one cache, one count"
+    );
 
     server.shutdown();
     server.join();
@@ -1859,9 +1870,7 @@ fn request_spans_decompose_queue_solve_serialize() {
 }
 
 /// The `profile` op exposes the always-on solver profile: per-rule and
-/// per-phase time, the memory footprint, and folded stacks — and
-/// `--no-profile` turns the whole thing into zeros without changing
-/// answers.
+/// per-phase time, the memory footprint, and folded stacks.
 #[test]
 fn profile_op_reports_rules_phases_and_folded_stacks() {
     let server = test_server(|_| {});
@@ -1870,7 +1879,7 @@ fn profile_op_reports_rules_phases_and_folded_stacks() {
     let traced = client
         .request(&points_to_req(&digest, "2-object+H", "Main.main", "r1"))
         .unwrap();
-    let heaps = str_arr(&traced, "heaps");
+    assert_eq!(str_arr(&traced, "heaps").len(), 1);
 
     let profile = client
         .request(&Json::obj([("op", Json::str("profile"))]))
@@ -1891,23 +1900,6 @@ fn profile_op_reports_rules_phases_and_folded_stacks() {
         folded.lines().any(|l| l.starts_with("solver;eval;")),
         "folded stacks must include eval frames:\n{folded}"
     );
-    server.shutdown();
-    server.join();
-
-    // With profiling off the endpoint still answers, reports itself
-    // disabled, and the analysis answers are bit-identical.
-    let server = test_server(|c| c.profile = false);
-    let mut client = Client::connect(server.addr()).unwrap();
-    let digest = client.load_source(corpus::BOX).unwrap();
-    let reply = client
-        .request(&points_to_req(&digest, "2-object+H", "Main.main", "r1"))
-        .unwrap();
-    assert_eq!(str_arr(&reply, "heaps"), heaps, "profiling changed answers");
-    let profile = client
-        .request(&Json::obj([("op", Json::str("profile"))]))
-        .unwrap();
-    assert_eq!(profile.get("enabled").unwrap().as_bool(), Some(false));
-    assert_eq!(profile.get("solves").unwrap().as_u64(), Some(0));
     server.shutdown();
     server.join();
 }
@@ -2073,4 +2065,128 @@ fn deadline_bust_dumps_a_flight_record() {
     assert_eq!(doc.get("queued").and_then(Json::as_u64), Some(0));
     assert!(doc.get("trace").is_some());
     let _ = std::fs::remove_file(&path);
+}
+
+/// A distinct program per seed: a `main` with a seeded number of
+/// allocations, each under a seed-specific name, plus `extra` more (an
+/// additive edit of the same program).
+fn flood_source(seed: u64, extra: usize) -> String {
+    let allocations = 20 + SplitMix64::new(seed).below(40) + extra;
+    let body: String = (0..allocations)
+        .map(|i| format!("Object o{seed}x{i} = new Object();\n"))
+        .collect();
+    format!("class Main {{ public static void main(String[] args) {{\n{body}}} }}")
+}
+
+/// A seeded flood of distinct programs past a small byte budget: the
+/// cache evicts whole programs and stays within the budget plus the
+/// largest entry, an evicted digest is `unknown_program` to every op that
+/// names one, and an `update` keeps both its base and its new program.
+#[test]
+fn program_flood_stays_within_the_byte_budget() {
+    const BUDGET: usize = 16 << 10;
+    const PROGRAMS: u64 = 40;
+    let server = test_server(|c| c.cache_bytes = BUDGET);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let cache = |client: &mut Client| {
+        let stats = client
+            .request(&Json::obj([("op", Json::str("stats"))]))
+            .unwrap();
+        let cache = stats.get("cache").unwrap();
+        let count = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap();
+        (
+            count("entries"),
+            count("bytes") as usize,
+            count("evictions"),
+        )
+    };
+    let mut digests = Vec::new();
+    let mut largest = 0;
+    for seed in 0..PROGRAMS {
+        let source = flood_source(seed, 0);
+        largest = largest.max(approx_program_bytes(&compile(&source).unwrap().program));
+        digests.push(client.load_source(&source).unwrap());
+        let (_, bytes, _) = cache(&mut client);
+        assert!(
+            bytes <= BUDGET + largest,
+            "{bytes} bytes resident after {} loads",
+            seed + 1
+        );
+    }
+    let (entries, _, evictions) = cache(&mut client);
+    assert!(entries < PROGRAMS, "{entries} programs resident");
+    assert_eq!(
+        entries + evictions,
+        PROGRAMS,
+        "evictions are whole programs"
+    );
+
+    // The oldest program is gone: every op naming it gets the typed error.
+    let evicted = &digests[0];
+    let config = |mut pairs: Vec<(&'static str, Json)>| {
+        pairs.push(("abstraction", Json::str("tstring")));
+        pairs.push(("sensitivity", Json::str("1-call")));
+        Json::obj(pairs)
+    };
+    let main_var = |seed: u64| {
+        vec![
+            ("method", Json::str("Main.main")),
+            ("var", Json::str(format!("o{seed}x0"))),
+        ]
+    };
+    let analyze = |digest: &str| {
+        config(vec![
+            ("op", Json::str("analyze")),
+            ("program", Json::str(digest)),
+        ])
+    };
+    let query = |digest: &str, seed: u64| {
+        let mut pairs = vec![("op", Json::str("query")), ("program", Json::str(digest))];
+        pairs.extend(main_var(seed));
+        config(pairs)
+    };
+    let update = |base: &str, source: String| {
+        config(vec![
+            ("op", Json::str("update")),
+            ("base", Json::str(base)),
+            ("source", Json::str(source)),
+        ])
+    };
+    for request in [
+        analyze(evicted),
+        query(evicted, 0),
+        update(evicted, flood_source(0, 1)),
+    ] {
+        let reply = client
+            .request_raw(&format!("{}\n", request.to_line()))
+            .unwrap();
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("unknown_program"),
+            "{}",
+            request.to_line()
+        );
+    }
+
+    // An update keeps both of its programs, whatever the budget says.
+    let last = PROGRAMS - 1;
+    let base = &digests[last as usize];
+    client.request(&analyze(base)).unwrap();
+    let reply = client
+        .request(&update(base, flood_source(last, 1)))
+        .unwrap();
+    let next = reply.get("program").unwrap().as_str().unwrap().to_owned();
+    assert_ne!(&next, base);
+    for digest in [&next, base] {
+        let reply = client.request(&analyze(digest)).unwrap();
+        assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(true));
+    }
+    assert_eq!(
+        client.request(&query(&next, last)).unwrap().get("demand"),
+        Some(&Json::Bool(false)),
+        "answered from the update's resident database"
+    );
+
+    server.shutdown();
+    server.join();
 }
