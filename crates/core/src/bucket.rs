@@ -18,8 +18,14 @@
 //! * [`Bucket::Naive`]: a flat vector — every candidate is probed and the
 //!   composition itself filters. This is the strawman implementation §7
 //!   warns about, kept for the ablation benchmarks.
+//!
+//! A join index maps each key to a [`Slot`]: its bucket either owned
+//! inline or frozen behind an `Arc`, so that versions of one database
+//! share the buckets none of them has written to since.
 
+use std::mem;
 use std::ops::AddAssign;
+use std::sync::Arc;
 
 use ctxform_algebra::{BoundaryMode, CtxtInterner, CtxtStr};
 use ctxform_hash::FxHashMap;
@@ -219,6 +225,70 @@ impl<V: Copy> Bucket<V> {
     }
 }
 
+/// One key's bucket in a join index: owned inline while a run writes to
+/// it, frozen behind an `Arc` once the run that wrote it has ended.
+///
+/// Cloning a frozen slot bumps a reference count, so a clone of a frozen
+/// index shares every bucket with its original. The first write to a
+/// frozen slot ([`owned_mut`](Self::owned_mut)) replaces it with an
+/// owned copy of that one bucket, so no version ever sees another's
+/// writes. A fresh solve never freezes, and its inserts pay one
+/// predictable branch; there is no per-insert atomic.
+#[derive(Debug, Clone)]
+pub(crate) enum Slot<V: Copy> {
+    /// Written by the current run, or never frozen.
+    Owned(Bucket<V>),
+    /// Possibly shared with other versions of the database; read-only.
+    Frozen(Arc<Bucket<V>>),
+}
+
+impl<V: Copy> Slot<V> {
+    /// The bucket, whichever way it is held.
+    #[inline]
+    pub(crate) fn bucket(&self) -> &Bucket<V> {
+        match self {
+            Slot::Owned(bucket) => bucket,
+            Slot::Frozen(shared) => shared,
+        }
+    }
+
+    /// The bucket for writing. A frozen slot becomes owned first: it
+    /// takes the bucket out of the `Arc` when no other version holds it,
+    /// else copies that one bucket.
+    #[inline]
+    pub(crate) fn owned_mut(&mut self) -> &mut Bucket<V> {
+        if let Slot::Frozen(shared) = self {
+            let bucket = match Arc::get_mut(shared) {
+                Some(unique) => mem::replace(unique, Bucket::Naive(Vec::new())),
+                None => Bucket::clone(shared),
+            };
+            *self = Slot::Owned(bucket);
+        }
+        match self {
+            Slot::Owned(bucket) => bucket,
+            Slot::Frozen(_) => unreachable!("thawed above"),
+        }
+    }
+
+    /// Freezes an owned slot, so clones share its bucket from now on.
+    pub(crate) fn freeze(&mut self) {
+        if let Slot::Owned(bucket) = self {
+            let bucket = mem::replace(bucket, Bucket::Naive(Vec::new()));
+            *self = Slot::Frozen(Arc::new(bucket));
+        }
+    }
+
+    /// How many database versions hold this slot's bucket: 0 while it
+    /// is owned, else the `Arc`'s strong count.
+    #[cfg(test)]
+    pub(crate) fn holders(&self) -> usize {
+        match self {
+            Slot::Owned(_) => 0,
+            Slot::Frozen(shared) => Arc::strong_count(shared),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +382,24 @@ mod tests {
         assert_eq!(total, recount, "the reported additions sum to the recount");
         let naive: Bucket<u32> = Bucket::Naive(vec![1, 2, 3]);
         assert_eq!(naive.occupancy(), Occupancy { keys: 0, stored: 3 });
+    }
+
+    #[test]
+    fn a_write_to_a_shared_slot_copies_only_that_bucket() {
+        let mut it = CtxtInterner::new();
+        let (eps, a, ab, _) = strings(&mut it);
+        let mut slot = Slot::Owned(Bucket::new(JoinStrategy::Specialized, BoundaryMode::Prefix));
+        slot.owned_mut().insert(a, 1, &it);
+        slot.freeze();
+        let mut copy = slot.clone();
+        assert_eq!((slot.holders(), copy.holders()), (2, 2), "a clone shares");
+        copy.owned_mut().insert(ab, 2, &it);
+        assert_eq!((slot.holders(), copy.holders()), (1, 0));
+        assert_eq!(collect(slot.bucket(), eps, &it), vec![1]);
+        assert_eq!(collect(copy.bucket(), eps, &it), vec![1, 2]);
+        // A frozen bucket no other version holds is taken back as it is.
+        slot.owned_mut().insert(eps, 0, &it);
+        assert_eq!(collect(slot.bucket(), eps, &it), vec![0, 1]);
     }
 
     #[test]

@@ -32,17 +32,30 @@
 //!
 //! [`AnalysisDb::extend`] updates a database in place.
 //! [`AnalysisDb::extended`] leaves it untouched and returns the updated
-//! copy: it clones the saved state only when the edit resumes it, so a
-//! caller that shares a resident database (the server's program cache
-//! holds it behind `Arc`) pays no clone for a re-solve. Both run one diff-and-dispatch.
+//! version. Both run one diff-and-dispatch.
+//!
+//! Versions share what they do not change. The program is held behind
+//! an `Arc`. Each key of the solver state's five bucket join indices
+//! holds its bucket either owned or frozen behind an `Arc`; a solve or
+//! an extension that ends through an `AnalysisDb` freezes every owned
+//! bucket, so cloning the state bumps one reference count per key. An
+//! extension of a clone copies a frozen bucket only when it first
+//! writes to it (a bucket no other version holds is taken back
+//! without a copy), so the base never sees a version's facts. A clone
+//! still copies the flat fact sets and the compose memo (tables of
+//! `Copy` tuples), the two vector indices and the interner, and
+//! [`AnalysisDb::extended`] copies the base's CI sets for the version
+//! to grow. A re-solve copies nothing of the base. Fresh solves through
+//! [`crate::analyze`] and the gated demand solve never freeze.
 
 use std::mem;
+use std::sync::Arc;
 
-use ctxform_algebra::{CStrings, Insensitive, TStrings};
+use ctxform_algebra::{Abstraction, CStrings, Insensitive, TStrings};
 use ctxform_ir::{Program, ProgramDelta, ProgramDiff};
 
 use crate::config::{AbstractionKind, AnalysisConfig};
-use crate::result::AnalysisResult;
+use crate::result::{AnalysisResult, CiFacts};
 use crate::solver::{self, SolverState};
 
 /// The solver state, monomorphized per abstraction.
@@ -87,9 +100,14 @@ enum Plan {
 }
 
 /// A solved program plus the saved solver state, ready to be extended.
+///
+/// The program is shared (`Arc`), and the state is frozen whenever a
+/// solve or an extension ends, so a clone of a database, and a version
+/// [`extended`](Self::extended) from it, share its program and its join
+/// buckets rather than copying them.
 #[derive(Clone)]
 pub struct AnalysisDb {
-    program: Program,
+    program: Arc<Program>,
     config: AnalysisConfig,
     state: DbState,
     result: AnalysisResult,
@@ -97,8 +115,10 @@ pub struct AnalysisDb {
 
 impl AnalysisDb {
     /// Solves `program` from scratch under `config`, keeping the state.
-    pub fn solve(program: Program, config: &AnalysisConfig) -> AnalysisDb {
-        let (state, result) = solve_fresh(&program, config);
+    pub fn solve(program: impl Into<Arc<Program>>, config: &AnalysisConfig) -> AnalysisDb {
+        let program = program.into();
+        let (mut state, result) = solve_fresh(&program, config);
+        state.freeze();
         AnalysisDb {
             program,
             config: *config,
@@ -141,9 +161,16 @@ impl AnalysisDb {
     /// every other edit (retractive or non-monotone) re-solves `next`
     /// from scratch. The resulting fact sets are identical either way;
     /// only the work differs.
-    pub fn extend(&mut self, next: Program) -> ExtendOutcome {
+    pub fn extend(&mut self, next: impl Into<Arc<Program>>) -> ExtendOutcome {
+        let next = next.into();
         match self.plan(&next) {
-            Plan::Resume(delta) => self.resume(next, delta.as_deref()),
+            Plan::Resume(None) => self.noop(),
+            Plan::Resume(Some(delta)) => {
+                let state = self.take_state();
+                let ci = mem::take(&mut self.result.ci);
+                *self = AnalysisDb::resumed(next, self.config, state, ci, &delta);
+                ExtendOutcome::Incremental
+            }
             Plan::Resolve(outcome) => {
                 *self = AnalysisDb::solve(next, &self.config);
                 outcome
@@ -151,15 +178,23 @@ impl AnalysisDb {
         }
     }
 
-    /// [`extend`](Self::extend) into a new database, leaving this one
-    /// untouched: the state is cloned only when the edit resumes it (an
-    /// identical or additive edit); a re-solve clones nothing.
-    pub fn extended(&self, next: Program) -> (AnalysisDb, ExtendOutcome) {
+    /// [`extend`](Self::extend) into a new version, leaving this one
+    /// untouched. A resumed edit (identical or additive) starts from a
+    /// clone of the frozen state, which shares every join bucket with
+    /// this version, plus a copy of the CI projection; the extension
+    /// copies only the buckets it writes to. A re-solve copies nothing.
+    pub fn extended(&self, next: impl Into<Arc<Program>>) -> (AnalysisDb, ExtendOutcome) {
+        let next = next.into();
         match self.plan(&next) {
-            Plan::Resume(delta) => {
+            Plan::Resume(None) => {
                 let mut db = self.clone();
-                let outcome = db.resume(next, delta.as_deref());
+                let outcome = db.noop();
                 (db, outcome)
+            }
+            Plan::Resume(Some(delta)) => {
+                let (state, ci) = (self.state.clone(), self.result.ci.clone());
+                let db = AnalysisDb::resumed(next, self.config, state, ci, &delta);
+                (db, ExtendOutcome::Incremental)
             }
             Plan::Resolve(outcome) => (AnalysisDb::solve(next, &self.config), outcome),
         }
@@ -176,20 +211,14 @@ impl AnalysisDb {
         }
     }
 
-    /// Resumes the saved state: with the additive `delta`, or, for an
-    /// identical edit (`None`), by reporting the standing database.
-    fn resume(&mut self, next: Program, delta: Option<&ProgramDelta>) -> ExtendOutcome {
-        let Some(delta) = delta else {
-            // The database is already up to date, and the no-op did no
-            // derivation work — report the standing fact counts with
-            // zeroed run counters instead of re-reporting the previous
-            // run's work.
-            self.result.stats.clear_run_work();
-            self.result.log.clear();
-            return ExtendOutcome::Noop;
-        };
-        self.extend_additive(next, delta);
-        ExtendOutcome::Incremental
+    /// An identical edit: the database is already up to date, and the
+    /// no-op did no derivation work — report the standing fact counts
+    /// with zeroed run counters instead of re-reporting the previous
+    /// run's work.
+    fn noop(&mut self) -> ExtendOutcome {
+        self.result.stats.clear_run_work();
+        self.result.log.clear();
+        ExtendOutcome::Noop
     }
 
     /// A canonical digest of every derived fact: an order-independent
@@ -233,32 +262,49 @@ impl AnalysisDb {
         }
     }
 
-    /// Resumes the saved state with `delta`. The standing result's CI
-    /// projection moves into the resumed solver, which extends it and
-    /// hands it back in the new result: one copy, never re-projected.
-    fn extend_additive(&mut self, next: Program, delta: &ProgramDelta) {
-        let state = self.take_state();
-        let ci = mem::take(&mut self.result.ci);
+    /// The database of `next`, resumed from `state` (the solved state of
+    /// the base program, this version's own or a clone of it) with the
+    /// additive `delta`. `ci`, the base's CI projection, moves into the
+    /// resumed solver, which extends it and hands it back in the new
+    /// result: never re-projected. The state is frozen again at the end.
+    fn resumed(
+        next: Arc<Program>,
+        config: AnalysisConfig,
+        state: DbState,
+        ci: CiFacts,
+        delta: &ProgramDelta,
+    ) -> AnalysisDb {
+        fn run<A: Abstraction>(
+            next: &Program,
+            mut st: SolverState<A>,
+            ci: CiFacts,
+            delta: &ProgramDelta,
+        ) -> (SolverState<A>, AnalysisResult) {
+            st.resume_with(ci);
+            let (mut st, result) = solver::extend_state(next, st, delta);
+            st.freeze();
+            (st, result)
+        }
         let (state, result) = match state {
-            DbState::Ins(mut st) => {
-                st.resume_with(ci);
-                let (st, r) = solver::extend_state(&next, st, delta);
+            DbState::Ins(st) => {
+                let (st, r) = run(&next, st, ci, delta);
                 (DbState::Ins(st), r)
             }
-            DbState::Cs(mut st) => {
-                st.resume_with(ci);
-                let (st, r) = solver::extend_state(&next, st, delta);
+            DbState::Cs(st) => {
+                let (st, r) = run(&next, st, ci, delta);
                 (DbState::Cs(st), r)
             }
-            DbState::Ts(mut st) => {
-                st.resume_with(ci);
-                let (st, r) = solver::extend_state(&next, st, delta);
+            DbState::Ts(st) => {
+                let (st, r) = run(&next, st, ci, delta);
                 (DbState::Ts(st), r)
             }
         };
-        self.state = state;
-        self.result = result;
-        self.program = next;
+        AnalysisDb {
+            program: next,
+            config,
+            state,
+            result,
+        }
     }
 
     /// Moves the state out, leaving a cheap placeholder (never observed:
@@ -270,6 +316,17 @@ impl AnalysisDb {
             AnalysisConfig::insensitive(),
         ));
         mem::replace(&mut self.state, placeholder)
+    }
+}
+
+impl DbState {
+    /// See [`SolverState::freeze`].
+    fn freeze(&mut self) {
+        match self {
+            DbState::Ins(st) => st.freeze(),
+            DbState::Cs(st) => st.freeze(),
+            DbState::Ts(st) => st.freeze(),
+        }
     }
 }
 
@@ -308,10 +365,10 @@ fn solve_fresh(program: &Program, config: &AnalysisConfig) -> (DbState, Analysis
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::SlotCounts;
     use crate::{demand_slice, CiFacts, MemoryFootprint};
-    use ctxform_algebra::Abstraction;
     use ctxform_minijava::{compile, corpus};
-    use ctxform_synth::{edit_script, random_program};
+    use ctxform_synth::{append_edit, edit_script, random_program};
 
     const BASE: &str = "
         class Box { Object item;
@@ -474,6 +531,58 @@ mod tests {
                 DbState::Cs(st) => Recount::of(st),
                 DbState::Ts(st) => Recount::of(st),
             }
+        }
+    }
+
+    fn slot_counts(db: &AnalysisDb) -> SlotCounts {
+        match &db.state {
+            DbState::Ins(st) => st.slot_counts(),
+            DbState::Cs(st) => st.slot_counts(),
+            DbState::Ts(st) => st.slot_counts(),
+        }
+    }
+
+    #[test]
+    fn a_one_class_append_shares_most_buckets_with_its_base() {
+        let source = random_program(4, 1);
+        let base = compile(&source).unwrap().program;
+        let next = compile(&append_edit(&source, 4, 0)).unwrap().program;
+        for config in bookkeeping_configs() {
+            let db = AnalysisDb::solve(base.clone(), &config);
+            let alone = slot_counts(&db);
+            let keys = alone.frozen;
+            assert_eq!(
+                alone,
+                SlotCounts {
+                    frozen: keys,
+                    ..SlotCounts::default()
+                },
+                "{config}: a solve ends frozen"
+            );
+            let (version, _) = db.extended(next.clone());
+            let base_counts = slot_counts(&db);
+            let version_counts = slot_counts(&version);
+            assert_eq!(
+                version_counts.owned, 0,
+                "{config}: an extension ends frozen"
+            );
+            assert_eq!(base_counts.owned, 0, "{config}: the base stays frozen");
+            assert_eq!(
+                base_counts.frozen + base_counts.shared,
+                keys,
+                "{config}: the base keeps its keys"
+            );
+            // What the version shares, the base shares with it; the
+            // rest of the version's keys were copied or created.
+            assert_eq!(version_counts.shared, base_counts.shared, "{config}");
+            assert!(
+                2 * version_counts.shared > version_counts.frozen + version_counts.shared,
+                "{config}: most keys stay shared: {version_counts:?}"
+            );
+            assert!(
+                version_counts.frozen > 0,
+                "{config}: the append wrote somewhere"
+            );
         }
     }
 

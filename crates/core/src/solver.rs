@@ -59,7 +59,7 @@ use ctxform_hash::{
 use ctxform_ir::{Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, Var};
 
 use self::kernel::{Fact, Queues, Scratch, Sink};
-use crate::bucket::{Bucket, Occupancy};
+use crate::bucket::{Bucket, Occupancy, Slot};
 use crate::config::AnalysisConfig;
 use crate::result::{
     elapsed_ns, rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, SolverStats,
@@ -170,8 +170,8 @@ pub(crate) fn extend_state<A: Abstraction>(
 }
 
 /// A join index: facts grouped per key, boundary-indexed within each
-/// [`Bucket`].
-type BucketMap<K, V> = FxHashMap<K, Bucket<V>>;
+/// [`Bucket`], each key's bucket owned or frozen ([`Slot`]).
+type BucketMap<K, V> = FxHashMap<K, Slot<V>>;
 
 /// Memo table for `compose`, keyed on the copyable interned handles and
 /// the truncation limits (sound because the interner is append-only).
@@ -184,9 +184,11 @@ type ComposeMemo<X> = FxHashMap<(X, X, Limits), Option<X>>;
 /// A `SolverState` is the *snapshot* an [`crate::AnalysisDb`] keeps after
 /// a solve: together with the program it fully determines the database,
 /// and [`extend_state`] can resume the fixpoint from it after an additive
-/// edit. Cloning the state clones the whole database (the interner is
-/// hash-consed and append-only, so the clone is an independent but
-/// equivalent world).
+/// edit. Cloning the state yields an independent but equivalent world
+/// (the interner is hash-consed and append-only). Once
+/// [frozen](Self::freeze), a clone shares every join-index bucket with
+/// its original and copies only the flat fact sets, the vector indices,
+/// the memo and the interner.
 #[derive(Clone)]
 pub(crate) struct SolverState<A: Abstraction> {
     abs: A,
@@ -287,6 +289,21 @@ impl<A: Abstraction> SolverState<A> {
     pub(crate) fn with_gate(mut self, gate: std::sync::Arc<crate::DemandSlice>) -> Self {
         self.gate = Some(gate);
         self
+    }
+
+    /// Freezes every owned bucket of the five join indices, so clones of
+    /// this state share them until one of the clones writes to a key
+    /// ([`Slot`]). Only keys a run wrote to are owned, so after an
+    /// extension this moves the touched buckets alone.
+    pub(crate) fn freeze(&mut self) {
+        fn freeze_map<K, V: Copy>(map: &mut BucketMap<K, V>) {
+            map.values_mut().for_each(Slot::freeze);
+        }
+        freeze_map(&mut self.pts_by_var);
+        freeze_map(&mut self.hpts_by_gf);
+        freeze_map(&mut self.hload_by_gf);
+        freeze_map(&mut self.call_by_inv);
+        freeze_map(&mut self.call_by_method);
     }
 
     /// Readies a solved state for [`extend_state`]: zeroes the per-run
@@ -647,7 +664,8 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .st
             .pts_by_var
             .entry(y)
-            .or_insert_with(|| Bucket::new(strategy, mode))
+            .or_insert_with(|| Slot::Owned(Bucket::new(strategy, mode)))
+            .owned_mut()
             .insert(boundary, (h, x), self.st.abs.interner());
         if self.st.config.record_facts {
             let text = format!(
@@ -684,7 +702,8 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .st
             .hpts_by_gf
             .entry((g, f))
-            .or_insert_with(|| Bucket::new(strategy, mode))
+            .or_insert_with(|| Slot::Owned(Bucket::new(strategy, mode)))
+            .owned_mut()
             .insert(boundary, (h, x), self.st.abs.interner());
         if self.st.config.record_facts {
             let text = format!(
@@ -721,7 +740,8 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .st
             .hload_by_gf
             .entry((g, f))
-            .or_insert_with(|| Bucket::new(strategy, mode))
+            .or_insert_with(|| Slot::Owned(Bucket::new(strategy, mode)))
+            .owned_mut()
             .insert(boundary, (y, x), self.st.abs.interner());
         if self.st.config.record_facts {
             let text = format!(
@@ -759,14 +779,16 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .st
             .call_by_inv
             .entry(i)
-            .or_insert_with(|| Bucket::new(strategy, mode))
+            .or_insert_with(|| Slot::Owned(Bucket::new(strategy, mode)))
+            .owned_mut()
             .insert(src, (q, x), self.st.abs.interner());
         let dst = self.st.abs.dst_boundary(x);
         self.st.occupancy.call_by_method += self
             .st
             .call_by_method
             .entry(q)
-            .or_insert_with(|| Bucket::new(strategy, mode))
+            .or_insert_with(|| Slot::Owned(Bucket::new(strategy, mode)))
+            .owned_mut()
             .insert(dst, (i, x), self.st.abs.interner());
         if self.st.config.record_facts {
             let text = format!(
@@ -1028,16 +1050,36 @@ impl<A: Abstraction> SolverState<A> {
         pts_configurations
     }
 
+    /// The keys of the five join indices by how their bucket is held.
+    pub(crate) fn slot_counts(&self) -> SlotCounts {
+        fn count<K, V: Copy>(map: &BucketMap<K, V>, counts: &mut SlotCounts) {
+            for slot in map.values() {
+                match slot.holders() {
+                    0 => counts.owned += 1,
+                    1 => counts.frozen += 1,
+                    _ => counts.shared += 1,
+                }
+            }
+        }
+        let mut counts = SlotCounts::default();
+        count(&self.pts_by_var, &mut counts);
+        count(&self.hpts_by_gf, &mut counts);
+        count(&self.hload_by_gf, &mut counts);
+        count(&self.call_by_inv, &mut counts);
+        count(&self.call_by_method, &mut counts);
+        counts
+    }
+
     /// The footprint, re-measured by walking every bucket and vector.
     pub(crate) fn recount_memory(&self) -> MemoryFootprint {
         use mem::size_of;
         fn set_bytes<T>(set: &FxHashSet<T>) -> usize {
             set.len() * (size_of::<T>() + HASH_SLOT_OVERHEAD)
         }
-        fn bucket_map_bytes<K, V: Copy>(map: &FxHashMap<K, Bucket<V>>) -> usize {
+        fn bucket_map_bytes<K, V: Copy>(map: &BucketMap<K, V>) -> usize {
             let mut bytes = map.len() * (size_of::<K>() + HASH_SLOT_OVERHEAD);
-            for bucket in map.values() {
-                let Occupancy { keys, stored } = bucket.occupancy();
+            for slot in map.values() {
+                let Occupancy { keys, stored } = slot.bucket().occupancy();
                 bytes += keys * (size_of::<CtxtStr>() + HASH_SLOT_OVERHEAD);
                 bytes += stored * size_of::<V>();
             }
@@ -1070,6 +1112,18 @@ impl<A: Abstraction> SolverState<A> {
                     + HASH_SLOT_OVERHEAD),
         }
     }
+}
+
+/// Join-index keys by how their bucket is held ([`Slot`]).
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotCounts {
+    /// Owned buckets: written by a run that has not been frozen.
+    pub(crate) owned: usize,
+    /// Frozen buckets that no other version holds.
+    pub(crate) frozen: usize,
+    /// Frozen buckets held by this version and at least one other.
+    pub(crate) shared: usize,
 }
 
 /// Nanoseconds since a [`Solver::phase_start`] clock (0 when unprofiled).

@@ -21,7 +21,7 @@ use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite};
 use ctxform_ir::{Field, Heap, Inv, Method, ProgramIndex, Var};
 
 use super::{Solver, SolverState};
-use crate::bucket::Bucket;
+use crate::bucket::Slot;
 use crate::result::{elapsed_ns, rule, PROFILE_STRIDE};
 
 /// Whether a profiled run times the delta with event index `event` (its
@@ -206,13 +206,14 @@ pub(super) trait Sink<'p, A: Abstraction> {
     #[inline]
     fn probe<V: Copy>(
         &mut self,
-        index: impl FnOnce(&SolverState<A>) -> Option<&Bucket<V>>,
+        index: impl FnOnce(&SolverState<A>) -> Option<&Slot<V>>,
         query: CtxtStr,
         out: &mut Vec<V>,
     ) {
         let st = &self.solver().st;
-        let probes = index(st).map_or(0, |bucket| {
-            bucket.for_compatible(query, st.abs.interner(), |v| out.push(v))
+        let probes = index(st).map_or(0, |slot| {
+            slot.bucket()
+                .for_compatible(query, st.abs.interner(), |v| out.push(v))
         });
         self.count_probes(probes);
     }

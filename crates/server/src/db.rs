@@ -154,15 +154,21 @@ impl CacheState {
         self.bytes = self.bytes + added - removed;
     }
 
-    /// Stores what `(digest, tag)` is solved to, replacing a previous one.
-    fn put(&mut self, digest: u64, program: &Arc<Program>, tag: String, solved: Solved) {
+    /// Stores what `(digest, tag)` is solved to, and returns what it
+    /// replaces, for the caller to drop after releasing the lock.
+    #[must_use = "drop what a put replaces after releasing the lock"]
+    fn put(
+        &mut self,
+        digest: u64,
+        program: &Arc<Program>,
+        tag: String,
+        solved: Solved,
+    ) -> Option<Solved> {
         let added = solved.bytes();
         let entry = self.entry(digest, || program.clone());
-        let removed = entry
-            .solved
-            .insert(tag, solved)
-            .map_or(0, |old| old.bytes());
-        self.resize(digest, added, removed);
+        let old = entry.solved.insert(tag, solved);
+        self.resize(digest, added, old.as_ref().map_or(0, Solved::bytes));
+        old
     }
 }
 
@@ -331,9 +337,14 @@ impl DbManager {
         self.cache.lock().expect(POISONED)
     }
 
-    /// Evicts least-recently-used entries other than `keep` until the
-    /// cache is within its budget.
-    fn evict(&self, state: &mut CacheState, keep: &[u64]) {
+    /// Removes least-recently-used entries other than `keep` until the
+    /// cache is within its budget, and returns them, least recently used
+    /// first. The cache may hold the last reference to a victim's
+    /// databases, so the caller drops the victims after releasing the
+    /// lock: freeing a database is not work every reader should wait on.
+    #[must_use = "drop evicted entries after releasing the lock"]
+    fn evict(&self, state: &mut CacheState, keep: &[u64]) -> Vec<Entry> {
+        let mut victims = Vec::new();
         while state.bytes > self.budget {
             let Some(victim) = state
                 .entries
@@ -344,9 +355,12 @@ impl DbManager {
             else {
                 break;
             };
-            state.bytes -= state.entries.remove(&victim).expect("present").bytes;
+            let entry = state.entries.remove(&victim).expect("present");
+            state.bytes -= entry.bytes;
+            victims.push(entry);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        victims
     }
 
     /// Registers a validated program, returning its content digest.
@@ -357,7 +371,9 @@ impl DbManager {
         let digest = program_digest(&program);
         let mut state = self.state();
         let arc = state.entry(digest, || Arc::new(program)).program.clone();
-        self.evict(&mut state, &[digest]);
+        let victims = self.evict(&mut state, &[digest]);
+        drop(state);
+        drop(victims);
         (digest, arc)
     }
 
@@ -404,7 +420,9 @@ impl DbManager {
         }
         entry.index = Some(built.clone());
         state.resize(digest, built.bytes(), 0);
-        self.evict(&mut state, &[digest]);
+        let victims = self.evict(&mut state, &[digest]);
+        drop(state);
+        drop(victims);
         (built, false)
     }
 
@@ -486,10 +504,11 @@ impl DbManager {
         }
         let solved = Solved::Result(result);
         let mut state = self.state();
-        state.put(digest, &program, key.1.clone(), solved.clone());
-        self.evict(&mut state, &[digest]);
+        let replaced = state.put(digest, &program, key.1.clone(), solved.clone());
+        let victims = self.evict(&mut state, &[digest]);
         state.pending.remove(&key);
         drop(state);
+        drop((replaced, victims));
         guard.disarm();
         self.solved.notify_all();
         Ok((solved, false))
@@ -499,8 +518,9 @@ impl DbManager {
     /// `next`: loads `next` under its own digest, then — when an
     /// extendable database for `(base, config)` is resident — runs
     /// [`AnalysisDb::extended`] on it outside the lock. An identical or
-    /// purely-additive edit copies the database and resumes the fixpoint;
-    /// a retractive or non-monotone edit solves `next` from scratch and
+    /// purely-additive edit resumes a new version of the database that
+    /// shares the resident one's program and frozen join buckets; a
+    /// retractive or non-monotone edit solves `next` from scratch and
     /// copies nothing. The resident database itself is never mutated. The
     /// produced database is cached under the new digest for further
     /// updates and reads; both the base and the new entry survive the
@@ -530,14 +550,16 @@ impl DbManager {
                 _ => None,
             };
             let next = state.entry(digest, || Arc::new(next)).program.clone();
-            self.evict(&mut state, &[base, digest]);
+            let victims = self.evict(&mut state, &[base, digest]);
+            drop(state);
+            drop(victims);
             (next, base_db)
         };
         let base_cached = base_db.is_some();
         let solved = catch_unwind(AssertUnwindSafe(|| match base_db {
-            Some(db) => db.extended((*next).clone()),
+            Some(db) => db.extended(next.clone()),
             None => {
-                let db = AnalysisDb::solve((*next).clone(), &config.with_profiling());
+                let db = AnalysisDb::solve(next.clone(), &config.with_profiling());
                 let reason = "no cached database for the base program".to_owned();
                 (db, ExtendOutcome::Fallback(reason))
             }
@@ -573,9 +595,10 @@ impl DbManager {
         let fact_digest = db.fact_digest();
         let db = Arc::new(db);
         let mut state = self.state();
-        state.put(digest, &next, tag, Solved::Db(db.clone()));
-        self.evict(&mut state, &[base, digest]);
+        let replaced = state.put(digest, &next, tag, Solved::Db(db.clone()));
+        let victims = self.evict(&mut state, &[base, digest]);
         drop(state);
+        drop((replaced, victims));
         Ok(UpdateReport {
             digest,
             base_cached,
@@ -701,13 +724,97 @@ pub fn approx_result_bytes(r: &AnalysisResult) -> usize {
     sets + log + configs + 512
 }
 
-/// Estimates the resident size of a program from its table lengths: 12
-/// bytes per input tuple (three `u32` columns at most) and 48 per entity
-/// (a name `String` with a short name, plus its id columns).
+/// Estimates the resident size of a program from its tables: every
+/// table by its capacity times its row width, plus each name's own
+/// allocation. Every allocation is priced as glibc's `malloc` hands it
+/// out ([`heap_chunk`]), since a table of short names costs more in
+/// allocator granularity than in name bytes.
 pub fn approx_program_bytes(p: &Program) -> usize {
-    let s = p.stats();
-    let entities = s.vars + s.heaps + s.invs + s.methods + s.fields + s.types + p.msig_count();
-    s.input_facts * 12 + entities * 48 + 512
+    fn names(table: &Vec<String>) -> usize {
+        rows(table)
+            + table
+                .iter()
+                .map(|name| heap_chunk(name.capacity()))
+                .sum::<usize>()
+    }
+    fn rows<T>(table: &Vec<T>) -> usize {
+        heap_chunk(table.capacity() * std::mem::size_of::<T>())
+    }
+    // Destructured in full, so a table added to either type must be
+    // priced here before this compiles.
+    let Program {
+        var_names,
+        var_method,
+        heap_names,
+        heap_method,
+        inv_names,
+        inv_method,
+        method_names,
+        method_class,
+        field_names,
+        type_names,
+        supertype,
+        msig_names,
+        entry_points,
+        facts,
+    } = p;
+    let ctxform_ir::Facts {
+        actual,
+        assign,
+        assign_new,
+        assign_return,
+        formal,
+        heap_type,
+        implements,
+        load,
+        ret,
+        static_invoke,
+        store,
+        static_store,
+        static_load,
+        this_var,
+        virtual_invoke,
+    } = facts;
+    let name_bytes = names(var_names)
+        + names(heap_names)
+        + names(inv_names)
+        + names(method_names)
+        + names(field_names)
+        + names(type_names)
+        + names(msig_names);
+    let id_bytes = rows(var_method)
+        + rows(heap_method)
+        + rows(inv_method)
+        + rows(method_class)
+        + rows(supertype)
+        + rows(entry_points);
+    let fact_bytes = rows(actual)
+        + rows(assign)
+        + rows(assign_new)
+        + rows(assign_return)
+        + rows(formal)
+        + rows(heap_type)
+        + rows(implements)
+        + rows(load)
+        + rows(ret)
+        + rows(static_invoke)
+        + rows(store)
+        + rows(static_store)
+        + rows(static_load)
+        + rows(this_var)
+        + rows(virtual_invoke);
+    name_bytes + id_bytes + fact_bytes + 512
+}
+
+/// The bytes an allocation of `n` bytes occupies under glibc's `malloc`:
+/// nothing for `n == 0`, else `n` plus an 8-byte header, rounded up to
+/// 16, and at least 32.
+fn heap_chunk(n: usize) -> usize {
+    if n == 0 {
+        0
+    } else {
+        ((n + 8 + 15) & !15).max(32)
+    }
 }
 
 #[cfg(test)]
@@ -924,6 +1031,155 @@ mod tests {
         assert_eq!(store.solves(), 2);
         assert_eq!(update(), ExtendOutcome::Noop);
         assert_eq!(store.solves(), 2);
+    }
+
+    #[test]
+    fn eviction_returns_the_least_recently_used_entries_but_keep() {
+        let mut db = DbManager::new(1 << 30);
+        let digests: Vec<u64> = [corpus::BOX, corpus::LIST, corpus::DISPATCH, corpus::FIG1]
+            .iter()
+            .map(|src| db.load_program(compile(src).unwrap().program).0)
+            .collect();
+        let [a, b, c, d] = digests[..] else {
+            unreachable!()
+        };
+        db.program(a).unwrap(); // LRU order now: b, c, d, a
+        let size = |digest| db.state().entries[&digest].bytes;
+        // Room for all but c and d: b is kept, so they are the victims.
+        db.budget = db.snapshot().bytes - size(c) - size(d);
+        let victims = db.evict(&mut db.state(), &[b]);
+        let evicted: Vec<u64> = victims
+            .iter()
+            .map(|entry| program_digest(&entry.program))
+            .collect();
+        assert_eq!(evicted, vec![c, d]);
+        let state = db.state();
+        let mut resident: Vec<u64> = state.entries.keys().copied().collect();
+        resident.sort_unstable();
+        let mut want = vec![a, b];
+        want.sort_unstable();
+        assert_eq!(resident, want);
+        assert_eq!(state.bytes, db.budget);
+    }
+
+    #[test]
+    fn program_estimate_covers_every_name_byte_and_column() {
+        /// Name bytes plus 4 bytes per `u32` column of every table.
+        fn floor(p: &Program) -> usize {
+            let names: usize = [
+                &p.var_names,
+                &p.heap_names,
+                &p.inv_names,
+                &p.method_names,
+                &p.field_names,
+                &p.type_names,
+                &p.msig_names,
+            ]
+            .iter()
+            .flat_map(|table| table.iter())
+            .map(String::len)
+            .sum();
+            let f = &p.facts;
+            let columns = 3
+                * (f.actual.len()
+                    + f.assign_new.len()
+                    + f.formal.len()
+                    + f.implements.len()
+                    + f.load.len()
+                    + f.static_invoke.len()
+                    + f.store.len()
+                    + f.virtual_invoke.len())
+                + 2 * (f.assign.len()
+                    + f.assign_return.len()
+                    + f.heap_type.len()
+                    + f.ret.len()
+                    + f.static_store.len()
+                    + f.static_load.len()
+                    + f.this_var.len());
+            names + 4 * columns
+        }
+        let mut programs: Vec<(String, Program)> = corpus::all()
+            .into_iter()
+            .map(|(name, src)| (name.to_owned(), compile(src).unwrap().program))
+            .collect();
+        let preset = ctxform_synth::preset("antlr").expect("a preset");
+        let source = ctxform_synth::generate(&preset);
+        programs.push(("antlr".to_owned(), compile(&source).unwrap().program));
+        for (name, program) in &programs {
+            let (estimate, floor) = (approx_program_bytes(program), floor(program));
+            assert!(estimate >= floor, "{name}: {estimate} < {floor}");
+        }
+    }
+
+    /// Two additive updates of one resident base run at once, while a
+    /// third thread reads the base: each update's version shares the
+    /// base's frozen buckets, so each must still describe exactly its
+    /// own program, and the base must read the same throughout. The
+    /// insensitive analysis is the one whose joins read the most of a
+    /// shared bucket (every fact of a key is compatible), so a version
+    /// that lost or leaked a bucket's facts shows in its digest.
+    #[test]
+    fn concurrent_updates_of_one_base_stay_isolated() {
+        use ctxform_synth::{append_edit, random_program};
+        use std::sync::Barrier;
+
+        let source = random_program(4, 1);
+        let base = compile(&source).unwrap().program;
+        let edits: Vec<Program> = [
+            append_edit(&source, 4, 0),
+            append_edit(&append_edit(&source, 5, 0), 5, 1),
+        ]
+        .iter()
+        .map(|src| compile(src).unwrap().program)
+        .collect();
+        for config in [AnalysisConfig::insensitive(), config("2-object+H")] {
+            let db = DbManager::new(1 << 30);
+            let (digest, program) = db.load_program(base.clone());
+            // An update of the program to itself makes its database
+            // resident.
+            let primed = db.update(digest, (*program).clone(), &config).unwrap();
+            let base_ci = ci_digest(primed.db.result());
+            let base_stats = primed.db.result().stats.clone();
+            let barrier = Barrier::new(edits.len() + 1);
+            let reports: Vec<UpdateReport> = std::thread::scope(|s| {
+                let updates: Vec<_> = edits
+                    .iter()
+                    .map(|next| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            db.update(digest, next.clone(), &config).unwrap()
+                        })
+                    })
+                    .collect();
+                let reader = s.spawn(|| {
+                    barrier.wait();
+                    for _ in 0..64 {
+                        let solved = db.cached_result(digest, &config).expect("resident");
+                        assert_eq!(ci_digest(&solved), base_ci);
+                        assert_eq!(solved.stats, base_stats);
+                    }
+                });
+                reader.join().expect("the reader saw one base");
+                updates
+                    .into_iter()
+                    .map(|update| update.join().expect("the update ran"))
+                    .collect()
+            });
+            for (report, next) in reports.iter().zip(&edits) {
+                assert_eq!(report.outcome, ExtendOutcome::Incremental, "{config}");
+                let scratch = AnalysisDb::solve(next.clone(), &config);
+                assert_eq!(report.fact_digest, scratch.fact_digest(), "{config}");
+            }
+            let Some(Solved::Db(after)) = db.cached_result(digest, &config) else {
+                panic!("{config}: the base database stays resident");
+            };
+            assert!(Arc::ptr_eq(&after, &primed.db));
+            assert_eq!(after.fact_digest(), primed.fact_digest, "{config}");
+            assert_eq!(after.result().stats, base_stats, "{config}");
+            // A later update of the base reads its buckets: still exact.
+            let again = db.update(digest, edits[0].clone(), &config).unwrap();
+            assert_eq!(again.fact_digest, reports[0].fact_digest, "{config}");
+        }
     }
 
     #[test]
