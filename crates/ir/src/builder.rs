@@ -1,6 +1,6 @@
 //! Fluent construction of [`Program`]s.
 
-use std::collections::HashMap;
+use ctxform_hash::FxHashMap;
 
 use crate::error::IrError;
 use crate::ids::{Field, Heap, Inv, MSig, Method, Type, Var};
@@ -31,9 +31,9 @@ use crate::program::Program;
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     program: Program,
-    field_by_name: HashMap<String, Field>,
-    msig_by_name: HashMap<String, MSig>,
-    formals: HashMap<Method, Vec<Var>>,
+    field_by_name: FxHashMap<String, Field>,
+    msig_by_name: FxHashMap<String, MSig>,
+    formals: FxHashMap<Method, Vec<Var>>,
 }
 
 impl ProgramBuilder {
@@ -108,15 +108,19 @@ impl ProgramBuilder {
     /// [`ProgramBuilder::method_decl`], recording one `formal` tuple per
     /// name in slot order, and returns them (also retrievable via
     /// [`ProgramBuilder::formals`]).
-    pub fn bind_formals(&mut self, m: Method, formal_names: &[&str]) -> Vec<Var> {
+    pub fn bind_formals<'n>(
+        &mut self,
+        m: Method,
+        formal_names: impl ExactSizeIterator<Item = &'n str>,
+    ) -> &[Var] {
         let mut formals = Vec::with_capacity(formal_names.len());
-        for (o, formal_name) in formal_names.iter().enumerate() {
+        for (o, formal_name) in formal_names.enumerate() {
             let v = self.var(formal_name, m);
             self.program.facts.formal.push((v, m, o as u32));
             formals.push(v);
         }
-        self.formals.insert(m, formals.clone());
-        formals
+        self.formals.insert(m, formals);
+        &self.formals[&m]
     }
 
     /// The formal-parameter variables of `m`, in slot order.
@@ -239,8 +243,8 @@ impl ProgramBuilder {
     }
 
     /// The display name of a previously created method.
-    pub fn method_name(&self, m: Method) -> String {
-        self.program.method_names[m.index()].clone()
+    pub fn method_name(&self, m: Method) -> &str {
+        &self.program.method_names[m.index()]
     }
 
     fn record_args(&mut self, i: Inv, args: &[Var], result: Option<Var>) {

@@ -10,7 +10,7 @@ use crate::ids::{Field, Heap, Inv, MSig, Method, Type, Var};
 /// These are *extensional* relations: the frontend fills them in and the
 /// analysis only reads them. All derived information (points-to sets, the
 /// call graph, reachability) lives in the solver.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Facts {
     /// `actual(Z, I, O)`: variable `Z` is the `O`-th actual argument of
     /// invocation `I` (0-based).

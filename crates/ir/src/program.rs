@@ -13,7 +13,7 @@ use crate::index::ProgramIndex;
 /// A `Program` is immutable once built (use [`crate::ProgramBuilder`]); the
 /// solver derives everything else from it. Entity tables are parallel
 /// vectors indexed by the dense ids of this crate ([`Var`], [`Heap`], …).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Program {
     /// Display name of every variable.
     pub var_names: Vec<String>,

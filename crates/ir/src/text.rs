@@ -22,98 +22,98 @@
 //! Lines starting with `#` and blank lines are ignored. Entity names may
 //! contain spaces (the name is always the final, greedy component).
 
+use std::fmt::{self, Write as _};
+
 use crate::error::IrError;
 use crate::ids::{Field, Heap, Inv, MSig, Method, Type, Var};
 use crate::program::Program;
 
 /// Serializes `program` into the text format.
 ///
-/// The output round-trips through [`parse`] to an equal [`Program`].
+/// Every line is written straight into the one output buffer. The output
+/// round-trips through [`parse`] to an equal [`Program`].
 pub fn emit(program: &Program) -> String {
     let mut out = String::new();
+    emit_into(&mut out, program).expect("writing to a String cannot fail");
+    out
+}
+
+fn emit_into(out: &mut String, program: &Program) -> fmt::Result {
     out.push_str("# ctxform fact file\n");
     for (i, name) in program.type_names.iter().enumerate() {
         match program.supertype[i] {
-            Some(s) => out.push_str(&format!("type {} {}\n", s.index(), name)),
-            None => out.push_str(&format!("type - {name}\n")),
+            Some(s) => writeln!(out, "type {} {name}", s.index())?,
+            None => writeln!(out, "type - {name}")?,
         }
     }
     for name in &program.field_names {
-        out.push_str(&format!("field {name}\n"));
+        writeln!(out, "field {name}")?;
     }
     for name in &program.msig_names {
-        out.push_str(&format!("msig {name}\n"));
+        writeln!(out, "msig {name}")?;
     }
     for (i, name) in program.method_names.iter().enumerate() {
-        out.push_str(&format!(
-            "method {} {}\n",
-            program.method_class[i].index(),
-            name
-        ));
+        writeln!(out, "method {} {name}", program.method_class[i].index())?;
     }
     for (i, name) in program.var_names.iter().enumerate() {
-        out.push_str(&format!("var {} {}\n", program.var_method[i].index(), name));
+        writeln!(out, "var {} {name}", program.var_method[i].index())?;
     }
     for (i, name) in program.heap_names.iter().enumerate() {
-        out.push_str(&format!(
-            "heap {} {}\n",
-            program.heap_method[i].index(),
-            name
-        ));
+        writeln!(out, "heap {} {name}", program.heap_method[i].index())?;
     }
     for (i, name) in program.inv_names.iter().enumerate() {
-        out.push_str(&format!("inv {} {}\n", program.inv_method[i].index(), name));
+        writeln!(out, "inv {} {name}", program.inv_method[i].index())?;
     }
     for m in &program.entry_points {
-        out.push_str(&format!("entry {}\n", m.index()));
+        writeln!(out, "entry {}", m.index())?;
     }
     let f = &program.facts;
     for &(z, i, o) in &f.actual {
-        out.push_str(&format!("fact actual {} {} {}\n", z.0, i.0, o));
+        writeln!(out, "fact actual {} {} {o}", z.0, i.0)?;
     }
     for &(z, y) in &f.assign {
-        out.push_str(&format!("fact assign {} {}\n", z.0, y.0));
+        writeln!(out, "fact assign {} {}", z.0, y.0)?;
     }
     for &(h, y, p) in &f.assign_new {
-        out.push_str(&format!("fact assign_new {} {} {}\n", h.0, y.0, p.0));
+        writeln!(out, "fact assign_new {} {} {}", h.0, y.0, p.0)?;
     }
     for &(i, y) in &f.assign_return {
-        out.push_str(&format!("fact assign_return {} {}\n", i.0, y.0));
+        writeln!(out, "fact assign_return {} {}", i.0, y.0)?;
     }
     for &(y, p, o) in &f.formal {
-        out.push_str(&format!("fact formal {} {} {}\n", y.0, p.0, o));
+        writeln!(out, "fact formal {} {} {o}", y.0, p.0)?;
     }
     for &(h, t) in &f.heap_type {
-        out.push_str(&format!("fact heap_type {} {}\n", h.0, t.0));
+        writeln!(out, "fact heap_type {} {}", h.0, t.0)?;
     }
     for &(q, t, s) in &f.implements {
-        out.push_str(&format!("fact implements {} {} {}\n", q.0, t.0, s.0));
+        writeln!(out, "fact implements {} {} {}", q.0, t.0, s.0)?;
     }
     for &(y, fld, z) in &f.load {
-        out.push_str(&format!("fact load {} {} {}\n", y.0, fld.0, z.0));
+        writeln!(out, "fact load {} {} {}", y.0, fld.0, z.0)?;
     }
     for &(z, p) in &f.ret {
-        out.push_str(&format!("fact return {} {}\n", z.0, p.0));
+        writeln!(out, "fact return {} {}", z.0, p.0)?;
     }
     for &(i, q, p) in &f.static_invoke {
-        out.push_str(&format!("fact static_invoke {} {} {}\n", i.0, q.0, p.0));
+        writeln!(out, "fact static_invoke {} {} {}", i.0, q.0, p.0)?;
     }
     for &(x, fld, z) in &f.store {
-        out.push_str(&format!("fact store {} {} {}\n", x.0, fld.0, z.0));
+        writeln!(out, "fact store {} {} {}", x.0, fld.0, z.0)?;
     }
     for &(x, fld) in &f.static_store {
-        out.push_str(&format!("fact static_store {} {}\n", x.0, fld.0));
+        writeln!(out, "fact static_store {} {}", x.0, fld.0)?;
     }
     for &(fld, z) in &f.static_load {
-        out.push_str(&format!("fact static_load {} {}\n", fld.0, z.0));
+        writeln!(out, "fact static_load {} {}", fld.0, z.0)?;
     }
     for &(y, q) in &f.this_var {
-        out.push_str(&format!("fact this_var {} {}\n", y.0, q.0));
+        writeln!(out, "fact this_var {} {}", y.0, q.0)?;
     }
     for &(i, z, s) in &f.virtual_invoke {
-        out.push_str(&format!("fact virtual_invoke {} {} {}\n", i.0, z.0, s.0));
+        writeln!(out, "fact virtual_invoke {} {} {}", i.0, z.0, s.0)?;
     }
-    out
+    Ok(())
 }
 
 /// Parses the text format back into a validated [`Program`].
@@ -189,77 +189,89 @@ fn parse_fact(program: &mut Program, rest: &str, lineno: usize) -> Result<(), Ir
         line: lineno,
         message: "missing relation name".into(),
     })?;
-    let args: Vec<u32> = parts
-        .map(|p| parse_u32(p, lineno))
-        .collect::<Result<_, _>>()?;
-    let arity_err = |want: usize| IrError::Parse {
-        line: lineno,
-        message: format!(
-            "relation `{name}` expects {want} arguments, got {}",
-            args.len()
-        ),
+    // Every relation has two or three arguments; `n` counts them all, so
+    // an extra one is still an arity error.
+    let mut args = [0u32; 3];
+    let mut n = 0;
+    for part in parts {
+        let value = parse_u32(part, lineno)?;
+        if let Some(slot) = args.get_mut(n) {
+            *slot = value;
+        }
+        n += 1;
+    }
+    let arity = |want: usize| {
+        if n == want {
+            Ok(())
+        } else {
+            Err(IrError::Parse {
+                line: lineno,
+                message: format!("relation `{name}` expects {want} arguments, got {n}"),
+            })
+        }
     };
+    let [a, b, c] = args;
     let f = &mut program.facts;
     match name {
         "actual" => {
-            let [z, i, o] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.actual.push((Var(z), Inv(i), o));
+            arity(3)?;
+            f.actual.push((Var(a), Inv(b), c));
         }
         "assign" => {
-            let [z, y] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.assign.push((Var(z), Var(y)));
+            arity(2)?;
+            f.assign.push((Var(a), Var(b)));
         }
         "assign_new" => {
-            let [h, y, p] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.assign_new.push((Heap(h), Var(y), Method(p)));
+            arity(3)?;
+            f.assign_new.push((Heap(a), Var(b), Method(c)));
         }
         "assign_return" => {
-            let [i, y] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.assign_return.push((Inv(i), Var(y)));
+            arity(2)?;
+            f.assign_return.push((Inv(a), Var(b)));
         }
         "formal" => {
-            let [y, p, o] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.formal.push((Var(y), Method(p), o));
+            arity(3)?;
+            f.formal.push((Var(a), Method(b), c));
         }
         "heap_type" => {
-            let [h, t] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.heap_type.push((Heap(h), Type(t)));
+            arity(2)?;
+            f.heap_type.push((Heap(a), Type(b)));
         }
         "implements" => {
-            let [q, t, s] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.implements.push((Method(q), Type(t), MSig(s)));
+            arity(3)?;
+            f.implements.push((Method(a), Type(b), MSig(c)));
         }
         "load" => {
-            let [y, fld, z] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.load.push((Var(y), Field(fld), Var(z)));
+            arity(3)?;
+            f.load.push((Var(a), Field(b), Var(c)));
         }
         "return" => {
-            let [z, p] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.ret.push((Var(z), Method(p)));
+            arity(2)?;
+            f.ret.push((Var(a), Method(b)));
         }
         "static_invoke" => {
-            let [i, q, p] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.static_invoke.push((Inv(i), Method(q), Method(p)));
+            arity(3)?;
+            f.static_invoke.push((Inv(a), Method(b), Method(c)));
         }
         "store" => {
-            let [x, fld, z] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.store.push((Var(x), Field(fld), Var(z)));
+            arity(3)?;
+            f.store.push((Var(a), Field(b), Var(c)));
         }
         "static_store" => {
-            let [x, fld] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.static_store.push((Var(x), Field(fld)));
+            arity(2)?;
+            f.static_store.push((Var(a), Field(b)));
         }
         "static_load" => {
-            let [fld, z] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.static_load.push((Field(fld), Var(z)));
+            arity(2)?;
+            f.static_load.push((Field(a), Var(b)));
         }
         "this_var" => {
-            let [y, q] = take2(&args).ok_or_else(|| arity_err(2))?;
-            f.this_var.push((Var(y), Method(q)));
+            arity(2)?;
+            f.this_var.push((Var(a), Method(b)));
         }
         "virtual_invoke" => {
-            let [i, z, s] = take3(&args).ok_or_else(|| arity_err(3))?;
-            f.virtual_invoke.push((Inv(i), Var(z), MSig(s)));
+            arity(3)?;
+            f.virtual_invoke.push((Inv(a), Var(b), MSig(c)));
         }
         other => {
             return Err(IrError::Parse {
@@ -283,14 +295,6 @@ fn parse_u32(s: &str, lineno: usize) -> Result<u32, IrError> {
         line: lineno,
         message: format!("expected a number, found `{s}`"),
     })
-}
-
-fn take2(args: &[u32]) -> Option<[u32; 2]> {
-    <[u32; 2]>::try_from(args).ok()
-}
-
-fn take3(args: &[u32]) -> Option<[u32; 3]> {
-    <[u32; 3]>::try_from(args).ok()
 }
 
 #[cfg(test)]

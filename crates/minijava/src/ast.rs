@@ -1,51 +1,56 @@
-//! Abstract syntax for the MiniJava subset.
+//! Abstract syntax for the MiniJava subset. Every name borrows from the
+//! source text, so a parse allocates only the vectors and boxes of the
+//! tree.
+
+use std::borrow::Cow;
 
 /// A whole compilation unit: a list of classes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Module {
+pub struct Module<'a> {
     /// Declared classes, in source order.
-    pub classes: Vec<ClassDecl>,
+    pub classes: Vec<ClassDecl<'a>>,
 }
 
 /// `class Name extends Super { fields methods }`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassDecl {
+pub struct ClassDecl<'a> {
     /// Class name.
-    pub name: String,
+    pub name: &'a str,
     /// Superclass name, if an `extends` clause is present.
-    pub superclass: Option<String>,
+    pub superclass: Option<&'a str>,
     /// Declared instance field names with their declared types.
-    pub fields: Vec<(String, String)>,
+    pub fields: Vec<(&'a str, &'a str)>,
     /// Declared static field names with their declared types.
-    pub static_fields: Vec<(String, String)>,
+    pub static_fields: Vec<(&'a str, &'a str)>,
     /// Declared methods.
-    pub methods: Vec<MethodDecl>,
+    pub methods: Vec<MethodDecl<'a>>,
     /// Source line of the declaration.
     pub line: usize,
 }
 
 /// A formal parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Param {
-    /// Declared type name.
-    pub ty: String,
+pub struct Param<'a> {
+    /// Declared type name (`String[]` for an array parameter, the one
+    /// name that is not a slice of the source).
+    pub ty: Cow<'a, str>,
     /// Parameter name.
-    pub name: String,
+    pub name: &'a str,
 }
 
 /// A method declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MethodDecl {
+pub struct MethodDecl<'a> {
     /// `true` for `static` methods.
     pub is_static: bool,
     /// Return type name, or `None` for `void`.
-    pub ret_ty: Option<String>,
+    pub ret_ty: Option<&'a str>,
     /// Method name.
-    pub name: String,
+    pub name: &'a str,
     /// Formal parameters.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'a>>,
     /// Method body.
-    pub body: Block,
+    pub body: Block<'a>,
     /// `true` when declared `public static void main(String[] args)`.
     pub is_main: bool,
     /// Source line of the declaration.
@@ -53,62 +58,62 @@ pub struct MethodDecl {
 }
 
 /// A `{ … }` statement block.
-pub type Block = Vec<Stmt>;
+pub type Block<'a> = Vec<Stmt<'a>>;
 
 /// A statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Stmt {
+pub enum Stmt<'a> {
     /// `T x;` or `T x = expr;`
     VarDecl {
         /// Declared type name.
-        ty: String,
+        ty: &'a str,
         /// Variable name.
-        name: String,
+        name: &'a str,
         /// Optional initializer.
-        init: Option<Expr>,
+        init: Option<Expr<'a>>,
         /// Source line.
         line: usize,
     },
     /// `target = expr;`
     Assign {
         /// Assignment target.
-        target: Target,
+        target: Target<'a>,
         /// Right-hand side.
-        value: Expr,
+        value: Expr<'a>,
         /// Source line.
         line: usize,
     },
     /// `if (cond) { … } else { … }`
     If {
         /// Branch condition.
-        cond: Cond,
+        cond: Cond<'a>,
         /// Then-block.
-        then_block: Block,
+        then_block: Block<'a>,
         /// Else-block (empty if absent).
-        else_block: Block,
+        else_block: Block<'a>,
         /// Source line.
         line: usize,
     },
     /// `while (cond) { … }`
     While {
         /// Loop condition.
-        cond: Cond,
+        cond: Cond<'a>,
         /// Loop body.
-        body: Block,
+        body: Block<'a>,
         /// Source line.
         line: usize,
     },
     /// `return;` or `return expr;`
     Return {
         /// Returned expression, if any.
-        value: Option<Expr>,
+        value: Option<Expr<'a>>,
         /// Source line.
         line: usize,
     },
     /// An expression statement (a call whose result is discarded).
     Expr {
         /// The evaluated expression.
-        expr: Expr,
+        expr: Expr<'a>,
         /// Source line.
         line: usize,
     },
@@ -116,21 +121,21 @@ pub enum Stmt {
 
 /// An assignment target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Target {
+pub enum Target<'a> {
     /// A local variable or parameter.
-    Var(String),
+    Var(&'a str),
     /// `base.field` where `base` is any expression.
-    Field(Box<Expr>, String),
+    Field(Box<Expr<'a>>, &'a str),
 }
 
 /// A condition (restricted to reference comparisons and boolean literals so
 /// the interpreter and the flow-insensitive lowering agree trivially).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Cond {
+pub enum Cond<'a> {
     /// Reference equality of two operands.
-    Eq(CondOperand, CondOperand),
+    Eq(CondOperand<'a>, CondOperand<'a>),
     /// Reference inequality of two operands.
-    Ne(CondOperand, CondOperand),
+    Ne(CondOperand<'a>, CondOperand<'a>),
     /// Literal `true`.
     True,
     /// Literal `false`.
@@ -139,9 +144,9 @@ pub enum Cond {
 
 /// A condition operand: a plain variable, `this`, or `null`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CondOperand {
+pub enum CondOperand<'a> {
     /// A local variable or parameter.
-    Var(String),
+    Var(&'a str),
     /// The receiver.
     This,
     /// The null literal.
@@ -150,7 +155,7 @@ pub enum CondOperand {
 
 /// An expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Expr {
+pub enum Expr<'a> {
     /// `null`.
     Null,
     /// `this`.
@@ -161,23 +166,23 @@ pub enum Expr {
     /// A name: a local variable, parameter, or (in call position) a class.
     Name {
         /// The identifier.
-        name: String,
+        name: &'a str,
         /// Source line.
         line: usize,
     },
     /// `new T()`.
     New {
         /// Class name.
-        class: String,
+        class: &'a str,
         /// Source line.
         line: usize,
     },
     /// `base.field`.
     FieldAccess {
         /// Base expression.
-        base: Box<Expr>,
+        base: Box<Expr<'a>>,
         /// Field name.
-        field: String,
+        field: &'a str,
         /// Source line.
         line: usize,
     },
@@ -185,17 +190,17 @@ pub enum Expr {
     /// call when `base` is a class name (resolved during lowering).
     Call {
         /// Receiver expression (or class name as [`Expr::Name`]).
-        base: Box<Expr>,
+        base: Box<Expr<'a>>,
         /// Invoked method name.
-        method: String,
+        method: &'a str,
         /// Actual arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'a>>,
         /// Source line.
         line: usize,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     /// The source line of this expression (0 for `null`).
     pub fn line(&self) -> usize {
         match self {

@@ -1,11 +1,12 @@
-//! Lexer for the MiniJava subset.
+//! Lexer for the MiniJava subset. Tokens borrow their lexemes from the
+//! source, so lexing allocates only the token vector.
 
 use crate::error::MjError;
 
 /// A token kind plus its lexeme where needed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
+    Ident(&'a str),
     // Keywords.
     Class,
     Extends,
@@ -37,7 +38,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// Short human-readable description for error messages.
     pub fn describe(&self) -> String {
         match self {
@@ -74,16 +75,18 @@ impl Tok {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    pub tok: Tok,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
+    pub tok: Tok<'a>,
     pub line: usize,
     pub col: usize,
 }
 
 /// Tokenizes MiniJava source. `//` and `/* */` comments are skipped.
-pub fn lex(source: &str) -> Result<Vec<Token>, MjError> {
-    let mut tokens = Vec::new();
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, MjError> {
+    // Generated sources run about five bytes per token: one reservation
+    // instead of a dozen doublings.
+    let mut tokens = Vec::with_capacity(source.len() / 5 + 1);
     let bytes = source.as_bytes();
     let mut i = 0;
     let mut line = 1;
@@ -150,7 +153,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, MjError> {
                 "while" => Tok::While,
                 "true" => Tok::True,
                 "false" => Tok::False,
-                _ => Tok::Ident(word.to_owned()),
+                _ => Tok::Ident(word),
             }
         } else {
             let two = if i + 1 < bytes.len() {
@@ -221,7 +224,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, MjError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -231,9 +234,9 @@ mod tests {
             kinds("class Foo extends Bar"),
             vec![
                 Tok::Class,
-                Tok::Ident("Foo".into()),
+                Tok::Ident("Foo"),
                 Tok::Extends,
-                Tok::Ident("Bar".into()),
+                Tok::Ident("Bar"),
                 Tok::Eof
             ]
         );
@@ -244,15 +247,15 @@ mod tests {
         assert_eq!(
             kinds("x = y; a == b != c"),
             vec![
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Assign,
-                Tok::Ident("y".into()),
+                Tok::Ident("y"),
                 Tok::Semi,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::EqEq,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::NotEq,
-                Tok::Ident("c".into()),
+                Tok::Ident("c"),
                 Tok::Eof
             ]
         );
@@ -262,7 +265,7 @@ mod tests {
     fn skips_comments() {
         assert_eq!(
             kinds("x // line comment h1\n/* block\ncomment */ y"),
-            vec![Tok::Ident("x".into()), Tok::Ident("y".into()), Tok::Eof]
+            vec![Tok::Ident("x"), Tok::Ident("y"), Tok::Eof]
         );
     }
 

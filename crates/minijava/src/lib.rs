@@ -15,6 +15,16 @@
 //! instruction stream per method ([`Body`]) so that dynamic and static
 //! semantics are derived from the same lowering.
 //!
+//! The frontend runs on every `update` a server receives, so it allocates
+//! per construct, not per token: tokens are `Copy` and borrow their
+//! lexemes from the source, the AST ([`AstModule`]) borrows every name
+//! from it too, and lowering resolves names through tables keyed by
+//! those borrowed `&str`s, writing generated names (qualified method
+//! names, temps, site labels) into one reused buffer. Apart from
+//! diagnostics and the `String[]` of a `main` signature, the only strings
+//! a compile allocates are the names the [`ctxform_ir::Program`] keeps,
+//! plus the builder's one lookup key per distinct field and signature.
+//!
 //! ```
 //! let source = r#"
 //!     class A {

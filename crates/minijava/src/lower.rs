@@ -22,8 +22,9 @@
 //!   (`this.f`, `this.m(x)`, `Cls.s(x)`).
 //! * An implicit empty `class Object {}` root exists unless declared.
 
-use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 
+use ctxform_hash::FxHashMap;
 use ctxform_ir::{Field, Heap, Inv, MSig, Method, Program, ProgramBuilder, Var};
 
 use crate::ast::{self, Cond, CondOperand, Expr, Stmt, Target};
@@ -229,25 +230,34 @@ struct MethodSig {
     arity: usize,
 }
 
-struct ClassInfo {
+/// Resolution tables are keyed by names borrowed from the source (`'a`),
+/// so a lookup never builds an owned key.
+struct ClassInfo<'a> {
     ty: ctxform_ir::Type,
     super_idx: Option<usize>,
     /// Own (declared) methods: (name, arity) → signature.
-    methods: HashMap<(String, usize), MethodSig>,
-    /// Own (declared) static fields, qualified as `Class.name`.
-    static_fields: HashMap<String, Field>,
+    methods: FxHashMap<(&'a str, usize), MethodSig>,
+    /// Own (declared) static fields, by unqualified name.
+    static_fields: FxHashMap<&'a str, Field>,
 }
 
-struct Lowerer {
+struct Lowerer<'a> {
     builder: ProgramBuilder,
-    classes: Vec<ClassInfo>,
-    class_idx: HashMap<String, usize>,
-    field_names: HashMap<String, Field>,
+    classes: Vec<ClassInfo<'a>>,
+    class_idx: FxHashMap<&'a str, usize>,
+    field_names: FxHashMap<&'a str, Field>,
     /// All instance-method signatures seen anywhere (for virtual-call
     /// arity/existence checks).
-    virtual_sigs: HashMap<(String, usize), (MSig, bool)>,
+    virtual_sigs: FxHashMap<(&'a str, usize), (MSig, bool)>,
     bodies: Vec<Body>,
+    /// Block scopes no method is using, kept empty with their capacity.
+    spare_scopes: Vec<Scope<'a>>,
+    /// One buffer every generated name (qualified names, temps, site
+    /// labels) is written into; the program stores an exact-size copy.
+    name: String,
 }
+
+type Scope<'a> = FxHashMap<&'a str, Var>;
 
 /// Lowers a parsed module.
 ///
@@ -255,18 +265,20 @@ struct Lowerer {
 ///
 /// Resolution errors (unknown names, duplicate declarations, static/
 /// instance confusion, void-as-value, …) and IR validation errors.
-pub fn lower(module: &ast::Module) -> Result<Module, MjError> {
+pub fn lower(module: &ast::Module<'_>) -> Result<Module, MjError> {
     let mut lw = Lowerer {
         builder: ProgramBuilder::new(),
         classes: Vec::new(),
-        class_idx: HashMap::new(),
-        field_names: HashMap::new(),
-        virtual_sigs: HashMap::new(),
+        class_idx: FxHashMap::default(),
+        field_names: FxHashMap::default(),
+        virtual_sigs: FxHashMap::default(),
         bodies: Vec::new(),
+        spare_scopes: Vec::new(),
+        name: String::new(),
     };
     lw.declare_classes(module)?;
     lw.declare_members(module)?;
-    lw.build_dispatch(module);
+    lw.build_dispatch();
     lw.lower_bodies(module)?;
     let program = lw
         .builder
@@ -277,16 +289,24 @@ pub fn lower(module: &ast::Module) -> Result<Module, MjError> {
     Ok(Module { program, bodies })
 }
 
-impl Lowerer {
+impl<'a> Lowerer<'a> {
     fn err(line: usize, message: impl Into<String>) -> MjError {
         MjError::new(line, 1, message)
     }
 
-    fn declare_classes(&mut self, module: &ast::Module) -> Result<(), MjError> {
-        let mut decls: Vec<(&str, Option<&str>, usize)> = module
+    /// Clears the name buffer and writes `args` into it.
+    fn name(&mut self, args: fmt::Arguments<'_>) {
+        self.name.clear();
+        self.name
+            .write_fmt(args)
+            .expect("writing to a String cannot fail");
+    }
+
+    fn declare_classes(&mut self, module: &ast::Module<'a>) -> Result<(), MjError> {
+        let mut decls: Vec<(&'a str, Option<&'a str>, usize)> = module
             .classes
             .iter()
-            .map(|c| (c.name.as_str(), c.superclass.as_deref(), c.line))
+            .map(|c| (c.name, c.superclass, c.line))
             .collect();
         if !module.classes.iter().any(|c| c.name == "Object") {
             decls.insert(0, ("Object", None, 0));
@@ -296,12 +316,12 @@ impl Lowerer {
                 return Err(Self::err(line, format!("duplicate class `{name}`")));
             }
             let idx = self.classes.len();
-            self.class_idx.insert(name.to_owned(), idx);
+            self.class_idx.insert(name, idx);
             self.classes.push(ClassInfo {
                 ty: ctxform_ir::Type(0), // placeholder, assigned below
                 super_idx: None,
-                methods: HashMap::new(),
-                static_fields: HashMap::new(),
+                methods: FxHashMap::default(),
+                static_fields: FxHashMap::default(),
             });
         }
         // Resolve supers, then create ir types in an order where every
@@ -329,16 +349,16 @@ impl Lowerer {
         // Cycle check + topological creation.
         let n = self.classes.len();
         let mut created = vec![false; n];
-        let names: Vec<&str> = decls.iter().map(|d| d.0).collect();
+        let mut chain = Vec::new();
         for start in 0..n {
-            let mut chain = Vec::new();
+            chain.clear();
             let mut cur = start;
             while !created[cur] {
                 chain.push(cur);
                 if chain.len() > n {
                     return Err(Self::err(
                         decls[start].2,
-                        format!("cyclic inheritance involving `{}`", names[start]),
+                        format!("cyclic inheritance involving `{}`", decls[start].0),
                     ));
                 }
                 match self.classes[cur].super_idx {
@@ -353,12 +373,12 @@ impl Lowerer {
                     .map(|s| created[s])
                     .unwrap_or(true)
                 {
-                    self.classes[idx].ty = self.builder.class(names[idx], sup_ty);
+                    self.classes[idx].ty = self.builder.class(decls[idx].0, sup_ty);
                     created[idx] = true;
                 } else {
                     return Err(Self::err(
                         decls[idx].2,
-                        format!("cyclic inheritance involving `{}`", names[idx]),
+                        format!("cyclic inheritance involving `{}`", decls[idx].0),
                     ));
                 }
             }
@@ -366,41 +386,39 @@ impl Lowerer {
         Ok(())
     }
 
-    fn declare_members(&mut self, module: &ast::Module) -> Result<(), MjError> {
+    fn declare_members(&mut self, module: &ast::Module<'a>) -> Result<(), MjError> {
         for class in &module.classes {
-            let idx = self.class_idx[&class.name];
-            for (field_name, _ty) in &class.fields {
+            let idx = self.class_idx[class.name];
+            for &(field_name, _ty) in &class.fields {
                 let f = self.builder.field(field_name);
-                self.field_names.insert(field_name.clone(), f);
+                self.field_names.insert(field_name, f);
             }
-            for (field_name, _ty) in &class.static_fields {
+            for &(field_name, _ty) in &class.static_fields {
                 // Static fields are per-declaring-class signatures,
                 // qualified to avoid colliding with instance fields.
-                let qualified = format!("{}.{}", class.name, field_name);
-                let f = self.builder.field(&qualified);
-                self.classes[idx]
-                    .static_fields
-                    .insert(field_name.clone(), f);
+                self.name(format_args!("{}.{}", class.name, field_name));
+                let f = self.builder.field(&self.name);
+                self.classes[idx].static_fields.insert(field_name, f);
             }
             for method in &class.methods {
-                let key = (method.name.clone(), method.params.len());
+                let key = (method.name, method.params.len());
                 if self.classes[idx].methods.contains_key(&key) {
                     return Err(Self::err(
                         method.line,
                         format!("duplicate method `{}/{}` in `{}`", key.0, key.1, class.name),
                     ));
                 }
-                let qualified = format!("{}.{}", class.name, method.name);
                 // Declare without formals: formal variables are created at
                 // body-lowering time so the variable table stays in class
                 // declaration order (appending a class then extends the
                 // table instead of interleaving ids, which incremental
                 // re-analysis depends on).
-                let id = self.builder.method_decl(&qualified, self.classes[idx].ty);
+                self.name(format_args!("{}.{}", class.name, method.name));
+                let id = self.builder.method_decl(&self.name, self.classes[idx].ty);
                 if !method.is_static {
-                    let msig_name = format!("{}/{}", method.name, method.params.len());
-                    let s = self.builder.msig(&msig_name);
-                    let entry = self.virtual_sigs.entry(key.clone()).or_insert((s, false));
+                    self.name(format_args!("{}/{}", method.name, method.params.len()));
+                    let s = self.builder.msig(&self.name);
+                    let entry = self.virtual_sigs.entry(key).or_insert((s, false));
                     entry.1 |= method.ret_ty.is_some();
                 }
                 if method.is_main {
@@ -422,7 +440,9 @@ impl Lowerer {
 
     /// For every class `C` and visible instance signature, record
     /// `implements(Q, C, S)` with `Q` the nearest definition up the chain.
-    fn build_dispatch(&mut self, _module: &ast::Module) {
+    /// The map's visiting order does not matter: `finish` sorts the
+    /// relation.
+    fn build_dispatch(&mut self) {
         for idx in 0..self.classes.len() {
             let ty = self.classes[idx].ty;
             for (key, &(msig, _)) in &self.virtual_sigs {
@@ -453,10 +473,10 @@ impl Lowerer {
     }
 
     /// Resolves `Class.m(args)`-style static targets up the chain.
-    fn resolve_static(&self, class_idx: usize, name: &str, arity: usize) -> Option<&MethodSig> {
+    fn resolve_static(&self, class_idx: usize, name: &'a str, arity: usize) -> Option<&MethodSig> {
         let mut cur = Some(class_idx);
         while let Some(c) = cur {
-            if let Some(sig) = self.classes[c].methods.get(&(name.to_owned(), arity)) {
+            if let Some(sig) = self.classes[c].methods.get(&(name, arity)) {
                 return Some(sig);
             }
             cur = self.classes[c].super_idx;
@@ -464,15 +484,17 @@ impl Lowerer {
         None
     }
 
-    fn lower_bodies(&mut self, module: &ast::Module) -> Result<(), MjError> {
+    fn lower_bodies(&mut self, module: &ast::Module<'a>) -> Result<(), MjError> {
         for class in &module.classes {
-            let class_idx = self.class_idx[&class.name];
+            let class_idx = self.class_idx[class.name];
             for method in &class.methods {
                 let sig_id =
-                    self.classes[class_idx].methods[&(method.name.clone(), method.params.len())].id;
+                    self.classes[class_idx].methods[&(method.name, method.params.len())].id;
                 let mut ctx = BodyCtx::new(self, sig_id, method)?;
                 let mut instrs = Vec::new();
                 ctx.block(&method.body, &mut instrs)?;
+                let formals = ctx.scopes.pop().expect("the formals' scope");
+                self.close_scope(formals);
                 let body_slot = sig_id.index();
                 if self.bodies.len() <= body_slot {
                     self.bodies.resize(body_slot + 1, Body::default());
@@ -482,26 +504,42 @@ impl Lowerer {
         }
         Ok(())
     }
+
+    /// An empty scope, reusing a finished block's table when one is
+    /// spare.
+    fn open_scope(&mut self) -> Scope<'a> {
+        self.spare_scopes.pop().unwrap_or_default()
+    }
+
+    fn close_scope(&mut self, mut scope: Scope<'a>) {
+        scope.clear();
+        self.spare_scopes.push(scope);
+    }
 }
 
 /// Per-method lowering state: scopes, temps, the `this` variable.
-struct BodyCtx<'a> {
-    lw: &'a mut Lowerer,
+struct BodyCtx<'l, 'a> {
+    lw: &'l mut Lowerer<'a>,
     method: Method,
-    scopes: Vec<HashMap<String, Var>>,
+    scopes: Vec<Scope<'a>>,
     this_var: Option<Var>,
     has_ret: bool,
     temp_count: usize,
     site_count: usize,
 }
 
-impl<'a> BodyCtx<'a> {
-    fn new(lw: &'a mut Lowerer, method: Method, decl: &ast::MethodDecl) -> Result<Self, MjError> {
-        let mut scope = HashMap::new();
-        let names: Vec<&str> = decl.params.iter().map(|p| p.name.as_str()).collect();
-        let formals: Vec<Var> = lw.builder.bind_formals(method, &names);
-        for (param, var) in decl.params.iter().zip(formals) {
-            if scope.insert(param.name.clone(), var).is_some() {
+impl<'l, 'a> BodyCtx<'l, 'a> {
+    fn new(
+        lw: &'l mut Lowerer<'a>,
+        method: Method,
+        decl: &ast::MethodDecl<'a>,
+    ) -> Result<Self, MjError> {
+        let mut scope = lw.open_scope();
+        let formals = lw
+            .builder
+            .bind_formals(method, decl.params.iter().map(|p| p.name));
+        for (param, &var) in decl.params.iter().zip(formals) {
+            if scope.insert(param.name, var).is_some() {
                 return Err(Lowerer::err(
                     decl.line,
                     format!("duplicate parameter `{}`", param.name),
@@ -532,38 +570,38 @@ impl<'a> BodyCtx<'a> {
         self.scopes.iter().rev().find_map(|s| s.get(name).copied())
     }
 
-    fn declare(&mut self, name: &str, line: usize) -> Result<Var, MjError> {
+    fn declare(&mut self, name: &'a str, line: usize) -> Result<Var, MjError> {
         if self.scopes.last().unwrap().contains_key(name) {
             return Err(Self::err(line, format!("duplicate variable `{name}`")));
         }
         let v = self.lw.builder.var(name, self.method);
-        self.scopes.last_mut().unwrap().insert(name.to_owned(), v);
+        self.scopes.last_mut().unwrap().insert(name, v);
         Ok(v)
     }
 
     fn temp(&mut self) -> Var {
-        let name = format!("#t{}", self.temp_count);
+        self.lw.name(format_args!("#t{}", self.temp_count));
         self.temp_count += 1;
-        self.lw.builder.var(&name, self.method)
+        self.lw.builder.var(&self.lw.name, self.method)
     }
 
-    fn site_label(&mut self, what: &str) -> String {
-        let label = format!(
-            "{}/{}#{}",
-            self.lw.builder_method_name(self.method),
-            what,
-            self.site_count
-        );
+    /// Writes the next site label of this method, `<method>/<what>#<n>`,
+    /// into the name buffer.
+    fn site_label(&mut self, what: fmt::Arguments<'_>) {
+        let Lowerer { builder, name, .. } = &mut *self.lw;
+        name.clear();
+        let method = builder.method_name(self.method);
+        write!(name, "{method}/{what}#{}", self.site_count)
+            .expect("writing to a String cannot fail");
         self.site_count += 1;
-        label
     }
 
     /// If `base` names a class (and is not shadowed by a local), returns
     /// its class-table index.
-    fn class_base(&self, base: &Expr) -> Option<usize> {
+    fn class_base(&self, base: &Expr<'a>) -> Option<usize> {
         if let Expr::Name { name, .. } = base {
             if self.lookup(name).is_none() {
-                return self.lw.class_idx.get(name.as_str()).copied();
+                return self.lw.class_idx.get(name).copied();
             }
         }
         None
@@ -583,16 +621,18 @@ impl<'a> BodyCtx<'a> {
             .ok_or_else(|| Self::err(line, format!("unknown field `{name}`")))
     }
 
-    fn block(&mut self, stmts: &[Stmt], out: &mut Vec<Instr>) -> Result<(), MjError> {
-        self.scopes.push(HashMap::new());
+    fn block(&mut self, stmts: &[Stmt<'a>], out: &mut Vec<Instr>) -> Result<(), MjError> {
+        let scope = self.lw.open_scope();
+        self.scopes.push(scope);
         for stmt in stmts {
             self.stmt(stmt, out)?;
         }
-        self.scopes.pop();
+        let scope = self.scopes.pop().expect("pushed above");
+        self.lw.close_scope(scope);
         Ok(())
     }
 
-    fn stmt(&mut self, stmt: &Stmt, out: &mut Vec<Instr>) -> Result<(), MjError> {
+    fn stmt(&mut self, stmt: &Stmt<'a>, out: &mut Vec<Instr>) -> Result<(), MjError> {
         match stmt {
             Stmt::VarDecl {
                 name, init, line, ..
@@ -702,10 +742,10 @@ impl<'a> BodyCtx<'a> {
     /// Lowers a condition, hoisting operands into variables.
     fn cond(
         &mut self,
-        cond: &Cond,
+        cond: &Cond<'a>,
         _out: &mut [Instr],
     ) -> Result<(Operand, Operand, bool), MjError> {
-        let op = |this: &Self, o: &CondOperand| -> Result<Operand, MjError> {
+        let op = |this: &Self, o: &CondOperand<'a>| -> Result<Operand, MjError> {
             match o {
                 CondOperand::Null => Ok(Operand::Null),
                 CondOperand::This => this
@@ -729,7 +769,12 @@ impl<'a> BodyCtx<'a> {
 
     /// Lowers `dst = expr`, emitting exactly one fact/instruction for
     /// simple right-hand sides (no spurious temps).
-    fn assign_into(&mut self, dst: Var, expr: &Expr, out: &mut Vec<Instr>) -> Result<(), MjError> {
+    fn assign_into(
+        &mut self,
+        dst: Var,
+        expr: &Expr<'a>,
+        out: &mut Vec<Instr>,
+    ) -> Result<(), MjError> {
         match expr {
             Expr::Null => {
                 out.push(Instr::AssignNull { dst });
@@ -758,8 +803,8 @@ impl<'a> BodyCtx<'a> {
                     .get(class)
                     .ok_or_else(|| Self::err(*line, format!("unknown class `{class}`")))?;
                 let ty = self.lw.classes[idx].ty;
-                let label = self.site_label(&format!("new {class}"));
-                let heap = self.lw.builder.alloc(&label, ty, dst, self.method);
+                self.site_label(format_args!("new {class}"));
+                let heap = self.lw.builder.alloc(&self.lw.name, ty, dst, self.method);
                 out.push(Instr::New { dst, heap });
                 Ok(())
             }
@@ -789,7 +834,7 @@ impl<'a> BodyCtx<'a> {
     }
 
     /// Lowers an expression to an operand, introducing a temp when needed.
-    fn operand(&mut self, expr: &Expr, out: &mut Vec<Instr>) -> Result<Operand, MjError> {
+    fn operand(&mut self, expr: &Expr<'a>, out: &mut Vec<Instr>) -> Result<Operand, MjError> {
         match expr {
             Expr::Null => Ok(Operand::Null),
             Expr::This { line } => self
@@ -810,7 +855,7 @@ impl<'a> BodyCtx<'a> {
 
     /// Like [`BodyCtx::operand`] but requires a variable (field-access and
     /// call receivers cannot be the null literal).
-    fn operand_var(&mut self, expr: &Expr, out: &mut Vec<Instr>) -> Result<Var, MjError> {
+    fn operand_var(&mut self, expr: &Expr<'a>, out: &mut Vec<Instr>) -> Result<Var, MjError> {
         match self.operand(expr, out)? {
             Operand::Var(v) => Ok(v),
             Operand::Null => Err(Self::err(expr.line(), "explicit null has no members")),
@@ -819,7 +864,12 @@ impl<'a> BodyCtx<'a> {
 
     /// Lowers a call expression. `Class.m(…)` with `Class` not shadowed by
     /// a local is a static call; everything else is a virtual call.
-    fn call(&mut self, expr: &Expr, dst: Option<Var>, out: &mut Vec<Instr>) -> Result<(), MjError> {
+    fn call(
+        &mut self,
+        expr: &Expr<'a>,
+        dst: Option<Var>,
+        out: &mut Vec<Instr>,
+    ) -> Result<(), MjError> {
         let Expr::Call {
             base,
             method,
@@ -833,7 +883,7 @@ impl<'a> BodyCtx<'a> {
         let static_target = match base.as_ref() {
             Expr::Name { name, .. } if self.lookup(name).is_none() => {
                 match self.lw.class_idx.get(name) {
-                    Some(&class_idx) => Some((name.clone(), class_idx)),
+                    Some(&class_idx) => Some((*name, class_idx)),
                     None => {
                         return Err(Self::err(
                             *line,
@@ -848,14 +898,6 @@ impl<'a> BodyCtx<'a> {
         for a in args {
             arg_ops.push(self.operand(a, out)?);
         }
-        let arg_vars: Vec<Var> = arg_ops
-            .iter()
-            .filter_map(|o| match o {
-                Operand::Var(v) => Some(*v),
-                Operand::Null => None,
-            })
-            .collect();
-        // Positions of variable arguments (null actuals produce no tuple).
         let caller = self.method;
         if let Some((class_name, class_idx)) = static_target {
             let sig = self
@@ -881,13 +923,13 @@ impl<'a> BodyCtx<'a> {
             }
             let target = sig.id;
             debug_assert_eq!(sig.arity, args.len());
-            let label = self.site_label(&format!("call {class_name}.{method}"));
+            self.site_label(format_args!("call {class_name}.{method}"));
             let inv = self
                 .lw
                 .builder
-                .static_call(&label, caller, target, &[], dst);
+                .static_call(&self.lw.name, caller, target, &[], dst);
+            // Null actuals produce no tuple.
             self.push_actuals(inv, &arg_ops);
-            let _ = arg_vars;
             out.push(Instr::CallStatic {
                 inv,
                 target,
@@ -896,7 +938,7 @@ impl<'a> BodyCtx<'a> {
             });
         } else {
             let recv = self.operand_var(base, out)?;
-            let key = (method.clone(), args.len());
+            let key = (*method, args.len());
             let &(msig, has_ret) = self.lw.virtual_sigs.get(&key).ok_or_else(|| {
                 Self::err(
                     *line,
@@ -909,11 +951,11 @@ impl<'a> BodyCtx<'a> {
                     format!("void method `{method}` used as a value"),
                 ));
             }
-            let label = self.site_label(&format!("call {method}"));
+            self.site_label(format_args!("call {method}"));
             let inv = self
                 .lw
                 .builder
-                .virtual_call(&label, caller, recv, msig, &[], dst);
+                .virtual_call(&self.lw.name, caller, recv, msig, &[], dst);
             self.push_actuals(inv, &arg_ops);
             out.push(Instr::CallVirtual {
                 inv,
@@ -934,12 +976,6 @@ impl<'a> BodyCtx<'a> {
                 self.lw.builder.push_actual(*v, inv, o as u32);
             }
         }
-    }
-}
-
-impl Lowerer {
-    fn builder_method_name(&self, m: Method) -> String {
-        self.builder.method_name(m)
     }
 }
 

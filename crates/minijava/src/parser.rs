@@ -1,4 +1,8 @@
-//! Recursive-descent parser for the MiniJava subset.
+//! Recursive-descent parser for the MiniJava subset. Tokens are `Copy`
+//! and the tree borrows its names from the source, so parsing allocates
+//! only the token vector and the tree's own vectors and boxes.
+
+use std::borrow::Cow;
 
 use crate::ast::*;
 use crate::error::MjError;
@@ -9,7 +13,7 @@ use crate::lexer::{lex, Tok, Token};
 /// # Errors
 ///
 /// Lexical or syntax errors with source positions.
-pub fn parse(source: &str) -> Result<Module, MjError> {
+pub fn parse(source: &str) -> Result<Module<'_>, MjError> {
     let tokens = lex(source)?;
     let mut p = Parser { tokens, pos: 0 };
     let mut classes = Vec::new();
@@ -19,26 +23,26 @@ pub fn parse(source: &str) -> Result<Module, MjError> {
     Ok(Module { classes })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Token<'a> {
+        self.tokens[self.pos]
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].tok
+    fn peek2(&self) -> Tok<'a> {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].tok
     }
 
     fn at(&self, tok: &Tok) -> bool {
         &self.peek().tok == tok
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn bump(&mut self) -> Token<'a> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -54,7 +58,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, tok: &Tok) -> Result<Token, MjError> {
+    fn expect(&mut self, tok: &Tok) -> Result<Token<'a>, MjError> {
         if self.at(tok) {
             Ok(self.bump())
         } else {
@@ -71,8 +75,8 @@ impl Parser {
         )
     }
 
-    fn ident(&mut self) -> Result<(String, usize), MjError> {
-        let t = self.peek().clone();
+    fn ident(&mut self) -> Result<(&'a str, usize), MjError> {
+        let t = self.peek();
         match t.tok {
             Tok::Ident(name) => {
                 self.bump();
@@ -82,7 +86,7 @@ impl Parser {
         }
     }
 
-    fn class(&mut self) -> Result<ClassDecl, MjError> {
+    fn class(&mut self) -> Result<ClassDecl<'a>, MjError> {
         let kw = self.expect(&Tok::Class)?;
         let (name, _) = self.ident()?;
         let superclass = if self.eat(&Tok::Extends) {
@@ -111,9 +115,9 @@ impl Parser {
     /// `static T name;`, or a method.
     fn member(
         &mut self,
-        fields: &mut Vec<(String, String)>,
-        static_fields: &mut Vec<(String, String)>,
-        methods: &mut Vec<MethodDecl>,
+        fields: &mut Vec<(&'a str, &'a str)>,
+        static_fields: &mut Vec<(&'a str, &'a str)>,
+        methods: &mut Vec<MethodDecl<'a>>,
     ) -> Result<(), MjError> {
         let mut is_public = false;
         let mut is_static = false;
@@ -172,16 +176,17 @@ impl Parser {
         Ok(())
     }
 
-    fn params(&mut self) -> Result<Vec<Param>, MjError> {
+    fn params(&mut self) -> Result<Vec<Param<'a>>, MjError> {
         self.expect(&Tok::LParen)?;
         let mut params = Vec::new();
         if !self.eat(&Tok::RParen) {
             loop {
-                let (mut ty, _) = self.ident()?;
+                let (ty, _) = self.ident()?;
+                let mut ty = Cow::Borrowed(ty);
                 // Accept `String[] args` for the main signature.
                 if self.eat(&Tok::LBracket) {
                     self.expect(&Tok::RBracket)?;
-                    ty.push_str("[]");
+                    ty.to_mut().push_str("[]");
                 }
                 let (name, _) = self.ident()?;
                 params.push(Param { ty, name });
@@ -194,7 +199,7 @@ impl Parser {
         Ok(params)
     }
 
-    fn block(&mut self) -> Result<Block, MjError> {
+    fn block(&mut self) -> Result<Block<'a>, MjError> {
         self.expect(&Tok::LBrace)?;
         let mut stmts = Vec::new();
         while !self.eat(&Tok::RBrace) {
@@ -203,9 +208,9 @@ impl Parser {
         Ok(stmts)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, MjError> {
+    fn stmt(&mut self) -> Result<Stmt<'a>, MjError> {
         let line = self.peek().line;
-        match self.peek().tok.clone() {
+        match self.peek().tok {
             Tok::Return => {
                 self.bump();
                 let value = if self.at(&Tok::Semi) {
@@ -270,7 +275,7 @@ impl Parser {
     }
 
     /// Parses `lvalue = expr;` or a bare expression statement.
-    fn assign_or_expr(&mut self, line: usize) -> Result<Stmt, MjError> {
+    fn assign_or_expr(&mut self, line: usize) -> Result<Stmt<'a>, MjError> {
         let e = self.expr()?;
         if self.eat(&Tok::Assign) {
             let value = self.expr()?;
@@ -300,7 +305,7 @@ impl Parser {
         }
     }
 
-    fn cond(&mut self) -> Result<Cond, MjError> {
+    fn cond(&mut self) -> Result<Cond<'a>, MjError> {
         if self.eat(&Tok::True) {
             return Ok(Cond::True);
         }
@@ -319,7 +324,7 @@ impl Parser {
         Ok(if eq { Cond::Eq(a, b) } else { Cond::Ne(a, b) })
     }
 
-    fn cond_operand(&mut self) -> Result<CondOperand, MjError> {
+    fn cond_operand(&mut self) -> Result<CondOperand<'a>, MjError> {
         if self.eat(&Tok::Null) {
             return Ok(CondOperand::Null);
         }
@@ -330,7 +335,7 @@ impl Parser {
         Ok(CondOperand::Var(name))
     }
 
-    fn expr(&mut self) -> Result<Expr, MjError> {
+    fn expr(&mut self) -> Result<Expr<'a>, MjError> {
         let mut e = self.primary()?;
         // Postfix chain: field accesses and calls.
         while self.eat(&Tok::Dot) {
@@ -354,7 +359,7 @@ impl Parser {
         Ok(e)
     }
 
-    fn args(&mut self) -> Result<Vec<Expr>, MjError> {
+    fn args(&mut self) -> Result<Vec<Expr<'a>>, MjError> {
         self.expect(&Tok::LParen)?;
         let mut args = Vec::new();
         if !self.eat(&Tok::RParen) {
@@ -369,8 +374,8 @@ impl Parser {
         Ok(args)
     }
 
-    fn primary(&mut self) -> Result<Expr, MjError> {
-        let t = self.peek().clone();
+    fn primary(&mut self) -> Result<Expr<'a>, MjError> {
+        let t = self.peek();
         match t.tok {
             Tok::Null => {
                 self.bump();
@@ -409,8 +414,8 @@ mod tests {
         .unwrap();
         assert_eq!(m.classes.len(), 2);
         let a = &m.classes[0];
-        assert_eq!(a.superclass.as_deref(), Some("B"));
-        assert_eq!(a.fields, vec![("f".into(), "Object".into())]);
+        assert_eq!(a.superclass, Some("B"));
+        assert_eq!(a.fields, vec![("f", "Object")]);
         assert_eq!(a.methods[0].name, "id");
         assert_eq!(a.methods[0].params.len(), 1);
     }

@@ -1,10 +1,13 @@
 //! The analysis database manager: one byte-budgeted cache holding every
 //! loaded program and everything derived from it.
 //!
-//! Programs are keyed by a content digest ([`ctxform_hash::fx_hash_one`]
-//! over the canonical [`ctxform_ir::text::emit`] rendering), so the same
-//! program loaded from MiniJava source or from a fact file lands on the
-//! same key. Each digest owns one entry: the program, its demand index
+//! Programs are keyed by a structural content digest ([`program_digest`]:
+//! the Fx hash of the [`Program`]'s tables, names and relations, in
+//! order), read off the tables without rendering them; its values differ
+//! from those of the earlier digest over the rendered fact text. A fact
+//! file parses back to the equal `Program` its source lowers to, so the
+//! same program loaded from MiniJava source or from a fact file lands on
+//! the same key. Each digest owns one entry: the program, its demand index
 //! (built on the first demand query) and, per config tag, what that
 //! configuration was solved to — a projected result from `analyze`, or an
 //! extendable database from `update` ([`Solved`]). Everything is held
@@ -18,6 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,8 +30,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use ctxform::{
     analyze, AnalysisConfig, AnalysisDb, AnalysisResult, DemandIndex, ExtendOutcome, SolverStats,
 };
-use ctxform_hash::fx_hash_one;
-use ctxform_ir::{text, Program};
+use ctxform_hash::FxHasher;
+use ctxform_ir::Program;
 use ctxform_obs::metrics::{Registry, LATENCY_BUCKETS_S};
 
 use crate::protocol::config_tag;
@@ -687,13 +691,57 @@ fn record_solve_metrics(registry: &Registry, stats: &SolverStats) {
         .observe_duration(stats.duration);
 }
 
-/// The canonical content digest of a program: `fx_hash_one` over the
-/// [`ctxform_ir::text::emit`] rendering — the key
+/// The content digest of a program — the key
 /// [`DbManager::load_program`] registers a program under and the wire
 /// name clients quote in queries. Clients compute it too, to check a
 /// server-assigned digest against their own copy of a program.
+///
+/// It hashes the program's tables structurally (its derived `Hash`):
+/// every table's length, then its rows in order, every name's bytes and
+/// length. Equal programs get equal digests, so a program loaded from a
+/// fact file shares its digest with the source it was emitted from
+/// (`text::parse(text::emit(p)) == p`). The digest used to be
+/// `fx_hash_one(&text::emit(program))`, which rendered the whole fact
+/// text on every load and `update`; the values changed with the switch,
+/// the wire format did not.
 pub fn program_digest(program: &Program) -> u64 {
-    fx_hash_one(&text::emit(program))
+    let mut hasher = LengthDelimited::default();
+    program.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// [`FxHasher`], except that every byte string also folds in its length.
+/// The Fx fold zero-pads a string's last word, so on its own it would
+/// hash the names `"a"` and `"a\0"` alike, and a fact file may name an
+/// entity with a trailing NUL.
+#[derive(Default)]
+struct LengthDelimited(FxHasher);
+
+impl Hasher for LengthDelimited {
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+        self.0.write_usize(bytes.len());
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.0.write_u8(i);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.0.write_u32(i);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0.write_u64(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.0.write_usize(i);
+    }
 }
 
 /// The result's CI digest, [`ctxform::CiFacts::digest`] — the same
@@ -820,6 +868,7 @@ fn heap_chunk(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctxform_ir::Type;
     use ctxform_minijava::{compile, corpus};
 
     fn config(label: &str) -> AnalysisConfig {
@@ -841,11 +890,46 @@ mod tests {
         let module = compile(corpus::BOX).unwrap();
         let db = DbManager::new(1 << 20);
         let (d1, _) = db.load_program(module.program.clone());
-        let text = text::emit(&module.program);
-        let reparsed = text::parse(&text).unwrap();
+        let text = ctxform_ir::text::emit(&module.program);
+        let reparsed = ctxform_ir::text::parse(&text).unwrap();
         let (d2, _) = db.load_program(reparsed);
         assert_eq!(d1, d2);
         assert_eq!(db.snapshot().entries, 1);
+    }
+
+    #[test]
+    fn program_digest_tells_apart_programs_that_differ_in_one_place() {
+        let base = compile(corpus::BOX).unwrap().program;
+        let digest = program_digest(&base);
+        let with = |edit: &dyn Fn(&mut Program)| {
+            let mut p = base.clone();
+            edit(&mut p);
+            program_digest(&p)
+        };
+        let variants = [
+            // One byte moves between adjacent names.
+            with(&|p| {
+                p.var_names[0] = "ab".into();
+                p.var_names[1] = "c".into();
+            }),
+            with(&|p| {
+                p.var_names[0] = "a".into();
+                p.var_names[1] = "bc".into();
+            }),
+            // A trailing NUL, which the Fx fold alone would pad away.
+            with(&|p| p.var_names[0].push('\0')),
+            // A tuple moves between two relations of the same arity.
+            with(&|p| {
+                let tuple = p.facts.store.pop().unwrap();
+                p.facts.load.push(tuple);
+            }),
+            with(&|p| p.entry_points.push(p.entry_points[0])),
+            with(&|p| p.supertype[0] = Some(Type(0))),
+        ];
+        let mut seen: HashSet<u64> = variants.iter().copied().collect();
+        assert_eq!(seen.len(), variants.len(), "{variants:x?}");
+        assert!(seen.insert(digest));
+        assert_eq!(with(&|_| {}), digest);
     }
 
     #[test]

@@ -321,52 +321,44 @@ fn parse_string(input: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Js
     *pos += 1;
     let mut out = String::new();
     loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err(err(*pos, "unterminated string"));
+        // Copy the run up to the next quote or backslash in one piece.
+        // Both are ASCII, so the run starts and ends on char boundaries.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or_else(|| err(bytes.len(), "unterminated string"))?;
+        out.push_str(&input[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
+        }
+        *pos += 1;
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err(err(*pos, "unterminated escape"));
         };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = input
+                    .get(*pos..*pos + 4)
+                    .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| err(*pos, format!("bad \\u escape `{hex}`")))?;
+                *pos += 4;
+                // Surrogate pairs are not produced by this writer; lone
+                // surrogates decode to the replacement char.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err(err(*pos, "unterminated escape"));
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = input
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, format!("bad \\u escape `{hex}`")))?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by this writer;
-                        // lone surrogates decode to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => {
-                        return Err(err(*pos, format!("unknown escape `\\{}`", other as char)))
-                    }
-                }
-            }
-            _ => {
-                // Consume one full UTF-8 scalar from the source slice.
-                let rest = &input[*pos..];
-                let c = rest.chars().next().ok_or_else(|| err(*pos, "bad utf-8"))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            other => return Err(err(*pos, format!("unknown escape `\\{}`", other as char))),
         }
     }
 }
@@ -469,6 +461,69 @@ mod tests {
             "", "{", "{\"a\":}", "[1,]", "tru", "\"open", "1 2", "{'a':1}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    /// `s` written as a JSON string and parsed back.
+    fn string_round_trip(s: &str) -> String {
+        let mut text = String::new();
+        write_escaped(&mut text, s);
+        match Json::parse(&text) {
+            Ok(Json::Str(back)) => back,
+            other => panic!("{text:?} parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_escapes_and_multibyte_text_at_run_edges() {
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "é",
+            "é\n",
+            "\né",
+            "\"日本\"",
+            "🦀\\🦀",
+            "a\tb\u{1}c\u{1f}",
+            "\n\n\n",
+            "ends with é",
+        ] {
+            assert_eq!(string_round_trip(s), s);
+        }
+        // Escapes the writer never produces.
+        let parsed = Json::parse(r#""\/\b\f\u00e9\u0041x\ud800""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("/\u{8}\u{c}éAx\u{fffd}"));
+    }
+
+    #[test]
+    fn a_large_source_round_trips() {
+        let cfg = ctxform_synth::preset("antlr").unwrap().scale_driver(20);
+        let source = ctxform_synth::generate(&cfg) + "// ünïcödé 🦀 \"quoted\" \\ end\n";
+        assert!(source.len() > 200_000);
+        assert_eq!(string_round_trip(&source), source);
+    }
+
+    #[test]
+    fn broken_strings_are_typed_errors() {
+        for (bad, offset, message) in [
+            ("\"open", 5, "unterminated string"),
+            ("\"é", 3, "unterminated string"),
+            ("\"ab\\", 4, "unterminated escape"),
+            ("\"ab\\q\"", 5, "unknown escape `\\q`"),
+            ("\"\\u12\"]", 3, "bad \\u escape `12\"]`"),
+            ("\"\\u1", 3, "truncated \\u escape"),
+            ("\"\\uzzzz\"", 3, "bad \\u escape `zzzz`"),
+        ] {
+            assert_eq!(
+                Json::parse(bad),
+                Err(JsonError {
+                    offset,
+                    message: message.into()
+                }),
+                "{bad:?}"
+            );
         }
     }
 
